@@ -78,6 +78,16 @@ def _parse_date(value: str, what: str) -> date:
         raise CommandError(2, f"{what} must be an ISO date, got {value!r}") from None
 
 
+def _reject_label_collisions(flag: str, raw: str, labels: list[str]) -> None:
+    """Output files are named by these labels, so two equal labels would
+    overwrite each other's files and repeat persistence rows."""
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise CommandError(
+            2, f"{flag} values repeat the output label {', '.join(repeated)}, got {raw!r}"
+        )
+
+
 def _parse_windows(raw: str) -> list[int]:
     try:
         windows = [int(tok) for tok in raw.split(",") if tok.strip()]
@@ -85,6 +95,7 @@ def _parse_windows(raw: str) -> list[int]:
         raise CommandError(2, f"windows must be integers, got {raw!r}") from None
     if not windows or any(w < 1 for w in windows):
         raise CommandError(2, f"windows must be positive integers, got {raw!r}")
+    _reject_label_collisions("--windows", raw, [str(w) for w in windows])
     return windows
 
 
@@ -95,6 +106,7 @@ def _parse_thresholds(raw: str) -> list[float]:
         raise CommandError(2, f"thresholds must be numbers, got {raw!r}") from None
     if not thresholds or any(not 0.0 < t < 1.0 for t in thresholds):
         raise CommandError(2, f"thresholds must lie in (0,1), got {raw!r}")
+    _reject_label_collisions("--thresholds", raw, [f"{t:g}" for t in thresholds])
     return sorted(thresholds)
 
 
@@ -119,7 +131,7 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     if not weekly_root.is_dir():
         raise CommandError(3, f"{weekly_root}: not a directory")
 
-    def stitch_keyword(keyword: str) -> tuple[str, str]:
+    def stitch_keyword(keyword: str) -> str:
         seg_dir = daily_root / keyword
         if not seg_dir.is_dir():
             raise CommandError(3, f"{seg_dir}: missing daily segment directory")
@@ -141,12 +153,14 @@ def cmd_stitch(args: argparse.Namespace) -> int:
             rescaled, _ = stitch.stitch_series(daily, weekly)
         except TrendnetError as err:
             raise CommandError(2, f"{seg_dir}: {err}") from err
-        return keyword, ingest.emit_daily_csv(rescaled)
+        return ingest.emit_daily_csv(rescaled)
 
-    results = util.parallel_map(stitch_keyword, registry.keywords)
-    for keyword, text in results:
+    # Every keyword is stitched before any file is written, so a failure
+    # leaves no partial output.
+    texts = {keyword: stitch_keyword(keyword) for keyword in registry.keywords}
+    for keyword, text in texts.items():
         _write_text(Path(out_dir) / f"{keyword}.csv", text)
-    print(f"stitched {len(results)} keywords -> {out_dir}")
+    print(f"stitched {len(texts)} keywords -> {out_dir}")
     return 0
 
 

@@ -78,6 +78,12 @@ class EmptyPeriod(TrendnetError):
     """No graph frames fall within the requested period."""
 
 
+# --- render ---
+
+class TooManySeries(TrendnetError):
+    """A chart has more threshold lines than distinct palette colours."""
+
+
 # --- timeline / registry ---
 
 class UnknownCategory(TrendnetError):

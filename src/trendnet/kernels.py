@@ -1,15 +1,11 @@
 """Hot numeric kernels: distance-correlation matrices and triangle counts.
 
-Each kernel has two interchangeable implementations: a numba @njit version
-(default) and a pure-numpy fallback. Set TRENDNET_NO_NUMBA=1 to force the
-numpy path; the fallback is also selected automatically when numba is not
-importable. `benchmarks/bench_kernels.py` compares the two.
-
-The distance-correlation kernel is the definitional O(n^2) algorithm:
-pairwise absolute-difference matrices, double-centering (subtract row and
-column means, add the grand mean), dCov^2 as the mean elementwise product,
-and dCor = dCov / sqrt(dVar_x * dVar_y) clamped into [0, 1]. Windows are
-short (n <= 30), so the O(n^2) route is also the production path.
+Each kernel has one numpy implementation. The distance-correlation kernel
+is the definitional O(n^2) algorithm: pairwise absolute-difference
+matrices, double-centering (subtract row and column means, add the grand
+mean), dCov^2 as the mean elementwise product, and dCor = dCov /
+sqrt(dVar_x * dVar_y) clamped into [0, 1]. Windows are short (n <= 30 in
+the paper's setup), so the O(n^2) route is also the production path.
 
 Before any distance is formed, each window column is rescaled by a power of
 two, x * 2**-e with e the `frexp` exponent of the column's largest |x|, so
@@ -27,30 +23,10 @@ weigh nothing against the column's spread.
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("TRENDNET_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _FLAG not in ("", "0", "false")
 
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
-# --- numpy implementations ---
-
-def _centered_stack_numpy(win: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _centered_stack(win: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Double-centered |x_i - x_j| matrices for every column of `win`.
 
     Returns (centered (k, n, n), dvar (k,)) where dvar is the mean squared
@@ -70,9 +46,15 @@ def _centered_stack_numpy(win: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cen, dvar
 
 
-def _dcor_matrix_numpy(win: np.ndarray) -> np.ndarray:
+def dcor_matrix(win: np.ndarray) -> np.ndarray:
+    """Pairwise distance-correlation matrix of the columns of `win` (n, k).
+
+    Diagonal is fixed at 1; columns with zero distance variance correlate
+    0 with everything by convention.
+    """
+    win = np.ascontiguousarray(win, dtype=np.float64)
     n, k = win.shape
-    cen, dvar = _centered_stack_numpy(win)
+    cen, dvar = _centered_stack(win)
     flat = cen.reshape(k, n * n)
     dcov2 = np.maximum(flat @ flat.T / (n * n), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # constant columns, zeroed below
@@ -87,136 +69,20 @@ def _dcor_matrix_numpy(win: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rolling_dcor_numpy(data: np.ndarray, window: int) -> np.ndarray:
+def rolling_dcor(data: np.ndarray, window: int) -> np.ndarray:
+    """Stack of dcor matrices over every length-`window` slice of `data` (t, k)."""
+    data = np.ascontiguousarray(data, dtype=np.float64)
     t, k = data.shape
     frames = t - window + 1
     out = np.empty((frames, k, k))
     for f in range(frames):
-        out[f] = _dcor_matrix_numpy(data[f : f + window])
+        out[f] = dcor_matrix(data[f : f + window])
     return out
-
-
-def _triangle_counts_numpy(adj: np.ndarray) -> np.ndarray:
-    a = adj.astype(np.int64)
-    # ((A @ A) * A)[v].sum() counts closed 2-paths through v; each triangle
-    # at v is counted twice. Integer matmul keeps this exact.
-    return ((a @ a) * a).sum(axis=1) // 2
-
-
-# --- numba implementations ---
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _dcor_matrix_numba(win):  # pragma: no cover - compiled
-        n, k = win.shape
-        cen = np.empty((k, n, n))
-        dvar = np.empty(k)
-        means = np.empty(n)
-        col = np.empty(n)
-        for c in range(k):
-            peak = 0.0
-            for i in range(n):
-                peak = max(peak, abs(win[i, c]))
-            exp = math.frexp(peak)[1]
-            for i in range(n):
-                col[i] = math.ldexp(win[i, c], -exp)
-            a = cen[c]
-            for i in range(n):
-                for j in range(n):
-                    a[i, j] = abs(col[i] - col[j])
-            grand = 0.0
-            for i in range(n):
-                s = 0.0
-                for j in range(n):
-                    s += a[i, j]
-                means[i] = s / n
-                grand += s
-            grand /= n * n
-            v = 0.0
-            for i in range(n):
-                for j in range(n):
-                    e = a[i, j] - means[i] - means[j] + grand
-                    a[i, j] = e
-                    v += e * e
-            dvar[c] = v / (n * n)
-        out = np.eye(k)
-        for p in range(k):
-            for q in range(p + 1, k):
-                if dvar[p] == 0.0 or dvar[q] == 0.0:
-                    r = 0.0
-                else:
-                    s = 0.0
-                    for i in range(n):
-                        for j in range(n):
-                            s += cen[p, i, j] * cen[q, i, j]
-                    c2 = s / (n * n)
-                    if c2 < 0.0:
-                        c2 = 0.0
-                    r = np.sqrt(c2 / np.sqrt(dvar[p] * dvar[q]))
-                    if r > 1.0:
-                        r = 1.0
-                out[p, q] = r
-                out[q, p] = r
-        return out
-
-    @njit(cache=True)
-    def _rolling_dcor_numba(data, window):  # pragma: no cover - compiled
-        t, k = data.shape
-        frames = t - window + 1
-        out = np.empty((frames, k, k))
-        for f in range(frames):
-            out[f] = _dcor_matrix_numba(data[f : f + window])
-        return out
-
-    @njit(cache=True)
-    def _triangle_counts_numba(adj):  # pragma: no cover - compiled
-        k = adj.shape[0]
-        lam = np.zeros(k, dtype=np.int64)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if adj[i, j] != 0:
-                    for m in range(j + 1, k):
-                        if adj[i, m] != 0 and adj[j, m] != 0:
-                            lam[i] += 1
-                            lam[j] += 1
-                            lam[m] += 1
-        return lam
-
-
-# --- dispatch ---
-
-def dcor_matrix(win: np.ndarray) -> np.ndarray:
-    """Pairwise distance-correlation matrix of the columns of `win` (n, k).
-
-    Diagonal is fixed at 1; columns with zero distance variance correlate
-    0 with everything by convention.
-    """
-    win = np.ascontiguousarray(win, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _dcor_matrix_numba(win)
-    return _dcor_matrix_numpy(win)
-
-
-def rolling_dcor(data: np.ndarray, window: int) -> np.ndarray:
-    """Stack of dcor matrices over every length-`window` slice of `data` (t, k)."""
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _rolling_dcor_numba(data, window)
-    return _rolling_dcor_numpy(data, window)
 
 
 def triangle_counts(adj: np.ndarray) -> np.ndarray:
     """Triangles through each vertex of an undirected 0/1 adjacency matrix."""
-    adj = np.ascontiguousarray(adj, dtype=np.uint8)
-    if HAVE_NUMBA:
-        return _triangle_counts_numba(adj)
-    return _triangle_counts_numpy(adj)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so timed runs measure steady-state speed."""
-    if HAVE_NUMBA:
-        demo = np.arange(8.0).reshape(4, 2)
-        _rolling_dcor_numba(np.ascontiguousarray(demo), 2)
-        _triangle_counts_numba(np.zeros((3, 3), dtype=np.uint8))
+    a = np.asarray(adj, dtype=np.uint8).astype(np.int64)
+    # ((A @ A) * A)[v].sum() counts closed 2-paths through v; each triangle
+    # at v is counted twice. Integer matmul keeps this exact.
+    return ((a @ a) * a).sum(axis=1) // 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from datetime import date
 
-from .errors import EmptySeries
+from .errors import EmptySeries, TooManySeries
 from .netstat import MetricPoint
 from .timeline import EventRecord, JoinedEvent, join_events
 
@@ -26,8 +26,10 @@ MARGIN_BOTTOM = 55.0
 PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
 PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
-# One stroke per threshold, assigned in ascending threshold order.
-SERIES_PALETTE = ("#1f77b4", "#2ca02c", "#d62728", "#9467bd")
+# One stroke per threshold, assigned in ascending threshold order; a chart
+# with more thresholds than colours is rejected rather than reusing one.
+SERIES_PALETTE = ("#1f77b4", "#2ca02c", "#d62728", "#9467bd", "#ff7f0e",
+                  "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
@@ -77,6 +79,11 @@ def render_metric_chart(
     for point in metrics:
         by_threshold.setdefault(point.threshold, []).append(point)
     thresholds = sorted(by_threshold)
+    if len(thresholds) > len(SERIES_PALETTE):
+        raise TooManySeries(
+            f"{len(thresholds)} thresholds in one chart, at most {len(SERIES_PALETTE)} "
+            "have distinct colours"
+        )
     for threshold in thresholds:
         by_threshold[threshold].sort(key=lambda m: m.label_date)
 
@@ -146,8 +153,7 @@ def render_metric_chart(
         )
 
     # one polyline per threshold
-    for idx, threshold in enumerate(thresholds):
-        color = SERIES_PALETTE[idx % len(SERIES_PALETTE)]
+    for threshold, color in zip(thresholds, SERIES_PALETTE):
         coords = " ".join(
             f"{_fmt(x_at(m.label_date))},{_fmt(y_at(getattr(m, field)))}"
             for m in by_threshold[threshold]
@@ -159,8 +165,7 @@ def render_metric_chart(
 
     # legend
     legend_x = MARGIN_LEFT + PLOT_W + 18
-    for idx, threshold in enumerate(thresholds):
-        color = SERIES_PALETTE[idx % len(SERIES_PALETTE)]
+    for idx, (threshold, color) in enumerate(zip(thresholds, SERIES_PALETTE)):
         y = MARGIN_TOP + 10 + idx * 20
         parts.append(
             f'<line class="legend" x1="{_fmt(legend_x)}" y1="{_fmt(y)}" '

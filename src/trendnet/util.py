@@ -1,34 +1,10 @@
-"""Shared plumbing: bounded parallel map, period arithmetic, config files."""
+"""Shared plumbing: period arithmetic and config files."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from datetime import date, timedelta
-from typing import Callable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 QUARTER_ANCHOR_MONTHS = (1, 4, 7, 10)
-
-
-def thread_cap() -> int:
-    """Worker cap from TRENDNET_THREADS; 1 (serial) by default."""
-    raw = os.environ.get("TRENDNET_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Order-preserving map, threaded when TRENDNET_THREADS > 1."""
-    workers = thread_cap()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _next_quarter_start(when: date) -> date:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trendnet import ingest, kernels, stitch
+from trendnet import ingest, stitch
 from trendnet.cli import main
 from trendnet.correlate import distance_correlation, rolling_correlation
 from trendnet.netstat import (
@@ -88,7 +88,6 @@ def year_stitched(year_tree, keywords):
 
 @criterion("dcor-oracle-equivalence")
 def test_dcor_oracle_equivalence_sweep():
-    kernels.warmup()
     rng = np.random.default_rng(7)
     started = time.perf_counter()
     worst = 0.0
@@ -239,8 +238,6 @@ def test_planted_blocks_recovered_at_half_threshold(tmp_path_factory):
 
 @criterion("pipeline-scale-and-determinism")
 def test_full_pipeline_under_five_seconds_and_deterministic(year_tree, tmp_path_factory):
-    kernels.warmup()  # JIT compile outside the timed region
-
     def run(tag: str) -> tuple[float, Path]:
         out = tmp_path_factory.mktemp(f"run_{tag}")
         started = time.perf_counter()

@@ -70,6 +70,8 @@ def test_stitch_missing_weekly_exits_3(export_tree, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "flu.csv" in err
+    # flu is the last keyword: the ones before it must not have been written
+    assert not list((tmp_path / "stitched").glob("*.csv"))
 
 
 def test_stitch_missing_daily_dir_exits_3(tmp_path, capsys):
@@ -140,6 +142,23 @@ def test_analyze_bad_threshold_exits_2(stitched_dir, tmp_path, capsys):
     assert "1.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, raw",
+    [
+        ("--thresholds", "0.5,0.5"),
+        ("--thresholds", "0.5,0.5000001"),  # both are labelled t0.5
+        ("--windows", "15,15"),
+        ("--windows", "15,015"),
+    ],
+)
+def test_analyze_colliding_labels_exit_2(stitched_dir, tmp_path, capsys, flag, raw):
+    out = tmp_path / "a"
+    code = main(["analyze", "--stitched", str(stitched_dir), flag, raw, "--out", str(out)])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_missing_dir_exits_3(tmp_path):
     assert main(["analyze", "--stitched", str(tmp_path / "void"),
                  "--out", str(tmp_path / "a")]) == 3
@@ -179,6 +198,18 @@ def test_report_clustering_variant(stitched_dir, tmp_path):
     assert "clustering coefficient" in (tmp_path / "cluster_w15.svg").read_text()
 
 
+def test_report_more_thresholds_than_colours_exits_2(stitched_dir, tmp_path, capsys):
+    analysis = tmp_path / "analysis"
+    thresholds = ",".join(f"0.{i:02d}" for i in range(5, 60, 5))  # 11 thresholds
+    assert main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
+                 "--thresholds", thresholds, "--out", str(analysis)]) == 0
+    out = tmp_path / "r.svg"
+    code = main(["report", "--metrics", str(analysis), "--out", str(out)])
+    assert code == 2
+    assert "11 thresholds" in capsys.readouterr().err
+    assert not (tmp_path / "r_w15.svg").exists()
+
+
 def test_report_missing_metrics_dir_exits_3(tmp_path, capsys):
     code = main(["report", "--metrics", str(tmp_path / "void"), "--out", str(tmp_path / "r.svg")])
     assert code == 3
@@ -210,16 +241,6 @@ def test_events_flag_and_custom_events(stitched_dir, tmp_path):
                if el.get("class") == "event"]
     assert len(markers) == 1
     assert markers[0].get("stroke") == "orange"
-
-
-def test_stitch_parallel_matches_serial(export_tree, tmp_path, monkeypatch):
-    serial_out = tmp_path / "serial"
-    threaded_out = tmp_path / "threaded"
-    assert run_stitch(export_tree, serial_out) == 0
-    monkeypatch.setenv("TRENDNET_THREADS", "4")
-    assert run_stitch(export_tree, threaded_out) == 0
-    for name in ("cough.csv", "fever.csv", "flu.csv"):
-        assert (serial_out / name).read_bytes() == (threaded_out / name).read_bytes()
 
 
 def test_malformed_value_names_file_and_date(export_tree, tmp_path, capsys):

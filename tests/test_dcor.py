@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,35 +127,3 @@ def test_dcor_matrix_invariants():
     assert np.all((m >= 0.0) & (m <= 1.0))
     off = [m[3, j] for j in range(8) if j != 3]
     assert off == [0.0] * 7  # constant column correlates 0 by convention
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_backends_agree():
-    rng = np.random.default_rng(17)
-    data = rng.uniform(0, 100, (80, 6))
-    jit = kernels.rolling_dcor(data, 15)
-    plain = kernels._rolling_dcor_numpy(data, 15)
-    assert jit.shape == plain.shape == (66, 6, 6)
-    assert np.abs(jit - plain).max() <= 1e-12
-
-
-def test_env_flag_selects_numpy_backend():
-    code = (
-        "from trendnet import kernels; "
-        "assert kernels.NUMBA_DISABLED is True; "
-        "print(kernels.BACKEND)"
-    )
-    # The child must import the same trendnet as this process, installed or
-    # run from src/, so the directory holding it leads the child's path.
-    package_root = str(Path(kernels.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, TRENDNET_NO_NUMBA="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, inherited)))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"

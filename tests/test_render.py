@@ -4,9 +4,9 @@ from datetime import date, timedelta
 
 import pytest
 
-from trendnet.errors import EmptySeries
+from trendnet.errors import EmptySeries, TooManySeries
 from trendnet.netstat import MetricPoint
-from trendnet.render import metrics_report_json, render_metric_chart
+from trendnet.render import SERIES_PALETTE, metrics_report_json, render_metric_chart
 from trendnet.timeline import load_bundled_events, load_events
 
 D = date(2020, 3, 31)
@@ -141,3 +141,20 @@ def test_json_report_mirrors_metrics_schema():
     assert row["label_date"] == "2020-03-31"
     assert body["events"][0]["match"] == "exact"
     assert body["events"][0]["label"] == "marker"
+
+
+def test_five_thresholds_get_distinct_strokes():
+    thetas = (0.3, 0.4, 0.5, 0.6, 0.8)
+    metrics = [p for theta in thetas for p in series(theta, [theta] * 5)]
+    _, root = render_tree(metrics, [])
+    series_strokes = [el.get("stroke") for el in collect(root, "polyline", "series")]
+    legend_strokes = [el.get("stroke") for el in collect(root, "line", "legend")]
+    assert len(set(series_strokes)) == 5
+    assert legend_strokes == series_strokes
+
+
+def test_more_thresholds_than_colours_rejected():
+    thetas = [round(0.05 * (i + 1), 2) for i in range(len(SERIES_PALETTE) + 1)]
+    metrics = [p for theta in thetas for p in series(theta, [theta] * 5)]
+    with pytest.raises(TooManySeries, match="11 thresholds"):
+        render_metric_chart(metrics, [])
