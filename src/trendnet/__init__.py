@@ -2,7 +2,6 @@
 
 from .correlate import CorrelationFrame, distance_correlation, rolling_correlation
 from .ingest import (
-    DailySegment,
     DailySeries,
     Scale,
     WeeklySeries,
@@ -24,31 +23,21 @@ from .netstat import (
 )
 from .registry import KeywordRegistry
 from .render import render_metric_chart
-from .stitch import (
-    WeekMetrics,
-    calculate_weekly_metrics,
-    calculate_weights,
-    rescale_values,
-    stitch_series,
-)
+from .stitch import stitch_series
 from .timeline import EventRecord, join_events, load_bundled_events, load_events
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CorrelationFrame",
-    "DailySegment",
     "DailySeries",
     "EventRecord",
     "GraphFrame",
     "KeywordRegistry",
     "MetricPoint",
     "Scale",
-    "WeekMetrics",
     "WeeklySeries",
     "assemble_daily",
-    "calculate_weekly_metrics",
-    "calculate_weights",
     "clustering_avg_local",
     "clustering_global",
     "distance_correlation",
@@ -62,7 +51,6 @@ __all__ = [
     "parse_stitched",
     "parse_weekly",
     "render_metric_chart",
-    "rescale_values",
     "rolling_correlation",
     "stitch_series",
     "threshold_adjacency",

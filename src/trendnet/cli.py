@@ -92,9 +92,10 @@ def _parse_windows(raw: str) -> list[int]:
     try:
         windows = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
-        raise CommandError(2, f"windows must be integers, got {raw!r}") from None
-    if not windows or any(w < 1 for w in windows):
-        raise CommandError(2, f"windows must be positive integers, got {raw!r}")
+        raise CommandError(2, f"--windows must be integers, got {raw!r}") from None
+    # dCor needs at least 2 points; a 1-day window would give all-zero frames.
+    if not windows or any(w < 2 for w in windows):
+        raise CommandError(2, f"--windows must be integers of at least 2 days, got {raw!r}")
     _reject_label_collisions("--windows", raw, [str(w) for w in windows])
     return windows
 
@@ -106,6 +107,12 @@ def _parse_thresholds(raw: str) -> list[float]:
         raise CommandError(2, f"thresholds must be numbers, got {raw!r}") from None
     if not thresholds or any(not 0.0 < t < 1.0 for t in thresholds):
         raise CommandError(2, f"thresholds must lie in (0,1), got {raw!r}")
+    # report draws one line colour per threshold.
+    if len(thresholds) > len(render.SERIES_PALETTE):
+        raise CommandError(
+            2, f"--thresholds takes at most {len(render.SERIES_PALETTE)} values,"
+               f" got {len(thresholds)}"
+        )
     _reject_label_collisions("--thresholds", raw, [f"{t:g}" for t in thresholds])
     return sorted(thresholds)
 
@@ -150,7 +157,7 @@ def cmd_stitch(args: argparse.Namespace) -> int:
         try:
             weekly = ingest.parse_weekly(_read_text(weekly_file), keyword)
             daily = ingest.assemble_daily(segments, span=span)
-            rescaled, _ = stitch.stitch_series(daily, weekly)
+            rescaled = stitch.stitch_series(daily, weekly)
         except TrendnetError as err:
             raise CommandError(2, f"{seg_dir}: {err}") from err
         return ingest.emit_daily_csv(rescaled)
@@ -225,15 +232,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     correlate.emit_correlations_csv(frames))
 
         periods = explicit_periods or util.default_periods(
-            any_series.start_date, frames[-1].label_date
+            any_series.start_date, frames.label_dates[-1].item()
         )
         pair_rows = []
         triad_rows = []
         for theta in thresholds:
-            graphs = [netstat.threshold_adjacency(f, theta) for f in frames]
-            metrics = [netstat.frame_metrics(g) for g in graphs]
+            graphs = netstat.threshold_adjacency(frames, theta)
             _write_text(out_root / f"metrics_w{window}_t{theta:g}.csv",
-                        netstat.emit_metrics_csv(metrics))
+                        netstat.emit_metrics_csv(netstat.frame_metrics(graphs)))
             for period in periods:
                 try:
                     pairs = netstat.pair_persistence(graphs, period)

@@ -4,6 +4,9 @@ Each frame is labeled by the day after its window: the window for label
 date t is the `window_days` dates immediately preceding t, exclusive of t.
 A 15-day window over data starting 2020-03-16 therefore produces its first
 frame on 2020-03-31 and its last on the day after the data ends.
+
+The frames of one window length form one stack: F label dates and an
+(F, K, K) array of matrices over K keywords, one matrix per label date.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
@@ -27,9 +30,13 @@ from .ingest import DailySeries
 
 @dataclass(eq=False)
 class CorrelationFrame:
-    """Dated symmetric keyword-by-keyword distance-correlation matrix."""
+    """Stack of dated symmetric keyword-by-keyword dCor matrices.
 
-    label_date: date
+    `label_dates` is a datetime64[D] array of shape (F,) and `matrix` has
+    shape (F, K, K); frame f is `matrix[f]`, labeled `label_dates[f]`.
+    """
+
+    label_dates: np.ndarray
     window_days: int
     keywords: tuple[str, ...]
     matrix: np.ndarray = field(repr=False)
@@ -64,8 +71,8 @@ def rolling_correlation(
     series: dict[str, DailySeries],
     window_days: int,
     span: tuple[date, date] | None = None,
-) -> list[CorrelationFrame]:
-    """One CorrelationFrame per label date over all rolling windows.
+) -> CorrelationFrame:
+    """The stack of frames over all rolling windows, one per label date.
 
     All series must cover the identical consecutive date range (pass `span`
     to assert which one). Keyword order follows the mapping order. The first
@@ -74,8 +81,8 @@ def rolling_correlation(
     """
     if not series:
         raise MisalignedSeries("no series given")
-    if window_days < 1:
-        raise ValueError("window_days must be positive")
+    if window_days < 2:
+        raise ValueError(f"window_days must be at least 2, got {window_days}")
     keywords = tuple(series.keys())
     first = series[keywords[0]]
     for kw in keywords:
@@ -99,28 +106,26 @@ def rolling_correlation(
         raise NonFiniteInput("series contain non-finite values")
 
     stack = kernels.rolling_dcor(data, window_days)
-    start = first.start_date + timedelta(days=window_days)
-    return [
-        CorrelationFrame(
-            label_date=start + timedelta(days=f),
-            window_days=window_days,
-            keywords=keywords,
-            matrix=stack[f],
-        )
-        for f in range(stack.shape[0])
-    ]
+    first_label = np.datetime64(first.start_date) + window_days
+    return CorrelationFrame(
+        label_dates=first_label + np.arange(stack.shape[0]),
+        window_days=window_days,
+        keywords=keywords,
+        matrix=stack,
+    )
 
 
-def emit_correlations_csv(frames: list[CorrelationFrame]) -> str:
+def emit_correlations_csv(frames: CorrelationFrame) -> str:
     """Long-format `label_date,keyword_a,keyword_b,dcor` CSV, 12 significant digits."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["label_date", "keyword_a", "keyword_b", "dcor"])
-    for frame in frames:
-        kws = frame.keywords
-        for i in range(len(kws)):
-            for j in range(i + 1, len(kws)):
-                writer.writerow(
-                    [frame.label_date.isoformat(), kws[i], kws[j], f"{frame.matrix[i, j]:.12g}"]
-                )
+    kws = frames.keywords
+    rows, cols = np.triu_indices(len(kws), 1)
+    pairs = [(kws[i], kws[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+    labels = np.datetime_as_string(frames.label_dates).tolist()
+    for label, matrix in zip(labels, frames.matrix):
+        writer.writerows(
+            [label, a, b, f"{v:.12g}"] for (a, b), v in zip(pairs, matrix[rows, cols].tolist())
+        )
     return out.getvalue()

@@ -5,6 +5,10 @@ per file), weekly exports as one year-long file per keyword. Rows are
 `YYYY-MM-DD,value`; any leading rows whose first field is not an ISO date
 are treated as export preamble and skipped. The censored export value `<1`
 maps to 0.5, the midpoint of its interval.
+
+Validation guarantees that daily dates are consecutive and week starts are
+7 days apart, so a series is stored as its first date plus one float64
+array of shape (days,) or (weeks,); the date of entry i is implied.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import date, timedelta
+
+import numpy as np
 
 from .errors import (
     EmptySegment,
@@ -39,66 +45,42 @@ class Scale(enum.Enum):
     RESCALED = "rescaled"
 
 
-@dataclass(frozen=True)
-class DailySegment:
-    """One contiguous block of daily values for a keyword."""
-
-    keyword: str
-    start_date: date
-    end_date: date
-    points: tuple[tuple[date, float], ...]
-
-    @property
-    def dates(self) -> tuple[date, ...]:
-        return tuple(d for d, _ in self.points)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.points)
-
-
-@dataclass(frozen=True)
-class WeeklySeries:
-    """Weekly values for a keyword; week starts exactly 7 days apart."""
-
-    keyword: str
-    points: tuple[tuple[date, float], ...]
-
-    @property
-    def week_starts(self) -> tuple[date, ...]:
-        return tuple(d for d, _ in self.points)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DailySeries:
     """Consecutive daily values for a keyword, raw or rescaled.
 
-    Raw values lie in [0, 100]. Rescaled values are nonnegative and may
-    exceed 100 because weekly weights can exceed 1.
+    `values[i]` is the value on `start_date + i` days. Raw values lie in
+    [0, 100]; a parsed export segment is a raw series. Rescaled values are
+    nonnegative and may exceed 100 because weekly weights can exceed 1.
     """
 
     keyword: str
-    points: tuple[tuple[date, float], ...]
+    start_date: date
+    values: np.ndarray
     scale: Scale
 
-    @property
-    def start_date(self) -> date:
-        return self.points[0][0]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
     @property
     def end_date(self) -> date:
-        return self.points[-1][0]
-
-    @property
-    def dates(self) -> tuple[date, ...]:
-        return tuple(d for d, _ in self.points)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.points)
+        return self.start_date + (len(self.values) - 1) * DAY
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.values)
+
+
+@dataclass(frozen=True, eq=False)
+class WeeklySeries:
+    """Weekly values for a keyword; `values[i]` is the week starting
+    `start_date + 7 * i` days."""
+
+    keyword: str
+    start_date: date
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
 
 def _parse_iso_date(token: str) -> date | None:
@@ -137,8 +119,20 @@ def _data_rows(raw_csv: str, upper: float | None) -> list[tuple[date, float]]:
     return rows
 
 
-def parse_daily_segment(raw_csv: str, keyword: str) -> DailySegment:
-    """Parse one segment export into a validated DailySegment.
+def _consecutive_values(rows: list[tuple[date, float]], keyword: str) -> np.ndarray:
+    """The values of rows whose dates run one day apart, else an error."""
+    for (prev, _), (cur, _) in zip(rows, rows[1:]):
+        if cur == prev:
+            raise NonConsecutiveDates(f"{keyword}: duplicate date {cur}")
+        if cur != prev + DAY:
+            raise NonConsecutiveDates(
+                f"{keyword}: missing date {prev + DAY} (rows jump {prev} -> {cur})"
+            )
+    return np.array([v for _, v in rows], dtype=np.float64)
+
+
+def parse_daily_segment(raw_csv: str, keyword: str) -> DailySeries:
+    """Parse one segment export into a validated raw DailySeries.
 
     Dates must be strictly increasing with no gaps. A segment whose values
     neither reach 100 nor are all zero is suspicious (exports normalize the
@@ -147,26 +141,15 @@ def parse_daily_segment(raw_csv: str, keyword: str) -> DailySegment:
     rows = _data_rows(raw_csv, upper=100.0)
     if not rows:
         raise EmptySegment(f"{keyword}: no data rows")
-    for (prev, _), (cur, _) in zip(rows, rows[1:]):
-        if cur == prev:
-            raise NonConsecutiveDates(f"{keyword}: duplicate date {cur}")
-        if cur != prev + DAY:
-            raise NonConsecutiveDates(
-                f"{keyword}: missing date {prev + DAY} (rows jump {prev} -> {cur})"
-            )
-    values = [v for _, v in rows]
-    if max(values) != 100.0 and any(v != 0.0 for v in values):
+    values = _consecutive_values(rows, keyword)
+    peak = values.max()
+    if peak != 100.0 and peak != 0.0:
         warnings.warn(
-            f"{keyword}: segment starting {rows[0][0]} has max {max(values)};"
+            f"{keyword}: segment starting {rows[0][0]} has max {peak.tolist()};"
             " expected a 100 (or an all-zero segment) in a normalized export",
             stacklevel=2,
         )
-    return DailySegment(
-        keyword=keyword.lower(),
-        start_date=rows[0][0],
-        end_date=rows[-1][0],
-        points=tuple(rows),
-    )
+    return DailySeries(keyword.lower(), rows[0][0], values, Scale.RAW)
 
 
 def parse_weekly(raw_csv: str, keyword: str) -> WeeklySeries:
@@ -180,14 +163,14 @@ def parse_weekly(raw_csv: str, keyword: str) -> WeeklySeries:
                 f"{keyword}: week starts {prev} -> {cur} are {(cur - prev).days}"
                 " days apart, expected 7"
             )
-    return WeeklySeries(keyword=keyword.lower(), points=tuple(rows))
+    return WeeklySeries(keyword.lower(), rows[0][0], np.array([v for _, v in rows]))
 
 
 def assemble_daily(
-    segments: list[DailySegment],
+    segments: list[DailySeries],
     span: tuple[date, date] | None = None,
 ) -> DailySeries:
-    """Merge per-segment files into one continuous raw DailySeries.
+    """Merge per-segment series into one continuous raw DailySeries.
 
     Segments must tile the timeline exactly: each one starts the day after
     the previous one ends. When `span` is given the merged series must cover
@@ -199,7 +182,6 @@ def assemble_daily(
     if len(keywords) > 1:
         raise ValueError(f"segments mix keywords: {sorted(keywords)}")
     ordered = sorted(segments, key=lambda s: s.start_date)
-    points: list[tuple[date, float]] = list(ordered[0].points)
     for prev, cur in zip(ordered, ordered[1:]):
         if cur.start_date <= prev.end_date:
             raise OverlapError(
@@ -211,18 +193,18 @@ def assemble_daily(
                 f"{cur.keyword}: missing date {prev.end_date + DAY}"
                 f" between segments ({prev.end_date} -> {cur.start_date})"
             )
-        points.extend(cur.points)
-
-    keyword = ordered[0].keyword
+    first, last = ordered[0].start_date, ordered[-1].end_date
+    values = np.concatenate([s.values for s in ordered])
     if span is not None:
         start, end = span
-        if points[0][0] > start or points[-1][0] < end:
+        if first > start or last < end:
             raise SpanError(
-                f"{keyword}: assembled span {points[0][0]}..{points[-1][0]}"
+                f"{ordered[0].keyword}: assembled span {first}..{last}"
                 f" does not cover {start}..{end}"
             )
-        points = [(d, v) for d, v in points if start <= d <= end]
-    return DailySeries(keyword=keyword, points=tuple(points), scale=Scale.RAW)
+        values = values[(start - first).days : (end - first).days + 1]
+        first = start
+    return DailySeries(ordered[0].keyword, first, values, Scale.RAW)
 
 
 def parse_stitched(raw_csv: str, keyword: str, scale: Scale = Scale.RESCALED) -> DailySeries:
@@ -231,17 +213,11 @@ def parse_stitched(raw_csv: str, keyword: str, scale: Scale = Scale.RESCALED) ->
     rows = _data_rows(raw_csv, upper=upper)
     if not rows:
         raise EmptySeries(f"{keyword}: no data rows")
-    for (prev, _), (cur, _) in zip(rows, rows[1:]):
-        if cur != prev + DAY:
-            raise NonConsecutiveDates(
-                f"{keyword}: dates not consecutive at {prev} -> {cur}"
-            )
-    return DailySeries(keyword=keyword.lower(), points=tuple(rows), scale=scale)
+    return DailySeries(keyword.lower(), rows[0][0], _consecutive_values(rows, keyword), scale)
 
 
-def emit_daily_csv(series: DailySeries | DailySegment) -> str:
+def emit_daily_csv(series: DailySeries) -> str:
     """Canonical `date,value` emitter; floats keep full round-trip precision."""
-    lines = ["date,value"]
-    for d, v in series.points:
-        lines.append(f"{d.isoformat()},{v!r}")
-    return "\n".join(lines) + "\n"
+    days = np.datetime64(series.start_date) + np.arange(len(series))
+    rows = zip(np.datetime_as_string(days).tolist(), series.values.tolist())
+    return "date,value\n" + "".join(f"{d},{v!r}\n" for d, v in rows)

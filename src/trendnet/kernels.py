@@ -81,8 +81,12 @@ def rolling_dcor(data: np.ndarray, window: int) -> np.ndarray:
 
 
 def triangle_counts(adj: np.ndarray) -> np.ndarray:
-    """Triangles through each vertex of an undirected 0/1 adjacency matrix."""
+    """Triangles through each vertex of undirected 0/1 adjacency matrices.
+
+    `adj` is one (K, K) matrix or a stack (..., K, K); the result has the
+    shape of `adj` without its last axis.
+    """
     a = np.asarray(adj, dtype=np.uint8).astype(np.int64)
     # ((A @ A) * A)[v].sum() counts closed 2-paths through v; each triangle
     # at v is counted twice. Integer matmul keeps this exact.
-    return ((a @ a) * a).sum(axis=1) // 2
+    return ((a @ a) * a).sum(axis=-1) // 2

@@ -1,27 +1,31 @@
 """Threshold graphs and their network statistics.
 
 Correlation frames become undirected simple graphs (edge iff dcor >= theta,
-inclusive so exact-boundary correlations count). Per frame we report the
-edge density 2E/(K(K-1)) and two clustering statistics that coincide on
+inclusive so exact-boundary correlations count). A GraphFrame holds the
+(F, K, K) 0/1 adjacency stack of every frame of one window at one
+threshold; each statistic is computed for the whole stack at once and
+returned as one float per frame. Per frame we report the edge density
+2E/(K(K-1)) and two clustering statistics that coincide on
 vertex-transitive graphs but differ in general:
 
 * clustering_global: sum of per-vertex triangle counts over the total
-  number of connected triples, i.e. 3*triangles / paths-of-length-2.
+  number of connected triples, i.e. 3*triangles / paths-of-length-2
+  (Newman 2003).
 * clustering_avg_local: mean over vertices of triangles(v)/pairs(v), with
-  vertices of degree < 2 contributing 0.
+  vertices of degree < 2 contributing 0 (Watts & Strogatz 1998).
 
 Both are computed with integer triangle/triple counts and converted to
-float in a single exact division, so results match enumeration oracles
-digit for digit.
+float in a single correctly rounded division, so results match
+enumeration oracles digit for digit.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from datetime import date
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,9 +36,13 @@ from .errors import EmptyPeriod, ThetaOutOfRange
 
 @dataclass(eq=False)
 class GraphFrame:
-    """Dated binary adjacency matrix at one threshold; no self-loops."""
+    """Dated binary adjacency stack at one threshold; no self-loops.
 
-    label_date: date
+    `label_dates` (datetime64[D], shape (F,)) labels each graph of
+    `adjacency` (uint8, shape (F, K, K)).
+    """
+
+    label_dates: np.ndarray
     window_days: int
     threshold: float
     keywords: tuple[str, ...]
@@ -52,146 +60,133 @@ class MetricPoint:
     clustering_avg_local: float
 
 
-def threshold_adjacency(frame: CorrelationFrame, theta: float) -> GraphFrame:
-    """Binary adjacency: edge iff dcor >= theta; diagonal forced to 0."""
+def threshold_adjacency(frames: CorrelationFrame, theta: float) -> GraphFrame:
+    """Binary adjacency of every frame: edge iff dcor >= theta; diagonal 0."""
     if not 0.0 < theta < 1.0:
         raise ThetaOutOfRange(f"threshold {theta} not in (0, 1)")
-    adjacency = (frame.matrix >= theta).astype(np.uint8)
-    np.fill_diagonal(adjacency, 0)
+    adjacency = (frames.matrix >= theta).astype(np.uint8)
+    diagonal = np.arange(adjacency.shape[-1])
+    adjacency[:, diagonal, diagonal] = 0
     return GraphFrame(
-        label_date=frame.label_date,
-        window_days=frame.window_days,
+        label_dates=frames.label_dates,
+        window_days=frames.window_days,
         threshold=theta,
-        keywords=frame.keywords,
+        keywords=frames.keywords,
         adjacency=adjacency,
     )
 
 
-def network_density(g: GraphFrame) -> float:
-    """Existing edges over the K(K-1)/2 possible ones."""
-    k = g.adjacency.shape[0]
+def _edge_counts(g: GraphFrame) -> np.ndarray:
+    return g.adjacency.sum(axis=(1, 2), dtype=np.int64) // 2
+
+
+def _triples(g: GraphFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex triangle counts and connected-triple counts, both (F, K)."""
+    degrees = g.adjacency.sum(axis=-1, dtype=np.int64)
+    return kernels.triangle_counts(g.adjacency), degrees * (degrees - 1) // 2
+
+
+def network_density(g: GraphFrame) -> list[float]:
+    """Existing edges over the K(K-1)/2 possible ones, per frame."""
+    k = g.adjacency.shape[-1]
     if k < 2:
         raise ValueError("density needs at least 2 vertices")
-    edges = int(g.adjacency.sum()) // 2
-    return 2 * edges / (k * (k - 1))
+    return (2 * _edge_counts(g) / (k * (k - 1))).tolist()
 
 
-def _degree_pairs(degrees: np.ndarray) -> np.ndarray:
-    return degrees * (degrees - 1) // 2
-
-
-def clustering_global(g: GraphFrame) -> float:
+def clustering_global(g: GraphFrame) -> list[float]:
     """Total triangles-at-vertices over total connected triples; 0 if no triples."""
-    lam = kernels.triangle_counts(g.adjacency)
-    tau = _degree_pairs(g.adjacency.sum(axis=1, dtype=np.int64))
-    total_tau = int(tau.sum())
-    if total_tau == 0:
-        return 0.0
-    return int(lam.sum()) / total_tau
+    lam, tau = _triples(g)
+    lam_total, tau_total = lam.sum(axis=-1), tau.sum(axis=-1)
+    return np.divide(lam_total, tau_total, out=np.zeros(len(lam)), where=tau_total > 0).tolist()
 
 
-def clustering_avg_local(g: GraphFrame) -> float:
-    """Mean per-vertex triangle ratio; degree < 2 vertices count as 0."""
-    lam = kernels.triangle_counts(g.adjacency)
-    tau = _degree_pairs(g.adjacency.sum(axis=1, dtype=np.int64))
-    acc = Fraction(0)
-    for l, t in zip(lam.tolist(), tau.tolist()):
-        if t > 0:
-            acc += Fraction(l, t)
-    return float(acc / len(lam))
+def clustering_avg_local(g: GraphFrame) -> list[float]:
+    """Mean per-vertex triangle ratio per frame; degree < 2 vertices count as 0.
+
+    The ratios lam/tau are summed exactly over the common denominator
+    lcm(tau > 0) in Python integers, then divided once by lcm * K.
+    """
+    lam, tau = _triples(g)
+    k = lam.shape[-1]
+    out = []
+    for lam_f, tau_f in zip(lam.tolist(), tau.tolist()):
+        common = math.lcm(*(t for t in tau_f if t))
+        out.append(sum(l * (common // t) for l, t in zip(lam_f, tau_f) if t) / (common * k))
+    return out
 
 
-def frame_metrics(g: GraphFrame) -> MetricPoint:
-    return MetricPoint(
-        label_date=g.label_date,
-        window_days=g.window_days,
-        threshold=g.threshold,
-        edge_count=int(g.adjacency.sum()) // 2,
-        density=network_density(g),
-        clustering_global=clustering_global(g),
-        clustering_avg_local=clustering_avg_local(g),
-    )
+def frame_metrics(g: GraphFrame) -> list[MetricPoint]:
+    """One MetricPoint per frame of the stack."""
+    return [
+        MetricPoint(label, g.window_days, g.threshold, *row)
+        for label, *row in zip(
+            g.label_dates.tolist(),
+            _edge_counts(g).tolist(),
+            network_density(g),
+            clustering_global(g),
+            clustering_avg_local(g),
+        )
+    ]
 
 
-def _frames_in_period(
-    frames: list[GraphFrame], period: tuple[date, date]
-) -> list[GraphFrame]:
-    thresholds = {f.threshold for f in frames}
-    if len(thresholds) > 1:
-        raise ValueError(f"frames mix thresholds: {sorted(thresholds)}")
+def _in_period(g: GraphFrame, period: tuple[date, date]) -> np.ndarray:
+    """The adjacency matrices of the frames labeled within the period."""
     start, end = period
-    selected = [f for f in frames if start <= f.label_date <= end]
-    if not selected:
+    selected = (g.label_dates >= np.datetime64(start)) & (g.label_dates <= np.datetime64(end))
+    if not selected.any():
         raise EmptyPeriod(f"no frames labeled within {start}..{end}")
-    return selected
+    return g.adjacency[selected].astype(bool)
 
 
 def pair_persistence(
-    frames: list[GraphFrame], period: tuple[date, date]
+    g: GraphFrame, period: tuple[date, date]
 ) -> list[tuple[tuple[str, str], int]]:
     """How many frames in the period contain each keyword pair as an edge.
 
     Exhaustive over all pairs, sorted by descending count with lexicographic
     tie-breaking on the pair tokens.
     """
-    selected = _frames_in_period(frames, period)
-    keywords = selected[0].keywords
-    counts = np.zeros_like(selected[0].adjacency, dtype=np.int64)
-    for f in selected:
-        counts += f.adjacency
-    rows = []
-    for i in range(len(keywords)):
-        for j in range(i + 1, len(keywords)):
-            rows.append(((keywords[i], keywords[j]), int(counts[i, j])))
-    rows.sort(key=lambda r: (-r[1], r[0]))
-    return rows
+    counts = _in_period(g, period).sum(axis=0, dtype=np.int64)
+    kws = g.keywords
+    rows, cols = np.triu_indices(len(kws), 1)
+    out = [
+        ((kws[i], kws[j]), count)
+        for i, j, count in zip(rows.tolist(), cols.tolist(), counts[rows, cols].tolist())
+    ]
+    out.sort(key=lambda r: (-r[1], r[0]))
+    return out
 
 
 def triad_persistence(
-    frames: list[GraphFrame], period: tuple[date, date]
+    g: GraphFrame, period: tuple[date, date]
 ) -> list[tuple[tuple[str, str, str], int]]:
     """How many frames in the period contain each keyword triple as a triangle."""
-    selected = _frames_in_period(frames, period)
-    keywords = selected[0].keywords
-    stack = np.stack([f.adjacency for f in selected]).astype(bool)
-    k = len(keywords)
-    rows = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            ij = stack[:, i, j]
-            for m in range(j + 1, k):
-                count = int(np.sum(ij & stack[:, i, m] & stack[:, j, m]))
-                rows.append(((keywords[i], keywords[j], keywords[m]), count))
-    rows.sort(key=lambda r: (-r[1], r[0]))
-    return rows
+    stack = _in_period(g, period)
+    kws = g.keywords
+    out = []
+    for i in range(len(kws)):
+        for j in range(i + 1, len(kws)):
+            # Triangles i-j-m for every m > j at once.
+            closed = stack[:, i, j, None] & stack[:, i, j + 1 :] & stack[:, j, j + 1 :]
+            out.extend(
+                ((kws[i], kws[j], kws[m]), count)
+                for m, count in enumerate(closed.sum(axis=0).tolist(), j + 1)
+            )
+    out.sort(key=lambda r: (-r[1], r[0]))
+    return out
 
 
 def emit_metrics_csv(metrics: list[MetricPoint]) -> str:
+    """One row per point, columns named after the MetricPoint fields."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "label_date",
-            "window_days",
-            "threshold",
-            "edge_count",
-            "density",
-            "clustering_global",
-            "clustering_avg_local",
-        ]
+    writer.writerow([f.name for f in fields(MetricPoint)])
+    writer.writerows(
+        [m.label_date.isoformat(), m.window_days, f"{m.threshold:g}", m.edge_count,
+         repr(m.density), repr(m.clustering_global), repr(m.clustering_avg_local)]
+        for m in metrics
     )
-    for m in metrics:
-        writer.writerow(
-            [
-                m.label_date.isoformat(),
-                m.window_days,
-                f"{m.threshold:g}",
-                m.edge_count,
-                repr(m.density),
-                repr(m.clustering_global),
-                repr(m.clustering_avg_local),
-            ]
-        )
     return out.getvalue()
 
 

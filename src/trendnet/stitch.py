@@ -8,104 +8,47 @@ falling in that week gives a per-week weight that lifts the daily data onto
 the weekly scale. Multiplying each day by its week's weight restores the
 week means to the weekly values, which is what makes days from different
 segments comparable.
+
+Both series are float64 arrays on implied consecutive dates, so day i of
+the daily series falls in week `(offset + i) // 7` of the weekly one, where
+`offset` is the number of days from the first week start to the first day.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from datetime import date, timedelta
+import numpy as np
 
 from .errors import UncoveredDate
-from .ingest import DailySeries, Scale, WeeklySeries
-
-WEEK = timedelta(days=7)
+from .ingest import WEEK, DailySeries, Scale, WeeklySeries
 
 
-@dataclass(frozen=True)
-class WeekMetrics:
-    """Per-week aggregates of the daily data plus the rescaling weight.
+def stitch_series(daily: DailySeries, weekly: WeeklySeries) -> DailySeries:
+    """Rescale a raw daily series onto the weekly scale.
 
-    `avg` is sum/count (0 for an empty week). `weight` is weekly_rsv/avg,
-    defaulting to 1 when avg is 0 so rescaling leaves such weeks untouched.
-    """
-
-    week_start: date
-    weekly_rsv: float
-    sum: float = 0.0
-    count: int = 0
-    avg: float = 0.0
-    weight: float = 1.0
-
-
-def _week_index(when: date, first_start: date, n_weeks: int) -> int:
-    """Index of the half-open week [start, start+7) containing `when`."""
-    offset = (when - first_start).days
-    if offset < 0 or offset >= n_weeks * 7:
-        raise UncoveredDate(
-            f"daily date {when} outside weekly coverage"
-            f" [{first_start}, {first_start + n_weeks * WEEK})"
-        )
-    return offset // 7
-
-
-def calculate_weekly_metrics(weekly: WeeklySeries, daily: DailySeries) -> list[WeekMetrics]:
-    """Aggregate the daily values into the weekly grid.
-
-    Each daily point belongs to the unique week with
-    week_start <= date < week_start + 7 days. Weeks with no daily points
-    keep sum=count=avg=0.
-    """
-    if daily.scale is not Scale.RAW:
-        raise ValueError("weekly metrics are computed from the raw daily series")
-    starts = weekly.week_starts
-    first = starts[0]
-    sums = [0.0] * len(starts)
-    counts = [0] * len(starts)
-    for when, value in daily.points:
-        idx = _week_index(when, first, len(starts))
-        sums[idx] += value
-        counts[idx] += 1
-    metrics = []
-    for (start, weekly_rsv), total, count in zip(weekly.points, sums, counts):
-        avg = total / count if count > 0 else 0.0
-        metrics.append(
-            WeekMetrics(week_start=start, weekly_rsv=weekly_rsv, sum=total, count=count, avg=avg)
-        )
-    return metrics
-
-
-def calculate_weights(metrics: list[WeekMetrics]) -> list[WeekMetrics]:
-    """Populate each week's weight: weekly_rsv/avg, or 1 when avg is 0.
-
-    The avg == 0 comparison is exact on purpose: avg is a quotient of sums
-    of parsed values and is exactly zero iff the week had no data or only
-    zeros.
-    """
-    return [
-        replace(m, weight=1.0 if m.avg == 0.0 else m.weekly_rsv / m.avg)
-        for m in metrics
-    ]
-
-
-def rescale_values(daily: DailySeries, metrics: list[WeekMetrics]) -> DailySeries:
-    """Multiply each daily value by its week's weight.
-
-    Weeks whose daily average is zero pass their values through unchanged.
-    The result keeps the same dates and is marked Rescaled; values may
-    exceed 100 because weights can exceed 1.
+    Each day belongs to the unique week with week_start <= day <
+    week_start + 7 days, and every day must fall in some week. A week's
+    weight is its weekly value over the mean of its days, or 1 when that
+    mean is 0 (no days, or only zeros), so such weeks pass through
+    unchanged. The result keeps the dates and is marked rescaled; values
+    may exceed 100 because weights can exceed 1.
     """
     if daily.scale is not Scale.RAW:
         raise ValueError("rescaling applies to the raw daily series")
-    first = metrics[0].week_start
-    n_weeks = len(metrics)
-    points = []
-    for when, value in daily.points:
-        week = metrics[_week_index(when, first, n_weeks)]
-        points.append((when, value if week.avg == 0.0 else value * week.weight))
-    return DailySeries(keyword=daily.keyword, points=tuple(points), scale=Scale.RESCALED)
-
-
-def stitch_series(daily: DailySeries, weekly: WeeklySeries) -> tuple[DailySeries, list[WeekMetrics]]:
-    """Full rescaling pass: metrics, weights, rescale."""
-    metrics = calculate_weights(calculate_weekly_metrics(weekly, daily))
-    return rescale_values(daily, metrics), metrics
+    n_weeks = len(weekly.values)
+    first = (daily.start_date - weekly.start_date).days
+    last = first + len(daily) - 1
+    if first < 0 or last >= 7 * n_weeks:
+        raise UncoveredDate(
+            f"daily date {daily.start_date if first < 0 else daily.end_date}"
+            f" outside weekly coverage"
+            f" [{weekly.start_date}, {weekly.start_date + n_weeks * WEEK})"
+        )
+    week = np.arange(first, last + 1) // 7
+    # bincount adds in day order, the same sums as a running total.
+    sums = np.bincount(week, weights=daily.values, minlength=n_weeks)
+    counts = np.bincount(week, minlength=n_weeks)
+    avg = np.divide(sums, counts, out=np.zeros(n_weeks), where=counts > 0)
+    # avg == 0 is exact on purpose: it holds iff the week has no data or only zeros.
+    weight = np.divide(weekly.values, avg, out=np.ones(n_weeks), where=avg != 0.0)
+    return DailySeries(daily.keyword, daily.start_date, daily.values * weight[week],
+                       Scale.RESCALED)

@@ -63,7 +63,7 @@ def stitch_tree(tree: Path, keywords) -> dict[str, ingest.DailySeries]:
         ]
         daily = ingest.assemble_daily(segments, span=(SPAN_START, SPAN_END))
         weekly = ingest.parse_weekly((tree / "weekly" / f"{kw}.csv").read_text("utf-8"), kw)
-        stitched[kw], _ = stitch.stitch_series(daily, weekly)
+        stitched[kw] = stitch.stitch_series(daily, weekly)
     return stitched
 
 
@@ -118,12 +118,13 @@ def test_dcor_properties():
 
 
 def _graph(adjacency):
-    adjacency = np.asarray(adjacency, dtype=np.uint8)
+    """Single-frame GraphFrame: a stack of one (K, K) adjacency matrix."""
+    adjacency = np.asarray(adjacency, dtype=np.uint8)[None]
     return GraphFrame(
-        label_date=date(2020, 4, 6),
+        label_dates=np.array([date(2020, 4, 6)], dtype="datetime64[D]"),
         window_days=15,
         threshold=0.4,
-        keywords=tuple(f"k{i}" for i in range(adjacency.shape[0])),
+        keywords=tuple(f"k{i}" for i in range(adjacency.shape[-1])),
         adjacency=adjacency,
     )
 
@@ -137,13 +138,13 @@ def test_density_of_15_vertex_91_edge_graph():
             if placed < 91:
                 adjacency[i, j] = adjacency[j, i] = 1
                 placed += 1
-    density = network_density(_graph(adjacency))
+    [density] = network_density(_graph(adjacency))
     assert density == pytest.approx(0.866667, abs=1e-6)
     assert round(density, 4) == 0.8667
     full = np.ones((15, 15), dtype=np.uint8)
     np.fill_diagonal(full, 0)
-    assert network_density(_graph(full)) == 1.0
-    assert network_density(_graph(np.zeros((15, 15)))) == 0.0
+    assert network_density(_graph(full)) == [1.0]
+    assert network_density(_graph(np.zeros((15, 15)))) == [0.0]
 
 
 @criterion("clustering-oracle-equivalence")
@@ -155,14 +156,14 @@ def test_clustering_matches_enumeration_on_500_random_graphs():
         adjacency = (upper | upper.T).astype(np.uint8)
         g = _graph(adjacency)
         oracle = graph_oracle(adjacency)
-        assert clustering_global(g) == float(oracle["clustering_global"])
-        assert clustering_avg_local(g) == float(oracle["clustering_avg_local"])
-        assert network_density(g) == float(oracle["density"])
+        assert clustering_global(g) == [float(oracle["clustering_global"])]
+        assert clustering_avg_local(g) == [float(oracle["clustering_avg_local"])]
+        assert network_density(g) == [float(oracle["density"])]
     k4_minus_edge = _graph(
         [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]
     )
-    assert clustering_global(k4_minus_edge) == 0.75
-    assert clustering_avg_local(k4_minus_edge) == float(5) / 6
+    assert clustering_global(k4_minus_edge) == [0.75]
+    assert clustering_avg_local(k4_minus_edge) == [float(5) / 6]
 
 
 @criterion("threshold-monotonicity")
@@ -176,15 +177,15 @@ def test_threshold_monotonicity_zero_violations():
         sym = (raw + raw.T) / 2
         np.fill_diagonal(sym, 1.0)
         frame = CorrelationFrame(
-            label_date=date(2020, 4, 6),
+            label_dates=np.array([date(2020, 4, 6)], dtype="datetime64[D]"),
             window_days=15,
             keywords=tuple(f"k{i}" for i in range(k)),
-            matrix=sym,
+            matrix=sym[None],
         )
         graphs = [threshold_adjacency(frame, t) for t in THETA_GRID]
         for lo, hi in zip(graphs, graphs[1:]):
             assert np.all(hi.adjacency <= lo.adjacency)
-            assert network_density(hi) <= network_density(lo)
+            assert network_density(hi)[0] <= network_density(lo)[0]
 
 
 @criterion("rescaling-week-mean-restoration")
@@ -199,20 +200,23 @@ def test_week_mean_restoration_on_year_fixture(year_tree, keywords):
         weekly = ingest.parse_weekly(
             (year_tree / "weekly" / f"{kw}.csv").read_text("utf-8"), kw
         )
-        rescaled, metrics = stitch.stitch_series(daily, weekly)
-        values = np.asarray(rescaled.values)
-        for idx, week in enumerate(metrics):
-            if week.avg == 0.0:
+        rescaled = stitch.stitch_series(daily, weekly)
+        # Both start on SPAN_START, so week idx holds days 7*idx .. 7*idx + 6.
+        # Export values are whole numbers, so every summation order is exact.
+        assert daily.start_date == weekly.start_date
+        averages = []
+        for idx, weekly_rsv in enumerate(weekly.values.tolist()):
+            raw = daily.values[idx * 7 : idx * 7 + 7]
+            averages.append(raw.mean() if raw.size else 0.0)
+            if averages[-1] == 0.0:
                 continue
-            window = values[idx * 7 : idx * 7 + 7][: week.count]
-            assert abs(window.mean() - week.weekly_rsv) <= 1e-9
+            window = rescaled.values[idx * 7 : idx * 7 + 7]
+            assert abs(window.mean() - weekly_rsv) <= 1e-9
             checked += 1
         # idempotence: weekly data equal to the daily week averages.
-        matched = ingest.WeeklySeries(
-            keyword=kw, points=tuple((m.week_start, m.avg) for m in metrics)
-        )
-        identical, _ = stitch.stitch_series(daily, matched)
-        assert identical.values == daily.values
+        matched = ingest.WeeklySeries(kw, weekly.start_date, np.array(averages))
+        identical = stitch.stitch_series(daily, matched)
+        assert identical.values.tolist() == daily.values.tolist()
     assert checked >= 15 * 50  # essentially every week of every keyword
 
 
@@ -225,8 +229,8 @@ def test_planted_blocks_recovered_at_half_threshold(tmp_path_factory):
     stitched = stitch_tree(root, list(series))
     frames = rolling_correlation(stitched, 15)
     block_of = {kw: i for i, block in enumerate(blocks) for kw in block}
-    kws = frames[0].keywords
-    stack = np.stack([f.matrix for f in frames])
+    kws = frames.keywords
+    stack = frames.matrix
     within, cross = [], []
     for i in range(len(kws)):
         for j in range(i + 1, len(kws)):
@@ -280,9 +284,9 @@ def test_full_pipeline_under_five_seconds_and_deterministic(year_tree, tmp_path_
 
 @criterion("window-span-check")
 def test_window_label_spans_match_default_timeline(year_stitched):
-    frames15 = rolling_correlation(year_stitched, 15)
-    assert frames15[0].label_date == date(2020, 3, 31)
-    assert frames15[-1].label_date == date(2021, 3, 16)
-    frames30 = rolling_correlation(year_stitched, 30)
-    assert frames30[0].label_date == date(2020, 4, 15)
-    assert frames30[-1].label_date == date(2021, 3, 16)
+    labels15 = rolling_correlation(year_stitched, 15).label_dates
+    assert labels15[0] == date(2020, 3, 31)
+    assert labels15[-1] == date(2021, 3, 16)
+    labels30 = rolling_correlation(year_stitched, 30).label_dates
+    assert labels30[0] == date(2020, 4, 15)
+    assert labels30[-1] == date(2021, 3, 16)

@@ -198,11 +198,34 @@ def test_report_clustering_variant(stitched_dir, tmp_path):
     assert "clustering coefficient" in (tmp_path / "cluster_w15.svg").read_text()
 
 
+def test_analyze_more_thresholds_than_colours_exits_2(stitched_dir, tmp_path, capsys):
+    out = tmp_path / "analysis"
+    thresholds = ",".join(f"0.{i:02d}" for i in range(5, 60, 5))  # 11 thresholds
+    code = main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
+                 "--thresholds", thresholds, "--out", str(out)])
+    assert code == 2
+    assert "--thresholds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", ["1", "15,1", "0"])
+def test_analyze_window_shorter_than_two_days_exits_2(stitched_dir, tmp_path, capsys, raw):
+    out = tmp_path / "analysis"
+    code = main(["analyze", "--stitched", str(stitched_dir), "--windows", raw,
+                 "--out", str(out)])
+    assert code == 2
+    assert "--windows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_more_thresholds_than_colours_exits_2(stitched_dir, tmp_path, capsys):
     analysis = tmp_path / "analysis"
-    thresholds = ",".join(f"0.{i:02d}" for i in range(5, 60, 5))  # 11 thresholds
+    thresholds = ",".join(f"0.{i:02d}" for i in range(5, 55, 5))  # 10 thresholds
     assert main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
                  "--thresholds", thresholds, "--out", str(analysis)]) == 0
+    # analyze refuses an 11th threshold, so write its metrics file by hand.
+    text = (analysis / "metrics_w15_t0.5.csv").read_text()
+    (analysis / "metrics_w15_t0.55.csv").write_text(text.replace(",15,0.5,", ",15,0.55,"))
     out = tmp_path / "r.svg"
     code = main(["report", "--metrics", str(analysis), "--out", str(out)])
     assert code == 2

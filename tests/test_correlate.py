@@ -14,8 +14,7 @@ DAY = timedelta(days=1)
 
 
 def series_from(values, keyword, start=START):
-    points = tuple((start + i * DAY, float(v)) for i, v in enumerate(values))
-    return DailySeries(keyword=keyword, points=points, scale=Scale.RESCALED)
+    return DailySeries(keyword, start, np.asarray(values, dtype=float), Scale.RESCALED)
 
 
 def year_fixture(n_keywords=3, n_days=365, seed=0):
@@ -28,28 +27,30 @@ def year_fixture(n_keywords=3, n_days=365, seed=0):
 
 def test_15_day_window_labels_match_default_timeline():
     frames = rolling_correlation(year_fixture(), 15)
-    assert frames[0].label_date == date(2020, 3, 31)
-    assert frames[-1].label_date == date(2021, 3, 16)
-    assert len(frames) == 365 - 15 + 1
+    assert frames.label_dates[0] == date(2020, 3, 31)
+    assert frames.label_dates[-1] == date(2021, 3, 16)
+    assert frames.label_dates.shape == (365 - 15 + 1,)
+    assert frames.matrix.shape == (365 - 15 + 1, 3, 3)
+    assert np.all(np.diff(frames.label_dates) == np.timedelta64(1, "D"))
 
 
 def test_30_day_window_labels_match_default_timeline():
     frames = rolling_correlation(year_fixture(), 30)
-    assert frames[0].label_date == date(2020, 4, 15)
-    assert frames[-1].label_date == date(2021, 3, 16)
-    assert len(frames) == 365 - 30 + 1
+    assert frames.label_dates[0] == date(2020, 4, 15)
+    assert frames.label_dates[-1] == date(2021, 3, 16)
+    assert frames.matrix.shape == (365 - 30 + 1, 3, 3)
 
 
 def test_window_excludes_label_date():
     # the frame labeled start+w must be computed from the w days before it
     series = year_fixture(n_keywords=2, n_days=40, seed=3)
     frames = rolling_correlation(series, 15)
-    x = np.array(series["kw0"].values)
-    y = np.array(series["kw1"].values)
+    x = series["kw0"].values
+    y = series["kw1"].values
     for f in (0, 7, 25):
         expected = dcor_oracle(x[f : f + 15], y[f : f + 15])
-        assert frames[f].matrix[0, 1] == pytest.approx(expected, abs=1e-12)
-        assert frames[f].label_date == START + (15 + f) * DAY
+        assert frames.matrix[f, 0, 1] == pytest.approx(expected, abs=1e-12)
+        assert frames.label_dates[f] == START + (15 + f) * DAY
 
 
 def test_identical_series_correlate_one_everywhere():
@@ -58,17 +59,15 @@ def test_identical_series_correlate_one_everywhere():
         "ubo": series_from(values, "ubo"),
         "sipon": series_from(values, "sipon"),
     }
-    for frame in rolling_correlation(series, 15):
-        assert frame.matrix[0, 1] == pytest.approx(1.0, abs=1e-12)
+    frames = rolling_correlation(series, 15)
+    assert frames.matrix[:, 0, 1] == pytest.approx(np.ones(36), abs=1e-12)
 
 
 def test_frame_matrix_invariants_hold_everywhere():
-    frames = rolling_correlation(year_fixture(n_keywords=4, n_days=80, seed=9), 15)
-    for frame in frames:
-        m = frame.matrix
-        assert np.array_equal(m, m.T)
-        assert np.all(np.diag(m) == 1.0)
-        assert np.all((m >= 0.0) & (m <= 1.0))
+    m = rolling_correlation(year_fixture(n_keywords=4, n_days=80, seed=9), 15).matrix
+    assert np.array_equal(m, m.transpose(0, 2, 1))
+    assert np.all(np.diagonal(m, axis1=1, axis2=2) == 1.0)
+    assert np.all((m >= 0.0) & (m <= 1.0))
 
 
 def test_misaligned_series_rejected():
@@ -81,7 +80,7 @@ def test_misaligned_series_rejected():
 def test_span_argument_must_match_series():
     series = year_fixture(n_keywords=2, n_days=30)
     span = (START, START + 29 * DAY)
-    assert len(rolling_correlation(series, 10, span=span)) == 21
+    assert len(rolling_correlation(series, 10, span=span).label_dates) == 21
     with pytest.raises(MisalignedSeries):
         rolling_correlation(series, 10, span=(START, START + 40 * DAY))
 
@@ -93,8 +92,14 @@ def test_window_longer_than_series_rejected():
 
 def test_window_equal_to_series_gives_single_frame():
     frames = rolling_correlation(year_fixture(n_days=30), 30)
-    assert len(frames) == 1
-    assert frames[0].label_date == START + 30 * DAY
+    assert frames.matrix.shape == (1, 3, 3)
+    assert frames.label_dates.tolist() == [START + 30 * DAY]
+
+
+@pytest.mark.parametrize("window", [1, 0, -3])
+def test_window_shorter_than_two_days_rejected(window):
+    with pytest.raises(ValueError, match="at least 2"):
+        rolling_correlation(year_fixture(n_days=30), window)
 
 
 def test_non_finite_series_rejected():
@@ -107,7 +112,7 @@ def test_non_finite_series_rejected():
 def test_keyword_order_follows_mapping_order():
     series = year_fixture(n_keywords=3, n_days=20)
     frames = rolling_correlation(series, 10)
-    assert frames[0].keywords == ("kw0", "kw1", "kw2")
+    assert frames.keywords == ("kw0", "kw1", "kw2")
 
 
 def test_long_format_csv():
@@ -115,9 +120,20 @@ def test_long_format_csv():
     text = emit_correlations_csv(frames)
     lines = text.strip().split("\n")
     assert lines[0] == "label_date,keyword_a,keyword_b,dcor"
-    assert len(lines) == 1 + len(frames) * 3  # 3 unordered pairs of 3 keywords
+    assert len(lines) == 1 + len(frames.label_dates) * 3  # 3 unordered pairs of 3 keywords
     first = lines[1].split(",")
     assert first[0] == "2020-03-26"
     assert first[1] == "kw0" and first[2] == "kw1"
     assert 0.0 <= float(first[3]) <= 1.0
     assert len(first[3].replace(".", "").replace("-", "").lstrip("0")) <= 12
+
+
+def test_long_format_csv_rows_follow_frames_then_pairs():
+    frames = rolling_correlation(year_fixture(n_keywords=3, n_days=13, seed=4), 10)
+    rows = [line.split(",") for line in emit_correlations_csv(frames).split("\n")[1:-1]]
+    expected = [
+        [label.isoformat(), f"kw{i}", f"kw{j}", f"{frames.matrix[f, i, j].item():.12g}"]
+        for f, label in enumerate(frames.label_dates.tolist())
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    ]
+    assert rows == expected

@@ -1,5 +1,6 @@
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -35,22 +36,25 @@ def test_parse_daily_segment_well_formed():
     values = list(range(0, 93, 3))  # 31 values, 0..90
     values[-1] = 100
     seg = parse_daily_segment(daily_csv(D, values), "cough")
-    assert len(seg.points) == 31
+    assert len(seg) == 31
     assert seg.start_date == D
     assert seg.end_date == D + 30 * DAY
-    assert max(seg.values) == 100.0
+    assert seg.scale is Scale.RAW
+    assert seg.values.dtype == np.float64
+    assert seg.values.tolist() == [float(v) for v in values]
 
 
 def test_parse_daily_segment_skips_preamble():
     seg = parse_daily_segment(daily_csv(D, [0, 50, 100], preamble=GOOGLE_PREAMBLE), "cough")
-    assert seg.dates == (D, D + DAY, D + 2 * DAY)
-    assert seg.values == (0.0, 50.0, 100.0)
+    assert (seg.start_date, seg.end_date) == (D, D + 2 * DAY)
+    assert seg.values.tolist() == [0.0, 50.0, 100.0]
 
 
 def test_parse_daily_segment_censored_value_maps_to_half():
     text = "2020-03-19,100\n2020-03-20,<1\n2020-03-21,3\n"
     seg = parse_daily_segment(text, "rashes")
-    assert seg.points[1] == (date(2020, 3, 20), 0.5)
+    assert seg.start_date == date(2020, 3, 19)
+    assert seg.values[1] == 0.5
 
 
 def test_parse_daily_segment_gap_is_error():
@@ -88,14 +92,14 @@ def test_parse_daily_segment_all_zero_no_warning(recwarn):
 
 def test_parse_weekly_well_formed():
     weekly = parse_weekly(weekly_csv(date(2020, 3, 15), range(0, 53)), "flu")
-    assert len(weekly.points) == 53
-    assert weekly.week_starts[0] == date(2020, 3, 15)
-    assert weekly.week_starts[-1] == date(2020, 3, 15) + 52 * 7 * DAY
+    assert weekly.start_date == date(2020, 3, 15)
+    assert weekly.values.tolist() == [float(v) for v in range(0, 53)]
 
 
 def test_parse_weekly_censored_value():
     weekly = parse_weekly("2020-03-15,<1\n2020-03-22,100\n", "flu")
-    assert weekly.points[0] == (date(2020, 3, 15), 0.5)
+    assert weekly.start_date == date(2020, 3, 15)
+    assert weekly.values.tolist() == [0.5, 100.0]
 
 
 def test_parse_weekly_irregular_spacing():
@@ -124,6 +128,7 @@ def test_assemble_daily_contiguous_segments():
     assert series.start_date == D
     assert series.end_date == date(2020, 5, 26)
     assert series.scale is Scale.RAW
+    assert series.values.tolist() == [100.0] * 72
 
 
 def test_assemble_daily_overlap():
@@ -145,29 +150,32 @@ def test_assemble_daily_span_not_covered():
 
 def test_assemble_daily_trims_to_span():
     series = assemble_daily(
-        [_segment(D, [100] * 31)], span=(D + DAY, D + 5 * DAY)
+        [_segment(D, list(range(70, 101)))], span=(D + DAY, D + 5 * DAY)
     )
     assert series.start_date == D + DAY
-    assert len(series) == 5
+    assert series.end_date == D + 5 * DAY
+    assert series.values.tolist() == [71.0, 72.0, 73.0, 74.0, 75.0]
 
 
 def test_assemble_daily_sorts_segments():
-    segs = [_segment(date(2020, 4, 16), [100] * 5), _segment(D, [100] * 31)]
+    segs = [_segment(date(2020, 4, 16), [0] * 5), _segment(D, [100] * 31)]
     series = assemble_daily(segs)
     assert series.start_date == D
-    assert len(series) == 36
+    assert series.values.tolist() == [100.0] * 31 + [0.0] * 5
 
 
 def test_parse_stitched_allows_values_over_100():
     text = "date,value\n2020-03-16,104.375\n2020-03-17,0.5\n"
     series = parse_stitched(text, "ubo")
-    assert series.values == (104.375, 0.5)
+    assert series.values.tolist() == [104.375, 0.5]
     assert series.scale is Scale.RESCALED
 
 
 def test_parse_stitched_rejects_gaps():
-    with pytest.raises(NonConsecutiveDates):
+    with pytest.raises(NonConsecutiveDates, match="missing date 2020-03-17"):
         parse_stitched("2020-03-16,1.0\n2020-03-18,2.0\n", "ubo")
+    with pytest.raises(NonConsecutiveDates, match="duplicate date 2020-03-16"):
+        parse_stitched("2020-03-16,1.0\n2020-03-16,2.0\n", "ubo")
 
 
 @given(
@@ -178,12 +186,18 @@ def test_parse_stitched_rejects_gaps():
     )
 )
 def test_stitched_csv_round_trip(values):
-    points = tuple((D + i * DAY, v) for i, v in enumerate(values))
-    series = DailySeries(keyword="masks", points=points, scale=Scale.RESCALED)
-    assert parse_stitched(emit_daily_csv(series), "masks") == series
+    series = DailySeries("masks", D, np.array(values), Scale.RESCALED)
+    assert same_series(parse_stitched(emit_daily_csv(series), "masks"), series)
 
 
 def test_raw_csv_round_trip_with_censored_export():
     seg = parse_daily_segment("2020-03-16,<1\n2020-03-17,100\n", "sipon")
-    again = parse_daily_segment(emit_daily_csv(seg), "sipon")
-    assert again == seg
+    text = emit_daily_csv(seg)
+    assert text == "date,value\n2020-03-16,0.5\n2020-03-17,100.0\n"
+    assert same_series(parse_daily_segment(text, "sipon"), seg)
+
+
+def same_series(a, b):
+    return (a.keyword, a.start_date, a.scale, a.values.tolist()) == (
+        b.keyword, b.start_date, b.scale, b.values.tolist()
+    )

@@ -3,6 +3,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from trendnet import kernels
 from trendnet.correlate import CorrelationFrame
 from trendnet.errors import EmptyPeriod, ThetaOutOfRange
 from trendnet.netstat import (
@@ -25,35 +26,48 @@ D = date(2020, 3, 31)
 DAY = timedelta(days=1)
 
 
-def graph_from_edges(n, edges, keywords=None, label=D, theta=0.5):
-    adjacency = np.zeros((n, n), dtype=np.uint8)
-    for i, j in edges:
-        adjacency[i, j] = adjacency[j, i] = 1
+def graph_stack(adjacency, start=D, theta=0.5):
+    """GraphFrame over an (F, K, K) stack labeled start, start+1, ..."""
+    adjacency = np.asarray(adjacency, dtype=np.uint8)
+    n_frames, k, _ = adjacency.shape
     return GraphFrame(
-        label_date=label,
+        label_dates=np.datetime64(start) + np.arange(n_frames),
         window_days=15,
         threshold=theta,
-        keywords=keywords or tuple(f"k{i}" for i in range(n)),
+        keywords=tuple(f"k{i}" for i in range(k)),
         adjacency=adjacency,
     )
+
+
+def graph_from_edges(n, edges):
+    adjacency = np.zeros((1, n, n), dtype=np.uint8)
+    for i, j in edges:
+        adjacency[0, i, j] = adjacency[0, j, i] = 1
+    return graph_stack(adjacency)
+
+
+def random_graph(rng, n, density):
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return (upper | upper.T).astype(np.uint8)
 
 
 def corr_frame(matrix, label=D):
     matrix = np.asarray(matrix, dtype=float)
     return CorrelationFrame(
-        label_date=label,
+        label_dates=np.array([label], dtype="datetime64[D]"),
         window_days=15,
         keywords=tuple(f"k{i}" for i in range(matrix.shape[0])),
-        matrix=matrix,
+        matrix=matrix[None],
     )
 
 
 def test_threshold_boundary_is_inclusive():
     frame = corr_frame([[1.0, 0.80, 0.79], [0.80, 1.0, 0.2], [0.79, 0.2, 1.0]])
     g = threshold_adjacency(frame, 0.8)
-    assert g.adjacency[0, 1] == 1
-    assert g.adjacency[0, 2] == 0
-    assert np.all(np.diag(g.adjacency) == 0)
+    assert g.adjacency.shape == (1, 3, 3)
+    assert g.adjacency[0, 0, 1] == 1
+    assert g.adjacency[0, 0, 2] == 0
+    assert np.all(np.diag(g.adjacency[0]) == 0)
 
 
 def test_threshold_full_matrix_gives_complete_graph():
@@ -70,39 +84,39 @@ def test_threshold_out_of_range(theta):
 
 def test_density_matches_reported_peak_arithmetic():
     pairs = [(i, j) for i in range(15) for j in range(i + 1, 15)]
-    g = graph_from_edges(15, pairs[:91])
-    assert network_density(g) == pytest.approx(0.866667, abs=1e-6)
-    assert round(network_density(g), 4) == 0.8667
+    [density] = network_density(graph_from_edges(15, pairs[:91]))
+    assert density == pytest.approx(0.866667, abs=1e-6)
+    assert round(density, 4) == 0.8667
 
 
 def test_density_extremes():
-    assert network_density(graph_from_edges(15, [])) == 0.0
+    assert network_density(graph_from_edges(15, [])) == [0.0]
     all_pairs = [(i, j) for i in range(15) for j in range(i + 1, 15)]
-    assert network_density(graph_from_edges(15, all_pairs)) == 1.0
+    assert network_density(graph_from_edges(15, all_pairs)) == [1.0]
 
 
 def test_clustering_triangle():
     g = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    assert clustering_global(g) == 1.0
-    assert clustering_avg_local(g) == 1.0
+    assert clustering_global(g) == [1.0]
+    assert clustering_avg_local(g) == [1.0]
 
 
 def test_clustering_star_has_no_triangles():
     g = graph_from_edges(5, [(0, i) for i in range(1, 5)])
-    assert clustering_global(g) == 0.0
-    assert clustering_avg_local(g) == 0.0
+    assert clustering_global(g) == [0.0]
+    assert clustering_avg_local(g) == [0.0]
 
 
 def test_clustering_k4_minus_edge():
     g = graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    assert clustering_global(g) == 0.75  # 6 triangle incidences over 8 triples
-    assert clustering_avg_local(g) == pytest.approx(5 / 6, abs=0)
+    assert clustering_global(g) == [0.75]  # 6 triangle incidences over 8 triples
+    assert clustering_avg_local(g) == [5 / 6]
 
 
 def test_clustering_edgeless_graph():
     g = graph_from_edges(4, [])
-    assert clustering_global(g) == 0.0
-    assert clustering_avg_local(g) == 0.0
+    assert clustering_global(g) == [0.0]
+    assert clustering_avg_local(g) == [0.0]
 
 
 def test_clustering_variants_agree_on_vertex_transitive_graphs():
@@ -116,33 +130,47 @@ def test_metrics_match_enumeration_oracle_exactly():
     rng = np.random.default_rng(23)
     for _ in range(100):
         n = int(rng.integers(2, 16))
-        adjacency = np.triu((rng.random((n, n)) < rng.uniform(0.1, 0.9)), 1).astype(np.uint8)
-        adjacency = adjacency + adjacency.T
-        g = graph_from_edges(n, [])
-        g.adjacency = adjacency
+        adjacency = random_graph(rng, n, rng.uniform(0.1, 0.9))
+        g = graph_stack(adjacency[None])
         oracle = graph_oracle(adjacency)
-        assert network_density(g) == float(oracle["density"])
-        assert clustering_global(g) == float(oracle["clustering_global"])
-        assert clustering_avg_local(g) == float(oracle["clustering_avg_local"])
+        assert network_density(g) == [float(oracle["density"])]
+        assert clustering_global(g) == [float(oracle["clustering_global"])]
+        assert clustering_avg_local(g) == [float(oracle["clustering_avg_local"])]
         assert sum(oracle["lambda"]) % 3 == 0  # each triangle counted thrice
+
+
+def test_stack_metrics_match_enumeration_oracle_exactly():
+    """Multi-frame stacks up to K=40, each frame at its own density."""
+    rng = np.random.default_rng(47)
+    for n in [40, 40, 33, *rng.integers(2, 30, 37).tolist()]:
+        frames = [random_graph(rng, n, rng.uniform(0.0, 1.0)) for _ in range(rng.integers(2, 5))]
+        g = graph_stack(np.stack(frames))
+        oracles = [graph_oracle(a) for a in frames]
+        assert network_density(g) == [float(o["density"]) for o in oracles]
+        assert clustering_global(g) == [float(o["clustering_global"]) for o in oracles]
+        assert clustering_avg_local(g) == [float(o["clustering_avg_local"]) for o in oracles]
+        assert [m.edge_count for m in frame_metrics(g)] == [o["edges"] for o in oracles]
+        assert kernels.triangle_counts(g.adjacency).tolist() == [o["lambda"] for o in oracles]
 
 
 def test_frame_metrics_fields():
     g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
-    m = frame_metrics(g)
+    [m] = frame_metrics(g)
     assert m.edge_count == 3
     assert m.density == 0.5
     assert m.clustering_global == 1.0
     assert m.label_date == D and m.window_days == 15 and m.threshold == 0.5
+    assert all(type(v) is float for v in (m.density, m.clustering_global, m.clustering_avg_local))
+    assert type(m.label_date) is date and type(m.edge_count) is int
 
 
 def frames_with_planted_edges(n_frames, plant):
     """plant: {(i, j): set of frame indices where the edge exists}"""
-    frames = []
-    for f in range(n_frames):
-        edges = [pair for pair, hits in plant.items() if f in hits]
-        frames.append(graph_from_edges(4, edges, label=D + f * DAY))
-    return frames
+    adjacency = np.zeros((n_frames, 4, 4), dtype=np.uint8)
+    for (i, j), hits in plant.items():
+        for f in hits:
+            adjacency[f, i, j] = adjacency[f, j, i] = 1
+    return graph_stack(adjacency)
 
 
 def test_pair_persistence_counts_planted_edges():
@@ -193,11 +221,34 @@ def test_persistence_empty_period():
         pair_persistence(frames, (D + 100 * DAY, D + 110 * DAY))
 
 
-def test_persistence_rejects_mixed_thresholds():
-    frames = frames_with_planted_edges(2, {(0, 1): {0}})
-    frames[1].threshold = 0.8
-    with pytest.raises(ValueError, match="thresholds"):
-        triad_persistence(frames, (D, D + DAY))
+def test_persistence_matches_recount_on_random_stacks():
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        k = int(rng.integers(3, 12))
+        n_frames = int(rng.integers(1, 25))
+        adjacency = np.stack(
+            [random_graph(rng, k, rng.uniform(0.1, 0.9)) for _ in range(n_frames)]
+        )
+        g = graph_stack(adjacency)
+        lo, hi = sorted(rng.integers(-3, n_frames + 3, 2).tolist())
+        if hi < 0 or lo >= n_frames:
+            continue
+        period = (D + lo * DAY, D + hi * DAY)
+        frames = range(max(lo, 0), min(hi, n_frames - 1) + 1)
+        names = g.keywords
+        pairs = {
+            (names[i], names[j]): sum(int(adjacency[f, i, j]) for f in frames)
+            for i in range(k) for j in range(i + 1, k)
+        }
+        triads = {
+            (names[i], names[j], names[m]): sum(
+                int(adjacency[f, i, j] and adjacency[f, i, m] and adjacency[f, j, m])
+                for f in frames
+            )
+            for i in range(k) for j in range(i + 1, k) for m in range(j + 1, k)
+        }
+        assert pair_persistence(g, period) == sorted(pairs.items(), key=lambda r: (-r[1], r[0]))
+        assert triad_persistence(g, period) == sorted(triads.items(), key=lambda r: (-r[1], r[0]))
 
 
 def test_threshold_monotonicity_on_random_matrices():
@@ -215,8 +266,8 @@ def test_threshold_monotonicity_on_random_matrices():
 
 
 def test_metrics_csv_round_trip():
-    g = graph_from_edges(4, [(0, 1), (1, 2)])
-    metrics = [frame_metrics(g)]
+    g = graph_stack([random_graph(np.random.default_rng(f), 6, 0.5) for f in range(3)])
+    metrics = frame_metrics(g)
     text = emit_metrics_csv(metrics)
     assert text.startswith(
         "label_date,window_days,threshold,edge_count,density,"
