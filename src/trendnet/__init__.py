@@ -3,7 +3,6 @@
 from .correlate import CorrelationFrame, distance_correlation, rolling_correlation
 from .ingest import (
     DailySeries,
-    Scale,
     WeeklySeries,
     assemble_daily,
     parse_daily_segment,
@@ -35,7 +34,6 @@ __all__ = [
     "GraphFrame",
     "KeywordRegistry",
     "MetricPoint",
-    "Scale",
     "WeeklySeries",
     "assemble_daily",
     "clustering_avg_local",

@@ -4,18 +4,19 @@ Exit codes: 0 success, 2 input validation or bad parameters, 3 I/O
 problems (missing files or directories), 4 insufficient data for the
 requested window. Validation messages name the offending file and
 date/row. Flag values override config-file values, which override the
-built-in defaults.
+built-in defaults; a config key is a flag name of the same command.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from datetime import date
 from pathlib import Path
 
 from . import correlate, ingest, netstat, render, stitch, timeline, util
-from .errors import TrendnetError, WindowTooLong
+from .errors import TrendnetError
 from .registry import KeywordRegistry
 
 DEFAULT_WINDOWS = "15,30"
@@ -53,10 +54,11 @@ def _resolve(args: argparse.Namespace, config: dict[str, str], key: str, default
 
 
 def _load_config(args: argparse.Namespace) -> dict[str, str]:
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return {}
+    known = set(vars(args)) - {"command", "func", "config"}
     try:
-        return util.parse_config(_read_text(Path(args.config)))
+        return util.parse_config(_read_text(Path(args.config)), known)
     except ValueError as err:
         raise CommandError(2, f"{args.config}: {err}") from err
 
@@ -148,9 +150,13 @@ def cmd_stitch(args: argparse.Namespace) -> int:
         segments = []
         for seg_file in seg_files:
             try:
-                segments.append(ingest.parse_daily_segment(_read_text(seg_file), keyword))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    segments.append(ingest.parse_daily_segment(_read_text(seg_file), keyword))
             except TrendnetError as err:
                 raise CommandError(2, f"{seg_file}: {err}") from err
+            for warning in caught:
+                warnings.warn(f"{seg_file}: {warning.message}", warning.category)
         weekly_file = weekly_root / f"{keyword}.csv"
         if not weekly_file.is_file():
             raise CommandError(3, f"{weekly_file}: missing weekly file")
@@ -173,7 +179,7 @@ def cmd_stitch(args: argparse.Namespace) -> int:
 
 # --- analyze ---
 
-def _load_stitched(stitched_dir: Path, registry_value, scale: ingest.Scale):
+def _load_stitched(stitched_dir: Path, registry_value):
     if not stitched_dir.is_dir():
         raise CommandError(3, f"{stitched_dir}: not a directory")
     if registry_value is not None:
@@ -188,7 +194,7 @@ def _load_stitched(stitched_dir: Path, registry_value, scale: ingest.Scale):
         if not path.is_file():
             raise CommandError(3, f"{path}: missing stitched file")
         try:
-            series[keyword] = ingest.parse_stitched(_read_text(path), keyword, scale=scale)
+            series[keyword] = ingest.parse_stitched(_read_text(path), keyword)
         except TrendnetError as err:
             raise CommandError(2, f"{path}: {err}") from err
     return series
@@ -202,12 +208,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise CommandError(2, "analyze requires --stitched and --out")
     windows = _parse_windows(_resolve(args, config, "windows", DEFAULT_WINDOWS))
     thresholds = _parse_thresholds(_resolve(args, config, "thresholds", DEFAULT_THRESHOLDS))
-    scale_name = _resolve(args, config, "scale", "rescaled")
-    if scale_name not in ("rescaled", "raw"):
-        raise CommandError(2, f"scale must be rescaled or raw, got {scale_name!r}")
-    scale = ingest.Scale.RESCALED if scale_name == "rescaled" else ingest.Scale.RAW
-
-    series = _load_stitched(Path(stitched_dir), _resolve(args, config, "registry"), scale)
+    series = _load_stitched(Path(stitched_dir), _resolve(args, config, "registry"))
     out_root = Path(out_dir)
 
     periods_raw = getattr(args, "period", None) or None
@@ -221,11 +222,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise CommandError(2, str(err)) from err
 
     any_series = next(iter(series.values()))
+    # Every window is checked against the data before the first file is
+    # written, so a failure leaves no partial output.
+    too_long = [w for w in windows if w > len(any_series)]
+    if too_long:
+        raise CommandError(4, f"--windows {too_long[0]} exceeds {len(any_series)} days of data")
     for window in windows:
         try:
             frames = correlate.rolling_correlation(series, window)
-        except WindowTooLong as err:
-            raise CommandError(4, str(err)) from err
         except TrendnetError as err:
             raise CommandError(2, str(err)) from err
         _write_text(out_root / f"correlations_w{window}.csv",
@@ -293,15 +297,18 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     out_path = Path(out_value)
     stem = out_path.stem if out_path.suffix else out_path.name
+    texts = {}
     for window in sorted(by_window):
         points = by_window[window]
+        name = f"{stem}_w{window}"
         try:
-            svg = render.render_metric_chart(points, events, metric=metric)
+            texts[f"{name}.svg"] = render.render_metric_chart(points, events, metric=metric)
         except TrendnetError as err:
             raise CommandError(2, str(err)) from err
-        _write_text(out_path.with_name(f"{stem}_w{window}.svg"), svg)
-        _write_text(out_path.with_name(f"{stem}_w{window}.json"),
-                    render.metrics_report_json(points, events))
+        texts[f"{name}.json"] = render.metrics_report_json(points, events)
+    # Every window is rendered before any file is written, as in stitch.
+    for name, text in texts.items():
+        _write_text(out_path.with_name(name), text)
     print(f"reported windows {sorted(by_window)} -> {out_path.parent or Path('.')}")
     return 0
 
@@ -329,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--registry")
     p_analyze.add_argument("--windows", help=f"comma list (default {DEFAULT_WINDOWS})")
     p_analyze.add_argument("--thresholds", help=f"comma list (default {DEFAULT_THRESHOLDS})")
-    p_analyze.add_argument("--scale", choices=("rescaled", "raw"))
     p_analyze.add_argument("--period", action="append",
                            help="start:end persistence period (repeatable; default quarters)")
     p_analyze.add_argument("--out")

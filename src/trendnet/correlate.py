@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from datetime import date
 
 import numpy as np
 
@@ -67,17 +66,13 @@ def distance_correlation(x, y) -> float:
     return float(kernels.dcor_matrix(np.column_stack((x, y)))[0, 1])
 
 
-def rolling_correlation(
-    series: dict[str, DailySeries],
-    window_days: int,
-    span: tuple[date, date] | None = None,
-) -> CorrelationFrame:
+def rolling_correlation(series: dict[str, DailySeries], window_days: int) -> CorrelationFrame:
     """The stack of frames over all rolling windows, one per label date.
 
-    All series must cover the identical consecutive date range (pass `span`
-    to assert which one). Keyword order follows the mapping order. The first
-    label date is series start + window_days; the last is the day after the
-    series end, so every window of data labels the day it leads into.
+    All series must cover the identical consecutive date range. Keyword
+    order follows the mapping order. The first label date is series start
+    + window_days; the last is the day after the series end, so every
+    window of data labels the day it leads into.
     """
     if not series:
         raise MisalignedSeries("no series given")
@@ -92,11 +87,6 @@ def rolling_correlation(
                 f"{kw}: spans {s.start_date}..{s.end_date},"
                 f" expected {first.start_date}..{first.end_date}"
             )
-    if span is not None and (first.start_date, first.end_date) != span:
-        raise MisalignedSeries(
-            f"series span {first.start_date}..{first.end_date}"
-            f" does not match requested {span[0]}..{span[1]}"
-        )
     n_days = len(first)
     if window_days > n_days:
         raise WindowTooLong(f"window of {window_days} days exceeds {n_days} days of data")

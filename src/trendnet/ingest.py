@@ -14,7 +14,6 @@ array of shape (days,) or (weeks,); the date of entry i is implied.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import math
 import warnings
@@ -34,30 +33,22 @@ from .errors import (
     ValueOutOfRange,
 )
 
-DEFAULT_SPAN = (date(2020, 3, 16), date(2021, 3, 15))
-
 DAY = timedelta(days=1)
 WEEK = timedelta(days=7)
 
 
-class Scale(enum.Enum):
-    RAW = "raw"
-    RESCALED = "rescaled"
-
-
 @dataclass(frozen=True, eq=False)
 class DailySeries:
-    """Consecutive daily values for a keyword, raw or rescaled.
+    """Consecutive daily values for a keyword.
 
-    `values[i]` is the value on `start_date + i` days. Raw values lie in
-    [0, 100]; a parsed export segment is a raw series. Rescaled values are
-    nonnegative and may exceed 100 because weekly weights can exceed 1.
+    `values[i]` is the value on `start_date + i` days. Parsed export
+    segments hold values in [0, 100]; stitched values are nonnegative and
+    may exceed 100 because weekly weights can exceed 1.
     """
 
     keyword: str
     start_date: date
     values: np.ndarray
-    scale: Scale
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
@@ -132,7 +123,7 @@ def _consecutive_values(rows: list[tuple[date, float]], keyword: str) -> np.ndar
 
 
 def parse_daily_segment(raw_csv: str, keyword: str) -> DailySeries:
-    """Parse one segment export into a validated raw DailySeries.
+    """Parse one segment export into a validated DailySeries in [0, 100].
 
     Dates must be strictly increasing with no gaps. A segment whose values
     neither reach 100 nor are all zero is suspicious (exports normalize the
@@ -149,7 +140,7 @@ def parse_daily_segment(raw_csv: str, keyword: str) -> DailySeries:
             " expected a 100 (or an all-zero segment) in a normalized export",
             stacklevel=2,
         )
-    return DailySeries(keyword.lower(), rows[0][0], values, Scale.RAW)
+    return DailySeries(keyword.lower(), rows[0][0], values)
 
 
 def parse_weekly(raw_csv: str, keyword: str) -> WeeklySeries:
@@ -170,7 +161,7 @@ def assemble_daily(
     segments: list[DailySeries],
     span: tuple[date, date] | None = None,
 ) -> DailySeries:
-    """Merge per-segment series into one continuous raw DailySeries.
+    """Merge per-segment series into one continuous DailySeries.
 
     Segments must tile the timeline exactly: each one starts the day after
     the previous one ends. When `span` is given the merged series must cover
@@ -204,16 +195,15 @@ def assemble_daily(
             )
         values = values[(start - first).days : (end - first).days + 1]
         first = start
-    return DailySeries(ordered[0].keyword, first, values, Scale.RAW)
+    return DailySeries(ordered[0].keyword, first, values)
 
 
-def parse_stitched(raw_csv: str, keyword: str, scale: Scale = Scale.RESCALED) -> DailySeries:
-    """Parse a canonical stitched CSV (`date,value`, full float precision)."""
-    upper = 100.0 if scale is Scale.RAW else None
-    rows = _data_rows(raw_csv, upper=upper)
+def parse_stitched(raw_csv: str, keyword: str) -> DailySeries:
+    """Parse a canonical stitched CSV (`date,value`, full precision); values may exceed 100."""
+    rows = _data_rows(raw_csv, upper=None)
     if not rows:
         raise EmptySeries(f"{keyword}: no data rows")
-    return DailySeries(keyword.lower(), rows[0][0], _consecutive_values(rows, keyword), scale)
+    return DailySeries(keyword.lower(), rows[0][0], _consecutive_values(rows, keyword))
 
 
 def emit_daily_csv(series: DailySeries) -> str:

@@ -62,18 +62,6 @@ class KeywordRegistry:
     def keywords(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.entries)
 
-    def category(self, keyword: str) -> str:
-        for k, c in self.entries:
-            if k == keyword.lower():
-                return c
-        raise KeyError(keyword)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, keyword: str) -> bool:
-        return keyword.lower() in self.keywords
-
     @classmethod
     def default(cls) -> "KeywordRegistry":
         return cls(DEFAULT_KEYWORDS)
@@ -93,10 +81,3 @@ class KeywordRegistry:
                 continue
             entries.append((keyword, category))
         return cls(tuple(entries))
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["keyword", "category"])
-        writer.writerows(self.entries)
-        return out.getvalue()

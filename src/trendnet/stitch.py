@@ -19,21 +19,19 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UncoveredDate
-from .ingest import WEEK, DailySeries, Scale, WeeklySeries
+from .ingest import WEEK, DailySeries, WeeklySeries
 
 
 def stitch_series(daily: DailySeries, weekly: WeeklySeries) -> DailySeries:
-    """Rescale a raw daily series onto the weekly scale.
+    """Rescale an assembled daily export onto the weekly scale.
 
     Each day belongs to the unique week with week_start <= day <
     week_start + 7 days, and every day must fall in some week. A week's
     weight is its weekly value over the mean of its days, or 1 when that
     mean is 0 (no days, or only zeros), so such weeks pass through
-    unchanged. The result keeps the dates and is marked rescaled; values
-    may exceed 100 because weights can exceed 1.
+    unchanged. The result keeps the dates; its values may exceed 100
+    because weights can exceed 1.
     """
-    if daily.scale is not Scale.RAW:
-        raise ValueError("rescaling applies to the raw daily series")
     n_weeks = len(weekly.values)
     first = (daily.start_date - weekly.start_date).days
     last = first + len(daily) - 1
@@ -50,5 +48,4 @@ def stitch_series(daily: DailySeries, weekly: WeeklySeries) -> DailySeries:
     avg = np.divide(sums, counts, out=np.zeros(n_weeks), where=counts > 0)
     # avg == 0 is exact on purpose: it holds iff the week has no data or only zeros.
     weight = np.divide(weekly.values, avg, out=np.ones(n_weeks), where=avg != 0.0)
-    return DailySeries(daily.keyword, daily.start_date, daily.values * weight[week],
-                       Scale.RESCALED)
+    return DailySeries(daily.keyword, daily.start_date, daily.values * weight[week])

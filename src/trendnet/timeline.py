@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
@@ -45,11 +44,11 @@ class JoinedEvent:
     match: str  # exact | following | unmatched
 
 
-def load_events(raw_csv: str, span: tuple[date, date] | None = None) -> list[EventRecord]:
+def load_events(raw_csv: str) -> list[EventRecord]:
     """Parse `date,label,category` rows into a date-sorted event list.
 
-    Unknown categories are an error; events outside `span` (when given)
-    only warn, since charts simply will not show them.
+    Unknown categories are an error. Events outside the charted dates are
+    kept; charts simply do not show them.
     """
     events = []
     for row in csv.reader(io.StringIO(raw_csv)):
@@ -67,11 +66,6 @@ def load_events(raw_csv: str, span: tuple[date, date] | None = None) -> list[Eve
             raise UnknownCategory(
                 f"{when}: unknown event category {category!r};"
                 f" expected one of {', '.join(sorted(CATEGORY_COLORS))}"
-            )
-        if span is not None and not (span[0] <= when <= span[1]):
-            warnings.warn(
-                f"event on {when} falls outside the analysis span {span[0]}..{span[1]}",
-                stacklevel=2,
             )
         events.append(EventRecord(date=when, label=label, category=category))
     events.sort(key=lambda e: e.date)

@@ -52,8 +52,11 @@ def parse_period(text: str) -> tuple[date, date]:
     return start, end
 
 
-def parse_config(text: str) -> dict[str, str]:
-    """Parse a `key = value` config file; `#` starts a comment line."""
+def parse_config(text: str, known: set[str]) -> dict[str, str]:
+    """Parse a `key = value` config file; `#` starts a comment line.
+
+    Keys are matched with `-` read as `_`; a key not in `known` is an error.
+    """
     config = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -62,5 +65,8 @@ def parse_config(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        config[key.strip().replace("-", "_")] = value.strip()
+        name = key.strip().replace("-", "_")
+        if name not in known:
+            raise ValueError(f"config line {lineno}: unknown key {key.strip()!r}")
+        config[name] = value.strip()
     return config

@@ -1,3 +1,4 @@
+import re
 import xml.etree.ElementTree as ET
 from datetime import date
 
@@ -95,6 +96,13 @@ def test_stitch_uncovered_span_exits_2(export_tree, tmp_path, capsys):
     assert "does not cover" in capsys.readouterr().err
 
 
+def test_stitch_segment_peak_warning_names_file(export_tree, tmp_path):
+    seg = export_tree / "daily" / "cough" / "1.csv"
+    seg.write_text(re.sub(r",100$", ",60", seg.read_text(), flags=re.M), "utf-8")
+    with pytest.warns(UserWarning, match=re.escape(f"{seg}: cough: segment starting")):
+        assert run_stitch(export_tree, tmp_path / "stitched") == 0
+
+
 @pytest.fixture()
 def stitched_dir(export_tree, tmp_path):
     out = tmp_path / "stitched"
@@ -133,6 +141,15 @@ def test_analyze_window_exceeding_data_exits_4(stitched_dir, tmp_path, capsys):
                  "--windows", "400", "--out", str(tmp_path / "a")])
     assert code == 4
     assert "400" in capsys.readouterr().err
+
+
+def test_analyze_failing_window_writes_nothing(stitched_dir, tmp_path, capsys):
+    out = tmp_path / "a"
+    code = main(["analyze", "--stitched", str(stitched_dir),
+                 "--windows", "15,400", "--out", str(out)])
+    assert code == 4
+    assert "400" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_analyze_bad_threshold_exits_2(stitched_dir, tmp_path, capsys):
@@ -233,6 +250,22 @@ def test_report_more_thresholds_than_colours_exits_2(stitched_dir, tmp_path, cap
     assert not (tmp_path / "r_w15.svg").exists()
 
 
+def test_report_failing_window_writes_nothing(stitched_dir, tmp_path, capsys):
+    analysis = tmp_path / "analysis"
+    assert main(["analyze", "--stitched", str(stitched_dir), "--windows", "15,30",
+                 "--thresholds", "0.5", "--out", str(analysis)]) == 0
+    # w15 renders; w30 gets 11 thresholds, one more than a chart has colours.
+    text = (analysis / "metrics_w30_t0.5.csv").read_text()
+    for i in range(1, 11):
+        (analysis / f"metrics_w30_t0.{i:02d}.csv").write_text(
+            text.replace(",30,0.5,", f",30,0.{i:02d},"))
+    reports = tmp_path / "reports"
+    code = main(["report", "--metrics", str(analysis), "--out", str(reports / "r.svg")])
+    assert code == 2
+    assert "11 thresholds" in capsys.readouterr().err
+    assert not reports.exists()
+
+
 def test_report_missing_metrics_dir_exits_3(tmp_path, capsys):
     code = main(["report", "--metrics", str(tmp_path / "void"), "--out", str(tmp_path / "r.svg")])
     assert code == 3
@@ -249,6 +282,16 @@ def test_config_file_supplies_defaults_cli_overrides(stitched_dir, tmp_path):
     assert main(["analyze", "--config", str(config), "--thresholds", "0.6"]) == 0
     files = sorted(p.name for p in (tmp_path / "from_config").glob("metrics_*.csv"))
     assert files == ["metrics_w15_t0.6.csv"]  # CLI flag beat the config value
+
+
+@pytest.mark.parametrize("line, key", [("treshold = 0.5", "treshold"), ("scale = raw", "scale")])
+def test_config_unknown_key_exits_2(stitched_dir, tmp_path, capsys, line, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{line}\nstitched = {stitched_dir}\n", "utf-8")
+    out = tmp_path / "a"
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 2
+    assert f"run.cfg: config line 1: unknown key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_events_flag_and_custom_events(stitched_dir, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from trendnet.correlate import emit_correlations_csv, rolling_correlation
 from trendnet.errors import MisalignedSeries, NonFiniteInput, WindowTooLong
-from trendnet.ingest import DailySeries, Scale
+from trendnet.ingest import DailySeries
 
 from oracles import dcor_oracle
 
@@ -14,7 +14,7 @@ DAY = timedelta(days=1)
 
 
 def series_from(values, keyword, start=START):
-    return DailySeries(keyword, start, np.asarray(values, dtype=float), Scale.RESCALED)
+    return DailySeries(keyword, start, np.asarray(values, dtype=float))
 
 
 def year_fixture(n_keywords=3, n_days=365, seed=0):
@@ -75,14 +75,6 @@ def test_misaligned_series_rejected():
     series["late"] = series_from(np.ones(30), "late", start=START + DAY)
     with pytest.raises(MisalignedSeries, match="late"):
         rolling_correlation(series, 15)
-
-
-def test_span_argument_must_match_series():
-    series = year_fixture(n_keywords=2, n_days=30)
-    span = (START, START + 29 * DAY)
-    assert len(rolling_correlation(series, 10, span=span).label_dates) == 21
-    with pytest.raises(MisalignedSeries):
-        rolling_correlation(series, 10, span=(START, START + 40 * DAY))
 
 
 def test_window_longer_than_series_rejected():

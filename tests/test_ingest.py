@@ -16,7 +16,6 @@ from trendnet.errors import (
 )
 from trendnet.ingest import (
     DailySeries,
-    Scale,
     assemble_daily,
     emit_daily_csv,
     parse_daily_segment,
@@ -39,7 +38,6 @@ def test_parse_daily_segment_well_formed():
     assert len(seg) == 31
     assert seg.start_date == D
     assert seg.end_date == D + 30 * DAY
-    assert seg.scale is Scale.RAW
     assert seg.values.dtype == np.float64
     assert seg.values.tolist() == [float(v) for v in values]
 
@@ -127,7 +125,6 @@ def test_assemble_daily_contiguous_segments():
     assert len(series) == 72
     assert series.start_date == D
     assert series.end_date == date(2020, 5, 26)
-    assert series.scale is Scale.RAW
     assert series.values.tolist() == [100.0] * 72
 
 
@@ -168,7 +165,18 @@ def test_parse_stitched_allows_values_over_100():
     text = "date,value\n2020-03-16,104.375\n2020-03-17,0.5\n"
     series = parse_stitched(text, "ubo")
     assert series.values.tolist() == [104.375, 0.5]
-    assert series.scale is Scale.RESCALED
+
+
+@pytest.mark.parametrize("bad", ["101", "1e9"])
+def test_parse_weekly_value_out_of_range(bad):
+    with pytest.raises(ValueOutOfRange, match=r"outside \[0,100.0\]"):
+        parse_weekly(f"2020-03-15,{bad}\n2020-03-22,5\n", "flu")
+
+
+@pytest.mark.parametrize("bad", ["-3", "nan", "inf", "abc"])
+def test_parse_stitched_value_out_of_range(bad):
+    with pytest.raises(ValueOutOfRange, match="2020-03-16"):
+        parse_stitched(f"2020-03-16,{bad}\n2020-03-17,5\n", "ubo")
 
 
 def test_parse_stitched_rejects_gaps():
@@ -186,7 +194,7 @@ def test_parse_stitched_rejects_gaps():
     )
 )
 def test_stitched_csv_round_trip(values):
-    series = DailySeries("masks", D, np.array(values), Scale.RESCALED)
+    series = DailySeries("masks", D, np.array(values))
     assert same_series(parse_stitched(emit_daily_csv(series), "masks"), series)
 
 
@@ -198,6 +206,6 @@ def test_raw_csv_round_trip_with_censored_export():
 
 
 def same_series(a, b):
-    return (a.keyword, a.start_date, a.scale, a.values.tolist()) == (
-        b.keyword, b.start_date, b.scale, b.values.tolist()
+    return (a.keyword, a.start_date, a.values.tolist()) == (
+        b.keyword, b.start_date, b.values.tolist()
     )

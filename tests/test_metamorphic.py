@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from trendnet.cli import main
-from trendnet.ingest import DailySeries, Scale, emit_daily_csv, parse_stitched
+from trendnet.ingest import DailySeries, emit_daily_csv, parse_stitched
 
 from helpers import planted_block_series, write_export_tree
 
@@ -98,7 +98,7 @@ def test_affine_rescale_of_one_keyword_keeps_its_dcor_rows(stitched, tmp_path):
         if kw == "flu":
             series = parse_stitched(text, kw)
             text = emit_daily_csv(
-                DailySeries(kw, series.start_date, 3.7 * series.values + 12.5, Scale.RESCALED)
+                DailySeries(kw, series.start_date, 3.7 * series.values + 12.5)
             )
         (scaled_dir / f"{kw}.csv").write_text(text)
     scaled = analyze(scaled_dir, tmp_path / "scaled", KEYWORDS)

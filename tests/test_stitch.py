@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trendnet.errors import UncoveredDate
-from trendnet.ingest import DailySeries, Scale, WeeklySeries
+from trendnet.ingest import DailySeries, WeeklySeries
 from trendnet.stitch import stitch_series
 
 W0 = date(2020, 3, 16)  # a Monday
@@ -13,7 +13,7 @@ DAY = timedelta(days=1)
 
 
 def daily_from(values, start=W0, keyword="fever"):
-    return DailySeries(keyword, start, np.asarray(values, dtype=float), Scale.RAW)
+    return DailySeries(keyword, start, np.asarray(values, dtype=float))
 
 
 def weekly_from(values, start=W0, keyword="fever"):
@@ -66,7 +66,6 @@ def test_weights_piecewise_rule():
 def test_rescale_multiplies_by_week_weight():
     daily = daily_from([10, 0, 40, 10, 20, 30, 30])
     rescaled = stitch_series(daily, weekly_from([25]))  # 25 over daily avg 140/7 = 20
-    assert rescaled.scale is Scale.RESCALED
     assert rescaled.values.tolist() == (daily.values * 1.25).tolist()
     assert rescaled.values[0] == 12.5
     assert rescaled.values[1] == 0.0
@@ -83,12 +82,6 @@ def test_rescale_zero_avg_week_passes_values_through():
 def test_rescale_uncovered_date():
     with pytest.raises(UncoveredDate, match="outside weekly coverage"):
         stitch_series(daily_from([1] * 8), weekly_from([10]))
-
-
-def test_rescale_requires_raw_series():
-    rescaled = stitch_series(daily_from([1] * 7), weekly_from([10]))
-    with pytest.raises(ValueError, match="raw"):
-        stitch_series(rescaled, weekly_from([10]))
 
 
 # Export values are either 0 or at least the 0.5 the censored `<1` maps to.

@@ -75,15 +75,6 @@ def test_load_events_empty_text_gives_empty_timeline():
     assert load_events("date,label,category\n") == []
 
 
-def test_load_events_out_of_span_warns_only():
-    with pytest.warns(UserWarning, match="outside the analysis span"):
-        events = load_events(
-            "2019-01-01,too early,Milestone\n",
-            span=(date(2020, 3, 16), date(2021, 3, 15)),
-        )
-    assert len(events) == 1
-
-
 def test_join_exact_match():
     metrics = [metric_at(D + i * DAY) for i in range(10)]
     joined = join_events(metrics, load_events(f"{(D + 3 * DAY).isoformat()},x,Policy\n"))
