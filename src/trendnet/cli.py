@@ -5,6 +5,8 @@ problems (missing files or directories), 4 insufficient data for the
 requested window. Validation messages name the offending file and
 date/row. Flag values override config-file values, which override the
 built-in defaults; a config key is a flag name of the same command.
+A `period` key may repeat, as `--period` does, and every line applies in
+file order; any other key may appear only once.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ def _write_text(path: Path, text: str) -> None:
         raise CommandError(3, f"{path}: {err.strerror or err}") from err
 
 
-def _resolve(args: argparse.Namespace, config: dict[str, str], key: str, default=None):
+def _resolve(
+    args: argparse.Namespace, config: dict[str, str | list[str]], key: str, default=None
+):
     value = getattr(args, key, None)
     if value is not None:
         return value
@@ -53,12 +57,13 @@ def _resolve(args: argparse.Namespace, config: dict[str, str], key: str, default
     return default
 
 
-def _load_config(args: argparse.Namespace) -> dict[str, str]:
+def _load_config(args: argparse.Namespace) -> dict[str, str | list[str]]:
+    """Config-file values by flag dest; `period`, like `--period`, maps to a list."""
     if args.config is None:
         return {}
     known = set(vars(args)) - {"command", "func", "config"}
     try:
-        return util.parse_config(_read_text(Path(args.config)), known)
+        return util.parse_config(_read_text(Path(args.config)), known, {"period"})
     except ValueError as err:
         raise CommandError(2, f"{args.config}: {err}") from err
 
@@ -211,9 +216,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     series = _load_stitched(Path(stitched_dir), _resolve(args, config, "registry"))
     out_root = Path(out_dir)
 
-    periods_raw = getattr(args, "period", None) or None
-    if periods_raw is None and "period" in config:
-        periods_raw = [config["period"]]
+    periods_raw = _resolve(args, config, "period")
     explicit_periods = None
     if periods_raw:
         try:

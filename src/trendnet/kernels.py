@@ -19,6 +19,16 @@ is bit-identical to it; dCor is scale-invariant, so the value means the
 same thing. The only bits lost are those of entries more than 2**1021
 times smaller than their column's maximum, which become subnormal and
 weigh nothing against the column's spread.
+
+`rolling_dcor` allocates its workspaces once per call and reuses them for
+every frame: the (k, n) rescaled window, the (k, n, n) centred distance
+matrices, one per column and each contiguous, so the Gram product reads
+them as one (k, n*n) matrix, and the (n, k) row means. Fresh temporaries
+of that size per frame were served by `mmap` and page-faulted in again on
+every frame. The reduction axes are fixed on purpose: numpy sums pairwise
+along a contiguous axis but sequentially along an outer one, so the row
+means reduce over the outer `i` axis of (k, n, n) and the grand mean over
+the outer axis of the (n, k) buffer. Any other order moves the last bits.
 """
 
 from __future__ import annotations
@@ -26,57 +36,46 @@ from __future__ import annotations
 import numpy as np
 
 
-def _centered_stack(win: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Double-centered |x_i - x_j| matrices for every column of `win`.
-
-    Returns (centered (k, n, n), dvar (k,)) where dvar is the mean squared
-    centered entry per column. Distance matrices are symmetric, so row and
-    column means coincide. Columns are first rescaled by a power of two
-    (see the module docstring).
-    """
-    n, _ = win.shape
-    _, exp = np.frexp(np.abs(win).max(axis=0))
-    win = np.ldexp(win, -exp)
-    d = np.abs(win[:, None, :] - win[None, :, :])  # (n, n, k)
-    m = d.mean(axis=0)  # (n, k)
-    g = m.mean(axis=0)  # (k,)
-    cen = d - m[None, :, :] - m[:, None, :] + g
-    cen = np.ascontiguousarray(np.moveaxis(cen, 2, 0))  # (k, n, n)
-    dvar = np.einsum("kij,kij->k", cen, cen) / (n * n)
-    return cen, dvar
-
-
 def dcor_matrix(win: np.ndarray) -> np.ndarray:
-    """Pairwise distance-correlation matrix of the columns of `win` (n, k).
-
-    Diagonal is fixed at 1; columns with zero distance variance correlate
-    0 with everything by convention.
-    """
-    win = np.ascontiguousarray(win, dtype=np.float64)
-    n, k = win.shape
-    cen, dvar = _centered_stack(win)
-    flat = cen.reshape(k, n * n)
-    dcov2 = np.maximum(flat @ flat.T / (n * n), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # constant columns, zeroed below
-        r = np.minimum(np.sqrt(dcov2 / np.sqrt(np.outer(dvar, dvar))), 1.0)
-    constant = dvar == 0.0
-    r[constant[:, None] | constant[None, :]] = 0.0
-    # Mirror the upper triangle: the Gram product need not be exactly symmetric.
-    upper = np.triu_indices(k, 1)
-    out = np.eye(k)
-    out[upper] = r[upper]
-    out.T[upper] = r[upper]
-    return out
+    """Pairwise distance-correlation matrix of the columns of `win` (n, k)."""
+    return rolling_dcor(win, len(win))[0]
 
 
 def rolling_dcor(data: np.ndarray, window: int) -> np.ndarray:
-    """Stack of dcor matrices over every length-`window` slice of `data` (t, k)."""
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    t, k = data.shape
-    frames = t - window + 1
-    out = np.empty((frames, k, k))
-    for f in range(frames):
-        out[f] = dcor_matrix(data[f : f + window])
+    """Stack of dcor matrices over every length-`window` slice of `data` (t, k).
+
+    Diagonals are fixed at 1; a column with zero distance variance in a
+    window correlates 0 with everything in that frame by convention.
+    """
+    series = np.ascontiguousarray(np.transpose(data), dtype=np.float64)  # (k, t)
+    k, t = series.shape
+    n = window
+    out = np.empty((t - n + 1, k, k))
+    win = np.empty((k, n))
+    cen = np.empty((k, n, n))
+    m = np.empty((n, k))
+    flat = cen.reshape(k, n * n)
+    for f, r in enumerate(out):
+        x = series[:, f : f + n]
+        _, exp = np.frexp(np.abs(x).max(axis=1))
+        np.ldexp(x, -exp[:, None], out=win)
+        np.abs(np.subtract(win[:, :, None], win[:, None, :], out=cen), out=cen)
+        np.mean(cen, axis=1, out=m.T)
+        g = m.mean(axis=0)
+        cen -= m.T[:, None, :]
+        cen -= m.T[:, :, None]
+        cen += g[:, None, None]
+        dvar = np.einsum("kij,kij->k", cen, cen) / (n * n)
+        dcov2 = np.maximum(flat @ flat.T / (n * n), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # constant columns, zeroed below
+            np.minimum(np.sqrt(dcov2 / np.sqrt(np.outer(dvar, dvar))), 1.0, out=r)
+        constant = dvar == 0.0
+        r[constant[:, None] | constant[None, :]] = 0.0
+    # Mirror the upper triangle: the Gram product need not be exactly symmetric.
+    rows, cols = np.triu_indices(k, 1)
+    out[:, cols, rows] = out[:, rows, cols]
+    diagonal = np.arange(k)
+    out[:, diagonal, diagonal] = 1.0
     return out
 
 

@@ -26,6 +26,7 @@ import io
 import math
 from dataclasses import dataclass, field, fields
 from datetime import date
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,8 @@ class GraphFrame:
     """Dated binary adjacency stack at one threshold; no self-loops.
 
     `label_dates` (datetime64[D], shape (F,)) labels each graph of
-    `adjacency` (uint8, shape (F, K, K)).
+    `adjacency` (uint8, shape (F, K, K)). `triples` is cached on first
+    read, so `adjacency` is not to be modified afterwards.
     """
 
     label_dates: np.ndarray
@@ -47,6 +49,15 @@ class GraphFrame:
     threshold: float
     keywords: tuple[str, ...]
     adjacency: np.ndarray = field(repr=False)
+
+    @cached_property
+    def triples(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-vertex triangle counts and connected-triple counts, both (F, K).
+
+        Counted once per stack: both clustering statistics read them.
+        """
+        degrees = self.adjacency.sum(axis=-1, dtype=np.int64)
+        return kernels.triangle_counts(self.adjacency), degrees * (degrees - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -80,12 +91,6 @@ def _edge_counts(g: GraphFrame) -> np.ndarray:
     return g.adjacency.sum(axis=(1, 2), dtype=np.int64) // 2
 
 
-def _triples(g: GraphFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex triangle counts and connected-triple counts, both (F, K)."""
-    degrees = g.adjacency.sum(axis=-1, dtype=np.int64)
-    return kernels.triangle_counts(g.adjacency), degrees * (degrees - 1) // 2
-
-
 def network_density(g: GraphFrame) -> list[float]:
     """Existing edges over the K(K-1)/2 possible ones, per frame."""
     k = g.adjacency.shape[-1]
@@ -96,7 +101,7 @@ def network_density(g: GraphFrame) -> list[float]:
 
 def clustering_global(g: GraphFrame) -> list[float]:
     """Total triangles-at-vertices over total connected triples; 0 if no triples."""
-    lam, tau = _triples(g)
+    lam, tau = g.triples
     lam_total, tau_total = lam.sum(axis=-1), tau.sum(axis=-1)
     return np.divide(lam_total, tau_total, out=np.zeros(len(lam)), where=tau_total > 0).tolist()
 
@@ -107,7 +112,7 @@ def clustering_avg_local(g: GraphFrame) -> list[float]:
     The ratios lam/tau are summed exactly over the common denominator
     lcm(tau > 0) in Python integers, then divided once by lcm * K.
     """
-    lam, tau = _triples(g)
+    lam, tau = g.triples
     k = lam.shape[-1]
     out = []
     for lam_f, tau_f in zip(lam.tolist(), tau.tolist()):

@@ -52,12 +52,17 @@ def parse_period(text: str) -> tuple[date, date]:
     return start, end
 
 
-def parse_config(text: str, known: set[str]) -> dict[str, str]:
+def parse_config(
+    text: str, known: set[str], repeatable: set[str] = frozenset()
+) -> dict[str, str | list[str]]:
     """Parse a `key = value` config file; `#` starts a comment line.
 
     Keys are matched with `-` read as `_`; a key not in `known` is an error.
+    A key in `repeatable` maps to the list of its values in file order, as
+    a repeated flag does; any other key may appear only once.
     """
-    config = {}
+    config: dict[str, str | list[str]] = {}
+    first_line = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -68,5 +73,13 @@ def parse_config(text: str, known: set[str]) -> dict[str, str]:
         name = key.strip().replace("-", "_")
         if name not in known:
             raise ValueError(f"config line {lineno}: unknown key {key.strip()!r}")
+        if name in repeatable:
+            config.setdefault(name, []).append(value.strip())
+            continue
+        if name in first_line:
+            raise ValueError(
+                f"config line {lineno}: key {key.strip()!r} repeats line {first_line[name]}"
+            )
+        first_line[name] = lineno
         config[name] = value.strip()
     return config

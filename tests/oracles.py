@@ -4,6 +4,9 @@ These are deliberately written from scratch against the definitions, not
 by calling into trendnet: the distance-correlation oracle builds and
 centers its matrices element by element, and the graph oracle enumerates
 triangles and triples directly with exact integer/rational arithmetic.
+`rolling_dcor_reference` is the production kernel's arithmetic written
+one frame at a time with fresh temporaries, the bit-exact reference for
+the kernel's reused workspaces.
 """
 
 from fractions import Fraction
@@ -45,6 +48,42 @@ def dcor_oracle(x, y) -> float:
     dcov2 = max(dcov2, 0.0)
     value = (dcov2 ** 0.5) / (dvar_x * dvar_y) ** 0.25
     return min(value, 1.0)
+
+
+def _centered_stack(win):
+    """Power-of-two rescaled, double-centered |x_i - x_j| matrices of the
+    columns of `win` (n, k), on the (n, n, k) layout: (cen (k, n, n), dvar (k,))."""
+    n, _ = win.shape
+    _, exp = np.frexp(np.abs(win).max(axis=0))
+    win = np.ldexp(win, -exp)
+    d = np.abs(win[:, None, :] - win[None, :, :])  # (n, n, k)
+    m = d.mean(axis=0)  # (n, k)
+    g = m.mean(axis=0)  # (k,)
+    cen = d - m[None, :, :] - m[:, None, :] + g
+    cen = np.ascontiguousarray(np.moveaxis(cen, 2, 0))  # (k, n, n)
+    dvar = np.einsum("kij,kij->k", cen, cen) / (n * n)
+    return cen, dvar
+
+
+def rolling_dcor_reference(data, window) -> np.ndarray:
+    """(F, k, k) dCor stack of `data` (t, k), each frame computed on its own."""
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    t, k = data.shape
+    n = window
+    out = np.empty((t - n + 1, k, k))
+    upper = np.triu_indices(k, 1)
+    for f in range(len(out)):
+        cen, dvar = _centered_stack(np.ascontiguousarray(data[f : f + n]))
+        flat = cen.reshape(k, n * n)
+        dcov2 = np.maximum(flat @ flat.T / (n * n), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.minimum(np.sqrt(dcov2 / np.sqrt(np.outer(dvar, dvar))), 1.0)
+        constant = dvar == 0.0
+        r[constant[:, None] | constant[None, :]] = 0.0
+        out[f] = np.eye(k)
+        out[f][upper] = r[upper]
+        out[f].T[upper] = r[upper]
+    return out
 
 
 def graph_oracle(adj) -> dict:

@@ -294,6 +294,40 @@ def test_config_unknown_key_exits_2(stitched_dir, tmp_path, capsys, line, key):
     assert not out.exists()
 
 
+def test_config_repeated_period_applies_each(stitched_dir, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"stitched = {stitched_dir}\nwindows = 15\nthresholds = 0.5\n"
+        "period = 2020-07-01:2020-07-31\nperiod = 2020-05-01:2020-05-31\n",
+        "utf-8",
+    )
+    out = tmp_path / "a"
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 0
+    rows = (out / "persistence_pairs_w15.csv").read_text().strip().split("\n")[1:]
+    periods = [tuple(row.split(",")[:2]) for row in rows]
+    # In file order, as repeated --period flags give.
+    assert list(dict.fromkeys(periods)) == [
+        ("2020-07-01", "2020-07-31"), ("2020-05-01", "2020-05-31"),
+    ]
+    flags = tmp_path / "b"
+    assert main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
+                 "--thresholds", "0.5", "--period", "2020-07-01:2020-07-31",
+                 "--period", "2020-05-01:2020-05-31", "--out", str(flags)]) == 0
+    for name in ("persistence_pairs_w15.csv", "persistence_triads_w15.csv"):
+        assert (out / name).read_bytes() == (flags / name).read_bytes()
+
+
+def test_config_repeated_key_exits_2(stitched_dir, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"windows = 15\nstitched = {stitched_dir}\n# comment\nwindows = 30\n", "utf-8"
+    )
+    out = tmp_path / "a"
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 2
+    assert "run.cfg: config line 4: key 'windows' repeats line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_events_flag_and_custom_events(stitched_dir, tmp_path):
     analysis = tmp_path / "analysis"
     main(["analyze", "--stitched", str(stitched_dir), "--windows", "15", "--out", str(analysis)])

@@ -8,7 +8,7 @@ from trendnet import kernels
 from trendnet.correlate import distance_correlation
 from trendnet.errors import LengthMismatch, NonFiniteInput
 
-from oracles import dcor_oracle
+from oracles import dcor_oracle, rolling_dcor_reference
 
 
 def test_self_correlation_is_one():
@@ -127,3 +127,41 @@ def test_dcor_matrix_invariants():
     assert np.all((m >= 0.0) & (m <= 1.0))
     off = [m[3, j] for j in range(8) if j != 3]
     assert off == [0.0] * 7  # constant column correlates 0 by convention
+
+
+def _stack(rng, t, k):
+    data = rng.uniform(0, 100, (t, k))
+    data[:, 0] = 42.0  # constant in every frame
+    data[: t // 2, 1] = 7.0  # constant in early frames, not in late ones
+    data[:, 2] = np.round(data[:, 2] / 25)  # ties
+    return data
+
+
+@pytest.mark.parametrize("window", [2, 3, 15, 30, 90])
+def test_rolling_dcor_bit_exact_against_reference(window):
+    rng = np.random.default_rng(window)
+    for t in (window, window + 40):  # one frame, then many
+        data = _stack(rng, t, 6)
+        assert np.array_equal(kernels.rolling_dcor(data, window),
+                              rolling_dcor_reference(data, window))
+
+
+def test_rolling_dcor_bit_exact_across_scales_and_layouts():
+    rng = np.random.default_rng(17)
+    data = _stack(rng, 70, 8)
+    data *= 10.0 ** np.linspace(-200, 200, 8)
+    for window in (2, 15, 30):
+        want = rolling_dcor_reference(data, window)
+        assert np.array_equal(kernels.rolling_dcor(data, window), want)
+        assert np.array_equal(kernels.rolling_dcor(np.asfortranarray(data), window), want)
+        wide = np.repeat(data, 2, axis=1)[:, ::2]  # strided view, same values
+        assert not wide.flags.c_contiguous
+        assert np.array_equal(kernels.rolling_dcor(wide, window), want)
+
+
+def test_dcor_matrix_is_the_one_frame_stack():
+    rng = np.random.default_rng(23)
+    for n, k in [(2, 3), (15, 8), (30, 3), (90, 15)]:
+        win = _stack(rng, n, k)
+        assert np.array_equal(kernels.dcor_matrix(win), kernels.rolling_dcor(win, n)[0])
+        assert np.array_equal(kernels.dcor_matrix(win), rolling_dcor_reference(win, n)[0])

@@ -164,6 +164,22 @@ def test_frame_metrics_fields():
     assert type(m.label_date) is date and type(m.edge_count) is int
 
 
+def test_triangles_counted_once_per_stack(monkeypatch):
+    calls = []
+    count = kernels.triangle_counts
+
+    def counting(adj):
+        calls.append(adj.shape)
+        return count(adj)
+
+    monkeypatch.setattr(kernels, "triangle_counts", counting)
+    rng = np.random.default_rng(29)
+    g = graph_stack(np.stack([random_graph(rng, 8, 0.5) for _ in range(5)]))
+    frame_metrics(g)
+    clustering_global(g)
+    assert calls == [(5, 8, 8)]
+
+
 def frames_with_planted_edges(n_frames, plant):
     """plant: {(i, j): set of frame indices where the edge exists}"""
     adjacency = np.zeros((n_frames, 4, 4), dtype=np.uint8)
