@@ -138,6 +138,8 @@ def cmd_stitch(args: argparse.Namespace) -> int:
         _parse_date(_resolve(args, config, "span_start", "2020-03-16"), "--span-start"),
         _parse_date(_resolve(args, config, "span_end", "2021-03-15"), "--span-end"),
     )
+    if span[1] < span[0]:
+        raise CommandError(2, f"--span-start {span[0]} is after --span-end {span[1]}")
     daily_root = Path(daily_dir)
     weekly_root = Path(weekly_dir)
     if not daily_root.is_dir():
@@ -241,8 +243,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         periods = explicit_periods or util.default_periods(
             any_series.start_date, frames.label_dates[-1].item()
         )
-        pair_rows = []
-        triad_rows = []
+        pair_groups, triad_groups = [], []
         for theta in thresholds:
             graphs = netstat.threshold_adjacency(frames, theta)
             _write_text(out_root / f"metrics_w{window}_t{theta:g}.csv",
@@ -253,12 +254,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     triads = netstat.triad_persistence(graphs, period)
                 except TrendnetError:
                     continue  # period does not intersect the frames
-                pair_rows.extend((period, theta, pair, count) for pair, count in pairs)
-                triad_rows.extend((period, theta, triple, count) for triple, count in triads)
+                pair_groups.append((period, theta, *pairs))
+                triad_groups.append((period, theta, *triads))
         _write_text(out_root / f"persistence_pairs_w{window}.csv",
-                    netstat.emit_persistence_csv(pair_rows))
+                    netstat.emit_persistence_csv(frames.keywords, pair_groups))
         _write_text(out_root / f"persistence_triads_w{window}.csv",
-                    netstat.emit_persistence_csv(triad_rows))
+                    netstat.emit_persistence_csv(frames.keywords, triad_groups))
     print(
         f"analyzed {len(series)} keywords, windows {windows},"
         f" thresholds {thresholds} -> {out_dir}"
@@ -286,7 +287,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     by_window: dict[int, list[netstat.MetricPoint]] = {}
     for path in metric_files:
-        for point in netstat.parse_metrics_csv(_read_text(path)):
+        try:
+            points = netstat.parse_metrics_csv(_read_text(path))
+        except TrendnetError as err:
+            raise CommandError(2, f"{path}: {err}") from err
+        for point in points:
             by_window.setdefault(point.window_days, []).append(point)
 
     events_value = _resolve(args, config, "events")

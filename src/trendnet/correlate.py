@@ -11,8 +11,6 @@ The frames of one window length form one stack: F label dates and an
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +23,7 @@ from .errors import (
     WindowTooLong,
 )
 from .ingest import DailySeries
+from .util import csv_field
 
 
 @dataclass(eq=False)
@@ -107,15 +106,13 @@ def rolling_correlation(series: dict[str, DailySeries], window_days: int) -> Cor
 
 def emit_correlations_csv(frames: CorrelationFrame) -> str:
     """Long-format `label_date,keyword_a,keyword_b,dcor` CSV, 12 significant digits."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["label_date", "keyword_a", "keyword_b", "dcor"])
-    kws = frames.keywords
-    rows, cols = np.triu_indices(len(kws), 1)
-    pairs = [(kws[i], kws[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+    quoted = [csv_field(kw) for kw in frames.keywords]
+    rows, cols = np.triu_indices(len(quoted), 1)
+    pairs = [f"{quoted[i]},{quoted[j]}" for i, j in zip(rows.tolist(), cols.tolist())]
     labels = np.datetime_as_string(frames.label_dates).tolist()
+    lines = ["label_date,keyword_a,keyword_b,dcor\n"]
     for label, matrix in zip(labels, frames.matrix):
-        writer.writerows(
-            [label, a, b, f"{v:.12g}"] for (a, b), v in zip(pairs, matrix[rows, cols].tolist())
+        lines.extend(
+            f"{label},{pair},{v:.12g}\n" for pair, v in zip(pairs, matrix[rows, cols].tolist())
         )
-    return out.getvalue()
+    return "".join(lines)

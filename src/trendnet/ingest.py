@@ -164,8 +164,8 @@ def assemble_daily(
     """Merge per-segment series into one continuous DailySeries.
 
     Segments must tile the timeline exactly: each one starts the day after
-    the previous one ends. When `span` is given the merged series must cover
-    it and is trimmed to it.
+    the previous one ends. When `span` is given it must not end before it
+    starts, and the merged series must cover it and is trimmed to it.
     """
     if not segments:
         raise EmptySegment("no segments to assemble")
@@ -188,6 +188,8 @@ def assemble_daily(
     values = np.concatenate([s.values for s in ordered])
     if span is not None:
         start, end = span
+        if end < start:
+            raise SpanError(f"{ordered[0].keyword}: span start {start} is after its end {end}")
         if first > start or last < end:
             raise SpanError(
                 f"{ordered[0].keyword}: assembled span {first}..{last}"

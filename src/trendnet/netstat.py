@@ -17,6 +17,14 @@ vertex-transitive graphs but differ in general:
 Both are computed with integer triangle/triple counts and converted to
 float in a single correctly rounded division, so results match
 enumeration oracles digit for digit.
+
+Persistence counts, per period, the frames in which each keyword pair is
+an edge (`pair_persistence`) or each keyword triple a triangle
+(`triad_persistence`). Both return `(members, counts)`: an (P, 2) or
+(P, 3) int array of keyword indices, ascending within a row, over all
+C(K, 2) or C(K, 3) sets, and the (P,) int64 counts. Rows run by
+descending count; equal counts are ordered by the member keyword strings,
+first member first, not by their indices.
 """
 
 from __future__ import annotations
@@ -26,13 +34,15 @@ import io
 import math
 from dataclasses import dataclass, field, fields
 from datetime import date
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import combinations
 
 import numpy as np
 
 from . import kernels
 from .correlate import CorrelationFrame
-from .errors import EmptyPeriod, ThetaOutOfRange
+from .errors import EmptyPeriod, EmptySeries, ThetaOutOfRange, ValueOutOfRange
+from .util import csv_field
 
 
 @dataclass(eq=False)
@@ -144,89 +154,97 @@ def _in_period(g: GraphFrame, period: tuple[date, date]) -> np.ndarray:
     return g.adjacency[selected].astype(bool)
 
 
-def pair_persistence(
-    g: GraphFrame, period: tuple[date, date]
-) -> list[tuple[tuple[str, str], int]]:
-    """How many frames in the period contain each keyword pair as an edge.
+def _persistence(
+    g: GraphFrame, period: tuple[date, date], size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(members (P, size) int, counts (P,) int64) over all C(K, size) keyword sets.
 
-    Exhaustive over all pairs, sorted by descending count with lexicographic
-    tie-breaking on the pair tokens.
+    Counts the frames in the period in which the set is a clique. Rows run by
+    descending count, ties ordered by the member strings, as (-count, names).
     """
-    counts = _in_period(g, period).sum(axis=0, dtype=np.int64)
-    kws = g.keywords
-    rows, cols = np.triu_indices(len(kws), 1)
-    out = [
-        ((kws[i], kws[j]), count)
-        for i, j, count in zip(rows.tolist(), cols.tolist(), counts[rows, cols].tolist())
-    ]
-    out.sort(key=lambda r: (-r[1], r[0]))
-    return out
-
-
-def triad_persistence(
-    g: GraphFrame, period: tuple[date, date]
-) -> list[tuple[tuple[str, str, str], int]]:
-    """How many frames in the period contain each keyword triple as a triangle."""
     stack = _in_period(g, period)
-    kws = g.keywords
-    out = []
-    for i in range(len(kws)):
-        for j in range(i + 1, len(kws)):
-            # Triangles i-j-m for every m > j at once.
-            closed = stack[:, i, j, None] & stack[:, i, j + 1 :] & stack[:, j, j + 1 :]
-            out.extend(
-                ((kws[i], kws[j], kws[m]), count)
-                for m, count in enumerate(closed.sum(axis=0).tolist(), j + 1)
-            )
-    out.sort(key=lambda r: (-r[1], r[0]))
-    return out
+    k = len(g.keywords)
+    members = np.array(list(combinations(range(k), size)), dtype=np.intp).reshape(-1, size)
+    edges = (stack[:, members[:, a], members[:, b]] for a, b in combinations(range(size), 2))
+    counts = reduce(np.logical_and, edges).sum(axis=0, dtype=np.int64)
+    # Keywords are distinct, so comparing their sort ranks compares the strings.
+    rank = np.empty(k, dtype=np.intp)
+    rank[sorted(range(k), key=g.keywords.__getitem__)] = np.arange(k)
+    # np.lexsort sorts by its last key first.
+    order = np.lexsort((*rank[members[:, ::-1]].T, -counts))
+    return members[order], counts[order]
+
+
+def pair_persistence(g: GraphFrame, period: tuple[date, date]) -> tuple[np.ndarray, np.ndarray]:
+    """(members (P, 2), counts (P,)): frames in the period with each pair as an edge."""
+    return _persistence(g, period, 2)
+
+
+def triad_persistence(g: GraphFrame, period: tuple[date, date]) -> tuple[np.ndarray, np.ndarray]:
+    """(members (P, 3), counts (P,)): frames in the period with each triple as a triangle."""
+    return _persistence(g, period, 3)
 
 
 def emit_metrics_csv(metrics: list[MetricPoint]) -> str:
     """One row per point, columns named after the MetricPoint fields."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([f.name for f in fields(MetricPoint)])
-    writer.writerows(
-        [m.label_date.isoformat(), m.window_days, f"{m.threshold:g}", m.edge_count,
-         repr(m.density), repr(m.clustering_global), repr(m.clustering_avg_local)]
+    header = ",".join(f.name for f in fields(MetricPoint))
+    return f"{header}\n" + "".join(
+        f"{m.label_date.isoformat()},{m.window_days},{m.threshold:g},{m.edge_count},"
+        f"{float(m.density)!r},{float(m.clustering_global)!r},{float(m.clustering_avg_local)!r}\n"
         for m in metrics
     )
-    return out.getvalue()
+
+
+# How each MetricPoint field is read back, in field order.
+_METRIC_PARSERS = (date.fromisoformat, int, float, int, float, float, float)
 
 
 def parse_metrics_csv(text: str) -> list[MetricPoint]:
+    """The points of a metrics CSV as `emit_metrics_csv` writes it.
+
+    The header must name the MetricPoint fields in order. A row with another
+    field count or a field that does not parse raises ValueOutOfRange naming
+    its line; a file with no data rows raises EmptySeries. Blank lines are
+    skipped.
+    """
+    names = [f.name for f in fields(MetricPoint)]
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
-        return []
+        raise EmptySeries("no header and no data rows")
+    if header != names:
+        raise ValueOutOfRange(f"line 1: header is not {','.join(names)}")
     points = []
     for row in reader:
         if not row:
             continue
-        points.append(
-            MetricPoint(
-                label_date=date.fromisoformat(row[0]),
-                window_days=int(row[1]),
-                threshold=float(row[2]),
-                edge_count=int(row[3]),
-                density=float(row[4]),
-                clustering_global=float(row[5]),
-                clustering_avg_local=float(row[6]),
+        if len(row) != len(names):
+            raise ValueOutOfRange(
+                f"line {reader.line_num}: {len(row)} fields, expected {len(names)}"
             )
-        )
+        values = []
+        for name, parse, token in zip(names, _METRIC_PARSERS, row):
+            try:
+                values.append(parse(token))
+            except ValueError:
+                raise ValueOutOfRange(
+                    f"line {reader.line_num}: {name} {token!r} does not parse"
+                ) from None
+        points.append(MetricPoint(*values))
+    if not points:
+        raise EmptySeries("no data rows")
     return points
 
 
-def emit_persistence_csv(
-    rows: list[tuple[tuple[date, date], float, tuple[str, ...], int]]
-) -> str:
-    """Rows of (period, threshold, members, count) as the persistence report."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["period_start", "period_end", "threshold", "members", "count"])
-    for (start, end), threshold, members, count in rows:
-        writer.writerow(
-            [start.isoformat(), end.isoformat(), f"{threshold:g}", "|".join(members), count]
-        )
-    return out.getvalue()
+def emit_persistence_csv(keywords: tuple[str, ...], groups: list[tuple]) -> str:
+    """(period, threshold, members, counts) groups as the persistence report;
+    each `members` row is written as its keywords joined by `|`."""
+    lines = ["period_start,period_end,threshold,members,count\n"]
+    quoted = {}  # each member set is quoted once, for every group it is in
+    for (start, end), threshold, members, counts in groups:
+        prefix = f"{start.isoformat()},{end.isoformat()},{threshold:g},"
+        for row, count in zip(map(tuple, members.tolist()), counts.tolist()):
+            if row not in quoted:
+                quoted[row] = csv_field("|".join([keywords[i] for i in row]))
+            lines.append(f"{prefix}{quoted[row]},{count}\n")
+    return "".join(lines)

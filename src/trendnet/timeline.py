@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from datetime import date
 from importlib import resources
 
-from .errors import UnknownCategory
+from .errors import UnknownCategory, ValueOutOfRange
 from .netstat import MetricPoint
 
 # Chart color per category; variant detections render black like milestones.
@@ -47,8 +47,9 @@ class JoinedEvent:
 def load_events(raw_csv: str) -> list[EventRecord]:
     """Parse `date,label,category` rows into a date-sorted event list.
 
-    Unknown categories are an error. Events outside the charted dates are
-    kept; charts simply do not show them.
+    Unknown categories and rows with fewer than three fields are errors.
+    Events outside the charted dates are kept; charts simply do not show
+    them.
     """
     events = []
     for row in csv.reader(io.StringIO(raw_csv)):
@@ -59,7 +60,7 @@ def load_events(raw_csv: str) -> list[EventRecord]:
         except ValueError:
             continue  # header or preamble
         if len(row) < 3:
-            raise ValueError(f"event row needs date,label,category: {row!r}")
+            raise ValueOutOfRange(f"event row needs date,label,category: {row!r}")
         label = row[1].strip()
         category = row[2].strip()
         if category not in CATEGORY_COLORS:

@@ -1,7 +1,9 @@
-"""Shared plumbing: period arithmetic and config files."""
+"""Shared plumbing: period arithmetic, config files and CSV fields."""
 
 from __future__ import annotations
 
+import csv
+import io
 from datetime import date, timedelta
 
 QUARTER_ANCHOR_MONTHS = (1, 4, 7, 10)
@@ -83,3 +85,10 @@ def parse_config(
         first_line[name] = lineno
         config[name] = value.strip()
     return config
+
+
+def csv_field(text: str) -> str:
+    """`text` as one field of a `csv.writer(lineterminator="\\n")` row, quoted by its rules."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((text,))
+    return out.getvalue()[:-1]

@@ -96,6 +96,16 @@ def test_stitch_uncovered_span_exits_2(export_tree, tmp_path, capsys):
     assert "does not cover" in capsys.readouterr().err
 
 
+def test_stitch_inverted_span_exits_2_writing_nothing(export_tree, tmp_path, capsys):
+    out = tmp_path / "stitched"
+    code = run_stitch(export_tree, out, extra=["--span-start", "2021-03-15",
+                                               "--span-end", "2020-03-16"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--span-start 2021-03-15 is after --span-end 2020-03-16" in err
+    assert not out.exists()
+
+
 def test_stitch_segment_peak_warning_names_file(export_tree, tmp_path):
     seg = export_tree / "daily" / "cough" / "1.csv"
     seg.write_text(re.sub(r",100$", ",60", seg.read_text(), flags=re.M), "utf-8")
@@ -263,6 +273,46 @@ def test_report_failing_window_writes_nothing(stitched_dir, tmp_path, capsys):
     code = main(["report", "--metrics", str(analysis), "--out", str(reports / "r.svg")])
     assert code == 2
     assert "11 thresholds" in capsys.readouterr().err
+    assert not reports.exists()
+
+
+def set_field(row, index, value):
+    fields = row.split(",")
+    fields[index] = value
+    return ",".join(fields)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: [rows[0], set_field(rows[1], 3, "xx")],
+     "line 2: edge_count 'xx' does not parse"),
+    (lambda rows: [rows[0], rows[1], rows[2].rsplit(",", 1)[0]], "line 3: 6 fields, expected 7"),
+    (lambda rows: rows[:1], "no data rows"),
+], ids=["unparseable", "truncated", "header-only"])
+def test_report_malformed_metrics_exits_2_naming_file(stitched_dir, tmp_path, capsys,
+                                                      edit, message):
+    analysis = tmp_path / "analysis"
+    assert main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
+                 "--thresholds", "0.5", "--out", str(analysis)]) == 0
+    path = analysis / "metrics_w15_t0.5.csv"
+    path.write_text("\n".join(edit(path.read_text().split("\n"))) + "\n")
+    reports = tmp_path / "reports"
+    code = main(["report", "--metrics", str(analysis), "--out", str(reports / "r.svg")])
+    assert code == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+    assert not reports.exists()
+
+
+def test_report_short_event_row_exits_2_naming_file(stitched_dir, tmp_path, capsys):
+    analysis = tmp_path / "analysis"
+    assert main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
+                 "--thresholds", "0.5", "--out", str(analysis)]) == 0
+    events = tmp_path / "events.csv"
+    events.write_text("2020-04-01,only-two\n", "utf-8")
+    reports = tmp_path / "reports"
+    code = main(["report", "--metrics", str(analysis), "--events", str(events),
+                 "--out", str(reports / "r.svg")])
+    assert code == 2
+    assert f"{events}: event row needs date,label,category" in capsys.readouterr().err
     assert not reports.exists()
 
 

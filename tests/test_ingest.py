@@ -145,6 +145,11 @@ def test_assemble_daily_span_not_covered():
         assemble_daily([_segment(D, [100] * 10)], span=(D, date(2021, 3, 15)))
 
 
+def test_assemble_daily_inverted_span():
+    with pytest.raises(SpanError, match="span start 2020-03-20 is after its end 2020-03-18"):
+        assemble_daily([_segment(D, [100] * 10)], span=(D + 4 * DAY, D + 2 * DAY))
+
+
 def test_assemble_daily_trims_to_span():
     series = assemble_daily(
         [_segment(D, list(range(70, 101)))], span=(D + DAY, D + 5 * DAY)

@@ -1,11 +1,13 @@
+import csv
+import io
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from trendnet import kernels
-from trendnet.correlate import CorrelationFrame
-from trendnet.errors import EmptyPeriod, ThetaOutOfRange
+from trendnet.correlate import CorrelationFrame, emit_correlations_csv
+from trendnet.errors import EmptyPeriod, EmptySeries, ThetaOutOfRange, ValueOutOfRange
 from trendnet.netstat import (
     GraphFrame,
     clustering_avg_local,
@@ -26,7 +28,7 @@ D = date(2020, 3, 31)
 DAY = timedelta(days=1)
 
 
-def graph_stack(adjacency, start=D, theta=0.5):
+def graph_stack(adjacency, start=D, theta=0.5, keywords=None):
     """GraphFrame over an (F, K, K) stack labeled start, start+1, ..."""
     adjacency = np.asarray(adjacency, dtype=np.uint8)
     n_frames, k, _ = adjacency.shape
@@ -34,7 +36,7 @@ def graph_stack(adjacency, start=D, theta=0.5):
         label_dates=np.datetime64(start) + np.arange(n_frames),
         window_days=15,
         threshold=theta,
-        keywords=tuple(f"k{i}" for i in range(k)),
+        keywords=keywords or tuple(f"k{i}" for i in range(k)),
         adjacency=adjacency,
     )
 
@@ -196,25 +198,26 @@ def test_pair_persistence_counts_planted_edges():
         (2, 3): set(),
     }
     frames = frames_with_planted_edges(92, plant)
-    rows = pair_persistence(frames, (D, D + 91 * DAY))
-    assert rows[0] == (("k0", "k1"), 52)
-    assert rows[1] == (("k0", "k2"), 46)
-    assert len(rows) == 6  # exhaustive over all pairs
-    assert all(count == 0 for _, count in rows[2:])
+    members, counts = pair_persistence(frames, (D, D + 91 * DAY))
+    assert members.shape == (6, 2)  # exhaustive over all pairs
+    assert members[:2].tolist() == [[0, 1], [0, 2]]
+    assert counts.tolist() == [52, 46, 0, 0, 0, 0]
 
 
 def test_pair_persistence_respects_period_bounds():
     plant = {(0, 1): set(range(92))}
     frames = frames_with_planted_edges(92, plant)
-    rows = pair_persistence(frames, (D + 10 * DAY, D + 19 * DAY))
-    assert rows[0] == (("k0", "k1"), 10)
+    members, counts = pair_persistence(frames, (D + 10 * DAY, D + 19 * DAY))
+    assert members[0].tolist() == [0, 1]
+    assert counts[0] == 10
 
 
 def test_pair_persistence_ties_break_lexicographically():
     plant = {(0, 1): {0}, (2, 3): {0}, (0, 2): {0}}
     frames = frames_with_planted_edges(1, plant)
-    rows = pair_persistence(frames, (D, D))
-    assert [r[0] for r in rows[:3]] == [("k0", "k1"), ("k0", "k2"), ("k2", "k3")]
+    members, counts = pair_persistence(frames, (D, D))
+    assert members[:3].tolist() == [[0, 1], [0, 2], [2, 3]]
+    assert counts[:3].tolist() == [1, 1, 1]
 
 
 def test_triad_persistence_counts_planted_triangles():
@@ -225,10 +228,10 @@ def test_triad_persistence_counts_planted_triangles():
         (1, 3): set(range(92)),  # extra edge, no third side
     }
     frames = frames_with_planted_edges(92, plant)
-    rows = triad_persistence(frames, (D, D + 91 * DAY))
-    assert rows[0] == (("k0", "k1", "k2"), 60)
-    assert all(count == 0 for _, count in rows[1:])
-    assert len(rows) == 4  # C(4,3) triples
+    members, counts = triad_persistence(frames, (D, D + 91 * DAY))
+    assert members.shape == (4, 3)  # C(4,3) triples
+    assert members[0].tolist() == [0, 1, 2]
+    assert counts.tolist() == [60, 0, 0, 0]
 
 
 def test_persistence_empty_period():
@@ -238,6 +241,7 @@ def test_persistence_empty_period():
 
 
 def test_persistence_matches_recount_on_random_stacks():
+    """Ties break on keyword strings, which here never sort in index order."""
     rng = np.random.default_rng(53)
     for _ in range(40):
         k = int(rng.integers(3, 12))
@@ -245,26 +249,35 @@ def test_persistence_matches_recount_on_random_stacks():
         adjacency = np.stack(
             [random_graph(rng, k, rng.uniform(0.1, 0.9)) for _ in range(n_frames)]
         )
-        g = graph_stack(adjacency)
+        shuffled = rng.permutation(k)
+        if (shuffled == np.sort(shuffled)).all():
+            shuffled = shuffled[::-1]
+        names = tuple(f"k{i}" for i in shuffled.tolist())
+        g = graph_stack(adjacency, keywords=names)
         lo, hi = sorted(rng.integers(-3, n_frames + 3, 2).tolist())
         if hi < 0 or lo >= n_frames:
             continue
         period = (D + lo * DAY, D + hi * DAY)
         frames = range(max(lo, 0), min(hi, n_frames - 1) + 1)
-        names = g.keywords
         pairs = {
-            (names[i], names[j]): sum(int(adjacency[f, i, j]) for f in frames)
+            (i, j): sum(int(adjacency[f, i, j]) for f in frames)
             for i in range(k) for j in range(i + 1, k)
         }
         triads = {
-            (names[i], names[j], names[m]): sum(
+            (i, j, m): sum(
                 int(adjacency[f, i, j] and adjacency[f, i, m] and adjacency[f, j, m])
                 for f in frames
             )
             for i in range(k) for j in range(i + 1, k) for m in range(j + 1, k)
         }
-        assert pair_persistence(g, period) == sorted(pairs.items(), key=lambda r: (-r[1], r[0]))
-        assert triad_persistence(g, period) == sorted(triads.items(), key=lambda r: (-r[1], r[0]))
+        for result, recount in ((pair_persistence(g, period), pairs),
+                                (triad_persistence(g, period), triads)):
+            expected = sorted(
+                recount.items(), key=lambda r: (-r[1], tuple(names[i] for i in r[0]))
+            )
+            members, counts = result
+            assert members.tolist() == [list(ids) for ids, _ in expected]
+            assert counts.tolist() == [count for _, count in expected]
 
 
 def test_threshold_monotonicity_on_random_matrices():
@@ -285,16 +298,96 @@ def test_metrics_csv_round_trip():
     g = graph_stack([random_graph(np.random.default_rng(f), 6, 0.5) for f in range(3)])
     metrics = frame_metrics(g)
     text = emit_metrics_csv(metrics)
-    assert text.startswith(
-        "label_date,window_days,threshold,edge_count,density,"
-        "clustering_global,clustering_avg_local\n"
-    )
+    assert text.startswith(METRICS_HEADER)
     assert parse_metrics_csv(text) == metrics
 
 
+def metrics_text(n_frames=3):
+    g = graph_stack([random_graph(np.random.default_rng(f), 6, 0.5) for f in range(n_frames)])
+    return emit_metrics_csv(frame_metrics(g))
+
+
+def test_parse_metrics_csv_names_line_of_unparseable_field():
+    lines = metrics_text().split("\n")
+    fields_ = lines[2].split(",")
+    fields_[3] = "xx"  # edge_count
+    lines[2] = ",".join(fields_)
+    with pytest.raises(ValueOutOfRange, match="line 3: edge_count 'xx'"):
+        parse_metrics_csv("\n".join(lines))
+
+
+def test_parse_metrics_csv_names_line_of_truncated_row():
+    lines = metrics_text().split("\n")
+    lines[3] = lines[3][: lines[3].rindex(",")]
+    with pytest.raises(ValueOutOfRange, match="line 4: 6 fields, expected 7"):
+        parse_metrics_csv("\n".join(lines))
+
+
+def test_parse_metrics_csv_rejects_other_header():
+    text = metrics_text().replace("edge_count", "edges", 1)
+    with pytest.raises(ValueOutOfRange, match="line 1: header"):
+        parse_metrics_csv(text)
+
+
+METRICS_HEADER = (
+    "label_date,window_days,threshold,edge_count,density,clustering_global,clustering_avg_local\n"
+)
+
+
+@pytest.mark.parametrize("text", ["", METRICS_HEADER], ids=["empty", "header-only"])
+def test_parse_metrics_csv_without_data_rows(text):
+    with pytest.raises(EmptySeries):
+        parse_metrics_csv(text)
+
+
 def test_persistence_csv_format():
-    rows = [((D, D + 91 * DAY), 0.8, ("ecq", "quarantine"), 52)]
-    text = emit_persistence_csv(rows)
+    groups = [((D, D + 91 * DAY), 0.8, np.array([[1, 0]]), np.array([52]))]
+    text = emit_persistence_csv(("quarantine", "ecq"), groups)
     lines = text.strip().split("\n")
     assert lines[0] == "period_start,period_end,threshold,members,count"
     assert lines[1] == "2020-03-31,2020-06-30,0.8,ecq|quarantine,52"
+
+
+def test_csv_quoting_round_trips_through_csv_reader():
+    """Keywords with commas, quotes and spaces, in unsorted order, are written
+    as csv.writer writes them one row at a time."""
+    names = ('z "q"', "b,c", "a b", 'x,"y"', "tail,", '"lead', "k10", "k2")
+    k = len(names)
+    rng = np.random.default_rng(61)
+    raw = rng.random((3, k, k))
+    matrix = (raw + raw.transpose(0, 2, 1)) / 2
+    frames = CorrelationFrame(
+        label_dates=np.datetime64(D) + np.arange(3),
+        window_days=15,
+        keywords=names,
+        matrix=matrix,
+    )
+    g = threshold_adjacency(frames, 0.5)
+    period = (D, D + 2 * DAY)
+    groups = [(period, 0.5, *triad_persistence(g, period))]
+    persistence_text = emit_persistence_csv(names, groups)
+    correlations_text = emit_correlations_csv(frames)
+
+    def written(rows):
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        for row in rows:
+            writer.writerow(row)
+        return out.getvalue()
+
+    members, counts = groups[0][2:]
+    expected_persistence = [["period_start", "period_end", "threshold", "members", "count"]] + [
+        ["2020-03-31", "2020-04-02", "0.5", "|".join(names[i] for i in row), str(count)]
+        for row, count in zip(members.tolist(), counts.tolist())
+    ]
+    expected_correlations = [["label_date", "keyword_a", "keyword_b", "dcor"]] + [
+        [str(label), names[i], names[j], f"{matrix[f, i, j]:.12g}"]
+        for f, label in enumerate(frames.label_dates)
+        for i in range(k) for j in range(i + 1, k)
+    ]
+    for text, expected in ((persistence_text, expected_persistence),
+                           (correlations_text, expected_correlations)):
+        assert text == written(expected)
+        assert list(csv.reader(io.StringIO(text))) == expected
+    ordered = [row[3].split("|") for row in expected_persistence[1:]]
+    assert any(row != sorted(row) for row in ordered)  # members keep index order

@@ -1,8 +1,9 @@
+import re
 from datetime import date, timedelta
 
 import pytest
 
-from trendnet.errors import UnknownCategory
+from trendnet.errors import TrendnetError, UnknownCategory
 from trendnet.netstat import MetricPoint
 from trendnet.timeline import (
     CATEGORY_COLORS,
@@ -68,6 +69,11 @@ def test_load_events_parses_and_sorts():
 def test_load_events_unknown_category():
     with pytest.raises(UnknownCategory, match="Earthquake"):
         load_events("2020-04-07,quake,Earthquake\n")
+
+
+def test_load_events_short_row():
+    with pytest.raises(TrendnetError, match=re.escape("['2020-04-01', 'only-two']")):
+        load_events("2020-04-01,only-two\n")
 
 
 def test_load_events_empty_text_gives_empty_timeline():
