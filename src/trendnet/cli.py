@@ -1,17 +1,22 @@
 """Command line interface: stitch, analyze, report.
 
+`main` resolves each setting once (flag, else config line, else `DEFAULTS`,
+with the `REQUIRED` flags checked), calls `cmd_<command>`, which computes
+every output text and writes nothing, and hands the texts to `_commit`. That
+writes each text to a hidden `.<name>.part` beside its target and, once all
+are written, moves them into place, so a failed command leaves no output.
+
 Exit codes: 0 success, 2 input validation or bad parameters, 3 I/O
-problems (missing files or directories), 4 insufficient data for the
-requested window. Validation messages name the offending file and
-date/row. Flag values override config-file values, which override the
-built-in defaults; a config key is a flag name of the same command.
-A `period` key may repeat, as `--period` does, and every line applies in
-file order; any other key may appear only once.
+problems, 4 insufficient data for the requested window. Validation messages
+name the offending file and date/row. A config key is a flag name of the
+same command; `period` may repeat, as `--period` does, and applies in file
+order; any other key may appear only once.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from datetime import date
@@ -21,8 +26,19 @@ from . import correlate, ingest, netstat, render, stitch, timeline, util
 from .errors import TrendnetError
 from .registry import KeywordRegistry
 
-DEFAULT_WINDOWS = "15,30"
-DEFAULT_THRESHOLDS = "0.4,0.5,0.6,0.8"
+# Every setting of each command, by flag dest, with its built-in default.
+DEFAULTS = {
+    "stitch": {"daily_dir": None, "weekly_dir": None, "registry": None, "out": None,
+               "span_start": "2020-03-16", "span_end": "2021-03-15"},
+    "analyze": {"stitched": None, "registry": None, "windows": "15,30",
+                "thresholds": "0.4,0.5,0.6,0.8", "period": None, "out": None},
+    "report": {"metrics": None, "events": None, "metric": "density", "out": None},
+}
+REQUIRED = {
+    "stitch": ("daily_dir", "weekly_dir", "out"),
+    "analyze": ("stitched", "out"),
+    "report": ("metrics", "out"),
+}
 
 
 class CommandError(Exception):
@@ -38,34 +54,37 @@ def _read_text(path: Path) -> str:
         raise CommandError(3, f"{path}: {err.strerror or err}") from err
 
 
-def _write_text(path: Path, text: str) -> None:
+def _settings(args: argparse.Namespace) -> dict:
+    """The command's settings by flag dest: flag over config line over default."""
+    defaults = DEFAULTS[args.command]
+    config = {}
+    if args.config is not None:
+        try:
+            config = util.parse_config(_read_text(Path(args.config)), set(defaults), {"period"})
+        except ValueError as err:
+            raise CommandError(2, f"{args.config}: {err}") from err
+    flags = {key: getattr(args, key) for key in defaults if getattr(args, key) is not None}
+    settings = {**defaults, **config, **flags}
+    if not all(settings[key] for key in REQUIRED[args.command]):
+        names = [f"--{key.replace('_', '-')}" for key in REQUIRED[args.command]]
+        raise CommandError(2, f"{args.command} requires {', '.join(names[:-1])} and {names[-1]}")
+    return settings
+
+
+def _commit(texts: dict[Path, str]) -> None:
+    """Write each text to `.<name>.part` beside its target, then move all into place."""
+    parts = {}
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, "utf-8")
+        for path, text in texts.items():
+            parts[path] = path.with_name(f".{path.name}.part")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            parts[path].write_text(text, "utf-8")
+        for path, part in parts.items():
+            os.replace(part, path)
     except OSError as err:
+        for part in parts.values():
+            part.unlink(missing_ok=True)
         raise CommandError(3, f"{path}: {err.strerror or err}") from err
-
-
-def _resolve(
-    args: argparse.Namespace, config: dict[str, str | list[str]], key: str, default=None
-):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _load_config(args: argparse.Namespace) -> dict[str, str | list[str]]:
-    """Config-file values by flag dest; `period`, like `--period`, maps to a list."""
-    if args.config is None:
-        return {}
-    known = set(vars(args)) - {"command", "func", "config"}
-    try:
-        return util.parse_config(_read_text(Path(args.config)), known, {"period"})
-    except ValueError as err:
-        raise CommandError(2, f"{args.config}: {err}") from err
 
 
 def _load_registry(path_value) -> KeywordRegistry:
@@ -126,26 +145,19 @@ def _parse_thresholds(raw: str) -> list[float]:
 
 # --- stitch ---
 
-def cmd_stitch(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    daily_dir = _resolve(args, config, "daily_dir")
-    weekly_dir = _resolve(args, config, "weekly_dir")
-    out_dir = _resolve(args, config, "out")
-    if not (daily_dir and weekly_dir and out_dir):
-        raise CommandError(2, "stitch requires --daily-dir, --weekly-dir and --out")
-    registry = _load_registry(_resolve(args, config, "registry"))
+def cmd_stitch(settings: dict) -> tuple[dict[Path, str], str]:
+    registry = _load_registry(settings["registry"])
     span = (
-        _parse_date(_resolve(args, config, "span_start", "2020-03-16"), "--span-start"),
-        _parse_date(_resolve(args, config, "span_end", "2021-03-15"), "--span-end"),
+        _parse_date(settings["span_start"], "--span-start"),
+        _parse_date(settings["span_end"], "--span-end"),
     )
     if span[1] < span[0]:
         raise CommandError(2, f"--span-start {span[0]} is after --span-end {span[1]}")
-    daily_root = Path(daily_dir)
-    weekly_root = Path(weekly_dir)
-    if not daily_root.is_dir():
-        raise CommandError(3, f"{daily_root}: not a directory")
-    if not weekly_root.is_dir():
-        raise CommandError(3, f"{weekly_root}: not a directory")
+    daily_root = Path(settings["daily_dir"])
+    weekly_root = Path(settings["weekly_dir"])
+    for root in (daily_root, weekly_root):
+        if not root.is_dir():
+            raise CommandError(3, f"{root}: not a directory")
 
     def stitch_keyword(keyword: str) -> str:
         seg_dir = daily_root / keyword
@@ -175,13 +187,8 @@ def cmd_stitch(args: argparse.Namespace) -> int:
             raise CommandError(2, f"{seg_dir}: {err}") from err
         return ingest.emit_daily_csv(rescaled)
 
-    # Every keyword is stitched before any file is written, so a failure
-    # leaves no partial output.
-    texts = {keyword: stitch_keyword(keyword) for keyword in registry.keywords}
-    for keyword, text in texts.items():
-        _write_text(Path(out_dir) / f"{keyword}.csv", text)
-    print(f"stitched {len(texts)} keywords -> {out_dir}")
-    return 0
+    texts = {Path(settings["out"]) / f"{kw}.csv": stitch_keyword(kw) for kw in registry.keywords}
+    return texts, f"stitched {len(texts)} keywords -> {settings['out']}"
 
 
 # --- analyze ---
@@ -207,38 +214,27 @@ def _load_stitched(stitched_dir: Path, registry_value):
     return series
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    stitched_dir = _resolve(args, config, "stitched")
-    out_dir = _resolve(args, config, "out")
-    if not (stitched_dir and out_dir):
-        raise CommandError(2, "analyze requires --stitched and --out")
-    windows = _parse_windows(_resolve(args, config, "windows", DEFAULT_WINDOWS))
-    thresholds = _parse_thresholds(_resolve(args, config, "thresholds", DEFAULT_THRESHOLDS))
-    series = _load_stitched(Path(stitched_dir), _resolve(args, config, "registry"))
-    out_root = Path(out_dir)
+def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:
+    windows = _parse_windows(settings["windows"])
+    thresholds = _parse_thresholds(settings["thresholds"])
+    series = _load_stitched(Path(settings["stitched"]), settings["registry"])
+    out_root = Path(settings["out"])
 
-    periods_raw = _resolve(args, config, "period")
-    explicit_periods = None
-    if periods_raw:
-        try:
-            explicit_periods = [util.parse_period(tok) for tok in periods_raw]
-        except ValueError as err:
-            raise CommandError(2, str(err)) from err
+    try:
+        explicit_periods = [util.parse_period(tok) for tok in settings["period"] or ()]
+    except ValueError as err:
+        raise CommandError(2, str(err)) from err
 
     any_series = next(iter(series.values()))
-    # Every window is checked against the data before the first file is
-    # written, so a failure leaves no partial output.
-    too_long = [w for w in windows if w > len(any_series)]
-    if too_long:
-        raise CommandError(4, f"--windows {too_long[0]} exceeds {len(any_series)} days of data")
+    texts = {}
     for window in windows:
+        if window > len(any_series):
+            raise CommandError(4, f"--windows {window} exceeds {len(any_series)} days of data")
         try:
             frames = correlate.rolling_correlation(series, window)
         except TrendnetError as err:
             raise CommandError(2, str(err)) from err
-        _write_text(out_root / f"correlations_w{window}.csv",
-                    correlate.emit_correlations_csv(frames))
+        texts[out_root / f"correlations_w{window}.csv"] = correlate.emit_correlations_csv(frames)
 
         periods = explicit_periods or util.default_periods(
             any_series.start_date, frames.label_dates[-1].item()
@@ -246,8 +242,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         pair_groups, triad_groups = [], []
         for theta in thresholds:
             graphs = netstat.threshold_adjacency(frames, theta)
-            _write_text(out_root / f"metrics_w{window}_t{theta:g}.csv",
-                        netstat.emit_metrics_csv(netstat.frame_metrics(graphs)))
+            texts[out_root / f"metrics_w{window}_t{theta:g}.csv"] = netstat.emit_metrics_csv(
+                netstat.frame_metrics(graphs))
             for period in periods:
                 try:
                     pairs = netstat.pair_persistence(graphs, period)
@@ -256,29 +252,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     continue  # period does not intersect the frames
                 pair_groups.append((period, theta, *pairs))
                 triad_groups.append((period, theta, *triads))
-        _write_text(out_root / f"persistence_pairs_w{window}.csv",
-                    netstat.emit_persistence_csv(frames.keywords, pair_groups))
-        _write_text(out_root / f"persistence_triads_w{window}.csv",
-                    netstat.emit_persistence_csv(frames.keywords, triad_groups))
-    print(
-        f"analyzed {len(series)} keywords, windows {windows},"
-        f" thresholds {thresholds} -> {out_dir}"
-    )
-    return 0
+        texts[out_root / f"persistence_pairs_w{window}.csv"] = netstat.emit_persistence_csv(
+            frames.keywords, pair_groups)
+        texts[out_root / f"persistence_triads_w{window}.csv"] = netstat.emit_persistence_csv(
+            frames.keywords, triad_groups)
+    summary = (f"analyzed {len(series)} keywords, windows {windows},"
+               f" thresholds {thresholds} -> {settings['out']}")
+    return texts, summary
 
 
 # --- report ---
 
-def cmd_report(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    metrics_dir = _resolve(args, config, "metrics")
-    out_value = _resolve(args, config, "out")
-    if not (metrics_dir and out_value):
-        raise CommandError(2, "report requires --metrics and --out")
-    metric = _resolve(args, config, "metric", "density")
+def cmd_report(settings: dict) -> tuple[dict[Path, str], str]:
+    metric = settings["metric"]
     if metric not in ("density", "clustering"):
         raise CommandError(2, f"metric must be density or clustering, got {metric!r}")
-    metrics_root = Path(metrics_dir)
+    metrics_root = Path(settings["metrics"])
     if not metrics_root.is_dir():
         raise CommandError(3, f"{metrics_root}: not a directory")
     metric_files = sorted(metrics_root.glob("metrics_w*_t*.csv"))
@@ -294,7 +283,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         for point in points:
             by_window.setdefault(point.window_days, []).append(point)
 
-    events_value = _resolve(args, config, "events")
+    events_value = settings["events"]
     if events_value is None:
         events = timeline.load_bundled_events()
     else:
@@ -303,22 +292,19 @@ def cmd_report(args: argparse.Namespace) -> int:
         except TrendnetError as err:
             raise CommandError(2, f"{events_value}: {err}") from err
 
-    out_path = Path(out_value)
+    out_path = Path(settings["out"])
     stem = out_path.stem if out_path.suffix else out_path.name
     texts = {}
     for window in sorted(by_window):
         points = by_window[window]
         name = f"{stem}_w{window}"
         try:
-            texts[f"{name}.svg"] = render.render_metric_chart(points, events, metric=metric)
+            texts[out_path.with_name(f"{name}.svg")] = render.render_metric_chart(
+                points, events, metric=metric)
         except TrendnetError as err:
             raise CommandError(2, str(err)) from err
-        texts[f"{name}.json"] = render.metrics_report_json(points, events)
-    # Every window is rendered before any file is written, as in stitch.
-    for name, text in texts.items():
-        _write_text(out_path.with_name(name), text)
-    print(f"reported windows {sorted(by_window)} -> {out_path.parent or Path('.')}")
-    return 0
+        texts[out_path.with_name(f"{name}.json")] = render.metrics_report_json(points, events)
+    return texts, f"reported windows {sorted(by_window)} -> {out_path.parent or Path('.')}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,36 +320,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_stitch.add_argument("--weekly-dir", dest="weekly_dir")
     p_stitch.add_argument("--registry", help="keyword,category CSV (default: built-in set)")
     p_stitch.add_argument("--out", help="output directory for stitched CSVs")
-    p_stitch.add_argument("--span-start", dest="span_start")
-    p_stitch.add_argument("--span-end", dest="span_end")
-    p_stitch.add_argument("--config")
-    p_stitch.set_defaults(func=cmd_stitch)
+    for flag in ("span_start", "span_end"):
+        p_stitch.add_argument(f"--{flag.replace('_', '-')}", dest=flag,
+                              help=f"ISO date (default {DEFAULTS['stitch'][flag]})")
 
+    default = DEFAULTS["analyze"]
     p_analyze = sub.add_parser("analyze", help="correlation frames, graph metrics, persistence")
     p_analyze.add_argument("--stitched", help="directory of stitched CSVs")
     p_analyze.add_argument("--registry")
-    p_analyze.add_argument("--windows", help=f"comma list (default {DEFAULT_WINDOWS})")
-    p_analyze.add_argument("--thresholds", help=f"comma list (default {DEFAULT_THRESHOLDS})")
+    p_analyze.add_argument("--windows", help=f"comma list (default {default['windows']})")
+    p_analyze.add_argument("--thresholds", help=f"comma list (default {default['thresholds']})")
     p_analyze.add_argument("--period", action="append",
                            help="start:end persistence period (repeatable; default quarters)")
     p_analyze.add_argument("--out")
-    p_analyze.add_argument("--config")
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_report = sub.add_parser("report", help="SVG charts and JSON reports from metrics")
     p_report.add_argument("--metrics", help="directory holding metrics_w*_t*.csv")
     p_report.add_argument("--events", help="events CSV (default: bundled timeline)")
-    p_report.add_argument("--metric", choices=("density", "clustering"))
+    p_report.add_argument("--metric", choices=("density", "clustering"),
+                          help=f"charted metric (default {DEFAULTS['report']['metric']})")
     p_report.add_argument("--out", help="output SVG path; _w<window> is appended per window")
-    p_report.add_argument("--config")
-    p_report.set_defaults(func=cmd_report)
+    for p in (p_stitch, p_analyze, p_report):
+        p.add_argument("--config")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up at call time, so a wrapper set on the module attribute runs.
+        texts, summary = globals()[f"cmd_{args.command}"](_settings(args))
+        _commit(texts)
     except CommandError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
@@ -373,6 +360,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

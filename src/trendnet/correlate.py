@@ -110,9 +110,10 @@ def emit_correlations_csv(frames: CorrelationFrame) -> str:
     rows, cols = np.triu_indices(len(quoted), 1)
     pairs = [f"{quoted[i]},{quoted[j]}" for i, j in zip(rows.tolist(), cols.tolist())]
     labels = np.datetime_as_string(frames.label_dates).tolist()
-    lines = ["label_date,keyword_a,keyword_b,dcor\n"]
+    # Joined per frame: only one frame's row strings are alive at a time.
+    chunks = ["label_date,keyword_a,keyword_b,dcor\n"]
     for label, matrix in zip(labels, frames.matrix):
-        lines.extend(
+        chunks.append("".join(
             f"{label},{pair},{v:.12g}\n" for pair, v in zip(pairs, matrix[rows, cols].tolist())
-        )
-    return "".join(lines)
+        ))
+    return "".join(chunks)

@@ -47,18 +47,26 @@ class JoinedEvent:
 def load_events(raw_csv: str) -> list[EventRecord]:
     """Parse `date,label,category` rows into a date-sorted event list.
 
-    Unknown categories and rows with fewer than three fields are errors.
-    Events outside the charted dates are kept; charts simply do not show
-    them.
+    Only the first non-blank row may be a header; a later row whose date
+    does not parse, an unknown category and a row with fewer than three
+    fields are errors. Events outside the charted dates are kept; charts
+    simply do not show them.
     """
     events = []
-    for row in csv.reader(io.StringIO(raw_csv)):
-        if not row or not row[0].strip():
+    rows = csv.reader(io.StringIO(raw_csv))
+    header_allowed = True
+    for row in rows:
+        if not any(field.strip() for field in row):
             continue
+        is_first, header_allowed = header_allowed, False
         try:
             when = date.fromisoformat(row[0].strip())
         except ValueError:
-            continue  # header or preamble
+            if is_first:
+                continue  # header
+            raise ValueOutOfRange(
+                f"line {rows.line_num}: event date {row[0].strip()!r} does not parse"
+            ) from None
         if len(row) < 3:
             raise ValueOutOfRange(f"event row needs date,label,category: {row!r}")
         label = row[1].strip()

@@ -1,10 +1,13 @@
+import errno
 import re
 import xml.etree.ElementTree as ET
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from trendnet import cli
 from trendnet.cli import main
 from trendnet.ingest import parse_stitched
 
@@ -400,3 +403,126 @@ def test_malformed_value_names_file_and_date(export_tree, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "1.csv" in err and "2020-03-17" in err
+
+
+def fail_third_write(monkeypatch):
+    """Make the third `Path.write_text` write half its text, then raise ENOSPC."""
+    real_write = Path.write_text
+    calls = []
+
+    def write_text(path, text, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == 3:
+            real_write(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+
+
+def test_analyze_write_failure_leaves_no_output(stitched_dir, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "analysis"
+    fail_third_write(monkeypatch)
+    code = main(["analyze", "--stitched", str(stitched_dir), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "No space left on device" in err and str(out) in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_stitch_write_failure_keeps_earlier_output(export_tree, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "stitched"
+    out.mkdir()
+    (out / "cough.csv").write_text("earlier run\n", "utf-8")
+    fail_third_write(monkeypatch)
+    assert run_stitch(export_tree, out) == 3
+    assert "flu.csv: No space left on device" in capsys.readouterr().err
+    # Neither a new file nor a part is left, and the earlier file is untouched.
+    assert [p.name for p in out.iterdir()] == ["cough.csv"]
+    assert (out / "cough.csv").read_text() == "earlier run\n"
+
+
+def test_cmd_analyze_returns_texts_and_writes_nothing(stitched_dir, tmp_path):
+    out = tmp_path / "analysis"
+    settings = {**cli.DEFAULTS["analyze"], "stitched": str(stitched_dir), "out": str(out),
+                "windows": "15", "thresholds": "0.5"}
+    texts, summary = cli.cmd_analyze(settings)
+    assert sorted(path.name for path in texts) == [
+        "correlations_w15.csv", "metrics_w15_t0.5.csv",
+        "persistence_pairs_w15.csv", "persistence_triads_w15.csv",
+    ]
+    assert all(path.parent == out for path in texts)
+    assert texts[out / "correlations_w15.csv"].startswith("label_date,keyword_a,keyword_b,dcor\n")
+    assert str(out) in summary
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli.DEFAULTS))
+def test_settings_table_lists_every_flag(command):
+    args = cli.build_parser().parse_args([command])
+    assert set(vars(args)) - {"command", "config"} == set(cli.DEFAULTS[command])
+    assert set(cli.REQUIRED[command]) <= set(cli.DEFAULTS[command])
+
+
+@pytest.mark.parametrize("command, first_key, message", [
+    ("stitch", "daily-dir", "stitch requires --daily-dir, --weekly-dir and --out"),
+    ("analyze", "stitched", "analyze requires --stitched and --out"),
+    ("report", "metrics", "report requires --metrics and --out"),
+])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_missing_required_settings_exit_2(tmp_path, capsys, command, first_key, message, source):
+    argv = [command]
+    if source == "config":
+        # The config sets one required key; the others are still missing.
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{first_key} = {tmp_path}\n", "utf-8")
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_config_bogus_metric_exits_2(stitched_dir, tmp_path, capsys):
+    analysis = tmp_path / "analysis"
+    assert main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
+                 "--thresholds", "0.5", "--out", str(analysis)]) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text(f"metrics = {analysis}\nmetric = bogus\n", "utf-8")
+    reports = tmp_path / "reports"
+    assert main(["report", "--config", str(config), "--out", str(reports / "r.svg")]) == 2
+    assert "metric must be density or clustering, got 'bogus'" in capsys.readouterr().err
+    assert not reports.exists()
+
+
+def test_config_metric_clustering_is_charted(stitched_dir, tmp_path):
+    analysis = tmp_path / "analysis"
+    assert main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
+                 "--thresholds", "0.5", "--out", str(analysis)]) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text(f"metrics = {analysis}\nmetric = clustering\n", "utf-8")
+    assert main(["report", "--config", str(config), "--out", str(tmp_path / "r.svg")]) == 0
+    assert "clustering coefficient" in (tmp_path / "r_w15.svg").read_text()
+
+
+def test_config_span_start_is_honoured_by_stitch(export_tree, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("span-start = 2020-04-01\n", "utf-8")
+    out = tmp_path / "stitched"
+    assert run_stitch(export_tree, out, extra=["--config", str(config)]) == 0
+    series = parse_stitched((out / "cough.csv").read_text(), "cough")
+    assert series.start_date == date(2020, 4, 1)
+    assert series.end_date == SPAN_END
+
+
+def test_report_mistyped_event_date_exits_2_naming_file(stitched_dir, tmp_path, capsys):
+    analysis = tmp_path / "analysis"
+    assert main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
+                 "--thresholds", "0.5", "--out", str(analysis)]) == 0
+    events = tmp_path / "events.csv"
+    events.write_text("2020-04-01,ok,Policy\n2020-13-01,typo month,Policy\n"
+                      "2020-04-31,typo day,Vaccine\n", "utf-8")
+    reports = tmp_path / "reports"
+    code = main(["report", "--metrics", str(analysis), "--events", str(events),
+                 "--out", str(reports / "r.svg")])
+    assert code == 2
+    assert f"{events}: line 2: event date '2020-13-01' does not parse" in capsys.readouterr().err
+    assert not reports.exists()

@@ -3,7 +3,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from trendnet.errors import TrendnetError, UnknownCategory
+from trendnet.errors import TrendnetError, UnknownCategory, ValueOutOfRange
 from trendnet.netstat import MetricPoint
 from trendnet.timeline import (
     CATEGORY_COLORS,
@@ -74,6 +74,18 @@ def test_load_events_unknown_category():
 def test_load_events_short_row():
     with pytest.raises(TrendnetError, match=re.escape("['2020-04-01', 'only-two']")):
         load_events("2020-04-01,only-two\n")
+
+
+def test_load_events_mistyped_date_after_first_row_raises():
+    text = (
+        "2020-04-01,ok,Policy\n"
+        "2020-13-01,typo month,Policy\n"
+        "2020-04-31,typo day,Vaccine\n"
+    )
+    with pytest.raises(ValueOutOfRange, match=re.escape("line 2: event date '2020-13-01'")):
+        load_events(text)
+    with pytest.raises(ValueOutOfRange, match=re.escape("line 4: event date '2020-04-31'")):
+        load_events("date,label,category\n\n2020-04-01,ok,Policy\n2020-04-31,typo,Vaccine\n")
 
 
 def test_load_events_empty_text_gives_empty_timeline():
