@@ -11,7 +11,7 @@ from .ingest import (
 )
 from .netstat import (
     GraphFrame,
-    MetricPoint,
+    MetricTable,
     clustering_avg_local,
     clustering_global,
     frame_metrics,
@@ -33,7 +33,7 @@ __all__ = [
     "EventRecord",
     "GraphFrame",
     "KeywordRegistry",
-    "MetricPoint",
+    "MetricTable",
     "WeeklySeries",
     "assemble_daily",
     "clustering_avg_local",

@@ -4,7 +4,9 @@
 with the `REQUIRED` flags checked), calls `cmd_<command>`, which computes
 every output text and writes nothing, and hands the texts to `_commit`. That
 writes each text to a hidden `.<name>.part` beside its target and, once all
-are written, moves them into place, so a failed command leaves no output.
+are written, moves them into place, keeping each replaced file as
+`.<name>.prev` until the last move; a failed command leaves no output and
+puts back any file it had replaced.
 
 Exit codes: 0 success, 2 input validation or bad parameters, 3 I/O
 problems, 4 insufficient data for the requested window. Validation messages
@@ -72,19 +74,35 @@ def _settings(args: argparse.Namespace) -> dict:
 
 
 def _commit(texts: dict[Path, str]) -> None:
-    """Write each text to `.<name>.part` beside its target, then move all into place."""
-    parts = {}
+    """Write each text to `.<name>.part` beside its target, then move all into place.
+
+    Each target replaced so far is kept as `.<name>.prev` until every part is
+    in place; if a move fails, the earlier files are put back.
+    """
+    parts, prevs, placed = {}, {}, []
     try:
         for path, text in texts.items():
             parts[path] = path.with_name(f".{path.name}.part")
             path.parent.mkdir(parents=True, exist_ok=True)
             parts[path].write_text(text, "utf-8")
         for path, part in parts.items():
+            if path.is_symlink() or path.exists() and not path.is_dir():
+                prev = path.with_name(f".{path.name}.prev")
+                os.replace(path, prev)
+                prevs[path] = prev
             os.replace(part, path)
+            placed.append(path)
     except OSError as err:
+        for new in placed:
+            if new not in prevs:
+                new.unlink()
+        for target, prev in prevs.items():
+            os.replace(prev, target)
         for part in parts.values():
             part.unlink(missing_ok=True)
         raise CommandError(3, f"{path}: {err.strerror or err}") from err
+    for prev in prevs.values():
+        prev.unlink()
 
 
 def _load_registry(path_value) -> KeywordRegistry:
@@ -274,14 +292,14 @@ def cmd_report(settings: dict) -> tuple[dict[Path, str], str]:
     if not metric_files:
         raise CommandError(3, f"{metrics_root}: no metrics_w*_t*.csv files")
 
-    by_window: dict[int, list[netstat.MetricPoint]] = {}
+    tables = []
     for path in metric_files:
         try:
-            points = netstat.parse_metrics_csv(_read_text(path))
+            tables.append(netstat.parse_metrics_csv(_read_text(path)))
         except TrendnetError as err:
             raise CommandError(2, f"{path}: {err}") from err
-        for point in points:
-            by_window.setdefault(point.window_days, []).append(point)
+    table = netstat.MetricTable.concat(tables)
+    windows = sorted(set(table.window_days))
 
     events_value = settings["events"]
     if events_value is None:
@@ -295,8 +313,8 @@ def cmd_report(settings: dict) -> tuple[dict[Path, str], str]:
     out_path = Path(settings["out"])
     stem = out_path.stem if out_path.suffix else out_path.name
     texts = {}
-    for window in sorted(by_window):
-        points = by_window[window]
+    for window in windows:
+        points = table.take([i for i, w in enumerate(table.window_days) if w == window])
         name = f"{stem}_w{window}"
         try:
             texts[out_path.with_name(f"{name}.svg")] = render.render_metric_chart(
@@ -304,7 +322,7 @@ def cmd_report(settings: dict) -> tuple[dict[Path, str], str]:
         except TrendnetError as err:
             raise CommandError(2, str(err)) from err
         texts[out_path.with_name(f"{name}.json")] = render.metrics_report_json(points, events)
-    return texts, f"reported windows {sorted(by_window)} -> {out_path.parent or Path('.')}"
+    return texts, f"reported windows {windows} -> {out_path.parent or Path('.')}"
 
 
 def build_parser() -> argparse.ArgumentParser:

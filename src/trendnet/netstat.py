@@ -25,6 +25,14 @@ an edge (`pair_persistence`) or each keyword triple a triangle
 C(K, 2) or C(K, 3) sets, and the (P,) int64 counts. Rows run by
 descending count; equal counts are ordered by the member keyword strings,
 first member first, not by their indices.
+
+`frame_metrics` returns a MetricTable: the tuple of the metrics CSV's
+columns (label_date, window_days, threshold, edge_count, density,
+clustering_global, clustering_avg_local), one list per column and one row
+per frame, holding plain dates, ints and floats. `analyze` writes it with
+`emit_metrics_csv` and `report` reads it back with `parse_metrics_csv`;
+both convert a whole column at a time, and only a failed column is searched
+row by row for the line to name. Non-finite floats are rejected on reading.
 """
 
 from __future__ import annotations
@@ -32,10 +40,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import chain, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,15 +79,31 @@ class GraphFrame:
         return kernels.triangle_counts(self.adjacency), degrees * (degrees - 1) // 2
 
 
-@dataclass(frozen=True)
-class MetricPoint:
-    label_date: date
-    window_days: int
-    threshold: float
-    edge_count: int
-    density: float
-    clustering_global: float
-    clustering_avg_local: float
+class MetricTable(NamedTuple):
+    """Per-frame metrics: the tuple of the metrics CSV's columns, one list each."""
+
+    label_date: list[date]
+    window_days: list[int]
+    threshold: list[float]
+    edge_count: list[int]
+    density: list[float]
+    clustering_global: list[float]
+    clustering_avg_local: list[float]
+
+    def order(self, *names: str) -> list[int]:
+        """Row indices sorted by the named columns, first name first; stable."""
+        keys = list(zip(*(getattr(self, name) for name in names)))
+        return sorted(range(len(keys)), key=keys.__getitem__)
+
+    def take(self, rows: list[int]) -> MetricTable:
+        return MetricTable(*([column[i] for i in rows] for column in self))
+
+    @staticmethod
+    def concat(tables: list[MetricTable]) -> MetricTable:
+        return MetricTable(*map(list, map(chain.from_iterable, zip(*tables))))
+
+
+METRIC_COLUMNS = MetricTable._fields
 
 
 def threshold_adjacency(frames: CorrelationFrame, theta: float) -> GraphFrame:
@@ -131,18 +156,12 @@ def clustering_avg_local(g: GraphFrame) -> list[float]:
     return out
 
 
-def frame_metrics(g: GraphFrame) -> list[MetricPoint]:
-    """One MetricPoint per frame of the stack."""
-    return [
-        MetricPoint(label, g.window_days, g.threshold, *row)
-        for label, *row in zip(
-            g.label_dates.tolist(),
-            _edge_counts(g).tolist(),
-            network_density(g),
-            clustering_global(g),
-            clustering_avg_local(g),
-        )
-    ]
+def frame_metrics(g: GraphFrame) -> MetricTable:
+    """The metrics of every frame of the stack, one table row per frame."""
+    frames = len(g.label_dates)
+    return MetricTable(g.label_dates.tolist(), [g.window_days] * frames, [g.threshold] * frames,
+                       _edge_counts(g).tolist(), network_density(g), clustering_global(g),
+                       clustering_avg_local(g))
 
 
 def _in_period(g: GraphFrame, period: tuple[date, date]) -> np.ndarray:
@@ -185,55 +204,61 @@ def triad_persistence(g: GraphFrame, period: tuple[date, date]) -> tuple[np.ndar
     return _persistence(g, period, 3)
 
 
-def emit_metrics_csv(metrics: list[MetricPoint]) -> str:
-    """One row per point, columns named after the MetricPoint fields."""
-    header = ",".join(f.name for f in fields(MetricPoint))
-    return f"{header}\n" + "".join(
-        f"{m.label_date.isoformat()},{m.window_days},{m.threshold:g},{m.edge_count},"
-        f"{float(m.density)!r},{float(m.clustering_global)!r},{float(m.clustering_avg_local)!r}\n"
-        for m in metrics
+def emit_metrics_csv(table: MetricTable) -> str:
+    """One row per frame, under a header naming the columns."""
+    return f"{','.join(METRIC_COLUMNS)}\n" + "".join(
+        map("{},{},{:g},{},{!r},{!r},{!r}\n".format, *table)
     )
 
 
-# How each MetricPoint field is read back, in field order.
+# How each column is read back, in column order.
 _METRIC_PARSERS = (date.fromisoformat, int, float, int, float, float, float)
 
 
-def parse_metrics_csv(text: str) -> list[MetricPoint]:
-    """The points of a metrics CSV as `emit_metrics_csv` writes it.
+def parse_metrics_csv(text: str) -> MetricTable:
+    """The table of a metrics CSV as `emit_metrics_csv` writes it.
 
-    The header must name the MetricPoint fields in order. A row with another
-    field count or a field that does not parse raises ValueOutOfRange naming
-    its line; a file with no data rows raises EmptySeries. Blank lines are
-    skipped.
+    The header must name the columns in order. A row with another field
+    count, or a field that does not parse or is a non-finite float, raises
+    ValueOutOfRange naming its line; a file with no data rows raises
+    EmptySeries. Blank lines are skipped.
     """
-    names = [f.name for f in fields(MetricPoint)]
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
         raise EmptySeries("no header and no data rows")
-    if header != names:
-        raise ValueOutOfRange(f"line 1: header is not {','.join(names)}")
-    points = []
+    if header != list(METRIC_COLUMNS):
+        raise ValueOutOfRange(f"line 1: header is not {','.join(METRIC_COLUMNS)}")
+    rows = [row for row in reader if row]
+    if not rows:
+        raise EmptySeries("no data rows")
+    # One pass per column; the strict zips reject a row of another field count.
+    try:
+        columns = [list(map(parse, column)) for parse, column in zip(
+            _METRIC_PARSERS, zip(*rows, strict=True), strict=True)]
+        floats = (column for parse, column in zip(_METRIC_PARSERS, columns) if parse is float)
+        if all(all(map(math.isfinite, column)) for column in floats):
+            return MetricTable(*columns)
+    except ValueError:
+        pass
+    # A check failed: report the first bad row in file order, by its line.
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
     for row in reader:
-        if not row:
-            continue
-        if len(row) != len(names):
+        if row and len(row) != len(METRIC_COLUMNS):
             raise ValueOutOfRange(
-                f"line {reader.line_num}: {len(row)} fields, expected {len(names)}"
+                f"line {reader.line_num}: {len(row)} fields, expected {len(METRIC_COLUMNS)}"
             )
-        values = []
-        for name, parse, token in zip(names, _METRIC_PARSERS, row):
+        for name, parse, token in zip(METRIC_COLUMNS, _METRIC_PARSERS, row):
             try:
-                values.append(parse(token))
+                value = parse(token)
             except ValueError:
                 raise ValueOutOfRange(
                     f"line {reader.line_num}: {name} {token!r} does not parse"
                 ) from None
-        points.append(MetricPoint(*values))
-    if not points:
-        raise EmptySeries("no data rows")
-    return points
+            if parse is float and not math.isfinite(value):
+                raise ValueOutOfRange(f"line {reader.line_num}: {name} {token!r} is not finite")
+    raise AssertionError("the row-wise search repeats the column-wise checks")
 
 
 def emit_persistence_csv(keywords: tuple[str, ...], groups: list[tuple]) -> str:

@@ -5,6 +5,14 @@ one polyline per threshold (fixed palette, ascending threshold order),
 dashed vertical markers at event dates colored by category, month ticks on
 the x axis and a [0, 1] y axis. Identical inputs yield byte-identical
 output, so rendered files can serve as goldens.
+
+Both outputs read a MetricTable by column, through row indices sorted once.
+The JSON report is byte for byte `json.dumps(body, indent=2)`, but its
+metric rows are formatted here with one format string: with `indent` set,
+json uses its pure-Python encoder, which cost most of `report`'s time.
+Ints format by `str` and floats by `repr`, as json writes them; the parser
+rejects NaN and infinities, which json would write as bare `NaN`/`Infinity`.
+The few event rows still go through json, which escapes their labels.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import json
 from datetime import date
 
 from .errors import EmptySeries, TooManySeries
-from .netstat import MetricPoint
+from .netstat import MetricTable
 from .timeline import EventRecord, JoinedEvent, join_events
 
 WIDTH = 1200
@@ -45,50 +53,42 @@ def _fmt(x: float) -> str:
 
 
 def _month_ticks(first: date, last: date) -> list[date]:
-    tick = date(first.year, first.month, 1)
-    if tick < first:
-        tick = date(tick.year + 1, 1, 1) if tick.month == 12 else date(tick.year, tick.month + 1, 1)
-    ticks = []
-    while tick <= last:
-        ticks.append(tick)
-        tick = date(tick.year + 1, 1, 1) if tick.month == 12 else date(tick.year, tick.month + 1, 1)
-    return ticks
+    """The first day of every month in [first, last]."""
+    months = range(first.year * 12 + first.month - (first.day == 1), last.year * 12 + last.month)
+    return [date(m // 12, m % 12 + 1, 1) for m in months]
 
 
 def render_metric_chart(
-    metrics: list[MetricPoint],
+    metrics: MetricTable,
     events: list[EventRecord],
     metric: str = "density",
 ) -> str:
     """SVG chart of one metric, one line per threshold, event markers dashed.
 
-    All metric points must share a window size; `metric` selects density or
+    All table rows must share a window size; `metric` selects density or
     the global clustering coefficient.
     """
     if metric not in METRIC_FIELDS:
         raise ValueError(f"metric must be one of {sorted(METRIC_FIELDS)}")
-    if not metrics:
+    if not metrics.label_date:
         raise EmptySeries("no metric points to render")
-    windows = {m.window_days for m in metrics}
+    windows = set(metrics.window_days)
     if len(windows) > 1:
         raise ValueError(f"metric points mix window sizes: {sorted(windows)}")
     window_days = windows.pop()
     field, axis_label = METRIC_FIELDS[metric]
+    dates, values = metrics.label_date, getattr(metrics, field)
 
-    by_threshold: dict[float, list[MetricPoint]] = {}
-    for point in metrics:
-        by_threshold.setdefault(point.threshold, []).append(point)
-    thresholds = sorted(by_threshold)
+    by_threshold: dict[float, list[int]] = {}  # ascending, rows in label-date order
+    for i in metrics.order("threshold", "label_date"):
+        by_threshold.setdefault(metrics.threshold[i], []).append(i)
+    thresholds = list(by_threshold)
     if len(thresholds) > len(SERIES_PALETTE):
         raise TooManySeries(
             f"{len(thresholds)} thresholds in one chart, at most {len(SERIES_PALETTE)} "
             "have distinct colours"
         )
-    for threshold in thresholds:
-        by_threshold[threshold].sort(key=lambda m: m.label_date)
-
-    first = min(m.label_date for m in metrics)
-    last = max(m.label_date for m in metrics)
+    first, last = min(dates), max(dates)
     span_days = max((last - first).days, 1)
 
     def x_at(when: date) -> float:
@@ -155,8 +155,7 @@ def render_metric_chart(
     # one polyline per threshold
     for threshold, color in zip(thresholds, SERIES_PALETTE):
         coords = " ".join(
-            f"{_fmt(x_at(m.label_date))},{_fmt(y_at(getattr(m, field)))}"
-            for m in by_threshold[threshold]
+            f"{_fmt(x_at(dates[i]))},{_fmt(y_at(values[i]))}" for i in by_threshold[threshold]
         )
         parts.append(
             f'<polyline class="series" fill="none" stroke="{color}" '
@@ -183,40 +182,37 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def metrics_report_json(
-    metrics: list[MetricPoint], events: list[EventRecord] | None = None
-) -> str:
+# A metric row as `json.dumps(body, indent=2)` writes it: ints by str, floats by repr.
+_METRIC_ROW = (
+    '    {{\n      "label_date": "{}",\n      "window_days": {},\n      "threshold": {!r},\n'
+    '      "edge_count": {},\n      "density": {!r},\n      "clustering_global": {!r},\n'
+    '      "clustering_avg_local": {!r}\n    }}'
+)
+
+
+def metrics_report_json(metrics: MetricTable, events: list[EventRecord] | None = None) -> str:
     """JSON report: metric rows mirroring the metrics CSV schema, plus the
-    event join when events are given."""
-    body: dict = {
-        "metrics": [
-            {
-                "label_date": m.label_date.isoformat(),
-                "window_days": m.window_days,
-                "threshold": m.threshold,
-                "edge_count": m.edge_count,
-                "density": m.density,
-                "clustering_global": m.clustering_global,
-                "clustering_avg_local": m.clustering_avg_local,
-            }
-            for m in sorted(metrics, key=lambda m: (m.threshold, m.label_date))
-        ]
-    }
+    event join when events are given; `json.dumps(body, indent=2)` byte for byte."""
+    ordered = metrics.take(metrics.order("threshold", "label_date"))
+    rows = ",\n".join(map(_METRIC_ROW.format, *ordered))
+    text = '{\n  "metrics": ' + (f"[\n{rows}\n  ]" if rows else "[]")
     if events is not None:
-        body["events"] = [_joined_row(j) for j in join_events(metrics, events)]
-    return json.dumps(body, indent=2) + "\n"
+        joined = [_joined_row(metrics, j) for j in join_events(metrics, events)]
+        # json escapes newlines inside strings, so indenting each line nests the array.
+        text += ',\n  "events": ' + json.dumps(joined, indent=2).replace("\n", "\n  ")
+    return text + "\n}\n"
 
 
-def _joined_row(joined: JoinedEvent) -> dict:
+def _joined_row(metrics: MetricTable, joined: JoinedEvent) -> dict:
     row = {
         "date": joined.event.date.isoformat(),
         "label": joined.event.label,
         "category": joined.event.category,
         "match": joined.match,
     }
-    if joined.point is not None:
-        row["label_date"] = joined.point.label_date.isoformat()
-        row["threshold"] = joined.point.threshold
-        row["density"] = joined.point.density
-        row["clustering_global"] = joined.point.clustering_global
+    if (i := joined.point) is not None:
+        row["label_date"] = metrics.label_date[i].isoformat()
+        row["threshold"] = metrics.threshold[i]
+        row["density"] = metrics.density[i]
+        row["clustering_global"] = metrics.clustering_global[i]
     return row

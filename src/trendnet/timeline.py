@@ -10,7 +10,7 @@ from datetime import date
 from importlib import resources
 
 from .errors import UnknownCategory, ValueOutOfRange
-from .netstat import MetricPoint
+from .netstat import MetricTable
 
 # Chart color per category; variant detections render black like milestones.
 CATEGORY_COLORS = {
@@ -22,6 +22,7 @@ CATEGORY_COLORS = {
 }
 
 BUNDLED_EVENTS = "ph_covid_2020_2021.csv"
+EVENT_COLUMNS = ["date", "label", "category"]
 
 
 @dataclass(frozen=True)
@@ -37,20 +38,20 @@ class EventRecord:
 
 @dataclass(frozen=True)
 class JoinedEvent:
-    """An event paired with the metric point at (or after) its date."""
+    """An event paired with the metric table row at (or after) its date."""
 
     event: EventRecord
-    point: MetricPoint | None
+    point: int | None  # row index into the joined table
     match: str  # exact | following | unmatched
 
 
 def load_events(raw_csv: str) -> list[EventRecord]:
     """Parse `date,label,category` rows into a date-sorted event list.
 
-    Only the first non-blank row may be a header; a later row whose date
-    does not parse, an unknown category and a row with fewer than three
-    fields are errors. Events outside the charted dates are kept; charts
-    simply do not show them.
+    The first non-blank row is a header when its stripped fields are
+    `date,label,category`. Any other row whose date does not parse, an
+    unknown category and a row with fewer than three fields are errors.
+    Events outside the charted dates are kept; charts simply do not show them.
     """
     events = []
     rows = csv.reader(io.StringIO(raw_csv))
@@ -58,12 +59,13 @@ def load_events(raw_csv: str) -> list[EventRecord]:
     for row in rows:
         if not any(field.strip() for field in row):
             continue
-        is_first, header_allowed = header_allowed, False
+        is_header = header_allowed and [field.strip() for field in row] == EVENT_COLUMNS
+        header_allowed = False
+        if is_header:
+            continue
         try:
             when = date.fromisoformat(row[0].strip())
         except ValueError:
-            if is_first:
-                continue  # header
             raise ValueOutOfRange(
                 f"line {rows.line_num}: event date {row[0].strip()!r} does not parse"
             ) from None
@@ -86,22 +88,21 @@ def load_bundled_events() -> list[EventRecord]:
     return load_events(text)
 
 
-def join_events(metrics: list[MetricPoint], events: list[EventRecord]) -> list[JoinedEvent]:
-    """Pair each event with the metric point at its date.
+def join_events(metrics: MetricTable, events: list[EventRecord]) -> list[JoinedEvent]:
+    """Pair each event with the metric table row at its date.
 
     Events before the first label date or between labels join the nearest
     following label date and are flagged; events after the last label date
     stay unmatched. Every event appears exactly once, in date order.
     """
-    ordered = sorted(metrics, key=lambda m: (m.label_date, m.threshold))
-    dates = [m.label_date for m in ordered]
+    ordered = metrics.order("label_date", "threshold")
+    dates = [metrics.label_date[i] for i in ordered]
     joined = []
     for event in sorted(events, key=lambda e: e.date):
         idx = bisect_left(dates, event.date)
         if idx == len(dates):
-            joined.append(JoinedEvent(event=event, point=None, match="unmatched"))
-        elif dates[idx] == event.date:
-            joined.append(JoinedEvent(event=event, point=ordered[idx], match="exact"))
+            joined.append(JoinedEvent(event, None, "unmatched"))
         else:
-            joined.append(JoinedEvent(event=event, point=ordered[idx], match="following"))
+            match = "exact" if dates[idx] == event.date else "following"
+            joined.append(JoinedEvent(event, ordered[idx], match))
     return joined

@@ -290,7 +290,11 @@ def set_field(row, index, value):
      "line 2: edge_count 'xx' does not parse"),
     (lambda rows: [rows[0], rows[1], rows[2].rsplit(",", 1)[0]], "line 3: 6 fields, expected 7"),
     (lambda rows: rows[:1], "no data rows"),
-], ids=["unparseable", "truncated", "header-only"])
+    (lambda rows: [rows[0], rows[1], set_field(rows[2], 4, "nan")],
+     "line 3: density 'nan' is not finite"),
+    (lambda rows: [rows[0], set_field(rows[1], 5, "-inf")],
+     "line 2: clustering_global '-inf' is not finite"),
+], ids=["unparseable", "truncated", "header-only", "nan", "inf"])
 def test_report_malformed_metrics_exits_2_naming_file(stitched_dir, tmp_path, capsys,
                                                       edit, message):
     analysis = tmp_path / "analysis"
@@ -440,6 +444,23 @@ def test_stitch_write_failure_keeps_earlier_output(export_tree, tmp_path, capsys
     # Neither a new file nor a part is left, and the earlier file is untouched.
     assert [p.name for p in out.iterdir()] == ["cough.csv"]
     assert (out / "cough.csv").read_text() == "earlier run\n"
+
+
+def test_analyze_failed_move_restores_earlier_run(stitched_dir, tmp_path, capsys):
+    out = tmp_path / "analysis"
+    registry = tmp_path / "two.csv"
+    registry.write_text("keyword,category\ncough,SymptomsEnglish\nfever,SymptomsEnglish\n")
+    assert main(["analyze", "--stitched", str(stitched_dir), "--registry", str(registry),
+                 "--windows", "15", "--thresholds", "0.5", "--out", str(out)]) == 0
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    # The second run's correlations file moves into place before this target fails.
+    (out / "metrics_w15_t0.4.csv").mkdir()
+    code = main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
+                 "--thresholds", "0.4,0.5", "--out", str(out)])
+    assert code == 3
+    assert "metrics_w15_t0.4.csv" in capsys.readouterr().err
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert files == earlier  # first run's bytes, no .part or .prev left
 
 
 def test_cmd_analyze_returns_texts_and_writes_nothing(stitched_dir, tmp_path):

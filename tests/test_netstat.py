@@ -4,12 +4,15 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from trendnet import kernels
 from trendnet.correlate import CorrelationFrame, emit_correlations_csv
 from trendnet.errors import EmptyPeriod, EmptySeries, ThetaOutOfRange, ValueOutOfRange
 from trendnet.netstat import (
+    METRIC_COLUMNS,
     GraphFrame,
+    MetricTable,
     clustering_avg_local,
     clustering_global,
     emit_metrics_csv,
@@ -151,19 +154,19 @@ def test_stack_metrics_match_enumeration_oracle_exactly():
         assert network_density(g) == [float(o["density"]) for o in oracles]
         assert clustering_global(g) == [float(o["clustering_global"]) for o in oracles]
         assert clustering_avg_local(g) == [float(o["clustering_avg_local"]) for o in oracles]
-        assert [m.edge_count for m in frame_metrics(g)] == [o["edges"] for o in oracles]
+        assert frame_metrics(g).edge_count == [o["edges"] for o in oracles]
         assert kernels.triangle_counts(g.adjacency).tolist() == [o["lambda"] for o in oracles]
 
 
 def test_frame_metrics_fields():
     g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
-    [m] = frame_metrics(g)
-    assert m.edge_count == 3
-    assert m.density == 0.5
-    assert m.clustering_global == 1.0
-    assert m.label_date == D and m.window_days == 15 and m.threshold == 0.5
-    assert all(type(v) is float for v in (m.density, m.clustering_global, m.clustering_avg_local))
-    assert type(m.label_date) is date and type(m.edge_count) is int
+    m = frame_metrics(g)
+    assert m.edge_count == [3]
+    assert m.density == [0.5]
+    assert m.clustering_global == [1.0]
+    assert m.label_date == [D] and m.window_days == [15] and m.threshold == [0.5]
+    assert all(type(v) is float for v in m.density + m.clustering_global + m.clustering_avg_local)
+    assert type(m.label_date[0]) is date and type(m.edge_count[0]) is int
 
 
 def test_triangles_counted_once_per_stack(monkeypatch):
@@ -332,6 +335,58 @@ def test_parse_metrics_csv_rejects_other_header():
 METRICS_HEADER = (
     "label_date,window_days,threshold,edge_count,density,clustering_global,clustering_avg_local\n"
 )
+
+
+@pytest.mark.parametrize("column", [2, 4, 5, 6])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_parse_metrics_csv_rejects_non_finite_floats(column, token):
+    lines = metrics_text().split("\n")
+    fields_ = lines[3].split(",")
+    fields_[column] = token
+    lines[3] = ",".join(fields_)
+    name = METRIC_COLUMNS[column]
+    with pytest.raises(ValueOutOfRange, match=f"line 4: {name} '{token}' is not finite"):
+        parse_metrics_csv("\n".join(lines))
+
+
+def test_parse_metrics_csv_names_first_bad_row_in_file_order():
+    lines = [line.split(",") for line in metrics_text(4).split("\n")]
+    lines[2][4] = "nan"  # density, line 3
+    del lines[3][5:]  # too few fields, line 4
+    lines[4][0] = "2020-02-30"  # label_date, line 5
+    with pytest.raises(ValueOutOfRange, match="line 3: density 'nan' is not finite"):
+        parse_metrics_csv("\n".join(map(",".join, lines)))
+    lines[2][4] = "0.5"
+    with pytest.raises(ValueOutOfRange, match="line 4: 5 fields, expected 7"):
+        parse_metrics_csv("\n".join(map(",".join, lines)))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def metric_tables(draw):
+    n = draw(st.integers(1, 12))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    return MetricTable(
+        label_date=column(st.dates()),
+        window_days=column(st.integers(-(10**6), 10**6)),
+        # The CSV writes thresholds with `:g`, so draw values that survive it.
+        threshold=[float(f"{t:g}") for t in column(finite)],
+        edge_count=column(st.integers(0, 10**12)),
+        density=column(finite),
+        clustering_global=column(finite),
+        clustering_avg_local=column(finite),
+    )
+
+
+@given(table=metric_tables())
+def test_metrics_csv_round_trip_property(table):
+    parsed = parse_metrics_csv(emit_metrics_csv(table))
+    assert [list(map(repr, c)) for c in parsed] == [list(map(repr, c)) for c in table]
 
 
 @pytest.mark.parametrize("text", ["", METRICS_HEADER], ids=["empty", "header-only"])

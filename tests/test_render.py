@@ -5,9 +5,9 @@ from datetime import date, timedelta
 import pytest
 
 from trendnet.errors import EmptySeries, TooManySeries
-from trendnet.netstat import MetricPoint
+from trendnet.netstat import METRIC_COLUMNS, MetricTable
 from trendnet.render import SERIES_PALETTE, metrics_report_json, render_metric_chart
-from trendnet.timeline import load_bundled_events, load_events
+from trendnet.timeline import join_events, load_bundled_events, load_events
 
 D = date(2020, 3, 31)
 DAY = timedelta(days=1)
@@ -15,18 +15,15 @@ SVG = "{http://www.w3.org/2000/svg}"
 
 
 def series(threshold, values, start=D, window=15):
-    return [
-        MetricPoint(
-            label_date=start + i * DAY,
-            window_days=window,
-            threshold=threshold,
-            edge_count=int(v * 105),
-            density=v,
-            clustering_global=v / 2,
-            clustering_avg_local=v / 2,
-        )
-        for i, v in enumerate(values)
-    ]
+    return MetricTable(
+        label_date=[start + i * DAY for i in range(len(values))],
+        window_days=[window] * len(values),
+        threshold=[threshold] * len(values),
+        edge_count=[int(v * 105) for v in values],
+        density=list(values),
+        clustering_global=[v / 2 for v in values],
+        clustering_avg_local=[v / 2 for v in values],
+    )
 
 
 def render_tree(metrics, events, metric="density"):
@@ -40,9 +37,9 @@ def collect(root, tag, cls):
 
 def test_chart_structure_counts():
     # full 15-day label span, which contains every bundled event date
-    metrics = []
-    for idx, theta in enumerate((0.4, 0.5, 0.6, 0.8)):
-        metrics += series(theta, [0.1 * (idx + 1)] * 351)
+    metrics = MetricTable.concat(
+        [series(theta, [0.1 * (idx + 1)] * 351) for idx, theta in enumerate((0.4, 0.5, 0.6, 0.8))]
+    )
     events = load_bundled_events()
     text, root = render_tree(metrics, events)
     polylines = collect(root, "polyline", "series")
@@ -109,11 +106,11 @@ def test_clustering_variant_selects_global_field():
 
 def test_empty_series_rejected():
     with pytest.raises(EmptySeries):
-        render_metric_chart([], [], metric="density")
+        render_metric_chart(series(0.5, []), [], metric="density")
 
 
 def test_mixed_windows_rejected():
-    metrics = series(0.5, [0.2]) + series(0.5, [0.2], window=30)
+    metrics = MetricTable.concat([series(0.5, [0.2]), series(0.5, [0.2], window=30)])
     with pytest.raises(ValueError, match="window"):
         render_metric_chart(metrics, [])
 
@@ -145,7 +142,7 @@ def test_json_report_mirrors_metrics_schema():
 
 def test_five_thresholds_get_distinct_strokes():
     thetas = (0.3, 0.4, 0.5, 0.6, 0.8)
-    metrics = [p for theta in thetas for p in series(theta, [theta] * 5)]
+    metrics = MetricTable.concat([series(theta, [theta] * 5) for theta in thetas])
     _, root = render_tree(metrics, [])
     series_strokes = [el.get("stroke") for el in collect(root, "polyline", "series")]
     legend_strokes = [el.get("stroke") for el in collect(root, "line", "legend")]
@@ -155,6 +152,55 @@ def test_five_thresholds_get_distinct_strokes():
 
 def test_more_thresholds_than_colours_rejected():
     thetas = [round(0.05 * (i + 1), 2) for i in range(len(SERIES_PALETTE) + 1)]
-    metrics = [p for theta in thetas for p in series(theta, [theta] * 5)]
+    metrics = MetricTable.concat([series(theta, [theta] * 5) for theta in thetas])
     with pytest.raises(TooManySeries, match="11 thresholds"):
         render_metric_chart(metrics, [])
+
+
+def reference_json(metrics, events):
+    """The report as json.dumps writes it from row dicts."""
+    def cell(name, i):
+        value = getattr(metrics, name)[i]
+        return value.isoformat() if name == "label_date" else value
+
+    rows = range(len(metrics.label_date))
+    order = sorted(rows, key=lambda i: (metrics.threshold[i], metrics.label_date[i]))
+    body = {"metrics": [{name: cell(name, i) for name in METRIC_COLUMNS} for i in order]}
+    if events is not None:
+        body["events"] = []
+        for joined in join_events(metrics, events):
+            row = {"date": joined.event.date.isoformat(), "label": joined.event.label,
+                   "category": joined.event.category, "match": joined.match}
+            if joined.point is not None:
+                row.update({name: cell(name, joined.point) for name in
+                            ("label_date", "threshold", "density", "clustering_global")})
+            body["events"].append(row)
+    return json.dumps(body, indent=2) + "\n"
+
+
+AWKWARD_EVENTS = (
+    '2020-03-20,"quoted ""ECQ"" start",Quarantine\n'  # before the first label: following
+    "2020-04-01,back\\slash,Policy\n"  # exact
+    "2020-04-02,Bakuna para sa lahat — ñ é 疫苗,Vaccine\n"  # exact, non-ASCII
+    "2021-06-01,after the last label,Milestone\n"  # unmatched
+)
+
+
+@pytest.mark.parametrize("events", [None, "", AWKWARD_EVENTS, "bundled"],
+                         ids=["none", "empty", "awkward", "bundled"])
+def test_json_report_is_json_dumps_byte_for_byte(events):
+    values = [0.0, 1 / 3, 1e-7, 0.1 + 0.2, 1.0, 5e-324, 0.25]
+    metrics = MetricTable.concat([
+        series(0.8, values), series(0.4, values[::-1]), series(0.55, values[:3], start=D + 2 * DAY)
+    ])
+    if events == "bundled":
+        events = load_bundled_events()
+    elif events is not None:
+        events = load_events(events)
+    assert metrics_report_json(metrics, events) == reference_json(metrics, events)
+
+
+def test_json_report_of_empty_and_one_row_tables():
+    for metrics in (series(0.5, []), series(0.5, [0.125])):
+        for events in (None, [], load_events("2020-03-31,x,Policy\n")):
+            assert metrics_report_json(metrics, events) == reference_json(metrics, events)

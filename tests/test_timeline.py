@@ -4,7 +4,7 @@ from datetime import date, timedelta
 import pytest
 
 from trendnet.errors import TrendnetError, UnknownCategory, ValueOutOfRange
-from trendnet.netstat import MetricPoint
+from trendnet.netstat import MetricTable
 from trendnet.timeline import (
     CATEGORY_COLORS,
     join_events,
@@ -16,15 +16,16 @@ D = date(2020, 3, 31)
 DAY = timedelta(days=1)
 
 
-def metric_at(when, threshold=0.5):
-    return MetricPoint(
-        label_date=when,
-        window_days=15,
-        threshold=threshold,
-        edge_count=3,
-        density=0.2,
-        clustering_global=0.1,
-        clustering_avg_local=0.1,
+def metrics_at(dates, threshold=0.5):
+    n = len(dates)
+    return MetricTable(
+        label_date=list(dates),
+        window_days=[15] * n,
+        threshold=[threshold] * n,
+        edge_count=[3] * n,
+        density=[0.2] * n,
+        clustering_global=[0.1] * n,
+        clustering_avg_local=[0.1] * n,
     )
 
 
@@ -88,34 +89,52 @@ def test_load_events_mistyped_date_after_first_row_raises():
         load_events("date,label,category\n\n2020-04-01,ok,Policy\n2020-04-31,typo,Vaccine\n")
 
 
+def test_load_events_first_row_is_header_only_by_its_names():
+    with pytest.raises(ValueOutOfRange, match=re.escape("line 1: event date '2020-13-01'")):
+        load_events("2020-13-01,typo month,Policy\n2020-04-01,ok,Policy\n")
+    with pytest.raises(ValueOutOfRange, match=re.escape("line 2: event date 'when'")):
+        load_events("\nwhen,what,kind\n2020-04-01,ok,Policy\n")
+    events = load_events(" date , label ,category\n2020-04-01,ok,Policy\n")
+    assert [(e.date, e.label) for e in events] == [(date(2020, 4, 1), "ok")]
+
+
 def test_load_events_empty_text_gives_empty_timeline():
     assert load_events("") == []
     assert load_events("date,label,category\n") == []
 
 
 def test_join_exact_match():
-    metrics = [metric_at(D + i * DAY) for i in range(10)]
+    metrics = metrics_at([D + i * DAY for i in range(10)])
     joined = join_events(metrics, load_events(f"{(D + 3 * DAY).isoformat()},x,Policy\n"))
     assert joined[0].match == "exact"
-    assert joined[0].point.label_date == D + 3 * DAY
+    assert metrics.label_date[joined[0].point] == D + 3 * DAY
+
+
+def test_join_points_index_rows_of_the_given_table():
+    dates = [D + i * DAY for i in range(5)]
+    metrics = MetricTable.concat([metrics_at(dates, 0.8), metrics_at(dates, 0.4)])
+    [joined] = join_events(metrics, load_events("2020-04-02,x,Policy\n"))
+    assert joined.match == "exact"
+    assert (metrics.label_date[joined.point], metrics.threshold[joined.point]) == (
+        D + 2 * DAY, 0.4)  # the lowest threshold's row on that date
 
 
 def test_join_event_before_first_label_flags_following():
-    metrics = [metric_at(D + i * DAY) for i in range(5)]
+    metrics = metrics_at([D + i * DAY for i in range(5)])
     joined = join_events(metrics, load_events("2020-03-20,early,Quarantine\n"))
     assert joined[0].match == "following"
-    assert joined[0].point.label_date == D
+    assert metrics.label_date[joined[0].point] == D
 
 
 def test_join_event_after_last_label_unmatched():
-    metrics = [metric_at(D)]
+    metrics = metrics_at([D])
     joined = join_events(metrics, load_events("2021-06-01,late,Vaccine\n"))
     assert joined[0].match == "unmatched"
     assert joined[0].point is None
 
 
 def test_join_every_event_appears_once_in_date_order():
-    metrics = [metric_at(D + i * DAY) for i in range(40)]
+    metrics = metrics_at([D + i * DAY for i in range(40)])
     events = load_bundled_events()
     joined = join_events(metrics, events)
     assert len(joined) == len(events)
