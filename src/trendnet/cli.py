@@ -254,22 +254,23 @@ def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:
             raise CommandError(2, str(err)) from err
         texts[out_root / f"correlations_w{window}.csv"] = correlate.emit_correlations_csv(frames)
 
-        periods = explicit_periods or util.default_periods(
-            any_series.start_date, frames.label_dates[-1].item()
-        )
+        first, last = frames.label_dates[[0, -1]].tolist()
+        periods = []
+        # A long window can leave a default quarter without frames; it is skipped.
+        for start, end in explicit_periods or util.default_periods(any_series.start_date, last):
+            if netstat.period_mask(frames.label_dates, (start, end)).any():
+                periods.append((start, end))
+            elif explicit_periods:
+                raise CommandError(2, f"--period {start}:{end} selects no frame of window"
+                                      f" {window}, labeled {first}..{last}")
         pair_groups, triad_groups = [], []
         for theta in thresholds:
             graphs = netstat.threshold_adjacency(frames, theta)
             texts[out_root / f"metrics_w{window}_t{theta:g}.csv"] = netstat.emit_metrics_csv(
                 netstat.frame_metrics(graphs))
             for period in periods:
-                try:
-                    pairs = netstat.pair_persistence(graphs, period)
-                    triads = netstat.triad_persistence(graphs, period)
-                except TrendnetError:
-                    continue  # period does not intersect the frames
-                pair_groups.append((period, theta, *pairs))
-                triad_groups.append((period, theta, *triads))
+                pair_groups.append((period, theta, *netstat.pair_persistence(graphs, period)))
+                triad_groups.append((period, theta, *netstat.triad_persistence(graphs, period)))
         texts[out_root / f"persistence_pairs_w{window}.csv"] = netstat.emit_persistence_csv(
             frames.keywords, pair_groups)
         texts[out_root / f"persistence_triads_w{window}.csv"] = netstat.emit_persistence_csv(

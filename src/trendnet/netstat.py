@@ -164,10 +164,16 @@ def frame_metrics(g: GraphFrame) -> MetricTable:
                        clustering_avg_local(g))
 
 
+def period_mask(label_dates: np.ndarray, period: tuple[date, date]) -> np.ndarray:
+    """Which of the label dates lie within the period, ends included."""
+    start, end = period
+    return (label_dates >= np.datetime64(start)) & (label_dates <= np.datetime64(end))
+
+
 def _in_period(g: GraphFrame, period: tuple[date, date]) -> np.ndarray:
     """The adjacency matrices of the frames labeled within the period."""
     start, end = period
-    selected = (g.label_dates >= np.datetime64(start)) & (g.label_dates <= np.datetime64(end))
+    selected = period_mask(g.label_dates, period)
     if not selected.any():
         raise EmptyPeriod(f"no frames labeled within {start}..{end}")
     return g.adjacency[selected].astype(bool)
@@ -215,13 +221,19 @@ def emit_metrics_csv(table: MetricTable) -> str:
 _METRIC_PARSERS = (date.fromisoformat, int, float, int, float, float, float)
 
 
+def _loose(text: str) -> bool:
+    """Whether `text` holds whitespace or an underscore, which int() and
+    float() skip and emit_metrics_csv never writes."""
+    return "_" in text or len("".join(text.split())) != len(text)
+
+
 def parse_metrics_csv(text: str) -> MetricTable:
     """The table of a metrics CSV as `emit_metrics_csv` writes it.
 
     The header must name the columns in order. A row with another field
-    count, or a field that does not parse or is a non-finite float, raises
-    ValueOutOfRange naming its line; a file with no data rows raises
-    EmptySeries. Blank lines are skipped.
+    count, or a field that holds whitespace or an underscore, does not parse
+    or is a non-finite float, raises ValueOutOfRange naming its line; a file
+    with no data rows raises EmptySeries. Blank lines are skipped.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -237,7 +249,8 @@ def parse_metrics_csv(text: str) -> MetricTable:
         columns = [list(map(parse, column)) for parse, column in zip(
             _METRIC_PARSERS, zip(*rows, strict=True), strict=True)]
         floats = (column for parse, column in zip(_METRIC_PARSERS, columns) if parse is float)
-        if all(all(map(math.isfinite, column)) for column in floats):
+        if (all(all(map(math.isfinite, column)) for column in floats)
+                and not _loose("".join(chain.from_iterable(rows)))):
             return MetricTable(*columns)
     except ValueError:
         pass
@@ -250,6 +263,10 @@ def parse_metrics_csv(text: str) -> MetricTable:
                 f"line {reader.line_num}: {len(row)} fields, expected {len(METRIC_COLUMNS)}"
             )
         for name, parse, token in zip(METRIC_COLUMNS, _METRIC_PARSERS, row):
+            if _loose(token):
+                raise ValueOutOfRange(
+                    f"line {reader.line_num}: {name} {token!r} holds whitespace or an underscore"
+                )
             try:
                 value = parse(token)
             except ValueError:

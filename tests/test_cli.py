@@ -1,5 +1,7 @@
 import errno
+import os
 import re
+import signal
 import xml.etree.ElementTree as ET
 from datetime import date
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trendnet import cli
+from trendnet import cli, kernels
 from trendnet.cli import main
 from trendnet.ingest import parse_stitched
 
@@ -202,6 +204,79 @@ def test_analyze_custom_period(stitched_dir, tmp_path):
     text = (out / "persistence_pairs_w15.csv").read_text()
     rows = text.strip().split("\n")[1:]
     assert rows and all(r.startswith("2020-05-01,2020-05-31,") for r in rows)
+
+
+def test_analyze_period_without_frames_exits_2(stitched_dir, tmp_path, capsys):
+    out = tmp_path / "analysis"
+    code = main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
+                 "--thresholds", "0.5", "--period", "2020-05-01:2020-05-31",
+                 "--period", "2019-01-01:2019-02-01", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--period 2019-01-01:2019-02-01 selects no frame of window 15" in err
+    assert not out.exists()
+
+
+def test_analyze_skips_default_quarter_without_frames(stitched_dir, tmp_path):
+    # A 110-day window labels its first frame 2020-07-04, after the Apr-Jun quarter.
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--stitched", str(stitched_dir), "--windows", "110",
+                 "--thresholds", "0.5", "--out", str(out)]) == 0
+    text = (out / "persistence_pairs_w110.csv").read_text()
+    periods = {tuple(line.split(",")[:2]) for line in text.strip().split("\n")[1:]}
+    assert periods == {
+        ("2020-07-01", "2020-09-30"),
+        ("2020-10-01", "2020-12-31"),
+        ("2021-01-01", "2021-03-31"),
+    }
+
+
+def force_dcor_workers(monkeypatch, n):
+    """Show `rolling_dcor` n CPUs and let a single frame pay for a worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(kernels, "MIN_WORKER_WORK", 1)
+
+
+def test_analyze_outputs_do_not_depend_on_dcor_workers(stitched_dir, tmp_path, monkeypatch):
+    args = ["analyze", "--stitched", str(stitched_dir), "--windows", "15,30"]
+    assert main([*args, "--out", str(tmp_path / "serial")]) == 0
+    force_dcor_workers(monkeypatch, 3)
+    assert main([*args, "--out", str(tmp_path / "forked")]) == 0
+    serial = {p.name: p.read_bytes() for p in (tmp_path / "serial").iterdir()}
+    assert serial == {p.name: p.read_bytes() for p in (tmp_path / "forked").iterdir()}
+
+
+@pytest.mark.parametrize("failing, message", [
+    ("child", r"dCor worker for frames 117\.\.233 of 351 exited with status 1"),
+    ("signal", r"dCor worker for frames 117\.\.233 of 351 died by signal 9"),
+    ("parent", r"Cannot allocate memory"),
+])
+def test_analyze_failed_dcor_worker_exits_3_leaving_nothing(
+    stitched_dir, tmp_path, capsys, monkeypatch, failing, message
+):
+    force_dcor_workers(monkeypatch, 3)
+    real_frames = kernels._dcor_frames
+
+    def dcor_frames(series, n, out, first):
+        if failing == "parent" and first == 0:
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+        if failing == "child" and first > 0:
+            raise RuntimeError("worker failed")
+        if failing == "signal" and first > 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_frames(series, n, out, first)
+
+    monkeypatch.setattr(kernels, "_dcor_frames", dcor_frames)
+    out = tmp_path / "analysis"
+    code = main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
+                 "--thresholds", "0.5", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(message, err)
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):  # every worker was waited for
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_report_writes_svg_and_json_per_window(stitched_dir, tmp_path):

@@ -1,3 +1,5 @@
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -165,3 +167,70 @@ def test_dcor_matrix_is_the_one_frame_stack():
         win = _stack(rng, n, k)
         assert np.array_equal(kernels.dcor_matrix(win), kernels.rolling_dcor(win, n)[0])
         assert np.array_equal(kernels.dcor_matrix(win), rolling_dcor_reference(win, n)[0])
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """`cpus(n)` shows `rolling_dcor` n CPUs and lets a single frame pay for a
+    worker; it returns the list that records each fork."""
+    monkeypatch.setattr(kernels, "MIN_WORKER_WORK", 1)
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        return forks
+
+    return set_cpus
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("frames", [1, 2, 5, 7, 40])  # uneven splits; fewer frames than workers
+def test_rolling_dcor_split_over_workers_is_bit_exact(cpus, workers, frames):
+    forks = cpus(workers)
+    window = 15
+    data = _stack(np.random.default_rng(100 + frames), frames + window - 1, 6)
+    assert np.array_equal(kernels.rolling_dcor(data, window), rolling_dcor_reference(data, window))
+    assert len(forks) == min(workers, frames) - 1  # one worker per range, the first in-process
+
+
+def test_rolling_dcor_split_across_scales_and_windows(cpus):
+    forks = cpus(3)
+    data = _stack(np.random.default_rng(29), 70, 8)
+    data *= 10.0 ** np.linspace(-200, 200, 8)
+    for window in (2, 15, 30):
+        assert np.array_equal(kernels.rolling_dcor(data, window),
+                              rolling_dcor_reference(data, window))
+    assert len(forks) == 6
+
+
+def test_rolling_dcor_stays_in_process_while_other_threads_run(cpus):
+    forks = cpus(2)
+    data = _stack(np.random.default_rng(31), 40, 5)
+    result = {}
+    thread = threading.Thread(target=lambda: result.update(out=kernels.rolling_dcor(data, 15)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert forks == []
+    assert np.array_equal(result["out"], rolling_dcor_reference(data, 15))
+
+
+def test_short_stacks_never_fork(monkeypatch):
+    """At the real cut-off one frame, and a year of 15 keywords at a 30-day
+    window (4.5e6 units of work), stay in the calling process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    rng = np.random.default_rng(37)
+    kernels.dcor_matrix(_stack(rng, 90, 15))
+    assert distance_correlation(rng.normal(size=90), rng.normal(size=90)) >= 0.0
+    assert kernels.rolling_dcor(_stack(rng, 365, 15), 30).shape == (336, 15, 15)

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -346,6 +347,22 @@ def test_parse_metrics_csv_rejects_non_finite_floats(column, token):
     lines[3] = ",".join(fields_)
     name = METRIC_COLUMNS[column]
     with pytest.raises(ValueOutOfRange, match=f"line 4: {name} '{token}' is not finite"):
+        parse_metrics_csv("\n".join(lines))
+
+
+@pytest.mark.parametrize("column, token", [
+    (0, " 2020-04-02"), (1, " 1_5 "), (1, "1_5"), (2, "0.5 "), (3, "1_0"), (3, "\t1"),
+    (4, "0.2_5"), (5, "0.25\u00a0"), (6, " 0.25"),
+])
+def test_parse_metrics_csv_rejects_whitespace_and_underscores(column, token):
+    # int() and float() read ' 1_5 ' as 15; the emitter writes neither.
+    lines = metrics_text().split("\n")
+    fields_ = lines[3].split(",")
+    fields_[column] = token
+    lines[3] = ",".join(fields_)
+    name = METRIC_COLUMNS[column]
+    message = f"line 4: {name} {token!r} holds whitespace or an underscore"
+    with pytest.raises(ValueOutOfRange, match=re.escape(message)):
         parse_metrics_csv("\n".join(lines))
 
 
