@@ -1,6 +1,7 @@
 """trendnet: keyword-network analytics over stitched search-interest data."""
 
 from .correlate import CorrelationFrame, distance_correlation, rolling_correlation
+from .errors import TrendnetError
 from .ingest import (
     DailySeries,
     WeeklySeries,
@@ -34,6 +35,7 @@ __all__ = [
     "GraphFrame",
     "KeywordRegistry",
     "MetricTable",
+    "TrendnetError",
     "WeeklySeries",
     "assemble_daily",
     "clustering_avg_local",

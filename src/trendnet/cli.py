@@ -8,10 +8,12 @@ are written, moves them into place, keeping each replaced file as
 `.<name>.prev` until the last move; a failed command leaves no output and
 puts back any file it had replaced.
 
-Exit codes: 0 success, 2 input validation or bad parameters, 3 I/O
-problems, 4 insufficient data for the requested window. Validation messages
-name the offending file and date/row. A config key is a flag name of the
-same command; `period` may repeat, as `--period` does, and applies in file
+Every failure is a `TrendnetError`, whose `code` is the exit status (2 bad
+input or parameters, 3 I/O, 4 too little data for a window), or an
+`OSError` (3). `_parse` reads and parses one input file and prefixes an
+error from it with that file's path, so the message names the file and
+the date, row or line; a bad flag value is named by its flag. A config key is a flag name of the same
+command; `period` may repeat, as `--period` does, and applies in file
 order; any other key may appear only once.
 """
 
@@ -43,17 +45,17 @@ REQUIRED = {
 }
 
 
-class CommandError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def _read_text(path: Path) -> str:
+def _parse(path: Path, parse, *args):
+    """`parse(text, *args)` of the file at `path`; its errors are prefixed with
+    the path and keep their exit code, and a failed read exits 3."""
     try:
-        return path.read_text("utf-8")
+        text = path.read_text("utf-8")
     except OSError as err:
-        raise CommandError(3, f"{path}: {err.strerror or err}") from err
+        raise TrendnetError(f"{path}: {err.strerror or err}", 3) from err
+    try:
+        return parse(text, *args)
+    except TrendnetError as err:
+        raise TrendnetError(f"{path}: {err}", err.code) from err
 
 
 def _settings(args: argparse.Namespace) -> dict:
@@ -61,15 +63,12 @@ def _settings(args: argparse.Namespace) -> dict:
     defaults = DEFAULTS[args.command]
     config = {}
     if args.config is not None:
-        try:
-            config = util.parse_config(_read_text(Path(args.config)), set(defaults), {"period"})
-        except ValueError as err:
-            raise CommandError(2, f"{args.config}: {err}") from err
+        config = _parse(Path(args.config), util.parse_config, set(defaults), {"period"})
     flags = {key: getattr(args, key) for key in defaults if getattr(args, key) is not None}
     settings = {**defaults, **config, **flags}
     if not all(settings[key] for key in REQUIRED[args.command]):
         names = [f"--{key.replace('_', '-')}" for key in REQUIRED[args.command]]
-        raise CommandError(2, f"{args.command} requires {', '.join(names[:-1])} and {names[-1]}")
+        raise TrendnetError(f"{args.command} requires {', '.join(names[:-1])} and {names[-1]}")
     return settings
 
 
@@ -100,7 +99,7 @@ def _commit(texts: dict[Path, str]) -> None:
             os.replace(prev, target)
         for part in parts.values():
             part.unlink(missing_ok=True)
-        raise CommandError(3, f"{path}: {err.strerror or err}") from err
+        raise TrendnetError(f"{path}: {err.strerror or err}", 3) from err
     for prev in prevs.values():
         prev.unlink()
 
@@ -108,18 +107,14 @@ def _commit(texts: dict[Path, str]) -> None:
 def _load_registry(path_value) -> KeywordRegistry:
     if path_value is None:
         return KeywordRegistry.default()
-    path = Path(path_value)
-    try:
-        return KeywordRegistry.from_csv(_read_text(path))
-    except (TrendnetError, ValueError) as err:
-        raise CommandError(2, f"{path}: {err}") from err
+    return _parse(Path(path_value), KeywordRegistry.from_csv)
 
 
 def _parse_date(value: str, what: str) -> date:
     try:
         return date.fromisoformat(value)
     except ValueError:
-        raise CommandError(2, f"{what} must be an ISO date, got {value!r}") from None
+        raise TrendnetError(f"{what} must be an ISO date, got {value!r}") from None
 
 
 def _reject_label_collisions(flag: str, raw: str, labels: list[str]) -> None:
@@ -127,8 +122,8 @@ def _reject_label_collisions(flag: str, raw: str, labels: list[str]) -> None:
     overwrite each other's files and repeat persistence rows."""
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
-        raise CommandError(
-            2, f"{flag} values repeat the output label {', '.join(repeated)}, got {raw!r}"
+        raise TrendnetError(
+            f"{flag} values repeat the output label {', '.join(repeated)}, got {raw!r}"
         )
 
 
@@ -136,10 +131,10 @@ def _parse_windows(raw: str) -> list[int]:
     try:
         windows = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
-        raise CommandError(2, f"--windows must be integers, got {raw!r}") from None
+        raise TrendnetError(f"--windows must be integers, got {raw!r}") from None
     # dCor needs at least 2 points; a 1-day window would give all-zero frames.
     if not windows or any(w < 2 for w in windows):
-        raise CommandError(2, f"--windows must be integers of at least 2 days, got {raw!r}")
+        raise TrendnetError(f"--windows must be integers of at least 2 days, got {raw!r}")
     _reject_label_collisions("--windows", raw, [str(w) for w in windows])
     return windows
 
@@ -148,15 +143,13 @@ def _parse_thresholds(raw: str) -> list[float]:
     try:
         thresholds = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
-        raise CommandError(2, f"thresholds must be numbers, got {raw!r}") from None
+        raise TrendnetError(f"--thresholds must be numbers, got {raw!r}") from None
     if not thresholds or any(not 0.0 < t < 1.0 for t in thresholds):
-        raise CommandError(2, f"thresholds must lie in (0,1), got {raw!r}")
+        raise TrendnetError(f"--thresholds must lie in (0,1), got {raw!r}")
     # report draws one line colour per threshold.
     if len(thresholds) > len(render.SERIES_PALETTE):
-        raise CommandError(
-            2, f"--thresholds takes at most {len(render.SERIES_PALETTE)} values,"
-               f" got {len(thresholds)}"
-        )
+        raise TrendnetError(f"--thresholds takes at most {len(render.SERIES_PALETTE)} values,"
+                            f" got {len(thresholds)}")
     _reject_label_collisions("--thresholds", raw, [f"{t:g}" for t in thresholds])
     return sorted(thresholds)
 
@@ -170,39 +163,32 @@ def cmd_stitch(settings: dict) -> tuple[dict[Path, str], str]:
         _parse_date(settings["span_end"], "--span-end"),
     )
     if span[1] < span[0]:
-        raise CommandError(2, f"--span-start {span[0]} is after --span-end {span[1]}")
+        raise TrendnetError(f"--span-start {span[0]} is after --span-end {span[1]}")
     daily_root = Path(settings["daily_dir"])
     weekly_root = Path(settings["weekly_dir"])
     for root in (daily_root, weekly_root):
         if not root.is_dir():
-            raise CommandError(3, f"{root}: not a directory")
+            raise TrendnetError(f"{root}: not a directory", 3)
 
     def stitch_keyword(keyword: str) -> str:
         seg_dir = daily_root / keyword
         if not seg_dir.is_dir():
-            raise CommandError(3, f"{seg_dir}: missing daily segment directory")
+            raise TrendnetError(f"{seg_dir}: missing daily segment directory", 3)
         seg_files = sorted(seg_dir.glob("*.csv"))
         if not seg_files:
-            raise CommandError(3, f"{seg_dir}: no segment CSV files")
+            raise TrendnetError(f"{seg_dir}: no segment CSV files", 3)
         segments = []
         for seg_file in seg_files:
-            try:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    segments.append(ingest.parse_daily_segment(_read_text(seg_file), keyword))
-            except TrendnetError as err:
-                raise CommandError(2, f"{seg_file}: {err}") from err
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                segments.append(_parse(seg_file, ingest.parse_daily_segment, keyword))
             for warning in caught:
                 warnings.warn(f"{seg_file}: {warning.message}", warning.category)
-        weekly_file = weekly_root / f"{keyword}.csv"
-        if not weekly_file.is_file():
-            raise CommandError(3, f"{weekly_file}: missing weekly file")
+        weekly = _parse(weekly_root / f"{keyword}.csv", ingest.parse_weekly, keyword)
         try:
-            weekly = ingest.parse_weekly(_read_text(weekly_file), keyword)
-            daily = ingest.assemble_daily(segments, span=span)
-            rescaled = stitch.stitch_series(daily, weekly)
+            rescaled = stitch.stitch_series(ingest.assemble_daily(segments, span=span), weekly)
         except TrendnetError as err:
-            raise CommandError(2, f"{seg_dir}: {err}") from err
+            raise TrendnetError(f"{seg_dir}: {err}", err.code) from err
         return ingest.emit_daily_csv(rescaled)
 
     texts = {Path(settings["out"]) / f"{kw}.csv": stitch_keyword(kw) for kw in registry.keywords}
@@ -213,23 +199,16 @@ def cmd_stitch(settings: dict) -> tuple[dict[Path, str], str]:
 
 def _load_stitched(stitched_dir: Path, registry_value):
     if not stitched_dir.is_dir():
-        raise CommandError(3, f"{stitched_dir}: not a directory")
+        raise TrendnetError(f"{stitched_dir}: not a directory", 3)
     if registry_value is not None:
         keywords = _load_registry(registry_value).keywords
     else:
         keywords = tuple(sorted(p.stem for p in stitched_dir.glob("*.csv")))
     if not keywords:
-        raise CommandError(3, f"{stitched_dir}: no stitched CSV files")
-    series = {}
-    for keyword in keywords:
-        path = stitched_dir / f"{keyword}.csv"
-        if not path.is_file():
-            raise CommandError(3, f"{path}: missing stitched file")
-        try:
-            series[keyword] = ingest.parse_stitched(_read_text(path), keyword)
-        except TrendnetError as err:
-            raise CommandError(2, f"{path}: {err}") from err
-    return series
+        raise TrendnetError(f"{stitched_dir}: no stitched CSV files", 3)
+    if len(keywords) < 2:
+        raise TrendnetError(f"{stitched_dir}: 1 keyword ({keywords[0]}), analyze needs at least 2")
+    return {kw: _parse(stitched_dir / f"{kw}.csv", ingest.parse_stitched, kw) for kw in keywords}
 
 
 def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:
@@ -237,21 +216,12 @@ def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:
     thresholds = _parse_thresholds(settings["thresholds"])
     series = _load_stitched(Path(settings["stitched"]), settings["registry"])
     out_root = Path(settings["out"])
-
-    try:
-        explicit_periods = [util.parse_period(tok) for tok in settings["period"] or ()]
-    except ValueError as err:
-        raise CommandError(2, str(err)) from err
+    explicit_periods = [util.parse_period(tok) for tok in settings["period"] or ()]
 
     any_series = next(iter(series.values()))
     texts = {}
     for window in windows:
-        if window > len(any_series):
-            raise CommandError(4, f"--windows {window} exceeds {len(any_series)} days of data")
-        try:
-            frames = correlate.rolling_correlation(series, window)
-        except TrendnetError as err:
-            raise CommandError(2, str(err)) from err
+        frames = correlate.rolling_correlation(series, window)
         texts[out_root / f"correlations_w{window}.csv"] = correlate.emit_correlations_csv(frames)
 
         first, last = frames.label_dates[[0, -1]].tolist()
@@ -261,8 +231,8 @@ def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:
             if netstat.period_mask(frames.label_dates, (start, end)).any():
                 periods.append((start, end))
             elif explicit_periods:
-                raise CommandError(2, f"--period {start}:{end} selects no frame of window"
-                                      f" {window}, labeled {first}..{last}")
+                raise TrendnetError(f"--period {start}:{end} selects no frame of window"
+                                    f" {window}, labeled {first}..{last}")
         pair_groups, triad_groups = [], []
         for theta in thresholds:
             graphs = netstat.threshold_adjacency(frames, theta)
@@ -285,31 +255,23 @@ def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:
 def cmd_report(settings: dict) -> tuple[dict[Path, str], str]:
     metric = settings["metric"]
     if metric not in ("density", "clustering"):
-        raise CommandError(2, f"metric must be density or clustering, got {metric!r}")
+        raise TrendnetError(f"metric must be density or clustering, got {metric!r}")
     metrics_root = Path(settings["metrics"])
     if not metrics_root.is_dir():
-        raise CommandError(3, f"{metrics_root}: not a directory")
+        raise TrendnetError(f"{metrics_root}: not a directory", 3)
     metric_files = sorted(metrics_root.glob("metrics_w*_t*.csv"))
     if not metric_files:
-        raise CommandError(3, f"{metrics_root}: no metrics_w*_t*.csv files")
+        raise TrendnetError(f"{metrics_root}: no metrics_w*_t*.csv files", 3)
 
-    tables = []
-    for path in metric_files:
-        try:
-            tables.append(netstat.parse_metrics_csv(_read_text(path)))
-        except TrendnetError as err:
-            raise CommandError(2, f"{path}: {err}") from err
-    table = netstat.MetricTable.concat(tables)
+    table = netstat.MetricTable.concat([_parse(path, netstat.parse_metrics_csv)
+                                        for path in metric_files])
     windows = sorted(set(table.window_days))
 
     events_value = settings["events"]
     if events_value is None:
         events = timeline.load_bundled_events()
     else:
-        try:
-            events = timeline.load_events(_read_text(Path(events_value)))
-        except TrendnetError as err:
-            raise CommandError(2, f"{events_value}: {err}") from err
+        events = _parse(Path(events_value), timeline.load_events)
 
     out_path = Path(settings["out"])
     stem = out_path.stem if out_path.suffix else out_path.name
@@ -317,11 +279,8 @@ def cmd_report(settings: dict) -> tuple[dict[Path, str], str]:
     for window in windows:
         points = table.take([i for i, w in enumerate(table.window_days) if w == window])
         name = f"{stem}_w{window}"
-        try:
-            texts[out_path.with_name(f"{name}.svg")] = render.render_metric_chart(
-                points, events, metric=metric)
-        except TrendnetError as err:
-            raise CommandError(2, str(err)) from err
+        texts[out_path.with_name(f"{name}.svg")] = render.render_metric_chart(
+            points, events, metric=metric)
         texts[out_path.with_name(f"{name}.json")] = render.metrics_report_json(points, events)
     return texts, f"reported windows {windows} -> {out_path.parent or Path('.')}"
 
@@ -370,12 +329,9 @@ def main(argv: list[str] | None = None) -> int:
         # Looked up at call time, so a wrapper set on the module attribute runs.
         texts, summary = globals()[f"cmd_{args.command}"](_settings(args))
         _commit(texts)
-    except CommandError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
     except TrendnetError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return err.code
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import (
-    LengthMismatch,
-    MisalignedSeries,
-    NonFiniteInput,
-    WindowTooLong,
-)
+from .errors import TrendnetError
 from .ingest import DailySeries
 from .util import csv_field
 
@@ -57,11 +52,11 @@ def distance_correlation(x, y) -> float:
     if x.ndim != 1 or y.ndim != 1:
         raise ValueError("inputs must be 1-d vectors")
     if x.shape[0] != y.shape[0]:
-        raise LengthMismatch(f"vector lengths differ: {x.shape[0]} vs {y.shape[0]}")
+        raise TrendnetError(f"vector lengths differ: {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 points")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NonFiniteInput("inputs must be finite")
+        raise TrendnetError("inputs must be finite")
     return float(kernels.dcor_matrix(np.column_stack((x, y)))[0, 1])
 
 
@@ -74,7 +69,7 @@ def rolling_correlation(series: dict[str, DailySeries], window_days: int) -> Cor
     window of data labels the day it leads into.
     """
     if not series:
-        raise MisalignedSeries("no series given")
+        raise TrendnetError("no series given")
     if window_days < 2:
         raise ValueError(f"window_days must be at least 2, got {window_days}")
     keywords = tuple(series.keys())
@@ -82,17 +77,17 @@ def rolling_correlation(series: dict[str, DailySeries], window_days: int) -> Cor
     for kw in keywords:
         s = series[kw]
         if s.start_date != first.start_date or s.end_date != first.end_date:
-            raise MisalignedSeries(
+            raise TrendnetError(
                 f"{kw}: spans {s.start_date}..{s.end_date},"
                 f" expected {first.start_date}..{first.end_date}"
             )
     n_days = len(first)
     if window_days > n_days:
-        raise WindowTooLong(f"window of {window_days} days exceeds {n_days} days of data")
+        raise TrendnetError(f"window of {window_days} days exceeds {n_days} days of data", 4)
 
     data = np.column_stack([series[kw].values for kw in keywords])
     if not np.isfinite(data).all():
-        raise NonFiniteInput("series contain non-finite values")
+        raise TrendnetError("series contain non-finite values")
 
     stack = kernels.rolling_dcor(data, window_days)
     first_label = np.datetime64(first.start_date) + window_days

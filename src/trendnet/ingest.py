@@ -22,16 +22,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .errors import (
-    EmptySegment,
-    EmptySeries,
-    GapError,
-    IrregularWeekSpacing,
-    NonConsecutiveDates,
-    OverlapError,
-    SpanError,
-    ValueOutOfRange,
-)
+from .errors import TrendnetError
 
 DAY = timedelta(days=1)
 WEEK = timedelta(days=7)
@@ -88,10 +79,10 @@ def _parse_value(token: str, when: date, upper: float | None = 100.0) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise ValueOutOfRange(f"{when}: unparseable value {token!r}") from None
+        raise TrendnetError(f"{when}: unparseable value {token!r}") from None
     if not math.isfinite(value) or value < 0 or (upper is not None and value > upper):
         hi = upper if upper is not None else "inf"
-        raise ValueOutOfRange(f"{when}: value {token} outside [0,{hi}]")
+        raise TrendnetError(f"{when}: value {token} outside [0,{hi}]")
     return value
 
 
@@ -105,7 +96,7 @@ def _data_rows(raw_csv: str, upper: float | None) -> list[tuple[date, float]]:
         if when is None:
             continue  # preamble or header
         if len(record) < 2:
-            raise ValueOutOfRange(f"{when}: missing value field")
+            raise TrendnetError(f"{when}: missing value field")
         rows.append((when, _parse_value(record[1], when, upper)))
     return rows
 
@@ -114,9 +105,9 @@ def _consecutive_values(rows: list[tuple[date, float]], keyword: str) -> np.ndar
     """The values of rows whose dates run one day apart, else an error."""
     for (prev, _), (cur, _) in zip(rows, rows[1:]):
         if cur == prev:
-            raise NonConsecutiveDates(f"{keyword}: duplicate date {cur}")
+            raise TrendnetError(f"{keyword}: duplicate date {cur}")
         if cur != prev + DAY:
-            raise NonConsecutiveDates(
+            raise TrendnetError(
                 f"{keyword}: missing date {prev + DAY} (rows jump {prev} -> {cur})"
             )
     return np.array([v for _, v in rows], dtype=np.float64)
@@ -131,7 +122,7 @@ def parse_daily_segment(raw_csv: str, keyword: str) -> DailySeries:
     """
     rows = _data_rows(raw_csv, upper=100.0)
     if not rows:
-        raise EmptySegment(f"{keyword}: no data rows")
+        raise TrendnetError(f"{keyword}: no data rows")
     values = _consecutive_values(rows, keyword)
     peak = values.max()
     if peak != 100.0 and peak != 0.0:
@@ -147,10 +138,10 @@ def parse_weekly(raw_csv: str, keyword: str) -> WeeklySeries:
     """Parse a weekly export; rows must be spaced exactly 7 days apart."""
     rows = _data_rows(raw_csv, upper=100.0)
     if not rows:
-        raise EmptySeries(f"{keyword}: no weekly data rows")
+        raise TrendnetError(f"{keyword}: no weekly data rows")
     for (prev, _), (cur, _) in zip(rows, rows[1:]):
         if cur - prev != WEEK:
-            raise IrregularWeekSpacing(
+            raise TrendnetError(
                 f"{keyword}: week starts {prev} -> {cur} are {(cur - prev).days}"
                 " days apart, expected 7"
             )
@@ -168,19 +159,19 @@ def assemble_daily(
     starts, and the merged series must cover it and is trimmed to it.
     """
     if not segments:
-        raise EmptySegment("no segments to assemble")
+        raise TrendnetError("no segments to assemble")
     keywords = {s.keyword for s in segments}
     if len(keywords) > 1:
         raise ValueError(f"segments mix keywords: {sorted(keywords)}")
     ordered = sorted(segments, key=lambda s: s.start_date)
     for prev, cur in zip(ordered, ordered[1:]):
         if cur.start_date <= prev.end_date:
-            raise OverlapError(
+            raise TrendnetError(
                 f"{cur.keyword}: segments overlap at {cur.start_date}"
                 f" (previous segment runs through {prev.end_date})"
             )
         if cur.start_date != prev.end_date + DAY:
-            raise GapError(
+            raise TrendnetError(
                 f"{cur.keyword}: missing date {prev.end_date + DAY}"
                 f" between segments ({prev.end_date} -> {cur.start_date})"
             )
@@ -189,9 +180,9 @@ def assemble_daily(
     if span is not None:
         start, end = span
         if end < start:
-            raise SpanError(f"{ordered[0].keyword}: span start {start} is after its end {end}")
+            raise TrendnetError(f"{ordered[0].keyword}: span start {start} is after its end {end}")
         if first > start or last < end:
-            raise SpanError(
+            raise TrendnetError(
                 f"{ordered[0].keyword}: assembled span {first}..{last}"
                 f" does not cover {start}..{end}"
             )
@@ -204,7 +195,7 @@ def parse_stitched(raw_csv: str, keyword: str) -> DailySeries:
     """Parse a canonical stitched CSV (`date,value`, full precision); values may exceed 100."""
     rows = _data_rows(raw_csv, upper=None)
     if not rows:
-        raise EmptySeries(f"{keyword}: no data rows")
+        raise TrendnetError(f"{keyword}: no data rows")
     return DailySeries(keyword.lower(), rows[0][0], _consecutive_values(rows, keyword))
 
 

@@ -36,9 +36,10 @@ contiguous ranges, one per worker, of a stack in an anonymous shared
 mapping; it forks a child per range after the first, computes the first
 itself, waits for every child, also when its own range raises, and copies
 the stack off the mapping. A child that exits nonzero or dies by a signal
-raises ChildProcessError naming its range. A frame reads only its window
-and writes only its (k, k) slot, through the same operations in the same
-order in any process, so the split moves no bit. Threads do not pay: the
+raises ChildProcessError naming its range and, if the child raised, its
+exception, which the child writes to its own pipe before it exits. A frame
+reads only its window and writes only its (k, k) slot, through the same
+operations in the same order in any process, so the split moves no bit. Threads do not pay: the
 per-frame numpy calls are short and serialise on the interpreter lock. On a
 2-CPU Xeon host (K = 15, n = 60 and 90, two years of days) two threads took
 0.8-1.7x the serial time, two processes 0.53-0.72x. Forking is unsafe
@@ -87,7 +88,8 @@ def rolling_dcor(data: np.ndarray, window: int) -> np.ndarray:
     Diagonals are fixed at 1; a column with zero distance variance in a
     window correlates 0 with everything in that frame by convention.
     Large stacks are computed by forked workers, one contiguous frame range
-    each; a worker that fails raises ChildProcessError naming its range.
+    each; a worker that fails raises ChildProcessError naming its range and
+    the worker's exception.
     """
     series = np.ascontiguousarray(np.transpose(data), dtype=np.float64)  # (k, t)
     k, t = series.shape
@@ -112,27 +114,40 @@ def rolling_dcor(data: np.ndarray, window: int) -> np.ndarray:
 def _forked_dcor_frames(series: np.ndarray, n: int, out: np.ndarray, bounds: list[int]) -> None:
     """Fill `out`, a shared mapping, by frame ranges [bounds[i], bounds[i+1]):
     a forked child per range after the first, which this process computes."""
-    children = {}
+    children = {}  # pid: (first, last, read end of the pipe the child reports its error on)
     try:
         for first, last in zip(bounds[1:-1], bounds[2:]):
-            pid = os.fork()
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(reader)
+                os.close(writer)
+                raise
             if pid == 0:  # the child: fill the range, never return into the caller
                 code = 1
                 try:
                     _dcor_frames(series, n, out[first:last], first)
                     code = 0
+                except Exception as err:
+                    text = f"{type(err).__name__}: {err}".replace("\n", " ")
+                    os.write(writer, text.encode(errors="replace"))
                 finally:
                     os._exit(code)
-            children[pid] = (first, last)
+            os.close(writer)
+            children[pid] = (first, last, reader)
         _dcor_frames(series, n, out[: bounds[1]], 0)
     finally:
-        exits = {span: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                 for pid, span in children.items()}
-    for (first, last), code in exits.items():
+        exits = {}
+        for pid, (first, last, reader) in children.items():
+            with open(reader, "rb") as pipe:  # at end of file once the child has exited
+                cause = pipe.read().decode(errors="replace")
+            exits[first, last] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), cause
+    for (first, last), (code, cause) in exits.items():
         if code:
             how = f"died by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise ChildProcessError(
-                f"dCor worker for frames {first}..{last - 1} of {len(out)} {how}")
+            raise ChildProcessError(f"dCor worker for frames {first}..{last - 1} of {len(out)}"
+                                    f" {how}" + (f": {cause}" if cause else ""))
 
 
 def _dcor_frames(series: np.ndarray, n: int, out: np.ndarray, first: int) -> None:

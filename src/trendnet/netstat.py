@@ -50,7 +50,7 @@ import numpy as np
 
 from . import kernels
 from .correlate import CorrelationFrame
-from .errors import EmptyPeriod, EmptySeries, ThetaOutOfRange, ValueOutOfRange
+from .errors import TrendnetError
 from .util import csv_field
 
 
@@ -109,7 +109,7 @@ METRIC_COLUMNS = MetricTable._fields
 def threshold_adjacency(frames: CorrelationFrame, theta: float) -> GraphFrame:
     """Binary adjacency of every frame: edge iff dcor >= theta; diagonal 0."""
     if not 0.0 < theta < 1.0:
-        raise ThetaOutOfRange(f"threshold {theta} not in (0, 1)")
+        raise TrendnetError(f"threshold {theta} not in (0, 1)")
     adjacency = (frames.matrix >= theta).astype(np.uint8)
     diagonal = np.arange(adjacency.shape[-1])
     adjacency[:, diagonal, diagonal] = 0
@@ -175,7 +175,7 @@ def _in_period(g: GraphFrame, period: tuple[date, date]) -> np.ndarray:
     start, end = period
     selected = period_mask(g.label_dates, period)
     if not selected.any():
-        raise EmptyPeriod(f"no frames labeled within {start}..{end}")
+        raise TrendnetError(f"no frames labeled within {start}..{end}")
     return g.adjacency[selected].astype(bool)
 
 
@@ -232,18 +232,18 @@ def parse_metrics_csv(text: str) -> MetricTable:
 
     The header must name the columns in order. A row with another field
     count, or a field that holds whitespace or an underscore, does not parse
-    or is a non-finite float, raises ValueOutOfRange naming its line; a file
-    with no data rows raises EmptySeries. Blank lines are skipped.
+    or is a non-finite float, is an error naming its line; so is a file
+    with no data rows, without a line. Blank lines are skipped.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
-        raise EmptySeries("no header and no data rows")
+        raise TrendnetError("no header and no data rows")
     if header != list(METRIC_COLUMNS):
-        raise ValueOutOfRange(f"line 1: header is not {','.join(METRIC_COLUMNS)}")
+        raise TrendnetError(f"line 1: header is not {','.join(METRIC_COLUMNS)}")
     rows = [row for row in reader if row]
     if not rows:
-        raise EmptySeries("no data rows")
+        raise TrendnetError("no data rows")
     # One pass per column; the strict zips reject a row of another field count.
     try:
         columns = [list(map(parse, column)) for parse, column in zip(
@@ -259,22 +259,22 @@ def parse_metrics_csv(text: str) -> MetricTable:
     next(reader)
     for row in reader:
         if row and len(row) != len(METRIC_COLUMNS):
-            raise ValueOutOfRange(
+            raise TrendnetError(
                 f"line {reader.line_num}: {len(row)} fields, expected {len(METRIC_COLUMNS)}"
             )
         for name, parse, token in zip(METRIC_COLUMNS, _METRIC_PARSERS, row):
             if _loose(token):
-                raise ValueOutOfRange(
+                raise TrendnetError(
                     f"line {reader.line_num}: {name} {token!r} holds whitespace or an underscore"
                 )
             try:
                 value = parse(token)
             except ValueError:
-                raise ValueOutOfRange(
+                raise TrendnetError(
                     f"line {reader.line_num}: {name} {token!r} does not parse"
                 ) from None
             if parse is float and not math.isfinite(value):
-                raise ValueOutOfRange(f"line {reader.line_num}: {name} {token!r} is not finite")
+                raise TrendnetError(f"line {reader.line_num}: {name} {token!r} is not finite")
     raise AssertionError("the row-wise search repeats the column-wise checks")
 
 

@@ -6,7 +6,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .errors import UnknownCategory
+from .errors import TrendnetError
 
 CATEGORIES = (
     "SymptomsEnglish",
@@ -49,14 +49,7 @@ class KeywordRegistry:
     def __post_init__(self) -> None:
         seen = set()
         for keyword, category in self.entries:
-            if category not in CATEGORIES:
-                raise UnknownCategory(
-                    f"unknown keyword category {category!r} for {keyword!r};"
-                    f" expected one of {', '.join(CATEGORIES)}"
-                )
-            if keyword in seen:
-                raise ValueError(f"duplicate keyword {keyword!r}")
-            seen.add(keyword)
+            _check_entry(keyword, category, seen)
 
     @property
     def keywords(self) -> tuple[str, ...]:
@@ -68,16 +61,34 @@ class KeywordRegistry:
 
     @classmethod
     def from_csv(cls, text: str) -> "KeywordRegistry":
-        """Parse a `keyword,category` CSV; a header row is skipped if present."""
-        entries = []
-        for row in csv.reader(io.StringIO(text)):
+        """Parse a `keyword,category` CSV; a header row is skipped if present.
+
+        A short row, an unknown category or a repeated keyword is an error
+        naming its line; so is a file without keyword rows.
+        """
+        entries, seen = [], set()
+        rows = csv.reader(io.StringIO(text))
+        for row in rows:
             if not row or not row[0].strip():
                 continue
+            where = f"line {rows.line_num}: "
             if len(row) < 2:
-                raise ValueError(f"registry row needs keyword,category: {row!r}")
-            keyword = row[0].strip().lower()
-            category = row[1].strip()
+                raise TrendnetError(f"{where}registry row needs keyword,category: {row!r}")
+            keyword, category = row[0].strip().lower(), row[1].strip()
             if keyword == "keyword" and category == "category":
                 continue
+            _check_entry(keyword, category, seen, where)
             entries.append((keyword, category))
+        if not entries:
+            raise TrendnetError("no keyword rows")
         return cls(tuple(entries))
+
+
+def _check_entry(keyword: str, category: str, seen: set[str], where: str = "") -> None:
+    """Reject an unknown category or a keyword already in `seen`, then add it."""
+    if category not in CATEGORIES:
+        raise TrendnetError(f"{where}unknown keyword category {category!r} for {keyword!r};"
+                            f" expected one of {', '.join(CATEGORIES)}")
+    if keyword in seen:
+        raise TrendnetError(f"{where}duplicate keyword {keyword!r}")
+    seen.add(keyword)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from datetime import date
 
-from .errors import EmptySeries, TooManySeries
+from .errors import TrendnetError
 from .netstat import MetricTable
 from .timeline import EventRecord, JoinedEvent, join_events
 
@@ -71,7 +71,7 @@ def render_metric_chart(
     if metric not in METRIC_FIELDS:
         raise ValueError(f"metric must be one of {sorted(METRIC_FIELDS)}")
     if not metrics.label_date:
-        raise EmptySeries("no metric points to render")
+        raise TrendnetError("no metric points to render")
     windows = set(metrics.window_days)
     if len(windows) > 1:
         raise ValueError(f"metric points mix window sizes: {sorted(windows)}")
@@ -84,7 +84,7 @@ def render_metric_chart(
         by_threshold.setdefault(metrics.threshold[i], []).append(i)
     thresholds = list(by_threshold)
     if len(thresholds) > len(SERIES_PALETTE):
-        raise TooManySeries(
+        raise TrendnetError(
             f"{len(thresholds)} thresholds in one chart, at most {len(SERIES_PALETTE)} "
             "have distinct colours"
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UncoveredDate
+from .errors import TrendnetError
 from .ingest import WEEK, DailySeries, WeeklySeries
 
 
@@ -36,7 +36,7 @@ def stitch_series(daily: DailySeries, weekly: WeeklySeries) -> DailySeries:
     first = (daily.start_date - weekly.start_date).days
     last = first + len(daily) - 1
     if first < 0 or last >= 7 * n_weeks:
-        raise UncoveredDate(
+        raise TrendnetError(
             f"daily date {daily.start_date if first < 0 else daily.end_date}"
             f" outside weekly coverage"
             f" [{weekly.start_date}, {weekly.start_date + n_weeks * WEEK})"

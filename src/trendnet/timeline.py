@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from datetime import date
 from importlib import resources
 
-from .errors import UnknownCategory, ValueOutOfRange
+from .errors import TrendnetError
 from .netstat import MetricTable
 
 # Chart color per category; variant detections render black like milestones.
@@ -66,15 +66,17 @@ def load_events(raw_csv: str) -> list[EventRecord]:
         try:
             when = date.fromisoformat(row[0].strip())
         except ValueError:
-            raise ValueOutOfRange(
+            raise TrendnetError(
                 f"line {rows.line_num}: event date {row[0].strip()!r} does not parse"
             ) from None
         if len(row) < 3:
-            raise ValueOutOfRange(f"event row needs date,label,category: {row!r}")
+            raise TrendnetError(
+                f"line {rows.line_num}: event row needs date,label,category: {row!r}"
+            )
         label = row[1].strip()
         category = row[2].strip()
         if category not in CATEGORY_COLORS:
-            raise UnknownCategory(
+            raise TrendnetError(
                 f"{when}: unknown event category {category!r};"
                 f" expected one of {', '.join(sorted(CATEGORY_COLORS))}"
             )

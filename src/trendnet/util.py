@@ -6,6 +6,8 @@ import csv
 import io
 from datetime import date, timedelta
 
+from .errors import TrendnetError
+
 QUARTER_ANCHOR_MONTHS = (1, 4, 7, 10)
 
 
@@ -48,9 +50,9 @@ def parse_period(text: str) -> tuple[date, date]:
         start = date.fromisoformat(start_text.strip())
         end = date.fromisoformat(end_text.strip())
     except ValueError:
-        raise ValueError(f"period must be start:end ISO dates, got {text!r}") from None
+        raise TrendnetError(f"period must be start:end ISO dates, got {text!r}") from None
     if end < start:
-        raise ValueError(f"period end {end} precedes start {start}")
+        raise TrendnetError(f"period end {end} precedes start {start}")
     return start, end
 
 
@@ -70,16 +72,16 @@ def parse_config(
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
+            raise TrendnetError(f"config line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         name = key.strip().replace("-", "_")
         if name not in known:
-            raise ValueError(f"config line {lineno}: unknown key {key.strip()!r}")
+            raise TrendnetError(f"config line {lineno}: unknown key {key.strip()!r}")
         if name in repeatable:
             config.setdefault(name, []).append(value.strip())
             continue
         if name in first_line:
-            raise ValueError(
+            raise TrendnetError(
                 f"config line {lineno}: key {key.strip()!r} repeats line {first_line[name]}"
             )
         first_line[name] = lineno

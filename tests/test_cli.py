@@ -11,6 +11,7 @@ import pytest
 
 from trendnet import cli, kernels
 from trendnet.cli import main
+from trendnet.errors import TrendnetError
 from trendnet.ingest import parse_stitched
 
 from helpers import (
@@ -78,6 +79,18 @@ def test_stitch_missing_weekly_exits_3(export_tree, tmp_path, capsys):
     assert "flu.csv" in err
     # flu is the last keyword: the ones before it must not have been written
     assert not list((tmp_path / "stitched").glob("*.csv"))
+
+
+def test_stitch_bad_weekly_row_names_weekly_file(export_tree, tmp_path, capsys):
+    weekly = export_tree / "weekly" / "cough.csv"
+    lines = weekly.read_text().split("\n")
+    when = lines[5].split(",")[0]
+    lines[5] = f"{when},250"
+    weekly.write_text("\n".join(lines), "utf-8")
+    out = tmp_path / "stitched"
+    assert run_stitch(export_tree, out) == 2
+    assert f"error: {weekly}: {when}: value 250 outside [0,100.0]\n" == capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stitch_missing_daily_dir_exits_3(tmp_path, capsys):
@@ -196,6 +209,53 @@ def test_analyze_missing_dir_exits_3(tmp_path):
                  "--out", str(tmp_path / "a")]) == 3
 
 
+def test_analyze_single_keyword_exits_2(stitched_dir, tmp_path, capsys, monkeypatch):
+    for name in ("fever.csv", "flu.csv"):
+        (stitched_dir / name).unlink()
+    calls, real_dcor = [], kernels.rolling_dcor
+    monkeypatch.setattr(kernels, "rolling_dcor",
+                        lambda *args: calls.append(args) or real_dcor(*args))
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--stitched", str(stitched_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {stitched_dir}: 1 keyword (cough), analyze needs at least 2\n"
+    assert not calls and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["stitch", "analyze"])
+def test_empty_registry_exits_2_naming_file(stitched_dir, export_tree, tmp_path, capsys,
+                                            command):
+    registry = export_tree / "registry.csv"
+    registry.write_text("keyword,category\n", "utf-8")
+    out = tmp_path / "out"
+    if command == "stitch":
+        code = run_stitch(export_tree, out)
+    else:
+        code = main(["analyze", "--stitched", str(stitched_dir), "--registry", str(registry),
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {registry}: no keyword rows\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("thresholds", "1.5", 2),
+    ("registry", "missing.csv", 3),
+    ("windows", "400", 4),
+], ids=["invalid", "io", "too-little-data"])
+def test_exit_code_is_the_error_code(stitched_dir, tmp_path, capsys, key, value, code):
+    if key == "registry":
+        value = str(tmp_path / value)
+    out = str(tmp_path / "a")
+    with pytest.raises(TrendnetError) as raised:
+        cli.cmd_analyze({**cli.DEFAULTS["analyze"], "stitched": str(stitched_dir), "out": out,
+                         key: value})
+    assert raised.value.code == code
+    assert main(["analyze", "--stitched", str(stitched_dir), f"--{key}", value,
+                 "--out", out]) == code
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+
 def test_analyze_custom_period(stitched_dir, tmp_path):
     out = tmp_path / "analysis"
     assert main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
@@ -247,7 +307,8 @@ def test_analyze_outputs_do_not_depend_on_dcor_workers(stitched_dir, tmp_path, m
 
 
 @pytest.mark.parametrize("failing, message", [
-    ("child", r"dCor worker for frames 117\.\.233 of 351 exited with status 1"),
+    ("child", r"dCor worker for frames 117\.\.233 of 351 exited with status 1:"
+              r" RuntimeError: worker failed\n$"),
     ("signal", r"dCor worker for frames 117\.\.233 of 351 died by signal 9"),
     ("parent", r"Cannot allocate memory"),
 ])
@@ -394,7 +455,7 @@ def test_report_short_event_row_exits_2_naming_file(stitched_dir, tmp_path, caps
     code = main(["report", "--metrics", str(analysis), "--events", str(events),
                  "--out", str(reports / "r.svg")])
     assert code == 2
-    assert f"{events}: event row needs date,label,category" in capsys.readouterr().err
+    assert f"{events}: line 1: event row needs date,label,category" in capsys.readouterr().err
     assert not reports.exists()
 
 

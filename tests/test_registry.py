@@ -1,0 +1,30 @@
+import re
+
+import pytest
+
+from trendnet.errors import TrendnetError
+from trendnet.registry import KeywordRegistry
+
+HEADER = "keyword,category\n"
+
+
+def test_from_csv_skips_header_and_blank_rows():
+    registry = KeywordRegistry.from_csv(HEADER + "\nCough,SymptomsEnglish\nubo,SymptomsFilipino\n")
+    assert registry.entries == (("cough", "SymptomsEnglish"), ("ubo", "SymptomsFilipino"))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("cough,SymptomsEnglish\nfever,SymptomsEnglish\nCOUGH,SymptomsEnglish\n",
+     "line 4: duplicate keyword 'cough'"),
+    ("cough,SymptomsEnglish\n\nfever\n", "line 4: registry row needs keyword,category: ['fever']"),
+    ("cough,Symptoms\n", "line 2: unknown keyword category 'Symptoms' for 'cough'"),
+], ids=["duplicate", "short", "category"])
+def test_from_csv_errors_name_the_line(rows, message):
+    with pytest.raises(TrendnetError, match=f"^{re.escape(message)}"):
+        KeywordRegistry.from_csv(HEADER + rows)
+
+
+@pytest.mark.parametrize("text", ["", HEADER, "\n\n"], ids=["empty", "header-only", "blank"])
+def test_from_csv_without_keyword_rows_raises(text):
+    with pytest.raises(TrendnetError, match="^no keyword rows$"):
+        KeywordRegistry.from_csv(text)

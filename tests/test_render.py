@@ -4,7 +4,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from trendnet.errors import EmptySeries, TooManySeries
+from trendnet.errors import TrendnetError
 from trendnet.netstat import METRIC_COLUMNS, MetricTable
 from trendnet.render import SERIES_PALETTE, metrics_report_json, render_metric_chart
 from trendnet.timeline import join_events, load_bundled_events, load_events
@@ -105,7 +105,7 @@ def test_clustering_variant_selects_global_field():
 
 
 def test_empty_series_rejected():
-    with pytest.raises(EmptySeries):
+    with pytest.raises(TrendnetError, match="no metric points to render"):
         render_metric_chart(series(0.5, []), [], metric="density")
 
 
@@ -153,7 +153,7 @@ def test_five_thresholds_get_distinct_strokes():
 def test_more_thresholds_than_colours_rejected():
     thetas = [round(0.05 * (i + 1), 2) for i in range(len(SERIES_PALETTE) + 1)]
     metrics = MetricTable.concat([series(theta, [theta] * 5) for theta in thetas])
-    with pytest.raises(TooManySeries, match="11 thresholds"):
+    with pytest.raises(TrendnetError, match="11 thresholds"):
         render_metric_chart(metrics, [])
 
 

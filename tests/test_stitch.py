@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trendnet.errors import UncoveredDate
+from trendnet.errors import TrendnetError
 from trendnet.ingest import DailySeries, WeeklySeries
 from trendnet.stitch import stitch_series
 
@@ -50,9 +50,9 @@ def test_weekly_metrics_partial_week():
 
 
 def test_weekly_metrics_uncovered_date():
-    with pytest.raises(UncoveredDate, match="2020-03-15"):
+    with pytest.raises(TrendnetError, match="2020-03-15"):
         stitch_series(daily_from([1], start=W0 - DAY), weekly_from([50]))
-    with pytest.raises(UncoveredDate, match="2020-03-23"):
+    with pytest.raises(TrendnetError, match="2020-03-23"):
         stitch_series(daily_from([1] * 8), weekly_from([50]))
 
 
@@ -80,7 +80,7 @@ def test_rescale_zero_avg_week_passes_values_through():
 
 
 def test_rescale_uncovered_date():
-    with pytest.raises(UncoveredDate, match="outside weekly coverage"):
+    with pytest.raises(TrendnetError, match="outside weekly coverage"):
         stitch_series(daily_from([1] * 8), weekly_from([10]))
 
 

@@ -3,7 +3,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from trendnet.errors import TrendnetError, UnknownCategory, ValueOutOfRange
+from trendnet.errors import TrendnetError
 from trendnet.netstat import MetricTable
 from trendnet.timeline import (
     CATEGORY_COLORS,
@@ -68,13 +68,16 @@ def test_load_events_parses_and_sorts():
 
 
 def test_load_events_unknown_category():
-    with pytest.raises(UnknownCategory, match="Earthquake"):
+    with pytest.raises(TrendnetError, match="Earthquake"):
         load_events("2020-04-07,quake,Earthquake\n")
 
 
 def test_load_events_short_row():
-    with pytest.raises(TrendnetError, match=re.escape("['2020-04-01', 'only-two']")):
+    with pytest.raises(TrendnetError, match=re.escape("line 1: event row needs date,label,"
+                                                      "category: ['2020-04-01', 'only-two']")):
         load_events("2020-04-01,only-two\n")
+    with pytest.raises(TrendnetError, match=re.escape("line 4: event row needs")):
+        load_events("date,label,category\n2020-04-01,ok,Policy\n\n2020-04-02,short\n")
 
 
 def test_load_events_mistyped_date_after_first_row_raises():
@@ -83,16 +86,16 @@ def test_load_events_mistyped_date_after_first_row_raises():
         "2020-13-01,typo month,Policy\n"
         "2020-04-31,typo day,Vaccine\n"
     )
-    with pytest.raises(ValueOutOfRange, match=re.escape("line 2: event date '2020-13-01'")):
+    with pytest.raises(TrendnetError, match=re.escape("line 2: event date '2020-13-01'")):
         load_events(text)
-    with pytest.raises(ValueOutOfRange, match=re.escape("line 4: event date '2020-04-31'")):
+    with pytest.raises(TrendnetError, match=re.escape("line 4: event date '2020-04-31'")):
         load_events("date,label,category\n\n2020-04-01,ok,Policy\n2020-04-31,typo,Vaccine\n")
 
 
 def test_load_events_first_row_is_header_only_by_its_names():
-    with pytest.raises(ValueOutOfRange, match=re.escape("line 1: event date '2020-13-01'")):
+    with pytest.raises(TrendnetError, match=re.escape("line 1: event date '2020-13-01'")):
         load_events("2020-13-01,typo month,Policy\n2020-04-01,ok,Policy\n")
-    with pytest.raises(ValueOutOfRange, match=re.escape("line 2: event date 'when'")):
+    with pytest.raises(TrendnetError, match=re.escape("line 2: event date 'when'")):
         load_events("\nwhen,what,kind\n2020-04-01,ok,Policy\n")
     events = load_events(" date , label ,category\n2020-04-01,ok,Policy\n")
     assert [(e.date, e.label) for e in events] == [(date(2020, 4, 1), "ok")]
