@@ -1,20 +1,23 @@
 """Command line interface: stitch, analyze, report.
 
-`main` resolves each setting once (flag, else config line, else `DEFAULTS`,
-with the `REQUIRED` flags checked), calls `cmd_<command>`, which computes
-every output text and writes nothing, and hands the texts to `_commit`. That
-writes each text to a hidden `.<name>.part` beside its target and, once all
-are written, moves them into place, keeping each replaced file as
-`.<name>.prev` until the last move; a failed command leaves no output and
-puts back any file it had replaced.
+`SETTINGS` declares each setting of each command once: its flag and config
+key (the flag without `--`; only `period` may repeat, as `--period` may),
+its default, its parse function and its help. `main` resolves them in
+`_settings` (flag, else config line, else default), parsing every value
+once into a typed one and naming its source in an error: the flag
+(`--windows must be integers, got '15,abc'`) or the config file and line
+(`run.cfg: config line 2: windows must be ...`); empty text is an error.
+`cmd_<command>` then computes every output text, parsing no setting and
+writing nothing, and `_commit` writes each text to a hidden `.<name>.part`
+beside its target and, once all are written, moves them into place,
+keeping each replaced file as `.<name>.prev` until the last move; a failed
+command leaves no output and puts back any file it had replaced.
 
 Every failure is a `TrendnetError`, whose `code` is the exit status (2 bad
 input or parameters, 3 I/O, 4 too little data for a window), or an
 `OSError` (3). `_parse` reads and parses one input file and prefixes an
 error from it with that file's path, so the message names the file and
-the date, row or line; a bad flag value is named by its flag. A config key is a flag name of the same
-command; `period` may repeat, as `--period` does, and applies in file
-order; any other key may appear only once.
+the date, row or line.
 """
 
 from __future__ import annotations
@@ -30,20 +33,6 @@ from . import correlate, ingest, netstat, render, stitch, timeline, util
 from .errors import TrendnetError
 from .registry import KeywordRegistry
 
-# Every setting of each command, by flag dest, with its built-in default.
-DEFAULTS = {
-    "stitch": {"daily_dir": None, "weekly_dir": None, "registry": None, "out": None,
-               "span_start": "2020-03-16", "span_end": "2021-03-15"},
-    "analyze": {"stitched": None, "registry": None, "windows": "15,30",
-                "thresholds": "0.4,0.5,0.6,0.8", "period": None, "out": None},
-    "report": {"metrics": None, "events": None, "metric": "density", "out": None},
-}
-REQUIRED = {
-    "stitch": ("daily_dir", "weekly_dir", "out"),
-    "analyze": ("stitched", "out"),
-    "report": ("metrics", "out"),
-}
-
 
 def _parse(path: Path, parse, *args):
     """`parse(text, *args)` of the file at `path`; its errors are prefixed with
@@ -56,20 +45,6 @@ def _parse(path: Path, parse, *args):
         return parse(text, *args)
     except TrendnetError as err:
         raise TrendnetError(f"{path}: {err}", err.code) from err
-
-
-def _settings(args: argparse.Namespace) -> dict:
-    """The command's settings by flag dest: flag over config line over default."""
-    defaults = DEFAULTS[args.command]
-    config = {}
-    if args.config is not None:
-        config = _parse(Path(args.config), util.parse_config, set(defaults), {"period"})
-    flags = {key: getattr(args, key) for key in defaults if getattr(args, key) is not None}
-    settings = {**defaults, **config, **flags}
-    if not all(settings[key] for key in REQUIRED[args.command]):
-        names = [f"--{key.replace('_', '-')}" for key in REQUIRED[args.command]]
-        raise TrendnetError(f"{args.command} requires {', '.join(names[:-1])} and {names[-1]}")
-    return settings
 
 
 def _commit(texts: dict[Path, str]) -> None:
@@ -104,38 +79,44 @@ def _commit(texts: dict[Path, str]) -> None:
         prev.unlink()
 
 
-def _load_registry(path_value) -> KeywordRegistry:
-    if path_value is None:
-        return KeywordRegistry.default()
-    return _parse(Path(path_value), KeywordRegistry.from_csv)
+def _load_registry(path: Path | None) -> KeywordRegistry:
+    return KeywordRegistry.default() if path is None else _parse(path, KeywordRegistry.from_csv)
 
 
-def _parse_date(value: str, what: str) -> date:
+def _parse_date(value: str) -> date:
     try:
         return date.fromisoformat(value)
     except ValueError:
-        raise TrendnetError(f"{what} must be an ISO date, got {value!r}") from None
+        raise TrendnetError(f"must be an ISO date, got {value!r}") from None
 
 
-def _reject_label_collisions(flag: str, raw: str, labels: list[str]) -> None:
+def _parse_period(raw: str) -> tuple[date, date]:
+    try:
+        start, end = (date.fromisoformat(tok.strip()) for tok in raw.split(":"))
+    except ValueError:
+        raise TrendnetError(f"must be start:end ISO dates, got {raw!r}") from None
+    if end < start:
+        raise TrendnetError(f"end {end} precedes start {start}")
+    return start, end
+
+
+def _reject_label_collisions(raw: str, labels: list[str]) -> None:
     """Output files are named by these labels, so two equal labels would
     overwrite each other's files and repeat persistence rows."""
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
-        raise TrendnetError(
-            f"{flag} values repeat the output label {', '.join(repeated)}, got {raw!r}"
-        )
+        raise TrendnetError(f"values repeat the output label {', '.join(repeated)}, got {raw!r}")
 
 
 def _parse_windows(raw: str) -> list[int]:
     try:
         windows = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
-        raise TrendnetError(f"--windows must be integers, got {raw!r}") from None
+        raise TrendnetError(f"must be integers, got {raw!r}") from None
     # dCor needs at least 2 points; a 1-day window would give all-zero frames.
     if not windows or any(w < 2 for w in windows):
-        raise TrendnetError(f"--windows must be integers of at least 2 days, got {raw!r}")
-    _reject_label_collisions("--windows", raw, [str(w) for w in windows])
+        raise TrendnetError(f"must be integers of at least 2 days, got {raw!r}")
+    _reject_label_collisions(raw, [str(w) for w in windows])
     return windows
 
 
@@ -143,29 +124,105 @@ def _parse_thresholds(raw: str) -> list[float]:
     try:
         thresholds = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
-        raise TrendnetError(f"--thresholds must be numbers, got {raw!r}") from None
+        raise TrendnetError(f"must be numbers, got {raw!r}") from None
     if not thresholds or any(not 0.0 < t < 1.0 for t in thresholds):
-        raise TrendnetError(f"--thresholds must lie in (0,1), got {raw!r}")
+        raise TrendnetError(f"must lie in (0,1), got {raw!r}")
     # report draws one line colour per threshold.
     if len(thresholds) > len(render.SERIES_PALETTE):
-        raise TrendnetError(f"--thresholds takes at most {len(render.SERIES_PALETTE)} values,"
+        raise TrendnetError(f"takes at most {len(render.SERIES_PALETTE)} values,"
                             f" got {len(thresholds)}")
-    _reject_label_collisions("--thresholds", raw, [f"{t:g}" for t in thresholds])
+    _reject_label_collisions(raw, [f"{t:g}" for t in thresholds])
     return sorted(thresholds)
+
+
+def _parse_metric(value: str) -> str:
+    if value not in ("density", "clustering"):
+        raise TrendnetError(f"must be density or clustering, got {value!r}")
+    return value
+
+
+REQUIRED = object()  # the default of a setting its command cannot run without
+REPEATABLE = {"period"}  # a list of values, one per flag or config line
+
+# Every setting of each command, by flag dest in `--help` order: (default, parse, help).
+# A text default is parsed like a flag value; None means no value.
+SETTINGS = {
+    "stitch": {
+        "daily_dir": (REQUIRED, Path, None),
+        "weekly_dir": (REQUIRED, Path, None),
+        "registry": (None, Path, "keyword,category CSV (default: built-in set)"),
+        "out": (REQUIRED, Path, "output directory for stitched CSVs"),
+        "span_start": ("2020-03-16", _parse_date, "ISO date"),
+        "span_end": ("2021-03-15", _parse_date, "ISO date"),
+    },
+    "analyze": {
+        "stitched": (REQUIRED, Path, "directory of stitched CSVs"),
+        "registry": (None, Path, None),
+        "windows": ("15,30", _parse_windows, "comma list"),
+        "thresholds": ("0.4,0.5,0.6,0.8", _parse_thresholds, "comma list"),
+        "period": (None, _parse_period,
+                   "start:end persistence period (repeatable; default quarters)"),
+        "out": (REQUIRED, Path, None),
+    },
+    "report": {
+        "metrics": (REQUIRED, Path, "directory holding metrics_w*_t*.csv"),
+        "events": (None, Path, "events CSV (default: bundled timeline)"),
+        "metric": ("density", _parse_metric, "charted metric, density or clustering"),
+        "out": (REQUIRED, Path, "output SVG path; _w<window> is appended per window"),
+    },
+}
+COMMAND_HELP = {
+    "stitch": "rescale daily segments with weekly weights",
+    "analyze": "correlation frames, graph metrics, persistence",
+    "report": "SVG charts and JSON reports from metrics",
+}
+
+
+def _parse_value(source: str, raw: str, parse):
+    """`parse(raw)`, its error prefixed with `source`; empty text is an error."""
+    if not raw.strip():
+        raise TrendnetError(f"{source} is empty")
+    try:
+        return parse(raw)
+    except TrendnetError as err:
+        raise TrendnetError(f"{source} {err}", err.code) from err
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The command's parsed settings by flag dest: flag over config line over default."""
+    table = SETTINGS[args.command]
+    config = {}
+    if args.config is not None:
+        path = _parse_value("--config", args.config, Path)
+        config = _parse(path, util.parse_config, set(table), REPEATABLE)
+    raws = {}
+    for key, (default, _, _) in table.items():
+        name, given = key.replace("_", "-"), getattr(args, key)
+        if given is not None:
+            raws[key] = [(f"--{name}", raw) for raw in (given if key in REPEATABLE else [given])]
+        elif key in config:
+            raws[key] = [(f"{path}: config line {n}: {name}", raw) for n, raw in config[key]]
+        else:
+            raws[key] = [(f"--{name}", default)] if isinstance(default, str) else []
+    required = [key for key, (default, _, _) in table.items() if default is REQUIRED]
+    if not all(raws[key] for key in required):
+        *names, last = (f"--{key.replace('_', '-')}" for key in required)
+        raise TrendnetError(f"{args.command} requires {', '.join(names)} and {last}")
+    settings = {}
+    for key, (_, parse, _) in table.items():
+        values = [_parse_value(source, raw, parse) for source, raw in raws[key]]
+        settings[key] = values if key in REPEATABLE else values[0] if values else None
+    return settings
 
 
 # --- stitch ---
 
 def cmd_stitch(settings: dict) -> tuple[dict[Path, str], str]:
     registry = _load_registry(settings["registry"])
-    span = (
-        _parse_date(settings["span_start"], "--span-start"),
-        _parse_date(settings["span_end"], "--span-end"),
-    )
+    span = (settings["span_start"], settings["span_end"])
     if span[1] < span[0]:
         raise TrendnetError(f"--span-start {span[0]} is after --span-end {span[1]}")
-    daily_root = Path(settings["daily_dir"])
-    weekly_root = Path(settings["weekly_dir"])
+    daily_root, weekly_root = settings["daily_dir"], settings["weekly_dir"]
     for root in (daily_root, weekly_root):
         if not root.is_dir():
             raise TrendnetError(f"{root}: not a directory", 3)
@@ -191,17 +248,17 @@ def cmd_stitch(settings: dict) -> tuple[dict[Path, str], str]:
             raise TrendnetError(f"{seg_dir}: {err}", err.code) from err
         return ingest.emit_daily_csv(rescaled)
 
-    texts = {Path(settings["out"]) / f"{kw}.csv": stitch_keyword(kw) for kw in registry.keywords}
+    texts = {settings["out"] / f"{kw}.csv": stitch_keyword(kw) for kw in registry.keywords}
     return texts, f"stitched {len(texts)} keywords -> {settings['out']}"
 
 
 # --- analyze ---
 
-def _load_stitched(stitched_dir: Path, registry_value):
+def _load_stitched(stitched_dir: Path, registry: Path | None):
     if not stitched_dir.is_dir():
         raise TrendnetError(f"{stitched_dir}: not a directory", 3)
-    if registry_value is not None:
-        keywords = _load_registry(registry_value).keywords
+    if registry is not None:
+        keywords = _load_registry(registry).keywords
     else:
         keywords = tuple(sorted(p.stem for p in stitched_dir.glob("*.csv")))
     if not keywords:
@@ -212,11 +269,8 @@ def _load_stitched(stitched_dir: Path, registry_value):
 
 
 def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:
-    windows = _parse_windows(settings["windows"])
-    thresholds = _parse_thresholds(settings["thresholds"])
-    series = _load_stitched(Path(settings["stitched"]), settings["registry"])
-    out_root = Path(settings["out"])
-    explicit_periods = [util.parse_period(tok) for tok in settings["period"] or ()]
+    series = _load_stitched(settings["stitched"], settings["registry"])
+    out_root, windows, explicit_periods = settings["out"], settings["windows"], settings["period"]
 
     any_series = next(iter(series.values()))
     texts = {}
@@ -234,7 +288,7 @@ def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:
                 raise TrendnetError(f"--period {start}:{end} selects no frame of window"
                                     f" {window}, labeled {first}..{last}")
         pair_groups, triad_groups = [], []
-        for theta in thresholds:
+        for theta in settings["thresholds"]:
             graphs = netstat.threshold_adjacency(frames, theta)
             texts[out_root / f"metrics_w{window}_t{theta:g}.csv"] = netstat.emit_metrics_csv(
                 netstat.frame_metrics(graphs))
@@ -246,17 +300,14 @@ def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:
         texts[out_root / f"persistence_triads_w{window}.csv"] = netstat.emit_persistence_csv(
             frames.keywords, triad_groups)
     summary = (f"analyzed {len(series)} keywords, windows {windows},"
-               f" thresholds {thresholds} -> {settings['out']}")
+               f" thresholds {settings['thresholds']} -> {out_root}")
     return texts, summary
 
 
 # --- report ---
 
 def cmd_report(settings: dict) -> tuple[dict[Path, str], str]:
-    metric = settings["metric"]
-    if metric not in ("density", "clustering"):
-        raise TrendnetError(f"metric must be density or clustering, got {metric!r}")
-    metrics_root = Path(settings["metrics"])
+    metrics_root = settings["metrics"]
     if not metrics_root.is_dir():
         raise TrendnetError(f"{metrics_root}: not a directory", 3)
     metric_files = sorted(metrics_root.glob("metrics_w*_t*.csv"))
@@ -267,20 +318,17 @@ def cmd_report(settings: dict) -> tuple[dict[Path, str], str]:
                                         for path in metric_files])
     windows = sorted(set(table.window_days))
 
-    events_value = settings["events"]
-    if events_value is None:
-        events = timeline.load_bundled_events()
-    else:
-        events = _parse(Path(events_value), timeline.load_events)
+    events = (timeline.load_bundled_events() if settings["events"] is None
+              else _parse(settings["events"], timeline.load_events))
 
-    out_path = Path(settings["out"])
+    out_path = settings["out"]
     stem = out_path.stem if out_path.suffix else out_path.name
     texts = {}
     for window in windows:
         points = table.take([i for i, w in enumerate(table.window_days) if w == window])
         name = f"{stem}_w{window}"
         texts[out_path.with_name(f"{name}.svg")] = render.render_metric_chart(
-            points, events, metric=metric)
+            points, events, metric=settings["metric"])
         texts[out_path.with_name(f"{name}.json")] = render.metrics_report_json(points, events)
     return texts, f"reported windows {windows} -> {out_path.parent or Path('.')}"
 
@@ -292,33 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "rolling distance-correlation keyword networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_stitch = sub.add_parser("stitch", help="rescale daily segments with weekly weights")
-    p_stitch.add_argument("--daily-dir", dest="daily_dir")
-    p_stitch.add_argument("--weekly-dir", dest="weekly_dir")
-    p_stitch.add_argument("--registry", help="keyword,category CSV (default: built-in set)")
-    p_stitch.add_argument("--out", help="output directory for stitched CSVs")
-    for flag in ("span_start", "span_end"):
-        p_stitch.add_argument(f"--{flag.replace('_', '-')}", dest=flag,
-                              help=f"ISO date (default {DEFAULTS['stitch'][flag]})")
-
-    default = DEFAULTS["analyze"]
-    p_analyze = sub.add_parser("analyze", help="correlation frames, graph metrics, persistence")
-    p_analyze.add_argument("--stitched", help="directory of stitched CSVs")
-    p_analyze.add_argument("--registry")
-    p_analyze.add_argument("--windows", help=f"comma list (default {default['windows']})")
-    p_analyze.add_argument("--thresholds", help=f"comma list (default {default['thresholds']})")
-    p_analyze.add_argument("--period", action="append",
-                           help="start:end persistence period (repeatable; default quarters)")
-    p_analyze.add_argument("--out")
-
-    p_report = sub.add_parser("report", help="SVG charts and JSON reports from metrics")
-    p_report.add_argument("--metrics", help="directory holding metrics_w*_t*.csv")
-    p_report.add_argument("--events", help="events CSV (default: bundled timeline)")
-    p_report.add_argument("--metric", choices=("density", "clustering"),
-                          help=f"charted metric (default {DEFAULTS['report']['metric']})")
-    p_report.add_argument("--out", help="output SVG path; _w<window> is appended per window")
-    for p in (p_stitch, p_analyze, p_report):
+    for command, table in SETTINGS.items():
+        p = sub.add_parser(command, help=COMMAND_HELP[command])
+        for key, (default, _, text) in table.items():
+            if isinstance(default, str):
+                text = f"{text} (default {default})"
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, help=text,
+                           action="append" if key in REPEATABLE else None)
         p.add_argument("--config")
     return parser
 

@@ -1,14 +1,16 @@
 """Parsing and validation of search-interest CSV exports.
 
 Daily exports arrive as segmented CSV files (one contiguous block of days
-per file), weekly exports as one year-long file per keyword. Rows are
-`YYYY-MM-DD,value`; any leading rows whose first field is not an ISO date
-are treated as export preamble and skipped. The censored export value `<1`
-maps to 0.5, the midpoint of its interval.
+per file), weekly exports as one year-long file per keyword, and stitched
+series as one daily file per keyword. All three are `YYYY-MM-DD,value`
+rows read by one reader: rows before the first dated row are export
+preamble and skipped; after it, a row whose first field is not an ISO date
+is an error naming its line, and each date must follow the previous one by
+the series' step (1 day or 7). The censored export value `<1` maps to 0.5,
+the midpoint of its interval.
 
-Validation guarantees that daily dates are consecutive and week starts are
-7 days apart, so a series is stored as its first date plus one float64
-array of shape (days,) or (weeks,); the date of entry i is implied.
+So a series is stored as its first date plus one float64 array of shape
+(days,) or (weeks,); entry i falls on `start_date + i * step`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import date, timedelta
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,36 +43,24 @@ class DailySeries:
     keyword: str
     start_date: date
     values: np.ndarray
+    step: ClassVar[timedelta] = DAY
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
     @property
     def end_date(self) -> date:
-        return self.start_date + (len(self.values) - 1) * DAY
+        return self.start_date + (len(self.values) - 1) * self.step
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True, eq=False)
-class WeeklySeries:
+class WeeklySeries(DailySeries):
     """Weekly values for a keyword; `values[i]` is the week starting
     `start_date + 7 * i` days."""
 
-    keyword: str
-    start_date: date
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-
-def _parse_iso_date(token: str) -> date | None:
-    try:
-        return date.fromisoformat(token.strip())
-    except ValueError:
-        return None
+    step = WEEK
 
 
 def _parse_value(token: str, when: date, upper: float | None = 100.0) -> float:
@@ -86,31 +77,36 @@ def _parse_value(token: str, when: date, upper: float | None = 100.0) -> float:
     return value
 
 
-def _data_rows(raw_csv: str, upper: float | None) -> list[tuple[date, float]]:
-    """Extract (date, value) rows, skipping preamble lines."""
-    rows = []
-    for record in csv.reader(io.StringIO(raw_csv)):
+def _read_series(raw_csv: str, keyword: str, step: timedelta,
+                 upper: float | None) -> tuple[date, np.ndarray]:
+    """The first date and the values of `date,value` rows spaced `step` apart.
+
+    Rows before the first dated row are preamble; after it, every row that
+    is not blank must carry the next date and a value in [0, `upper`].
+    """
+    values, prev = [], None
+    rows = csv.reader(io.StringIO(raw_csv))
+    for record in rows:
         if not record:
             continue
-        when = _parse_iso_date(record[0])
-        if when is None:
-            continue  # preamble or header
+        token = record[0].strip()
+        try:
+            when = date.fromisoformat(token)
+        except ValueError:
+            if prev is None or not any(field.strip() for field in record):
+                continue  # preamble, header or blank row
+            raise TrendnetError(f"line {rows.line_num}: date {token!r} does not parse") from None
+        if prev is None:
+            first = when
+        elif when != prev + step:
+            raise TrendnetError(f"{keyword}: expected {prev + step} after {prev}, got {when}")
         if len(record) < 2:
             raise TrendnetError(f"{when}: missing value field")
-        rows.append((when, _parse_value(record[1], when, upper)))
-    return rows
-
-
-def _consecutive_values(rows: list[tuple[date, float]], keyword: str) -> np.ndarray:
-    """The values of rows whose dates run one day apart, else an error."""
-    for (prev, _), (cur, _) in zip(rows, rows[1:]):
-        if cur == prev:
-            raise TrendnetError(f"{keyword}: duplicate date {cur}")
-        if cur != prev + DAY:
-            raise TrendnetError(
-                f"{keyword}: missing date {prev + DAY} (rows jump {prev} -> {cur})"
-            )
-    return np.array([v for _, v in rows], dtype=np.float64)
+        values.append(_parse_value(record[1], when, upper))
+        prev = when
+    if prev is None:
+        raise TrendnetError(f"{keyword}: no data rows")
+    return first, np.array(values, dtype=np.float64)
 
 
 def parse_daily_segment(raw_csv: str, keyword: str) -> DailySeries:
@@ -120,32 +116,20 @@ def parse_daily_segment(raw_csv: str, keyword: str) -> DailySeries:
     neither reach 100 nor are all zero is suspicious (exports normalize the
     segment maximum to 100) and draws a warning, not an error.
     """
-    rows = _data_rows(raw_csv, upper=100.0)
-    if not rows:
-        raise TrendnetError(f"{keyword}: no data rows")
-    values = _consecutive_values(rows, keyword)
+    start, values = _read_series(raw_csv, keyword, DAY, 100.0)
     peak = values.max()
     if peak != 100.0 and peak != 0.0:
         warnings.warn(
-            f"{keyword}: segment starting {rows[0][0]} has max {peak.tolist()};"
+            f"{keyword}: segment starting {start} has max {peak.tolist()};"
             " expected a 100 (or an all-zero segment) in a normalized export",
             stacklevel=2,
         )
-    return DailySeries(keyword.lower(), rows[0][0], values)
+    return DailySeries(keyword.lower(), start, values)
 
 
 def parse_weekly(raw_csv: str, keyword: str) -> WeeklySeries:
     """Parse a weekly export; rows must be spaced exactly 7 days apart."""
-    rows = _data_rows(raw_csv, upper=100.0)
-    if not rows:
-        raise TrendnetError(f"{keyword}: no weekly data rows")
-    for (prev, _), (cur, _) in zip(rows, rows[1:]):
-        if cur - prev != WEEK:
-            raise TrendnetError(
-                f"{keyword}: week starts {prev} -> {cur} are {(cur - prev).days}"
-                " days apart, expected 7"
-            )
-    return WeeklySeries(keyword.lower(), rows[0][0], np.array([v for _, v in rows]))
+    return WeeklySeries(keyword.lower(), *_read_series(raw_csv, keyword, WEEK, 100.0))
 
 
 def assemble_daily(
@@ -193,10 +177,7 @@ def assemble_daily(
 
 def parse_stitched(raw_csv: str, keyword: str) -> DailySeries:
     """Parse a canonical stitched CSV (`date,value`, full precision); values may exceed 100."""
-    rows = _data_rows(raw_csv, upper=None)
-    if not rows:
-        raise TrendnetError(f"{keyword}: no data rows")
-    return DailySeries(keyword.lower(), rows[0][0], _consecutive_values(rows, keyword))
+    return DailySeries(keyword.lower(), *_read_series(raw_csv, keyword, DAY, None))
 
 
 def emit_daily_csv(series: DailySeries) -> str:

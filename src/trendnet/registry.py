@@ -61,15 +61,16 @@ class KeywordRegistry:
 
     @classmethod
     def from_csv(cls, text: str) -> "KeywordRegistry":
-        """Parse a `keyword,category` CSV; a header row is skipped if present.
+        """Parse a `keyword,category` CSV; a header row and blank rows are skipped.
 
-        A short row, an unknown category or a repeated keyword is an error
-        naming its line; so is a file without keyword rows.
+        A short row, an unknown category, a repeated keyword or one that
+        cannot be a file name is an error naming its line; so is a file
+        without keyword rows.
         """
         entries, seen = [], set()
         rows = csv.reader(io.StringIO(text))
         for row in rows:
-            if not row or not row[0].strip():
+            if not any(field.strip() for field in row):
                 continue
             where = f"line {rows.line_num}: "
             if len(row) < 2:
@@ -85,7 +86,11 @@ class KeywordRegistry:
 
 
 def _check_entry(keyword: str, category: str, seen: set[str], where: str = "") -> None:
-    """Reject an unknown category or a keyword already in `seen`, then add it."""
+    """Reject an unknown category, a keyword already in `seen` or one that
+    cannot name its `<keyword>.csv` file, then add it."""
+    if keyword in ("", ".", "..") or "/" in keyword or "\\" in keyword:
+        raise TrendnetError(f"{where}keyword {keyword!r} cannot name a file; a keyword"
+                            " must not be empty, '.' or '..' or hold '/' or '\\'")
     if category not in CATEGORIES:
         raise TrendnetError(f"{where}unknown keyword category {category!r} for {keyword!r};"
                             f" expected one of {', '.join(CATEGORIES)}")

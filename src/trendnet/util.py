@@ -43,30 +43,18 @@ def default_periods(data_start: date, last_label: date) -> list[tuple[date, date
     return periods
 
 
-def parse_period(text: str) -> tuple[date, date]:
-    """Parse `YYYY-MM-DD:YYYY-MM-DD` into an inclusive date range."""
-    try:
-        start_text, end_text = text.split(":")
-        start = date.fromisoformat(start_text.strip())
-        end = date.fromisoformat(end_text.strip())
-    except ValueError:
-        raise TrendnetError(f"period must be start:end ISO dates, got {text!r}") from None
-    if end < start:
-        raise TrendnetError(f"period end {end} precedes start {start}")
-    return start, end
-
-
 def parse_config(
     text: str, known: set[str], repeatable: set[str] = frozenset()
-) -> dict[str, str | list[str]]:
+) -> dict[str, list[tuple[int, str]]]:
     """Parse a `key = value` config file; `#` starts a comment line.
 
-    Keys are matched with `-` read as `_`; a key not in `known` is an error.
-    A key in `repeatable` maps to the list of its values in file order, as
-    a repeated flag does; any other key may appear only once.
+    Maps each key to its (line number, value) pairs in file order, so the
+    caller can name the line of a value it rejects. Keys are matched with
+    `-` read as `_`; a key not in `known` is an error. A key in
+    `repeatable` may appear on several lines, as a repeated flag may; any
+    other key only once. Values are stripped and not parsed.
     """
-    config: dict[str, str | list[str]] = {}
-    first_line = {}
+    config: dict[str, list[tuple[int, str]]] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -77,15 +65,11 @@ def parse_config(
         name = key.strip().replace("-", "_")
         if name not in known:
             raise TrendnetError(f"config line {lineno}: unknown key {key.strip()!r}")
-        if name in repeatable:
-            config.setdefault(name, []).append(value.strip())
-            continue
-        if name in first_line:
+        if name in config and name not in repeatable:
             raise TrendnetError(
-                f"config line {lineno}: key {key.strip()!r} repeats line {first_line[name]}"
+                f"config line {lineno}: key {key.strip()!r} repeats line {config[name][0][0]}"
             )
-        first_line[name] = lineno
-        config[name] = value.strip()
+        config.setdefault(name, []).append((lineno, value.strip()))
     return config
 
 

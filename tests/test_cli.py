@@ -247,12 +247,11 @@ def test_exit_code_is_the_error_code(stitched_dir, tmp_path, capsys, key, value,
     if key == "registry":
         value = str(tmp_path / value)
     out = str(tmp_path / "a")
+    argv = ["analyze", "--stitched", str(stitched_dir), f"--{key}", value, "--out", out]
     with pytest.raises(TrendnetError) as raised:
-        cli.cmd_analyze({**cli.DEFAULTS["analyze"], "stitched": str(stitched_dir), "out": out,
-                         key: value})
+        cli.cmd_analyze(cli._settings(cli.build_parser().parse_args(argv)))
     assert raised.value.code == code
-    assert main(["analyze", "--stitched", str(stitched_dir), f"--{key}", value,
-                 "--out", out]) == code
+    assert main(argv) == code
     assert capsys.readouterr().err == f"error: {raised.value}\n"
 
 
@@ -601,8 +600,9 @@ def test_analyze_failed_move_restores_earlier_run(stitched_dir, tmp_path, capsys
 
 def test_cmd_analyze_returns_texts_and_writes_nothing(stitched_dir, tmp_path):
     out = tmp_path / "analysis"
-    settings = {**cli.DEFAULTS["analyze"], "stitched": str(stitched_dir), "out": str(out),
-                "windows": "15", "thresholds": "0.5"}
+    settings = cli._settings(cli.build_parser().parse_args([
+        "analyze", "--stitched", str(stitched_dir), "--out", str(out),
+        "--windows", "15", "--thresholds", "0.5"]))
     texts, summary = cli.cmd_analyze(settings)
     assert sorted(path.name for path in texts) == [
         "correlations_w15.csv", "metrics_w15_t0.5.csv",
@@ -614,11 +614,10 @@ def test_cmd_analyze_returns_texts_and_writes_nothing(stitched_dir, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", sorted(cli.DEFAULTS))
+@pytest.mark.parametrize("command", sorted(cli.SETTINGS))
 def test_settings_table_lists_every_flag(command):
     args = cli.build_parser().parse_args([command])
-    assert set(vars(args)) - {"command", "config"} == set(cli.DEFAULTS[command])
-    assert set(cli.REQUIRED[command]) <= set(cli.DEFAULTS[command])
+    assert set(vars(args)) - {"command", "config"} == set(cli.SETTINGS[command])
 
 
 @pytest.mark.parametrize("command, first_key, message", [
@@ -683,3 +682,66 @@ def test_report_mistyped_event_date_exits_2_naming_file(stitched_dir, tmp_path, 
     assert code == 2
     assert f"{events}: line 2: event date '2020-13-01' does not parse" in capsys.readouterr().err
     assert not reports.exists()
+
+
+@pytest.mark.parametrize("command, lines, message", [
+    ("analyze", "windows = 15,abc", "config line 2: windows must be integers, got '15,abc'"),
+    ("analyze", "thresholds = 0.5,1.5",
+     "config line 2: thresholds must lie in (0,1), got '0.5,1.5'"),
+    ("analyze", "period = 2020-05-01:2020-05-31\nperiod = 2020-01-01",
+     "config line 3: period must be start:end ISO dates, got '2020-01-01'"),
+    ("stitch", "span-start = 2020-13-01",
+     "config line 2: span-start must be an ISO date, got '2020-13-01'"),
+    ("report", "metric = bogus", "config line 2: metric must be density or clustering, got 'bogus'"),
+], ids=["windows", "thresholds", "second-period", "span-start", "metric"])
+def test_bad_config_value_exits_2_naming_file_and_line(tmp_path, capsys, command, lines, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# run settings\n{lines}\n", "utf-8")
+    inputs = {"stitch": ["--daily-dir", str(tmp_path), "--weekly-dir", str(tmp_path)],
+              "analyze": ["--stitched", str(tmp_path)], "report": ["--metrics", str(tmp_path)]}
+    out = tmp_path / "out"
+    assert main([command, *inputs[command], "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    assert not out.exists()
+
+
+def test_bogus_metric_flag_exits_2_naming_flag(tmp_path, capsys):
+    out = tmp_path / "r.svg"
+    assert main(["report", "--metrics", str(tmp_path), "--metric", "bogus",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --metric must be density or clustering, got 'bogus'\n"
+
+
+@pytest.mark.parametrize("command, line, flags, source", [
+    ("report", "out =", [], "run.cfg: config line 1: out"),
+    ("report", "events =", ["--out", "r.svg"], "run.cfg: config line 1: events"),
+    ("stitch", "", ["--registry", "", "--out", "stitched"], "--registry"),
+], ids=["out", "events", "registry"])
+def test_empty_setting_exits_2_naming_source(stitched_dir, export_tree, tmp_path, capsys,
+                                             monkeypatch, command, line, flags, source):
+    analysis = tmp_path / "analysis"
+    assert main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
+                 "--thresholds", "0.5", "--out", str(analysis)]) == 0
+    capsys.readouterr()
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    (work / "run.cfg").write_text(f"{line}\n", "utf-8")
+    inputs = {"stitch": ["--daily-dir", str(export_tree / "daily"),
+                         "--weekly-dir", str(export_tree / "weekly")],
+              "report": ["--metrics", str(analysis)]}
+    assert main([command, *inputs[command], "--config", "run.cfg", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {source} is empty\n")
+    assert [p.name for p in work.iterdir()] == ["run.cfg"]
+
+
+def test_mistyped_stitched_date_exits_2_naming_file_and_line(stitched_dir, tmp_path, capsys):
+    path = stitched_dir / "fever.csv"
+    lines = path.read_text().split("\n")
+    lines[40] = lines[40].replace("2020-04-", "2020-04-O", 1)
+    path.write_text("\n".join(lines))
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--stitched", str(stitched_dir), "--out", str(out)]) == 2
+    bad = lines[40].split(",")[0]
+    assert capsys.readouterr().err == f"error: {path}: line 41: date '{bad}' does not parse\n"
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -54,7 +55,8 @@ def test_parse_daily_segment_gap_is_error():
 
 def test_parse_daily_segment_duplicate_is_error():
     text = "2020-03-17,10\n2020-03-17,20\n"
-    with pytest.raises(TrendnetError, match="duplicate"):
+    message = "^cough: expected 2020-03-18 after 2020-03-17, got 2020-03-17$"
+    with pytest.raises(TrendnetError, match=message):
         parse_daily_segment(text, "cough")
 
 
@@ -94,12 +96,13 @@ def test_parse_weekly_censored_value():
 
 def test_parse_weekly_irregular_spacing():
     text = "2020-03-15,10\n2020-03-21,20\n"
-    with pytest.raises(TrendnetError, match="6 days"):
+    message = "^flu: expected 2020-03-22 after 2020-03-15, got 2020-03-21$"
+    with pytest.raises(TrendnetError, match=message):
         parse_weekly(text, "flu")
 
 
 def test_parse_weekly_empty():
-    with pytest.raises(TrendnetError, match="^flu: no weekly data rows$"):
+    with pytest.raises(TrendnetError, match="^flu: no data rows$"):
         parse_weekly("Week,flu\n", "flu")
 
 
@@ -178,9 +181,11 @@ def test_parse_stitched_value_out_of_range(bad):
 
 
 def test_parse_stitched_rejects_gaps():
-    with pytest.raises(TrendnetError, match="missing date 2020-03-17"):
+    gap = "^ubo: expected 2020-03-17 after 2020-03-16, got 2020-03-18$"
+    with pytest.raises(TrendnetError, match=gap):
         parse_stitched("2020-03-16,1.0\n2020-03-18,2.0\n", "ubo")
-    with pytest.raises(TrendnetError, match="duplicate date 2020-03-16"):
+    duplicate = "^ubo: expected 2020-03-17 after 2020-03-16, got 2020-03-16$"
+    with pytest.raises(TrendnetError, match=duplicate):
         parse_stitched("2020-03-16,1.0\n2020-03-16,2.0\n", "ubo")
 
 
@@ -207,3 +212,16 @@ def same_series(a, b):
     return (a.keyword, a.start_date, a.values.tolist()) == (
         b.keyword, b.start_date, b.values.tolist()
     )
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_daily_segment, "2020-04-01,100\n2020-04-02,100\n2020-04-O3,70\n",
+     "line 3: date '2020-04-O3' does not parse"),
+    (parse_stitched, "date,value\n2020-04-01,1.5\n2020-04-0x,2.5\n2020-04-03,3.5\n",
+     "line 3: date '2020-04-0x' does not parse"),
+    (parse_weekly, "Week,flu\n2020-03-15,10\n2020-03-22,20\n2020-0329,30\n2020-04-05,40\n",
+     "line 4: date '2020-0329' does not parse"),
+], ids=["daily-last-row", "stitched-mid-file", "weekly-mid-file"])
+def test_mistyped_date_after_first_row_names_line(parse, text, message):
+    with pytest.raises(TrendnetError, match=f"^{re.escape(message)}$"):
+        parse(text, "cough")

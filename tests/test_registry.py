@@ -18,7 +18,15 @@ def test_from_csv_skips_header_and_blank_rows():
      "line 4: duplicate keyword 'cough'"),
     ("cough,SymptomsEnglish\n\nfever\n", "line 4: registry row needs keyword,category: ['fever']"),
     ("cough,Symptoms\n", "line 2: unknown keyword category 'Symptoms' for 'cough'"),
-], ids=["duplicate", "short", "category"])
+    ("../escaped,FaceWearing\n", "line 2: keyword '../escaped' cannot name a file"),
+    ("masks/n95,FaceWearing\n", "line 2: keyword 'masks/n95' cannot name a file"),
+    ("masks\\n95,FaceWearing\n", "line 2: keyword 'masks\\\\n95' cannot name a file"),
+    (".,FaceWearing\n", "line 2: keyword '.' cannot name a file"),
+    ("..,FaceWearing\n", "line 2: keyword '..' cannot name a file"),
+    ("cough,SymptomsEnglish\n,FaceWearing\n", "line 3: keyword '' cannot name a file"),
+    ("  ,FaceWearing\n", "line 2: keyword '' cannot name a file"),
+], ids=["duplicate", "short", "category", "parent-dir", "slash", "backslash", "dot", "dot-dot",
+        "empty", "blank"])
 def test_from_csv_errors_name_the_line(rows, message):
     with pytest.raises(TrendnetError, match=f"^{re.escape(message)}"):
         KeywordRegistry.from_csv(HEADER + rows)
@@ -28,3 +36,4 @@ def test_from_csv_errors_name_the_line(rows, message):
 def test_from_csv_without_keyword_rows_raises(text):
     with pytest.raises(TrendnetError, match="^no keyword rows$"):
         KeywordRegistry.from_csv(text)
+
