@@ -6,7 +6,9 @@ its default, its parse function and its help. `main` resolves them in
 `_settings` (flag, else config line, else default), parsing every value
 once into a typed one and naming its source in an error: the flag
 (`--windows must be integers, got '15,abc'`) or the config file and line
-(`run.cfg: config line 2: windows must be ...`); empty text is an error.
+(`run.cfg: config line 2: windows must be ...`); empty text is an error,
+as is a repeated value of a repeatable setting. Checks across values (the
+span's order, a period's frames) name each value's source the same way.
 `cmd_<command>` then computes every output text, parsing no setting and
 writing nothing, and `_commit` writes each text to a hidden `.<name>.part`
 beside its target and, once all are written, moves them into place,
@@ -26,7 +28,7 @@ import argparse
 import os
 import sys
 import warnings
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 from . import correlate, ingest, netstat, render, stitch, timeline, util
@@ -85,14 +87,14 @@ def _load_registry(path: Path | None) -> KeywordRegistry:
 
 def _parse_date(value: str) -> date:
     try:
-        return date.fromisoformat(value)
+        return util.iso_date(value)
     except ValueError:
         raise TrendnetError(f"must be an ISO date, got {value!r}") from None
 
 
 def _parse_period(raw: str) -> tuple[date, date]:
     try:
-        start, end = (date.fromisoformat(tok.strip()) for tok in raw.split(":"))
+        start, end = (util.iso_date(tok.strip()) for tok in raw.split(":"))
     except ValueError:
         raise TrendnetError(f"must be start:end ISO dates, got {raw!r}") from None
     if end < start:
@@ -189,7 +191,9 @@ def _parse_value(source: str, raw: str, parse):
 
 
 def _settings(args: argparse.Namespace) -> dict:
-    """The command's parsed settings by flag dest: flag over config line over default."""
+    """The command's parsed settings by flag dest: flag over config line over default,
+    and under "sources" each dest's list of value sources, for checks across values.
+    A repeatable setting given one value twice is an error naming both sources."""
     table = SETTINGS[args.command]
     config = {}
     if args.config is not None:
@@ -208,9 +212,13 @@ def _settings(args: argparse.Namespace) -> dict:
     if not all(raws[key] for key in required):
         *names, last = (f"--{key.replace('_', '-')}" for key in required)
         raise TrendnetError(f"{args.command} requires {', '.join(names)} and {last}")
-    settings = {}
+    settings = {"sources": {key: [source for source, _ in raws[key]] for key in table}}
     for key, (_, parse, _) in table.items():
         values = [_parse_value(source, raw, parse) for source, raw in raws[key]]
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                (source, raw), (first, first_raw) = raws[key][i], raws[key][values.index(value)]
+                raise TrendnetError(f"{source} {raw} repeats {first} {first_raw}")
         settings[key] = values if key in REPEATABLE else values[0] if values else None
     return settings
 
@@ -221,7 +229,8 @@ def cmd_stitch(settings: dict) -> tuple[dict[Path, str], str]:
     registry = _load_registry(settings["registry"])
     span = (settings["span_start"], settings["span_end"])
     if span[1] < span[0]:
-        raise TrendnetError(f"--span-start {span[0]} is after --span-end {span[1]}")
+        start_from, end_from = (settings["sources"][key][0] for key in ("span_start", "span_end"))
+        raise TrendnetError(f"{start_from} {span[0]} is after {end_from} {span[1]}")
     daily_root, weekly_root = settings["daily_dir"], settings["weekly_dir"]
     for root in (daily_root, weekly_root):
         if not root.is_dir():
@@ -272,7 +281,6 @@ def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:
     series = _load_stitched(settings["stitched"], settings["registry"])
     out_root, windows, explicit_periods = settings["out"], settings["windows"], settings["period"]
 
-    any_series = next(iter(series.values()))
     texts = {}
     for window in windows:
         frames = correlate.rolling_correlation(series, window)
@@ -281,12 +289,13 @@ def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:
         first, last = frames.label_dates[[0, -1]].tolist()
         periods = []
         # A long window can leave a default quarter without frames; it is skipped.
-        for start, end in explicit_periods or util.default_periods(any_series.start_date, last):
+        candidates = explicit_periods or util.default_periods(first - timedelta(window), last)
+        for i, (start, end) in enumerate(candidates):
             if netstat.period_mask(frames.label_dates, (start, end)).any():
                 periods.append((start, end))
             elif explicit_periods:
-                raise TrendnetError(f"--period {start}:{end} selects no frame of window"
-                                    f" {window}, labeled {first}..{last}")
+                raise TrendnetError(f"{settings['sources']['period'][i]} {start}:{end} selects no"
+                                    f" frame of window {window}, labeled {first}..{last}")
         pair_groups, triad_groups = [], []
         for theta in settings["thresholds"]:
             graphs = netstat.threshold_adjacency(frames, theta)

@@ -26,8 +26,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import TrendnetError
+from .util import DAY, iso_date
 
-DAY = timedelta(days=1)
 WEEK = timedelta(days=7)
 
 
@@ -91,7 +91,7 @@ def _read_series(raw_csv: str, keyword: str, step: timedelta,
             continue
         token = record[0].strip()
         try:
-            when = date.fromisoformat(token)
+            when = iso_date(token)
         except ValueError:
             if prev is None or not any(field.strip() for field in record):
                 continue  # preamble, header or blank row

@@ -33,18 +33,18 @@ last bits.
 
 `rolling_dcor` splits the frames over processes. It cuts the F frames into
 contiguous ranges, one per worker, of a stack in an anonymous shared
-mapping; it forks a child per range after the first, computes the first
-itself, waits for every child, also when its own range raises, and copies
-the stack off the mapping. A child that exits nonzero or dies by a signal
-raises ChildProcessError naming its range and, if the child raised, its
+mapping, which it returns; it forks a child per range after the first,
+computes the first itself and waits for every child, also when its own
+range raises. A child that exits nonzero or dies by a signal raises
+ChildProcessError naming its range and, if the child raised, its
 exception, which the child writes to its own pipe before it exits. A frame
 reads only its window and writes only its (k, k) slot, through the same
-operations in the same order in any process, so the split moves no bit. Threads do not pay: the
-per-frame numpy calls are short and serialise on the interpreter lock. On a
-2-CPU Xeon host (K = 15, n = 60 and 90, two years of days) two threads took
-0.8-1.7x the serial time, two processes 0.53-0.72x. Forking is unsafe
-while other threads run, so then the stack is computed serially; OpenBLAS
-stops its own thread pool at fork.
+operations in the same order in any process, so the split moves no bit.
+Threads do not pay: the per-frame numpy calls are short and serialise on
+the interpreter lock. On a 2-CPU Xeon host (K = 15, n = 60 and 90, two
+years of days) two threads took 0.8-1.7x the serial time, two processes
+0.53-0.72x. Forking is unsafe while other threads run, so then the stack
+is computed serially; OpenBLAS stops its own thread pool at fork.
 
 Workers are the CPUs in the affinity mask, at most one per MIN_WORKER_WORK
 frames * k * n**2 units. On that host a fork and wait cost 6-11 ms, the
@@ -94,15 +94,9 @@ def rolling_dcor(data: np.ndarray, window: int) -> np.ndarray:
     series = np.ascontiguousarray(np.transpose(data), dtype=np.float64)  # (k, t)
     k, t = series.shape
     frames = t - window + 1
-    workers = min(_max_workers(), frames, frames * k * window * window // MIN_WORKER_WORK)
-    if workers < 2:
-        out = np.empty((frames, k, k))
-        _dcor_frames(series, window, out, 0)
-    else:
-        shared = np.frombuffer(mmap.mmap(-1, frames * k * k * 8)).reshape(frames, k, k)
-        _forked_dcor_frames(series, window, shared, [frames * i // workers
-                                                      for i in range(workers + 1)])
-        out = shared.copy()
+    workers = max(1, min(_max_workers(), frames, frames * k * window * window // MIN_WORKER_WORK))
+    out = np.frombuffer(mmap.mmap(-1, frames * k * k * 8)).reshape(frames, k, k)
+    _forked_dcor_frames(series, window, out, [frames * i // workers for i in range(workers + 1)])
     # Mirror the upper triangle: the Gram product need not be exactly symmetric.
     rows, cols = np.triu_indices(k, 1)
     out[:, cols, rows] = out[:, rows, cols]

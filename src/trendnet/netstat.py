@@ -51,7 +51,7 @@ import numpy as np
 from . import kernels
 from .correlate import CorrelationFrame
 from .errors import TrendnetError
-from .util import csv_field
+from .util import csv_field, iso_date
 
 
 @dataclass(eq=False)
@@ -218,7 +218,7 @@ def emit_metrics_csv(table: MetricTable) -> str:
 
 
 # How each column is read back, in column order.
-_METRIC_PARSERS = (date.fromisoformat, int, float, int, float, float, float)
+_METRIC_PARSERS = (iso_date, int, float, int, float, float, float)
 
 
 def _loose(text: str) -> bool:

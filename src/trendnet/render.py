@@ -23,6 +23,7 @@ from datetime import date
 from .errors import TrendnetError
 from .netstat import MetricTable
 from .timeline import EventRecord, JoinedEvent, join_events
+from .util import month_starts
 
 WIDTH = 1200
 HEIGHT = 500
@@ -50,12 +51,6 @@ METRIC_FIELDS = {
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
-
-
-def _month_ticks(first: date, last: date) -> list[date]:
-    """The first day of every month in [first, last]."""
-    months = range(first.year * 12 + first.month - (first.day == 1), last.year * 12 + last.month)
-    return [date(m // 12, m % 12 + 1, 1) for m in months]
 
 
 def render_metric_chart(
@@ -124,7 +119,7 @@ def render_metric_chart(
 
     # x month ticks
     axis_y = MARGIN_TOP + PLOT_H
-    for tick in _month_ticks(first, last):
+    for tick in month_starts(first, last):
         x = x_at(tick)
         parts.append(
             f'<line class="tick" x1="{_fmt(x)}" y1="{_fmt(axis_y)}" '

@@ -11,6 +11,7 @@ from importlib import resources
 
 from .errors import TrendnetError
 from .netstat import MetricTable
+from .util import iso_date
 
 # Chart color per category; variant detections render black like milestones.
 CATEGORY_COLORS = {
@@ -64,7 +65,7 @@ def load_events(raw_csv: str) -> list[EventRecord]:
         if is_header:
             continue
         try:
-            when = date.fromisoformat(row[0].strip())
+            when = iso_date(row[0].strip())
         except ValueError:
             raise TrendnetError(
                 f"line {rows.line_num}: event date {row[0].strip()!r} does not parse"

@@ -8,24 +8,25 @@ from datetime import date, timedelta
 
 from .errors import TrendnetError
 
-QUARTER_ANCHOR_MONTHS = (1, 4, 7, 10)
+DAY = timedelta(days=1)
 
 
-def _next_quarter_start(when: date) -> date:
-    for month in QUARTER_ANCHOR_MONTHS:
-        candidate = date(when.year, month, 1)
-        if candidate >= when:
-            return candidate
-    return date(when.year + 1, 1, 1)
+def iso_date(text: str) -> date:
+    """The date written exactly `YYYY-MM-DD`; anything else raises ValueError.
+
+    `date.fromisoformat` alone also reads `20200401` and `2020-W14-5` from
+    Python 3.11 on, so the same input would parse on one supported Python
+    and not on another.
+    """
+    if len(text) != 10 or text[7] != "-":
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
 
 
-def _add_quarter(anchor: date) -> date:
-    month = anchor.month + 3
-    year = anchor.year
-    if month > 12:
-        month -= 12
-        year += 1
-    return date(year, month, 1)
+def month_starts(first: date, last: date, every: int = 1) -> list[date]:
+    """The first day of each month in [first, last] whose month number is 1 modulo `every`."""
+    months = range(first.year * 12 + first.month - (first.day == 1), last.year * 12 + last.month)
+    return [date(m // 12, m % 12 + 1, 1) for m in months if m % 12 % every == 0]
 
 
 def default_periods(data_start: date, last_label: date) -> list[tuple[date, date]]:
@@ -35,12 +36,8 @@ def default_periods(data_start: date, last_label: date) -> list[tuple[date, date
     stops once quarters begin after the last frame label. The default
     timeline yields Apr-Jun, Jul-Sep, Oct-Dec, Jan-Mar.
     """
-    periods = []
-    anchor = _next_quarter_start(data_start)
-    while anchor <= last_label:
-        periods.append((anchor, _add_quarter(anchor) - timedelta(days=1)))
-        anchor = _add_quarter(anchor)
-    return periods
+    starts = month_starts(data_start, last_label + 92 * DAY, every=3)  # one quarter past the end
+    return [(start, after - DAY) for start, after in zip(starts, starts[1:]) if start <= last_label]
 
 
 def parse_config(

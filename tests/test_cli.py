@@ -745,3 +745,138 @@ def test_mistyped_stitched_date_exits_2_naming_file_and_line(stitched_dir, tmp_p
     bad = lines[40].split(",")[0]
     assert capsys.readouterr().err == f"error: {path}: line 41: date '{bad}' does not parse\n"
     assert not out.exists()
+
+
+def _plant_date(path, lineno, bad):
+    """Replace the date opening line `lineno` (1-based) of a CSV file with `bad`."""
+    lines = path.read_text().split("\n")
+    lines[lineno - 1] = bad + lines[lineno - 1][len("2020-01-01"):]
+    path.write_text("\n".join(lines), "utf-8")
+
+
+def _analysis(stitched_dir, tmp_path):
+    analysis = tmp_path / "analysis"
+    assert main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
+                 "--thresholds", "0.5", "--out", str(analysis)]) == 0
+    return analysis
+
+
+def _in_segment(bad, tmp_path, fixture):
+    tree = fixture("export_tree")
+    seg = tree / "daily" / "cough" / "2.csv"
+    _plant_date(seg, 5, bad)
+    return (["stitch", "--daily-dir", str(tree / "daily"), "--weekly-dir", str(tree / "weekly")],
+            f"{seg}: line 5: date '{bad}' does not parse")
+
+
+def _in_weekly(bad, tmp_path, fixture):
+    tree = fixture("export_tree")
+    weekly = tree / "weekly" / "cough.csv"
+    _plant_date(weekly, 6, bad)
+    return (["stitch", "--daily-dir", str(tree / "daily"), "--weekly-dir", str(tree / "weekly")],
+            f"{weekly}: line 6: date '{bad}' does not parse")
+
+
+def _in_stitched(bad, tmp_path, fixture):
+    stitched = fixture("stitched_dir")
+    _plant_date(stitched / "fever.csv", 41, bad)
+    return (["analyze", "--stitched", str(stitched)],
+            f"{stitched / 'fever.csv'}: line 41: date '{bad}' does not parse")
+
+
+def _in_events(bad, tmp_path, fixture):
+    events = tmp_path / "events.csv"
+    events.write_text(f"date,label,category\n2020-04-01,ok,Policy\n{bad},x,Policy\n", "utf-8")
+    return (["report", "--metrics", str(_analysis(fixture("stitched_dir"), tmp_path)),
+             "--events", str(events)], f"{events}: line 3: event date '{bad}' does not parse")
+
+
+def _in_metrics(bad, tmp_path, fixture):
+    analysis = _analysis(fixture("stitched_dir"), tmp_path)
+    _plant_date(analysis / "metrics_w15_t0.5.csv", 3, bad)
+    return (["report", "--metrics", str(analysis)],
+            f"{analysis / 'metrics_w15_t0.5.csv'}: line 3: label_date '{bad}' does not parse")
+
+
+def _in_span_start_flag(bad, tmp_path, fixture):
+    tree = fixture("export_tree")
+    return (["stitch", "--daily-dir", str(tree / "daily"), "--weekly-dir", str(tree / "weekly"),
+             "--span-start", bad], f"--span-start must be an ISO date, got '{bad}'")
+
+
+def _in_period_flag(bad, tmp_path, fixture):
+    return (["analyze", "--stitched", str(fixture("stitched_dir")),
+             "--period", f"{bad}:2020-06-30"],
+            f"--period must be start:end ISO dates, got '{bad}:2020-06-30'")
+
+
+def _in_span_start_config_line(bad, tmp_path, fixture):
+    tree = fixture("export_tree")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"span-start = {bad}\n", "utf-8")
+    return (["stitch", "--daily-dir", str(tree / "daily"), "--weekly-dir", str(tree / "weekly"),
+             "--config", str(config)],
+            f"{config}: config line 1: span-start must be an ISO date, got '{bad}'")
+
+
+@pytest.mark.parametrize("plant", [
+    _in_segment, _in_weekly, _in_stitched, _in_events, _in_metrics,
+    _in_span_start_flag, _in_period_flag, _in_span_start_config_line,
+], ids=lambda plant: plant.__name__[4:])
+@pytest.mark.parametrize("bad", ["20200401", "2020-W14-5", "2020W141"])
+def test_date_not_written_yyyy_mm_dd_exits_2_naming_source(request, tmp_path, capsys,
+                                                           plant, bad):
+    """Python 3.11+ `date.fromisoformat` reads these basic and ISO-week forms;
+    3.10 and trendnet read only YYYY-MM-DD."""
+    argv, message = plant(bad, tmp_path, request.getfixturevalue)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out / "r.svg" if argv[0] == "report" else out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, flags, message", [
+    ("span-start = 2021-03-15\nspan-end = 2020-03-16", [],
+     "{config}: config line 1: span-start 2021-03-15 is after"
+     " {config}: config line 2: span-end 2020-03-16"),
+    ("span-end = 2020-03-16", ["--span-start", "2021-03-15"],
+     "--span-start 2021-03-15 is after {config}: config line 1: span-end 2020-03-16"),
+], ids=["config", "flag-and-config"])
+def test_inverted_span_names_each_value_source(export_tree, tmp_path, capsys,
+                                               lines, flags, message):
+    config = tmp_path / "s.cfg"
+    config.write_text(f"{lines}\n", "utf-8")
+    out = tmp_path / "stitched"
+    assert run_stitch(export_tree, out, extra=["--config", str(config), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(config=config)}\n"
+    assert not out.exists()
+
+
+def test_config_period_without_frames_names_config_line(stitched_dir, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("windows = 15\nperiod = 2020-05-01:2020-05-31\n"
+                      "period = 2019-01-01:2019-02-01\n", "utf-8")
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--stitched", str(stitched_dir), "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: config line 3: period 2019-01-01:2019-02-01 selects no frame"
+        " of window 15, labeled 2020-03-31..2021-03-16\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_repeated_period_exits_2_naming_both_sources(stitched_dir, tmp_path, capsys, source):
+    periods = ["2020-04-01:2020-06-30", "2020-05-01:2020-05-31", "2020-04-01 : 2020-06-30"]
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"period = {p}\n" for p in periods), "utf-8")
+    flags = ([arg for p in periods for arg in ("--period", p)] if source == "flags"
+             else ["--config", str(config)])
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--stitched", str(stitched_dir), *flags, "--out", str(out)]) == 2
+    first, third = ((f"--period {periods[0]}", f"--period {periods[2]}") if source == "flags"
+                    else (f"{config}: config line 1: period {periods[0]}",
+                          f"{config}: config line 3: period {periods[2]}"))
+    assert capsys.readouterr().err == f"error: {third} repeats {first}\n"
+    assert not out.exists()
