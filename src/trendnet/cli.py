@@ -18,8 +18,8 @@ command leaves no output and puts back any file it had replaced.
 Every failure is a `TrendnetError`, whose `code` is the exit status (2 bad
 input or parameters, 3 I/O, 4 too little data for a window), or an
 `OSError` (3). `_parse` reads and parses one input file and prefixes an
-error from it with that file's path, so the message names the file and
-the date, row or line.
+error or a warning from it with that file's path, so the message names
+the file and the date, row or line; the parsers themselves take only text.
 """
 
 from __future__ import annotations
@@ -37,16 +37,21 @@ from .registry import KeywordRegistry
 
 
 def _parse(path: Path, parse, *args):
-    """`parse(text, *args)` of the file at `path`; its errors are prefixed with
-    the path and keep their exit code, and a failed read exits 3."""
+    """`parse(text, *args)` of the file at `path`; its errors and warnings are
+    prefixed with the path, errors keep their exit code, and a failed read exits 3."""
     try:
         text = path.read_text("utf-8")
     except OSError as err:
         raise TrendnetError(f"{path}: {err.strerror or err}", 3) from err
     try:
-        return parse(text, *args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parsed = parse(text, *args)
     except TrendnetError as err:
         raise TrendnetError(f"{path}: {err}", err.code) from err
+    for warning in caught:
+        warnings.warn(f"{path}: {warning.message}", warning.category)
+    return parsed
 
 
 def _commit(texts: dict[Path, str]) -> None:
@@ -138,8 +143,8 @@ def _parse_thresholds(raw: str) -> list[float]:
 
 
 def _parse_metric(value: str) -> str:
-    if value not in ("density", "clustering"):
-        raise TrendnetError(f"must be density or clustering, got {value!r}")
+    if value not in render.METRIC_FIELDS:
+        raise TrendnetError(f"must be {' or '.join(render.METRIC_FIELDS)}, got {value!r}")
     return value
 
 
@@ -243,14 +248,8 @@ def cmd_stitch(settings: dict) -> tuple[dict[Path, str], str]:
         seg_files = sorted(seg_dir.glob("*.csv"))
         if not seg_files:
             raise TrendnetError(f"{seg_dir}: no segment CSV files", 3)
-        segments = []
-        for seg_file in seg_files:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                segments.append(_parse(seg_file, ingest.parse_daily_segment, keyword))
-            for warning in caught:
-                warnings.warn(f"{seg_file}: {warning.message}", warning.category)
-        weekly = _parse(weekly_root / f"{keyword}.csv", ingest.parse_weekly, keyword)
+        segments = [_parse(seg_file, ingest.parse_daily_segment) for seg_file in seg_files]
+        weekly = _parse(weekly_root / f"{keyword}.csv", ingest.parse_weekly)
         try:
             rescaled = stitch.stitch_series(ingest.assemble_daily(segments, span=span), weekly)
         except TrendnetError as err:
@@ -274,7 +273,7 @@ def _load_stitched(stitched_dir: Path, registry: Path | None):
         raise TrendnetError(f"{stitched_dir}: no stitched CSV files", 3)
     if len(keywords) < 2:
         raise TrendnetError(f"{stitched_dir}: 1 keyword ({keywords[0]}), analyze needs at least 2")
-    return {kw: _parse(stitched_dir / f"{kw}.csv", ingest.parse_stitched, kw) for kw in keywords}
+    return {kw: _parse(stitched_dir / f"{kw}.csv", ingest.parse_stitched) for kw in keywords}
 
 
 def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:

@@ -3,14 +3,17 @@
 Daily exports arrive as segmented CSV files (one contiguous block of days
 per file), weekly exports as one year-long file per keyword, and stitched
 series as one daily file per keyword. All three are `YYYY-MM-DD,value`
-rows read by one reader: rows before the first dated row are export
-preamble and skipped; after it, a row whose first field is not an ISO date
-is an error naming its line, and each date must follow the previous one by
-the series' step (1 day or 7). The censored export value `<1` maps to 0.5,
-the midpoint of its interval.
+rows read by one reader. Rows before the first dated row whose first field
+does not start with a digit are export preamble (`Category: ...`,
+`Day,cough: (Philippines)`, `Week,value`) and skipped; any other row whose
+first field is not an ISO date is an error naming its line, and each date
+must follow the previous one by the series' step (1 day or 7). The
+censored export value `<1` maps to 0.5, the midpoint of its interval.
 
 So a series is stored as its first date plus one float64 array of shape
-(days,) or (weeks,); entry i falls on `start_date + i * step`.
+(days,) or (weeks,); entry i falls on `start_date + i * step`. Parsers
+take only the text: the caller names the file, and so the keyword, in
+errors and warnings.
 """
 
 from __future__ import annotations
@@ -33,14 +36,13 @@ WEEK = timedelta(days=7)
 
 @dataclass(frozen=True, eq=False)
 class DailySeries:
-    """Consecutive daily values for a keyword.
+    """Consecutive daily values of one series.
 
     `values[i]` is the value on `start_date + i` days. Parsed export
     segments hold values in [0, 100]; stitched values are nonnegative and
     may exceed 100 because weekly weights can exceed 1.
     """
 
-    keyword: str
     start_date: date
     values: np.ndarray
     step: ClassVar[timedelta] = DAY
@@ -57,7 +59,7 @@ class DailySeries:
 
 
 class WeeklySeries(DailySeries):
-    """Weekly values for a keyword; `values[i]` is the week starting
+    """Weekly values; `values[i]` is the week starting
     `start_date + 7 * i` days."""
 
     step = WEEK
@@ -77,12 +79,12 @@ def _parse_value(token: str, when: date, upper: float | None = 100.0) -> float:
     return value
 
 
-def _read_series(raw_csv: str, keyword: str, step: timedelta,
-                 upper: float | None) -> tuple[date, np.ndarray]:
+def _read_series(raw_csv: str, step: timedelta, upper: float | None) -> tuple[date, np.ndarray]:
     """The first date and the values of `date,value` rows spaced `step` apart.
 
-    Rows before the first dated row are preamble; after it, every row that
-    is not blank must carry the next date and a value in [0, `upper`].
+    Rows before the first dated row whose first field does not start with a
+    digit are preamble; every other row that is not blank must carry the
+    next date and a value in [0, `upper`].
     """
     values, prev = [], None
     rows = csv.reader(io.StringIO(raw_csv))
@@ -93,43 +95,44 @@ def _read_series(raw_csv: str, keyword: str, step: timedelta,
         try:
             when = iso_date(token)
         except ValueError:
-            if prev is None or not any(field.strip() for field in record):
-                continue  # preamble, header or blank row
+            if not any(field.strip() for field in record) or (
+                    prev is None and not token[:1].isdigit()):
+                continue  # blank row, or preamble and header before the data
             raise TrendnetError(f"line {rows.line_num}: date {token!r} does not parse") from None
         if prev is None:
             first = when
         elif when != prev + step:
-            raise TrendnetError(f"{keyword}: expected {prev + step} after {prev}, got {when}")
+            raise TrendnetError(f"expected {prev + step} after {prev}, got {when}")
         if len(record) < 2:
             raise TrendnetError(f"{when}: missing value field")
         values.append(_parse_value(record[1], when, upper))
         prev = when
     if prev is None:
-        raise TrendnetError(f"{keyword}: no data rows")
+        raise TrendnetError("no data rows")
     return first, np.array(values, dtype=np.float64)
 
 
-def parse_daily_segment(raw_csv: str, keyword: str) -> DailySeries:
+def parse_daily_segment(raw_csv: str) -> DailySeries:
     """Parse one segment export into a validated DailySeries in [0, 100].
 
     Dates must be strictly increasing with no gaps. A segment whose values
     neither reach 100 nor are all zero is suspicious (exports normalize the
     segment maximum to 100) and draws a warning, not an error.
     """
-    start, values = _read_series(raw_csv, keyword, DAY, 100.0)
+    start, values = _read_series(raw_csv, DAY, 100.0)
     peak = values.max()
     if peak != 100.0 and peak != 0.0:
         warnings.warn(
-            f"{keyword}: segment starting {start} has max {peak.tolist()};"
+            f"segment starting {start} has max {peak.tolist()};"
             " expected a 100 (or an all-zero segment) in a normalized export",
             stacklevel=2,
         )
-    return DailySeries(keyword.lower(), start, values)
+    return DailySeries(start, values)
 
 
-def parse_weekly(raw_csv: str, keyword: str) -> WeeklySeries:
+def parse_weekly(raw_csv: str) -> WeeklySeries:
     """Parse a weekly export; rows must be spaced exactly 7 days apart."""
-    return WeeklySeries(keyword.lower(), *_read_series(raw_csv, keyword, WEEK, 100.0))
+    return WeeklySeries(*_read_series(raw_csv, WEEK, 100.0))
 
 
 def assemble_daily(
@@ -144,19 +147,16 @@ def assemble_daily(
     """
     if not segments:
         raise TrendnetError("no segments to assemble")
-    keywords = {s.keyword for s in segments}
-    if len(keywords) > 1:
-        raise ValueError(f"segments mix keywords: {sorted(keywords)}")
     ordered = sorted(segments, key=lambda s: s.start_date)
     for prev, cur in zip(ordered, ordered[1:]):
         if cur.start_date <= prev.end_date:
             raise TrendnetError(
-                f"{cur.keyword}: segments overlap at {cur.start_date}"
+                f"segments overlap at {cur.start_date}"
                 f" (previous segment runs through {prev.end_date})"
             )
         if cur.start_date != prev.end_date + DAY:
             raise TrendnetError(
-                f"{cur.keyword}: missing date {prev.end_date + DAY}"
+                f"missing date {prev.end_date + DAY}"
                 f" between segments ({prev.end_date} -> {cur.start_date})"
             )
     first, last = ordered[0].start_date, ordered[-1].end_date
@@ -164,20 +164,20 @@ def assemble_daily(
     if span is not None:
         start, end = span
         if end < start:
-            raise TrendnetError(f"{ordered[0].keyword}: span start {start} is after its end {end}")
+            raise TrendnetError(f"span start {start} is after its end {end}")
         if first > start or last < end:
             raise TrendnetError(
-                f"{ordered[0].keyword}: assembled span {first}..{last}"
+                f"assembled span {first}..{last}"
                 f" does not cover {start}..{end}"
             )
         values = values[(start - first).days : (end - first).days + 1]
         first = start
-    return DailySeries(ordered[0].keyword, first, values)
+    return DailySeries(first, values)
 
 
-def parse_stitched(raw_csv: str, keyword: str) -> DailySeries:
+def parse_stitched(raw_csv: str) -> DailySeries:
     """Parse a canonical stitched CSV (`date,value`, full precision); values may exceed 100."""
-    return DailySeries(keyword.lower(), *_read_series(raw_csv, keyword, DAY, None))
+    return DailySeries(*_read_series(raw_csv, DAY, None))
 
 
 def emit_daily_csv(series: DailySeries) -> str:

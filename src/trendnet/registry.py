@@ -1,12 +1,12 @@
-"""Keyword registry: the tracked search terms and their categories."""
+"""Keyword registry: the tracked search terms and their categories, read from
+`keyword,category` rows by `util.csv_records`; the caller names the file."""
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 from .errors import TrendnetError
+from .util import csv_records
 
 CATEGORIES = (
     "SymptomsEnglish",
@@ -61,24 +61,17 @@ class KeywordRegistry:
 
     @classmethod
     def from_csv(cls, text: str) -> "KeywordRegistry":
-        """Parse a `keyword,category` CSV; a header row and blank rows are skipped.
+        """Parse `keyword,category` rows; a first row of exactly `keyword,category`
+        is a header, and blank rows are skipped.
 
         A short row, an unknown category, a repeated keyword or one that
         cannot be a file name is an error naming its line; so is a file
         without keyword rows.
         """
         entries, seen = [], set()
-        rows = csv.reader(io.StringIO(text))
-        for row in rows:
-            if not any(field.strip() for field in row):
-                continue
-            where = f"line {rows.line_num}: "
-            if len(row) < 2:
-                raise TrendnetError(f"{where}registry row needs keyword,category: {row!r}")
-            keyword, category = row[0].strip().lower(), row[1].strip()
-            if keyword == "keyword" and category == "category":
-                continue
-            _check_entry(keyword, category, seen, where)
+        for line, (keyword, category, *_) in csv_records(text, ["keyword", "category"]):
+            keyword = keyword.lower()
+            _check_entry(keyword, category, seen, f"line {line}: ")
             entries.append((keyword, category))
         if not entries:
             raise TrendnetError("no keyword rows")

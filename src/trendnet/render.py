@@ -53,6 +53,23 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _line(cls: str, x1: float, y1: float, x2: float, y2: float, stroke: str,
+          width: str = "1", dash: str = "", title: str = "") -> str:
+    """One `<line>` element, unclassed when `cls` is empty; a `title` nests inside it."""
+    attrs = f' class="{cls}"' if cls else ""
+    attrs += (f' x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"'
+              f' stroke="{stroke}" stroke-width="{width}"')
+    if dash:
+        attrs += f' stroke-dasharray="{dash}"'
+    return f"<line{attrs}><title>{_escape(title)}</title></line>" if title else f"<line{attrs}/>"
+
+
+def _text(x: float, y: float, body: str, anchor: str = "") -> str:
+    """One `<text>` element at (x, y), with a `text-anchor` when `anchor` is given."""
+    align = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{_fmt(x)}" y="{_fmt(y)}"{align}>{body}</text>'
+
+
 def render_metric_chart(
     metrics: MetricTable,
     events: list[EventRecord],
@@ -107,45 +124,23 @@ def render_metric_chart(
     for i in range(6):
         value = i / 5
         y = y_at(value)
-        parts.append(
-            f'<line class="grid" x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(y)}" '
-            f'x2="{_fmt(MARGIN_LEFT + PLOT_W)}" y2="{_fmt(y)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(y + 4)}" '
-            f'text-anchor="end">{value:.1f}</text>'
-        )
+        parts.append(_line("grid", MARGIN_LEFT, y, MARGIN_LEFT + PLOT_W, y, "#dddddd"))
+        parts.append(_text(MARGIN_LEFT - 8, y + 4, f"{value:.1f}", "end"))
 
     # x month ticks
     axis_y = MARGIN_TOP + PLOT_H
     for tick in month_starts(first, last):
         x = x_at(tick)
-        parts.append(
-            f'<line class="tick" x1="{_fmt(x)}" y1="{_fmt(axis_y)}" '
-            f'x2="{_fmt(x)}" y2="{_fmt(axis_y + 6)}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(axis_y + 20)}" text-anchor="middle">'
-            f"{MONTHS[tick.month - 1]} {tick.year}</text>"
-        )
-    parts.append(
-        f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(axis_y)}" '
-        f'x2="{_fmt(MARGIN_LEFT + PLOT_W)}" y2="{_fmt(axis_y)}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
+        parts.append(_line("tick", x, axis_y, x, axis_y + 6, "black"))
+        parts.append(_text(x, axis_y + 20, f"{MONTHS[tick.month - 1]} {tick.year}", "middle"))
+    parts.append(_line("", MARGIN_LEFT, axis_y, MARGIN_LEFT + PLOT_W, axis_y, "black"))
 
     # event markers under the series lines
     for event in sorted(events, key=lambda e: (e.date, e.label)):
-        if not first <= event.date <= last:
-            continue
-        x = x_at(event.date)
-        parts.append(
-            f'<line class="event" x1="{_fmt(x)}" y1="{_fmt(MARGIN_TOP)}" '
-            f'x2="{_fmt(x)}" y2="{_fmt(axis_y)}" stroke="{event.color}" '
-            f'stroke-width="1" stroke-dasharray="5,4"><title>'
-            f"{_escape(event.date.isoformat() + ': ' + event.label)}</title></line>"
-        )
+        if first <= event.date <= last:
+            x = x_at(event.date)
+            parts.append(_line("event", x, MARGIN_TOP, x, axis_y, event.color, dash="5,4",
+                               title=f"{event.date.isoformat()}: {event.label}"))
 
     # one polyline per threshold
     for threshold, color in zip(thresholds, SERIES_PALETTE):
@@ -161,13 +156,8 @@ def render_metric_chart(
     legend_x = MARGIN_LEFT + PLOT_W + 18
     for idx, (threshold, color) in enumerate(zip(thresholds, SERIES_PALETTE)):
         y = MARGIN_TOP + 10 + idx * 20
-        parts.append(
-            f'<line class="legend" x1="{_fmt(legend_x)}" y1="{_fmt(y)}" '
-            f'x2="{_fmt(legend_x + 24)}" y2="{_fmt(y)}" stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(legend_x + 30)}" y="{_fmt(y + 4)}">threshold {threshold:g}</text>'
-        )
+        parts.append(_line("legend", legend_x, y, legend_x + 24, y, color, width="1.5"))
+        parts.append(_text(legend_x + 30, y + 4, f"threshold {threshold:g}"))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

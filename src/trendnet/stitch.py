@@ -48,4 +48,4 @@ def stitch_series(daily: DailySeries, weekly: WeeklySeries) -> DailySeries:
     avg = np.divide(sums, counts, out=np.zeros(n_weeks), where=counts > 0)
     # avg == 0 is exact on purpose: it holds iff the week has no data or only zeros.
     weight = np.divide(weekly.values, avg, out=np.ones(n_weeks), where=avg != 0.0)
-    return DailySeries(daily.keyword, daily.start_date, daily.values * weight[week])
+    return DailySeries(daily.start_date, daily.values * weight[week])

@@ -1,9 +1,8 @@
-"""Annotated pandemic event timeline and its join onto metric series."""
+"""Annotated pandemic event timeline, read from `date,label,category` rows by
+`util.csv_records` (the caller names the file), and its join onto metric series."""
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
@@ -11,7 +10,7 @@ from importlib import resources
 
 from .errors import TrendnetError
 from .netstat import MetricTable
-from .util import iso_date
+from .util import csv_records, iso_date
 
 # Chart color per category; variant detections render black like milestones.
 CATEGORY_COLORS = {
@@ -49,33 +48,17 @@ class JoinedEvent:
 def load_events(raw_csv: str) -> list[EventRecord]:
     """Parse `date,label,category` rows into a date-sorted event list.
 
-    The first non-blank row is a header when its stripped fields are
-    `date,label,category`. Any other row whose date does not parse, an
-    unknown category and a row with fewer than three fields are errors.
+    A first row of exactly `date,label,category` is a header, and blank rows
+    are skipped. A row with fewer than three fields, a date that does not
+    parse and an unknown category are errors naming the line or date.
     Events outside the charted dates are kept; charts simply do not show them.
     """
     events = []
-    rows = csv.reader(io.StringIO(raw_csv))
-    header_allowed = True
-    for row in rows:
-        if not any(field.strip() for field in row):
-            continue
-        is_header = header_allowed and [field.strip() for field in row] == EVENT_COLUMNS
-        header_allowed = False
-        if is_header:
-            continue
+    for line, (day, label, category, *_) in csv_records(raw_csv, EVENT_COLUMNS):
         try:
-            when = iso_date(row[0].strip())
+            when = iso_date(day)
         except ValueError:
-            raise TrendnetError(
-                f"line {rows.line_num}: event date {row[0].strip()!r} does not parse"
-            ) from None
-        if len(row) < 3:
-            raise TrendnetError(
-                f"line {rows.line_num}: event row needs date,label,category: {row!r}"
-            )
-        label = row[1].strip()
-        category = row[2].strip()
+            raise TrendnetError(f"line {line}: event date {day!r} does not parse") from None
         if category not in CATEGORY_COLORS:
             raise TrendnetError(
                 f"{when}: unknown event category {category!r};"

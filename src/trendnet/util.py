@@ -1,9 +1,10 @@
-"""Shared plumbing: period arithmetic, config files and CSV fields."""
+"""Shared plumbing: dates, period arithmetic, config files and CSV rows and fields."""
 
 from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterator
 from datetime import date, timedelta
 
 from .errors import TrendnetError
@@ -68,6 +69,28 @@ def parse_config(
             )
         config.setdefault(name, []).append((lineno, value.strip()))
     return config
+
+
+def csv_records(text: str, columns: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, stripped fields) of each CSV row of `text` that is not blank.
+
+    The first such row is a header, and skipped, when its fields equal
+    `columns`; a row with fewer fields than `columns` is an error naming
+    its line. Fields past `columns` are passed on.
+    """
+    rows = csv.reader(io.StringIO(text))
+    header_allowed = True
+    for row in rows:
+        fields = [field.strip() for field in row]
+        if not any(fields):
+            continue
+        if header_allowed:
+            header_allowed = False
+            if fields == columns:
+                continue
+        if len(fields) < len(columns):
+            raise TrendnetError(f"line {rows.line_num}: row needs {','.join(columns)}: {row!r}")
+        yield rows.line_num, fields
 
 
 def csv_field(text: str) -> str:

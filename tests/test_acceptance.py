@@ -58,11 +58,11 @@ def stitch_tree(tree: Path, keywords) -> dict[str, ingest.DailySeries]:
     stitched = {}
     for kw in keywords:
         segments = [
-            ingest.parse_daily_segment(path.read_text("utf-8"), kw)
+            ingest.parse_daily_segment(path.read_text("utf-8"))
             for path in sorted((tree / "daily" / kw).glob("*.csv"))
         ]
         daily = ingest.assemble_daily(segments, span=(SPAN_START, SPAN_END))
-        weekly = ingest.parse_weekly((tree / "weekly" / f"{kw}.csv").read_text("utf-8"), kw)
+        weekly = ingest.parse_weekly((tree / "weekly" / f"{kw}.csv").read_text("utf-8"))
         stitched[kw] = stitch.stitch_series(daily, weekly)
     return stitched
 
@@ -193,13 +193,11 @@ def test_week_mean_restoration_on_year_fixture(year_tree, keywords):
     checked = 0
     for kw in keywords:
         segments = [
-            ingest.parse_daily_segment(p.read_text("utf-8"), kw)
+            ingest.parse_daily_segment(p.read_text("utf-8"))
             for p in sorted((year_tree / "daily" / kw).glob("*.csv"))
         ]
         daily = ingest.assemble_daily(segments, span=(SPAN_START, SPAN_END))
-        weekly = ingest.parse_weekly(
-            (year_tree / "weekly" / f"{kw}.csv").read_text("utf-8"), kw
-        )
+        weekly = ingest.parse_weekly((year_tree / "weekly" / f"{kw}.csv").read_text("utf-8"))
         rescaled = stitch.stitch_series(daily, weekly)
         # Both start on SPAN_START, so week idx holds days 7*idx .. 7*idx + 6.
         # Export values are whole numbers, so every summation order is exact.
@@ -214,7 +212,7 @@ def test_week_mean_restoration_on_year_fixture(year_tree, keywords):
             assert abs(window.mean() - weekly_rsv) <= 1e-9
             checked += 1
         # idempotence: weekly data equal to the daily week averages.
-        matched = ingest.WeeklySeries(kw, weekly.start_date, np.array(averages))
+        matched = ingest.WeeklySeries(weekly.start_date, np.array(averages))
         identical = stitch.stitch_series(daily, matched)
         assert identical.values.tolist() == daily.values.tolist()
     assert checked >= 15 * 50  # essentially every week of every keyword

@@ -56,7 +56,7 @@ def test_stitch_writes_one_file_per_keyword(export_tree, tmp_path):
     assert run_stitch(export_tree, out) == 0
     files = sorted(p.name for p in out.glob("*.csv"))
     assert files == ["cough.csv", "fever.csv", "flu.csv"]
-    series = parse_stitched((out / "cough.csv").read_text(), "cough")
+    series = parse_stitched((out / "cough.csv").read_text())
     assert series.start_date == SPAN_START
     assert series.end_date == SPAN_END
 
@@ -127,7 +127,7 @@ def test_stitch_inverted_span_exits_2_writing_nothing(export_tree, tmp_path, cap
 def test_stitch_segment_peak_warning_names_file(export_tree, tmp_path):
     seg = export_tree / "daily" / "cough" / "1.csv"
     seg.write_text(re.sub(r",100$", ",60", seg.read_text(), flags=re.M), "utf-8")
-    with pytest.warns(UserWarning, match=re.escape(f"{seg}: cough: segment starting")):
+    with pytest.warns(UserWarning, match=f"^{re.escape(f'{seg}: segment starting 2020-03-16 ')}"):
         assert run_stitch(export_tree, tmp_path / "stitched") == 0
 
 
@@ -220,6 +220,18 @@ def test_analyze_single_keyword_exits_2(stitched_dir, tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err == f"error: {stitched_dir}: 1 keyword (cough), analyze needs at least 2\n"
     assert not calls and not out.exists()
+
+
+def test_registry_header_after_a_keyword_row_exits_2_naming_line(export_tree, tmp_path, capsys):
+    registry = export_tree / "registry.csv"
+    registry.write_text("cough,SymptomsEnglish\nkeyword,category\nfever,SymptomsEnglish\n", "utf-8")
+    out = tmp_path / "stitched"
+    assert run_stitch(export_tree, out) == 2
+    assert capsys.readouterr().err == (f"error: {registry}: line 2: unknown keyword category"
+                                       f" 'category' for 'keyword'; expected one of "
+                                       "SymptomsEnglish, SymptomsFilipino, FaceWearing,"
+                                       " Quarantine, NewNormal\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["stitch", "analyze"])
@@ -454,7 +466,7 @@ def test_report_short_event_row_exits_2_naming_file(stitched_dir, tmp_path, caps
     code = main(["report", "--metrics", str(analysis), "--events", str(events),
                  "--out", str(reports / "r.svg")])
     assert code == 2
-    assert f"{events}: line 1: event row needs date,label,category" in capsys.readouterr().err
+    assert f"{events}: line 1: row needs date,label,category" in capsys.readouterr().err
     assert not reports.exists()
 
 
@@ -664,7 +676,7 @@ def test_config_span_start_is_honoured_by_stitch(export_tree, tmp_path):
     config.write_text("span-start = 2020-04-01\n", "utf-8")
     out = tmp_path / "stitched"
     assert run_stitch(export_tree, out, extra=["--config", str(config)]) == 0
-    series = parse_stitched((out / "cough.csv").read_text(), "cough")
+    series = parse_stitched((out / "cough.csv").read_text())
     assert series.start_date == date(2020, 4, 1)
     assert series.end_date == SPAN_END
 
@@ -769,6 +781,15 @@ def _in_segment(bad, tmp_path, fixture):
             f"{seg}: line 5: date '{bad}' does not parse")
 
 
+def _in_segment_first_row(bad, tmp_path, fixture):
+    """A first row that starts with a digit is data, never preamble."""
+    tree = fixture("export_tree")
+    seg = tree / "daily" / "cough" / "2.csv"
+    _plant_date(seg, 1, bad)
+    return (["stitch", "--daily-dir", str(tree / "daily"), "--weekly-dir", str(tree / "weekly")],
+            f"{seg}: line 1: date '{bad}' does not parse")
+
+
 def _in_weekly(bad, tmp_path, fixture):
     tree = fixture("export_tree")
     weekly = tree / "weekly" / "cough.csv"
@@ -820,7 +841,7 @@ def _in_span_start_config_line(bad, tmp_path, fixture):
 
 
 @pytest.mark.parametrize("plant", [
-    _in_segment, _in_weekly, _in_stitched, _in_events, _in_metrics,
+    _in_segment, _in_segment_first_row, _in_weekly, _in_stitched, _in_events, _in_metrics,
     _in_span_start_flag, _in_period_flag, _in_span_start_config_line,
 ], ids=lambda plant: plant.__name__[4:])
 @pytest.mark.parametrize("bad", ["20200401", "2020-W14-5", "2020W141"])

@@ -13,14 +13,14 @@ START = date(2020, 3, 16)
 DAY = timedelta(days=1)
 
 
-def series_from(values, keyword, start=START):
-    return DailySeries(keyword, start, np.asarray(values, dtype=float))
+def series_from(values, start=START):
+    return DailySeries(start, np.asarray(values, dtype=float))
 
 
 def year_fixture(n_keywords=3, n_days=365, seed=0):
     rng = np.random.default_rng(seed)
     return {
-        f"kw{i}": series_from(rng.uniform(0, 120, n_days), f"kw{i}")
+        f"kw{i}": series_from(rng.uniform(0, 120, n_days))
         for i in range(n_keywords)
     }
 
@@ -56,8 +56,8 @@ def test_window_excludes_label_date():
 def test_identical_series_correlate_one_everywhere():
     values = np.random.default_rng(1).uniform(0, 100, 50)
     series = {
-        "ubo": series_from(values, "ubo"),
-        "sipon": series_from(values, "sipon"),
+        "ubo": series_from(values),
+        "sipon": series_from(values),
     }
     frames = rolling_correlation(series, 15)
     assert frames.matrix[:, 0, 1] == pytest.approx(np.ones(36), abs=1e-12)
@@ -72,7 +72,7 @@ def test_frame_matrix_invariants_hold_everywhere():
 
 def test_misaligned_series_rejected():
     series = year_fixture(n_keywords=2, n_days=30)
-    series["late"] = series_from(np.ones(30), "late", start=START + DAY)
+    series["late"] = series_from(np.ones(30), start=START + DAY)
     with pytest.raises(TrendnetError, match="late"):
         rolling_correlation(series, 15)
 
@@ -98,7 +98,7 @@ def test_non_finite_series_rejected():
     bad = np.ones(30)
     bad[7] = np.inf
     with pytest.raises(TrendnetError, match="^series contain non-finite values$"):
-        rolling_correlation({"a": series_from(bad, "a"), "b": series_from(np.ones(30), "b")}, 15)
+        rolling_correlation({"a": series_from(bad), "b": series_from(np.ones(30))}, 15)
 
 
 def test_keyword_order_follows_mapping_order():

@@ -96,9 +96,9 @@ def test_affine_rescale_of_one_keyword_keeps_its_dcor_rows(stitched, tmp_path):
     for kw in KEYWORDS:
         text = (stitched / f"{kw}.csv").read_text()
         if kw == "flu":
-            series = parse_stitched(text, kw)
+            series = parse_stitched(text)
             text = emit_daily_csv(
-                DailySeries(kw, series.start_date, 3.7 * series.values + 12.5)
+                DailySeries(series.start_date, 3.7 * series.values + 12.5)
             )
         (scaled_dir / f"{kw}.csv").write_text(text)
     scaled = analyze(scaled_dir, tmp_path / "scaled", KEYWORDS)

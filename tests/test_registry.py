@@ -16,7 +16,7 @@ def test_from_csv_skips_header_and_blank_rows():
 @pytest.mark.parametrize("rows, message", [
     ("cough,SymptomsEnglish\nfever,SymptomsEnglish\nCOUGH,SymptomsEnglish\n",
      "line 4: duplicate keyword 'cough'"),
-    ("cough,SymptomsEnglish\n\nfever\n", "line 4: registry row needs keyword,category: ['fever']"),
+    ("cough,SymptomsEnglish\n\nfever\n", "line 4: row needs keyword,category: ['fever']"),
     ("cough,Symptoms\n", "line 2: unknown keyword category 'Symptoms' for 'cough'"),
     ("../escaped,FaceWearing\n", "line 2: keyword '../escaped' cannot name a file"),
     ("masks/n95,FaceWearing\n", "line 2: keyword 'masks/n95' cannot name a file"),

@@ -12,12 +12,12 @@ W0 = date(2020, 3, 16)  # a Monday
 DAY = timedelta(days=1)
 
 
-def daily_from(values, start=W0, keyword="fever"):
-    return DailySeries(keyword, start, np.asarray(values, dtype=float))
+def daily_from(values, start=W0):
+    return DailySeries(start, np.asarray(values, dtype=float))
 
 
-def weekly_from(values, start=W0, keyword="fever"):
-    return WeeklySeries(keyword, start, np.asarray(values, dtype=float))
+def weekly_from(values, start=W0):
+    return WeeklySeries(start, np.asarray(values, dtype=float))
 
 
 def week_means(daily, weekly):

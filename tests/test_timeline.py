@@ -73,10 +73,10 @@ def test_load_events_unknown_category():
 
 
 def test_load_events_short_row():
-    with pytest.raises(TrendnetError, match=re.escape("line 1: event row needs date,label,"
+    with pytest.raises(TrendnetError, match=re.escape("line 1: row needs date,label,"
                                                       "category: ['2020-04-01', 'only-two']")):
         load_events("2020-04-01,only-two\n")
-    with pytest.raises(TrendnetError, match=re.escape("line 4: event row needs")):
+    with pytest.raises(TrendnetError, match=re.escape("line 4: row needs")):
         load_events("date,label,category\n2020-04-01,ok,Policy\n\n2020-04-02,short\n")
 
 

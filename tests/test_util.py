@@ -1,9 +1,13 @@
+import re
 from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, strategies as st
 
-from trendnet.util import default_periods, iso_date, month_starts
+from trendnet.errors import TrendnetError
+from trendnet.registry import KeywordRegistry
+from trendnet.timeline import load_events
+from trendnet.util import csv_records, default_periods, iso_date, month_starts
 
 DAY = timedelta(days=1)
 QUARTER_MONTHS = (1, 4, 7, 10)
@@ -52,3 +56,18 @@ def test_iso_date_reads_only_yyyy_mm_dd(text):
     with pytest.raises(ValueError):
         iso_date(text)
 
+
+def test_csv_records_skip_blank_rows_and_a_first_row_header_only():
+    text = "a,b\n\n , \n x , y ,z\na,b\n"
+    assert list(csv_records(text, ["a", "b"])) == [(4, ["x", "y", "z"]), (5, ["a", "b"])]
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (KeywordRegistry.from_csv, "keyword,category\ncough,SymptomsEnglish\n\nfever\n",
+     "line 4: row needs keyword,category: ['fever']"),
+    (load_events, "date,label,category\n2020-04-01,ok,Policy\n\n2020-04-02,short\n",
+     "line 4: row needs date,label,category: ['2020-04-02', 'short']"),
+], ids=["registry", "events"])
+def test_short_row_names_its_line_and_the_columns(parse, text, message):
+    with pytest.raises(TrendnetError, match=f"^{re.escape(message)}$"):
+        parse(text)
