@@ -37,10 +37,11 @@ from .registry import KeywordRegistry
 
 
 def _parse(path: Path, parse, *args):
-    """`parse(text, *args)` of the file at `path`; its errors and warnings are
-    prefixed with the path, errors keep their exit code, and a failed read exits 3."""
+    """`parse(text, *args)` of the file at `path`, read as UTF-8 without a leading
+    byte-order mark; its errors and warnings are prefixed with the path, errors
+    keep their exit code, and a failed read exits 3."""
     try:
-        text = path.read_text("utf-8")
+        text = path.read_text("utf-8-sig")
     except OSError as err:
         raise TrendnetError(f"{path}: {err.strerror or err}", 3) from err
     try:
@@ -276,10 +277,9 @@ def _load_stitched(stitched_dir: Path, registry: Path | None):
     return {kw: _parse(stitched_dir / f"{kw}.csv", ingest.parse_stitched) for kw in keywords}
 
 
-def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:
-    series = _load_stitched(settings["stitched"], settings["registry"])
-    out_root, windows, explicit_periods = settings["out"], settings["windows"], settings["period"]
-
+def _analyze_windows(series: dict, windows: list[int], settings: dict) -> dict[Path, str]:
+    """The correlation, metrics and persistence texts of each window, in window order."""
+    out_root, explicit_periods = settings["out"], settings["period"]
     texts = {}
     for window in windows:
         frames = correlate.rolling_correlation(series, window)
@@ -307,8 +307,20 @@ def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:
             frames.keywords, pair_groups)
         texts[out_root / f"persistence_triads_w{window}.csv"] = netstat.emit_persistence_csv(
             frames.keywords, triad_groups)
+    return texts
+
+
+def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:
+    series = _load_stitched(settings["stitched"], settings["registry"])
+    windows = settings["windows"]
+    # The windows are independent, so contiguous groups of them run on every
+    # CPU; a forked group only sends its texts back, and this process writes.
+    parts = util.forked_map(
+        lambda group: _analyze_windows(series, group, settings), windows,
+        lambda group: f"analyze worker for windows {','.join(map(str, group))}")
+    texts = {path: text for part in parts for path, text in part.items()}
     summary = (f"analyzed {len(series)} keywords, windows {windows},"
-               f" thresholds {settings['thresholds']} -> {out_root}")
+               f" thresholds {settings['thresholds']} -> {settings['out']}")
     return texts, summary
 
 

@@ -31,37 +31,31 @@ so the row means reduce over the outer `i` axis of (k, n, n) and the grand
 mean over the outer axis of the (n, k) buffer. Any other order moves the
 last bits.
 
-`rolling_dcor` splits the frames over processes. It cuts the F frames into
-contiguous ranges, one per worker, of a stack in an anonymous shared
-mapping, which it returns; it forks a child per range after the first,
-computes the first itself and waits for every child, also when its own
-range raises. A child that exits nonzero or dies by a signal raises
-ChildProcessError naming its range and, if the child raised, its
-exception, which the child writes to its own pipe before it exits. A frame
-reads only its window and writes only its (k, k) slot, through the same
-operations in the same order in any process, so the split moves no bit.
-Threads do not pay: the per-frame numpy calls are short and serialise on
-the interpreter lock. On a 2-CPU Xeon host (K = 15, n = 60 and 90, two
-years of days) two threads took 0.8-1.7x the serial time, two processes
-0.53-0.72x. Forking is unsafe while other threads run, so then the stack
-is computed serially; OpenBLAS stops its own thread pool at fork.
+`rolling_dcor` splits the frames over processes with `util.forked_map`:
+contiguous frame ranges, one per worker, of a stack in an anonymous shared
+mapping, which it returns. A frame reads only its window and writes only
+its (k, k) slot, through the same operations in the same order in any
+process, so the split moves no bit. Threads do not pay: the per-frame
+numpy calls are short and serialise on the interpreter lock. On a 2-CPU
+Xeon host (K = 15, n = 60 and 90, two years of days) two threads took
+0.8-1.7x the serial time, two processes 0.53-0.72x.
 
-Workers are the CPUs in the affinity mask, at most one per MIN_WORKER_WORK
-frames * k * n**2 units. On that host a fork and wait cost 6-11 ms, the
-serial kernel runs 2.5e7 (n = 15) to 9.8e7 (n = 90) units per second, and
-two workers broke even at 1e6-3e6 units. 1e7 units are 0.1-0.2 s of work,
-so a fork costs under a tenth of the share it takes over, even when the
-other CPU is busy. One frame (`dcor_matrix`) and a year of 15 keywords at
-n <= 30 (4.5e6 units at most) stay serial.
+Workers are at most one per MIN_WORKER_WORK frames * k * n**2 units. On
+that host a fork and wait cost 6-11 ms, the serial kernel runs 2.5e7
+(n = 15) to 9.8e7 (n = 90) units per second, and two workers broke even at
+1e6-3e6 units. 1e7 units are 0.1-0.2 s of work, so a fork costs under a
+tenth of the share it takes over, even when the other CPU is busy. One
+frame (`dcor_matrix`) and a year of 15 keywords at n <= 30 (4.5e6 units
+at most) stay serial.
 """
 
 from __future__ import annotations
 
 import mmap
-import os
-import threading
 
 import numpy as np
+
+from . import util
 
 # Least frames * k * n**2 work units per worker process; see the module docstring.
 MIN_WORKER_WORK = 10**7
@@ -70,16 +64,6 @@ MIN_WORKER_WORK = 10**7
 def dcor_matrix(win: np.ndarray) -> np.ndarray:
     """Pairwise distance-correlation matrix of the columns of `win` (n, k)."""
     return rolling_dcor(win, len(win))[0]
-
-
-def _max_workers() -> int:
-    """CPUs in the affinity mask, or 1 where forking is unavailable or unsafe."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
 
 
 def rolling_dcor(data: np.ndarray, window: int) -> np.ndarray:
@@ -94,54 +78,17 @@ def rolling_dcor(data: np.ndarray, window: int) -> np.ndarray:
     series = np.ascontiguousarray(np.transpose(data), dtype=np.float64)  # (k, t)
     k, t = series.shape
     frames = t - window + 1
-    workers = max(1, min(_max_workers(), frames, frames * k * window * window // MIN_WORKER_WORK))
     out = np.frombuffer(mmap.mmap(-1, frames * k * k * 8)).reshape(frames, k, k)
-    _forked_dcor_frames(series, window, out, [frames * i // workers for i in range(workers + 1)])
+    util.forked_map(
+        lambda part: _dcor_frames(series, window, out[part.start : part.stop], part.start),
+        range(frames), lambda part: f"dCor worker for frames {part[0]}..{part[-1]} of {frames}",
+        most=frames * k * window * window // MIN_WORKER_WORK)
     # Mirror the upper triangle: the Gram product need not be exactly symmetric.
     rows, cols = np.triu_indices(k, 1)
     out[:, cols, rows] = out[:, rows, cols]
     diagonal = np.arange(k)
     out[:, diagonal, diagonal] = 1.0
     return out
-
-
-def _forked_dcor_frames(series: np.ndarray, n: int, out: np.ndarray, bounds: list[int]) -> None:
-    """Fill `out`, a shared mapping, by frame ranges [bounds[i], bounds[i+1]):
-    a forked child per range after the first, which this process computes."""
-    children = {}  # pid: (first, last, read end of the pipe the child reports its error on)
-    try:
-        for first, last in zip(bounds[1:-1], bounds[2:]):
-            reader, writer = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(reader)
-                os.close(writer)
-                raise
-            if pid == 0:  # the child: fill the range, never return into the caller
-                code = 1
-                try:
-                    _dcor_frames(series, n, out[first:last], first)
-                    code = 0
-                except Exception as err:
-                    text = f"{type(err).__name__}: {err}".replace("\n", " ")
-                    os.write(writer, text.encode(errors="replace"))
-                finally:
-                    os._exit(code)
-            os.close(writer)
-            children[pid] = (first, last, reader)
-        _dcor_frames(series, n, out[: bounds[1]], 0)
-    finally:
-        exits = {}
-        for pid, (first, last, reader) in children.items():
-            with open(reader, "rb") as pipe:  # at end of file once the child has exited
-                cause = pipe.read().decode(errors="replace")
-            exits[first, last] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), cause
-    for (first, last), (code, cause) in exits.items():
-        if code:
-            how = f"died by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise ChildProcessError(f"dCor worker for frames {first}..{last - 1} of {len(out)}"
-                                    f" {how}" + (f": {cause}" if cause else ""))
 
 
 def _dcor_frames(series: np.ndarray, n: int, out: np.ndarray, first: int) -> None:

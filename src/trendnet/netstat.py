@@ -42,7 +42,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from datetime import date
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations
 from typing import NamedTuple
 
@@ -179,6 +179,24 @@ def _in_period(g: GraphFrame, period: tuple[date, date]) -> np.ndarray:
     return g.adjacency[selected].astype(bool)
 
 
+@lru_cache(maxsize=2)
+def _keyword_sets(keywords: tuple[str, ...], size: int) -> tuple[np.ndarray, np.ndarray]:
+    """All C(K, size) keyword index sets, (P, size) and ascending within a row, and
+    the lexsort keys that order them by their member strings, first member first.
+
+    Built once per keyword tuple and size, not once per (period, threshold).
+    """
+    k = len(keywords)
+    members = np.array(list(combinations(range(k), size)), dtype=np.intp).reshape(-1, size)
+    # Keywords are distinct, so comparing their sort ranks compares the strings.
+    rank = np.empty(k, dtype=np.intp)
+    rank[sorted(range(k), key=keywords.__getitem__)] = np.arange(k)
+    # np.lexsort sorts by its last key first.
+    name_keys = rank[members[:, ::-1]].T
+    members.flags.writeable = name_keys.flags.writeable = False  # shared by every caller
+    return members, name_keys
+
+
 def _persistence(
     g: GraphFrame, period: tuple[date, date], size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -188,15 +206,10 @@ def _persistence(
     descending count, ties ordered by the member strings, as (-count, names).
     """
     stack = _in_period(g, period)
-    k = len(g.keywords)
-    members = np.array(list(combinations(range(k), size)), dtype=np.intp).reshape(-1, size)
+    members, name_keys = _keyword_sets(g.keywords, size)
     edges = (stack[:, members[:, a], members[:, b]] for a, b in combinations(range(size), 2))
     counts = reduce(np.logical_and, edges).sum(axis=0, dtype=np.int64)
-    # Keywords are distinct, so comparing their sort ranks compares the strings.
-    rank = np.empty(k, dtype=np.intp)
-    rank[sorted(range(k), key=g.keywords.__getitem__)] = np.arange(k)
-    # np.lexsort sorts by its last key first.
-    order = np.lexsort((*rank[members[:, ::-1]].T, -counts))
+    order = np.lexsort((*name_keys, -counts))
     return members[order], counts[order]
 
 

@@ -1,10 +1,14 @@
-"""Shared plumbing: dates, period arithmetic, config files and CSV rows and fields."""
+"""Shared plumbing: dates, period arithmetic, config files, CSV rows and
+fields, and work split over forked processes."""
 
 from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterator
+import os
+import pickle
+import threading
+from collections.abc import Callable, Iterator, Sequence
 from datetime import date, timedelta
 
 from .errors import TrendnetError
@@ -98,3 +102,86 @@ def csv_field(text: str) -> str:
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow((text,))
     return out.getvalue()[:-1]
+
+
+def _max_workers() -> int:
+    """CPUs in the affinity mask, or 1 where forking is unavailable or unsafe."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def forked_map(work: Callable[[Sequence], object], items: Sequence,
+               name: Callable[[Sequence], str], most: int | None = None) -> list:
+    """`[work(part) for part in parts]`, the parts computed on every CPU.
+
+    `items` is cut into contiguous slices, one per worker: as many as the
+    CPUs in the affinity mask, but at most `most` and at most one per item.
+    This process computes the first slice; a forked child computes each
+    later one and sends back its result, pickled, over its own pipe. Forking
+    is unsafe while other threads run, so then (as with one CPU, or no
+    `os.fork`) every slice is computed here, in order. OpenBLAS stops its
+    own thread pool at fork.
+
+    Every child is waited for, also when this process's own slice raises;
+    that error then wins, as the earliest. Otherwise the earliest failing
+    child, in slice order, decides: a `TrendnetError` it raised is raised
+    here as it was, code and all, so a run fails the same way on any number
+    of CPUs. A child that raised anything else, exited nonzero or died by a
+    signal raises ChildProcessError, `name(part)` followed by how it ended
+    and, if it raised, its exception.
+    """
+    workers = max(1, min(_max_workers(), len(items), len(items) if most is None else most))
+    parts = [items[len(items) * i // workers : len(items) * (i + 1) // workers]
+             for i in range(workers)]
+    children = []  # (part, pid, read end of the pipe the child replies on)
+    try:
+        for part in parts[1:]:
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(reader)
+                os.close(writer)
+                raise
+            if pid == 0:  # the child: reply, never return into the caller
+                code = 1
+                try:
+                    os.close(reader)
+                    with open(writer, "wb") as pipe:
+                        try:
+                            reply, status = work(part), 0
+                        except TrendnetError as err:
+                            reply, status = err, 1
+                        except Exception as err:
+                            reply, status = f"{type(err).__name__}: {err}".replace("\n", " "), 1
+                        pickle.dump(reply, pipe)
+                    code = status
+                finally:
+                    os._exit(code)
+            os.close(writer)
+            children.append((part, pid, reader))
+        results = [work(parts[0])]
+    finally:
+        replies = []
+        for part, pid, reader in children:
+            # Read before waiting: a child blocks on a full pipe until its reply is read.
+            with open(reader, "rb") as pipe:
+                try:
+                    reply = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the child ended before it replied
+                    reply = ""
+            replies.append((part, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), reply))
+    for part, code, reply in replies:
+        if code == 0:
+            results.append(reply)
+            continue
+        if code == 1 and isinstance(reply, TrendnetError):
+            raise reply
+        how = f"died by signal {-code}" if code < 0 else f"exited with status {code}"
+        cause = f": {reply}" if code == 1 and reply else ""
+        raise ChildProcessError(f"{name(part)} {how}{cause}")
+    return results

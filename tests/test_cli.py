@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trendnet import cli, kernels
+from trendnet import cli, correlate, kernels
 from trendnet.cli import main
 from trendnet.errors import TrendnetError
 from trendnet.ingest import parse_stitched
@@ -302,19 +302,116 @@ def test_analyze_skips_default_quarter_without_frames(stitched_dir, tmp_path):
     }
 
 
-def force_dcor_workers(monkeypatch, n):
-    """Show `rolling_dcor` n CPUs and let a single frame pay for a worker."""
+def show_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def force_dcor_workers(monkeypatch, n):
+    """Show `analyze` n CPUs and let a single frame pay for a dCor worker."""
+    show_cpus(monkeypatch, n)
     monkeypatch.setattr(kernels, "MIN_WORKER_WORK", 1)
 
 
 def test_analyze_outputs_do_not_depend_on_dcor_workers(stitched_dir, tmp_path, monkeypatch):
-    args = ["analyze", "--stitched", str(stitched_dir), "--windows", "15,30"]
-    assert main([*args, "--out", str(tmp_path / "serial")]) == 0
-    force_dcor_workers(monkeypatch, 3)
-    assert main([*args, "--out", str(tmp_path / "forked")]) == 0
-    serial = {p.name: p.read_bytes() for p in (tmp_path / "serial").iterdir()}
-    assert serial == {p.name: p.read_bytes() for p in (tmp_path / "forked").iterdir()}
+    """The windows split over 1, 2 and 3 CPUs, and the first group's frames
+    split again, write the same bytes as one process."""
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
+    args = ["analyze", "--stitched", str(stitched_dir), "--windows", "15,30,45"]
+    outputs = {}
+    for cpus in (1, 2, 3):
+        force_dcor_workers(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main([*args, "--out", str(out)]) == 0
+        outputs[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}, len(forks)
+        forks.clear()
+    # The parent forks a worker per later window group and per later frame range of its own group.
+    assert [n for _, n in outputs.values()] == [0, 1 + 1, 2 + 2]
+    assert outputs[1][0] == outputs[2][0] == outputs[3][0]
+    assert len(outputs[1][0]) == 3 * (1 + 4 + 2)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_analyze_earliest_failing_window_decides_on_any_cpus(
+    stitched_dir, tmp_path, capsys, monkeypatch, cpus
+):
+    show_cpus(monkeypatch, cpus)
+    out = tmp_path / "a"
+    code = main(["analyze", "--stitched", str(stitched_dir), "--windows", "15,400,500",
+                 "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == "error: window of 400 days exceeds 365 days of data\n"
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_analyze_period_without_frames_of_a_later_window_exits_2(
+    stitched_dir, tmp_path, capsys, monkeypatch, cpus
+):
+    # On 2 CPUs window 110 is the forked group; its first frame is labeled 2020-07-04.
+    show_cpus(monkeypatch, cpus)
+    out = tmp_path / "a"
+    code = main(["analyze", "--stitched", str(stitched_dir), "--windows", "15,110",
+                 "--period", "2020-05-01:2020-05-31", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --period 2020-05-01:2020-05-31 selects no frame of window 110,"
+        " labeled 2020-07-04..2021-03-16\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("failing, message", [
+    ("signal", "analyze worker for windows 30 died by signal 9"),
+    ("raise", "analyze worker for windows 30 exited with status 1: RuntimeError: window failed"),
+])
+def test_analyze_failed_window_worker_exits_3_leaving_nothing(
+    stitched_dir, tmp_path, capsys, monkeypatch, failing, message
+):
+    show_cpus(monkeypatch, 2)
+    parent, real_correlation = os.getpid(), correlate.rolling_correlation
+
+    def rolling_correlation(series, window):
+        if window == 30:
+            assert os.getpid() != parent, "window 30 ran in the parent"
+            if failing == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("window failed")
+        return real_correlation(series, window)
+
+    monkeypatch.setattr(correlate, "rolling_correlation", rolling_correlation)
+    out = tmp_path / "analysis"
+    code = main(["analyze", "--stitched", str(stitched_dir), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):  # every worker was waited for
+        os.waitpid(-1, os.WNOHANG)
+
+
+BOM = "\ufeff"
+
+
+def drop_first_line(path):
+    path.write_text(path.read_text("utf-8").split("\n", 1)[1], "utf-8")
+
+
+@pytest.mark.parametrize("name, headerless", [
+    ("daily/cough/11.csv", None),  # segments carry no header
+    ("weekly/cough.csv", drop_first_line),
+    ("registry.csv", None),  # the BOM comes before its header
+])
+def test_byte_order_mark_is_dropped(export_tree, tmp_path, name, headerless):
+    """An input that starts with a UTF-8 byte-order mark parses as without it."""
+    path = export_tree / name
+    if headerless:
+        headerless(path)
+    assert run_stitch(export_tree, tmp_path / "plain") == 0
+    path.write_text(BOM + path.read_text("utf-8"), "utf-8")
+    assert run_stitch(export_tree, tmp_path / "bom") == 0
+    plain = {p.name: p.read_bytes() for p in (tmp_path / "plain").iterdir()}
+    assert plain == {p.name: p.read_bytes() for p in (tmp_path / "bom").iterdir()}
 
 
 @pytest.mark.parametrize("failing, message", [

@@ -1,3 +1,5 @@
+import os
+import pickle
 import re
 from datetime import date, timedelta
 
@@ -7,7 +9,7 @@ from hypothesis import given, strategies as st
 from trendnet.errors import TrendnetError
 from trendnet.registry import KeywordRegistry
 from trendnet.timeline import load_events
-from trendnet.util import csv_records, default_periods, iso_date, month_starts
+from trendnet.util import csv_records, default_periods, forked_map, iso_date, month_starts
 
 DAY = timedelta(days=1)
 QUARTER_MONTHS = (1, 4, 7, 10)
@@ -71,3 +73,55 @@ def test_csv_records_skip_blank_rows_and_a_first_row_header_only():
 def test_short_row_names_its_line_and_the_columns(parse, text, message):
     with pytest.raises(TrendnetError, match=f"^{re.escape(message)}$"):
         parse(text)
+
+
+def test_trendnet_error_pickles_with_its_code():
+    err = pickle.loads(pickle.dumps(TrendnetError("window of 400 days exceeds 365 days", 4)))
+    assert type(err) is TrendnetError
+    assert (str(err), err.code) == ("window of 400 days exceeds 365 days", 4)
+
+
+@pytest.fixture()
+def three_cpus(monkeypatch):
+    """Shows `forked_map` 3 CPUs; returns the list that records each fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
+    return forks
+
+
+@pytest.mark.parametrize("items, most, parts", [
+    (range(7), None, [range(0, 2), range(2, 4), range(4, 7)]),
+    (range(7), 2, [range(0, 3), range(3, 7)]),
+    (range(7), 0, [range(0, 7)]),
+    ([15, 30], None, [[15], [30]]),
+])
+def test_forked_map_cuts_contiguous_parts_one_per_worker(three_cpus, items, most, parts):
+    results = forked_map(lambda part: [part, os.getpid()], items, str, most=most)
+    assert [part for part, _ in results] == parts
+    assert len(three_cpus) == len(parts) - 1
+    assert results[0][1] == os.getpid() and len({pid for _, pid in results}) == len(parts)
+
+
+def test_forked_map_raises_the_earliest_failing_part_with_its_code(three_cpus):
+    def work(part):
+        if part[0]:
+            raise TrendnetError(f"part {part[0]}", 3 + part[0])
+        return part
+
+    with pytest.raises(TrendnetError, match="^part 1$") as info:
+        forked_map(work, [0, 1, 2], str)
+    assert info.value.code == 4
+    assert len(three_cpus) == 2
+    with pytest.raises(ChildProcessError):  # both children were waited for
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_map_own_part_error_wins_after_waiting(three_cpus):
+    def work(part):
+        raise TrendnetError(f"part {part[0]}")
+
+    with pytest.raises(TrendnetError, match="^part 0$"):
+        forked_map(work, [0, 1, 2], str)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
