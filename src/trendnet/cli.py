@@ -118,7 +118,7 @@ def _reject_label_collisions(raw: str, labels: list[str]) -> None:
 
 def _parse_windows(raw: str) -> list[int]:
     try:
-        windows = [int(tok) for tok in raw.split(",") if tok.strip()]
+        windows = [util.number(tok, int) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise TrendnetError(f"must be integers, got {raw!r}") from None
     # dCor needs at least 2 points; a 1-day window would give all-zero frames.
@@ -130,7 +130,7 @@ def _parse_windows(raw: str) -> list[int]:
 
 def _parse_thresholds(raw: str) -> list[float]:
     try:
-        thresholds = [float(tok) for tok in raw.split(",") if tok.strip()]
+        thresholds = [util.number(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise TrendnetError(f"must be numbers, got {raw!r}") from None
     if not thresholds or any(not 0.0 < t < 1.0 for t in thresholds):
@@ -295,18 +295,16 @@ def _analyze_windows(series: dict, windows: list[int], settings: dict) -> dict[P
             elif explicit_periods:
                 raise TrendnetError(f"{settings['sources']['period'][i]} {start}:{end} selects no"
                                     f" frame of window {window}, labeled {first}..{last}")
-        pair_groups, triad_groups = [], []
+        groups = {netstat.pair_persistence: [], netstat.triad_persistence: []}
         for theta in settings["thresholds"]:
             graphs = netstat.threshold_adjacency(frames, theta)
             texts[out_root / f"metrics_w{window}_t{theta:g}.csv"] = netstat.emit_metrics_csv(
                 netstat.frame_metrics(graphs))
-            for period in periods:
-                pair_groups.append((period, theta, *netstat.pair_persistence(graphs, period)))
-                triad_groups.append((period, theta, *netstat.triad_persistence(graphs, period)))
-        texts[out_root / f"persistence_pairs_w{window}.csv"] = netstat.emit_persistence_csv(
-            frames.keywords, pair_groups)
-        texts[out_root / f"persistence_triads_w{window}.csv"] = netstat.emit_persistence_csv(
-            frames.keywords, triad_groups)
+            for persistence, found in groups.items():
+                found += [(p, theta, *c) for p, c in zip(periods, persistence(graphs, periods))]
+        for kind, found in zip(("pairs", "triads"), groups.values()):
+            texts[out_root / f"persistence_{kind}_w{window}.csv"] = netstat.emit_persistence_csv(
+                frames.keywords, found)
     return texts
 
 

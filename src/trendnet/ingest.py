@@ -29,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import TrendnetError
-from .util import DAY, iso_date
+from .util import DAY, iso_date, number
 
 WEEK = timedelta(days=7)
 
@@ -70,7 +70,7 @@ def _parse_value(token: str, when: date, upper: float | None = 100.0) -> float:
     if token == "<1":
         return 0.5
     try:
-        value = float(token)
+        value = number(token)
     except ValueError:
         raise TrendnetError(f"{when}: unparseable value {token!r}") from None
     if not math.isfinite(value) or value < 0 or (upper is not None and value > upper):

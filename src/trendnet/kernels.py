@@ -47,6 +47,11 @@ that host a fork and wait cost 6-11 ms, the serial kernel runs 2.5e7
 tenth of the share it takes over, even when the other CPU is busy. One
 frame (`dcor_matrix`) and a year of 15 keywords at n <= 30 (4.5e6 units
 at most) stay serial.
+
+A window worker of `analyze` still splits its frames: at windows 60 and 90
+over two years of 15 keywords, W = 90 holds two thirds of the dCor work.
+Without the split, as with one CPU per window worker, `analyze` took 1.028 s
+against 0.938 s on that host (medians of 6 alternating pairs, slower in 4).
 """
 
 from __future__ import annotations

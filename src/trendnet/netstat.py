@@ -20,11 +20,11 @@ enumeration oracles digit for digit.
 
 Persistence counts, per period, the frames in which each keyword pair is
 an edge (`pair_persistence`) or each keyword triple a triangle
-(`triad_persistence`). Both return `(members, counts)`: an (P, 2) or
-(P, 3) int array of keyword indices, ascending within a row, over all
-C(K, 2) or C(K, 3) sets, and the (P,) int64 counts. Rows run by
-descending count; equal counts are ordered by the member keyword strings,
-first member first, not by their indices.
+(`triad_persistence`), over a list of periods that may overlap. Each
+returns one `(members, counts)` per period: an (P, 2) or (P, 3) int array
+of keyword indices, ascending within a row, over all C(K, 2) or C(K, 3)
+sets, and the (P,) int64 counts. Rows run by descending count, then by
+the member keyword strings, first member first, not by their indices.
 
 `frame_metrics` returns a MetricTable: the tuple of the metrics CSV's
 columns (label_date, window_days, threshold, edge_count, density,
@@ -42,7 +42,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from datetime import date
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import chain, combinations
 from typing import NamedTuple
 
@@ -51,7 +51,7 @@ import numpy as np
 from . import kernels
 from .correlate import CorrelationFrame
 from .errors import TrendnetError
-from .util import csv_field, iso_date
+from .util import csv_field, iso_date, underscored
 
 
 @dataclass(eq=False)
@@ -170,57 +170,42 @@ def period_mask(label_dates: np.ndarray, period: tuple[date, date]) -> np.ndarra
     return (label_dates >= np.datetime64(start)) & (label_dates <= np.datetime64(end))
 
 
-def _in_period(g: GraphFrame, period: tuple[date, date]) -> np.ndarray:
-    """The adjacency matrices of the frames labeled within the period."""
-    start, end = period
-    selected = period_mask(g.label_dates, period)
-    if not selected.any():
-        raise TrendnetError(f"no frames labeled within {start}..{end}")
-    return g.adjacency[selected].astype(bool)
-
-
-@lru_cache(maxsize=2)
-def _keyword_sets(keywords: tuple[str, ...], size: int) -> tuple[np.ndarray, np.ndarray]:
-    """All C(K, size) keyword index sets, (P, size) and ascending within a row, and
-    the lexsort keys that order them by their member strings, first member first.
-
-    Built once per keyword tuple and size, not once per (period, threshold).
-    """
-    k = len(keywords)
-    members = np.array(list(combinations(range(k), size)), dtype=np.intp).reshape(-1, size)
+def _persistence(g: GraphFrame, periods: list[tuple[date, date]], size: int) -> list[tuple]:
+    """Per period, in order, (members (P, size) int, counts (P,) int64) over all
+    C(K, size) keyword sets: the frames in the period in which the set is a
+    clique, rows by descending count, then member strings, as (-count, names)."""
+    k = len(g.keywords)
+    sets = chain.from_iterable(combinations(range(k), size))
+    members = np.fromiter(sets, np.intp).reshape(-1, size)
     # Keywords are distinct, so comparing their sort ranks compares the strings.
     rank = np.empty(k, dtype=np.intp)
-    rank[sorted(range(k), key=keywords.__getitem__)] = np.arange(k)
+    rank[sorted(range(k), key=g.keywords.__getitem__)] = np.arange(k)
     # np.lexsort sorts by its last key first.
     name_keys = rank[members[:, ::-1]].T
-    members.flags.writeable = name_keys.flags.writeable = False  # shared by every caller
-    return members, name_keys
-
-
-def _persistence(
-    g: GraphFrame, period: tuple[date, date], size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(members (P, size) int, counts (P,) int64) over all C(K, size) keyword sets.
-
-    Counts the frames in the period in which the set is a clique. Rows run by
-    descending count, ties ordered by the member strings, as (-count, names).
-    """
-    stack = _in_period(g, period)
-    members, name_keys = _keyword_sets(g.keywords, size)
+    # (F, P): whether each set is a clique in each frame, formed once for every
+    # period and in place, so that at most two (F, P) arrays are alive.
+    stack = g.adjacency.astype(bool)
     edges = (stack[:, members[:, a], members[:, b]] for a, b in combinations(range(size), 2))
-    counts = reduce(np.logical_and, edges).sum(axis=0, dtype=np.int64)
-    order = np.lexsort((*name_keys, -counts))
-    return members[order], counts[order]
+    cliques = reduce(lambda acc, edge: np.logical_and(acc, edge, out=acc), edges)
+    out = []
+    for start, end in periods:
+        selected = period_mask(g.label_dates, (start, end))
+        if not selected.any():
+            raise TrendnetError(f"no frames labeled within {start}..{end}")
+        counts = cliques[selected].sum(axis=0, dtype=np.int64)
+        order = np.lexsort((*name_keys, -counts))
+        out.append((members[order], counts[order]))
+    return out
 
 
-def pair_persistence(g: GraphFrame, period: tuple[date, date]) -> tuple[np.ndarray, np.ndarray]:
-    """(members (P, 2), counts (P,)): frames in the period with each pair as an edge."""
-    return _persistence(g, period, 2)
+def pair_persistence(g: GraphFrame, periods: list[tuple[date, date]]) -> list[tuple]:
+    """Per period, (members (P, 2), counts (P,)): frames in it with each pair as an edge."""
+    return _persistence(g, periods, 2)
 
 
-def triad_persistence(g: GraphFrame, period: tuple[date, date]) -> tuple[np.ndarray, np.ndarray]:
-    """(members (P, 3), counts (P,)): frames in the period with each triple as a triangle."""
-    return _persistence(g, period, 3)
+def triad_persistence(g: GraphFrame, periods: list[tuple[date, date]]) -> list[tuple]:
+    """Per period, (members (P, 3), counts (P,)): frames in it with each triple as a triangle."""
+    return _persistence(g, periods, 3)
 
 
 def emit_metrics_csv(table: MetricTable) -> str:
@@ -235,9 +220,8 @@ _METRIC_PARSERS = (iso_date, int, float, int, float, float, float)
 
 
 def _loose(text: str) -> bool:
-    """Whether `text` holds whitespace or an underscore, which int() and
-    float() skip and emit_metrics_csv never writes."""
-    return "_" in text or len("".join(text.split())) != len(text)
+    """Whether `text` holds whitespace or `_`, which int() and float() skip."""
+    return underscored(text) or len("".join(text.split())) != len(text)
 
 
 def parse_metrics_csv(text: str) -> MetricTable:

@@ -1,5 +1,5 @@
-"""Shared plumbing: dates, period arithmetic, config files, CSV rows and
-fields, and work split over forked processes."""
+"""Shared plumbing: dates, numbers, period arithmetic, config files, CSV rows
+and fields, and work split over forked processes."""
 
 from __future__ import annotations
 
@@ -26,6 +26,18 @@ def iso_date(text: str) -> date:
     if len(text) != 10 or text[7] != "-":
         raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
     return date.fromisoformat(text)
+
+
+def underscored(text: str) -> bool:
+    """Whether `text` holds `_`, which int() and float() skip (`1_5` reads as 15)."""
+    return "_" in text
+
+
+def number(text: str, kind: type = float) -> float | int:
+    """`kind(text)`, int or float, which skip surrounding whitespace; ValueError on `_`."""
+    if underscored(text):
+        raise ValueError(f"{text!r} holds an underscore")
+    return kind(text)
 
 
 def month_starts(first: date, last: date, every: int = 1) -> list[date]:

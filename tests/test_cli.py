@@ -277,6 +277,21 @@ def test_analyze_custom_period(stitched_dir, tmp_path):
     assert rows and all(r.startswith("2020-05-01,2020-05-31,") for r in rows)
 
 
+def test_analyze_overlapping_periods_count_as_each_alone(stitched_dir, tmp_path):
+    second = "2020-05-01:2020-07-31"
+    runs = {"both": ["--period", "2020-04-01:2020-06-30", "--period", second],
+            "alone": ["--period", second]}
+    for name, periods in runs.items():
+        assert main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
+                     "--thresholds", "0.4,0.6", *periods, "--out", str(tmp_path / name)]) == 0
+    prefix = second.replace(":", ",") + ","
+    for kind in ("pairs", "triads"):
+        rows = {name: [line for line in (tmp_path / name / f"persistence_{kind}_w15.csv")
+                       .read_text().splitlines() if line.startswith(prefix)]
+                for name in runs}
+        assert rows["both"] == rows["alone"] and rows["alone"]
+
+
 def test_analyze_period_without_frames_exits_2(stitched_dir, tmp_path, capsys):
     out = tmp_path / "analysis"
     code = main(["analyze", "--stitched", str(stitched_dir), "--windows", "15",
@@ -653,6 +668,26 @@ def test_malformed_value_names_file_and_date(export_tree, tmp_path, capsys):
     assert "1.csv" in err and "2020-03-17" in err
 
 
+@pytest.mark.parametrize("flag, raw, message", [
+    ("--windows", "1_5,3_0", "--windows must be integers, got '1_5,3_0'"),
+    ("--thresholds", "0.4_5", "--thresholds must be numbers, got '0.4_5'"),
+], ids=["windows", "thresholds"])
+def test_underscored_number_flag_exits_2_naming_flag(stitched_dir, tmp_path, capsys,
+                                                     flag, raw, message):
+    # int() and float() read 1_5 as 15 and 0.4_5 as 0.45.
+    out = tmp_path / "a"
+    assert main(["analyze", "--stitched", str(stitched_dir), flag, raw, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_underscored_export_value_exits_2_naming_file_and_date(export_tree, tmp_path, capsys):
+    seg = export_tree / "daily" / "cough" / "1.csv"
+    seg.write_text(daily_csv(date(2020, 3, 16), [100, "5_0", 30]), "utf-8")
+    assert run_stitch(export_tree, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {seg}: 2020-03-17: unparseable value '5_0'\n"
+
+
 def fail_third_write(monkeypatch):
     """Make the third `Path.write_text` write half its text, then raise ENOSPC."""
     real_write = Path.write_text
@@ -797,12 +832,15 @@ def test_report_mistyped_event_date_exits_2_naming_file(stitched_dir, tmp_path, 
     ("analyze", "windows = 15,abc", "config line 2: windows must be integers, got '15,abc'"),
     ("analyze", "thresholds = 0.5,1.5",
      "config line 2: thresholds must lie in (0,1), got '0.5,1.5'"),
+    ("analyze", "windows = 1_5,3_0", "config line 2: windows must be integers, got '1_5,3_0'"),
+    ("analyze", "thresholds = 0.4_5", "config line 2: thresholds must be numbers, got '0.4_5'"),
     ("analyze", "period = 2020-05-01:2020-05-31\nperiod = 2020-01-01",
      "config line 3: period must be start:end ISO dates, got '2020-01-01'"),
     ("stitch", "span-start = 2020-13-01",
      "config line 2: span-start must be an ISO date, got '2020-13-01'"),
     ("report", "metric = bogus", "config line 2: metric must be density or clustering, got 'bogus'"),
-], ids=["windows", "thresholds", "second-period", "span-start", "metric"])
+], ids=["windows", "thresholds", "underscored-windows", "underscored-thresholds",
+        "second-period", "span-start", "metric"])
 def test_bad_config_value_exits_2_naming_file_and_line(tmp_path, capsys, command, lines, message):
     config = tmp_path / "run.cfg"
     config.write_text(f"# run settings\n{lines}\n", "utf-8")

@@ -1,15 +1,24 @@
+import csv
+import io
 import os
+import subprocess
+import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+import trendnet
 from trendnet import kernels
+from trendnet.cli import main
 from trendnet.correlate import distance_correlation
 from trendnet.errors import TrendnetError
 
+from helpers import planted_block_series, write_export_tree
 from oracles import dcor_oracle, rolling_dcor_reference
 
 
@@ -234,3 +243,39 @@ def test_short_stacks_never_fork(monkeypatch):
     kernels.dcor_matrix(_stack(rng, 90, 15))
     assert distance_correlation(rng.normal(size=90), rng.normal(size=90)) >= 0.0
     assert kernels.rolling_dcor(_stack(rng, 365, 15), 30).shape == (336, 15, 15)
+
+
+def test_analyze_bytes_under_another_blas_kernel(tmp_path):
+    """The Gram product of `_dcor_frames` goes to OpenBLAS, whose summation
+    order follows the CPU kernel it picks at run time. Another kernel may move
+    the last of a dCor's 12 written digits, and nothing else."""
+    daily, weekly = write_export_tree(tmp_path / "inputs",
+                                      planted_block_series(np.random.default_rng(42))[0])
+    stitched = tmp_path / "stitched"
+    assert main(["stitch", "--daily-dir", str(daily), "--weekly-dir", str(weekly),
+                 "--out", str(stitched)]) == 0
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(trendnet.__file__).parents[1])
+    outs = {}
+    for coretype in (None, "Prescott"):
+        outs[coretype] = tmp_path / f"analysis-{coretype}"
+        subprocess.run([sys.executable, "-m", "trendnet.cli", "analyze", "--stitched",
+                        str(stitched), "--out", str(outs[coretype])], check=True,
+                       env=env if coretype is None else {**env, "OPENBLAS_CORETYPE": coretype},
+                       stdout=subprocess.DEVNULL)
+    default, other = outs.values()
+    names = sorted(path.name for path in default.iterdir())
+    assert names == sorted(path.name for path in other.iterdir()) and len(names) == 14
+    for name in names:
+        a, b = ((root / name).read_text("utf-8") for root in (default, other))
+        if not name.startswith("correlations_"):
+            assert a == b, name
+            continue
+        rows_a, rows_b = (list(csv.reader(io.StringIO(text))) for text in (a, b))
+        assert len(rows_a) == len(rows_b)
+        for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+            assert row_a[:3] == row_b[:3]
+            dcor_a, dcor_b = Decimal(row_a[3]), Decimal(row_b[3])
+            # One unit in the 12th significant digit of the larger value.
+            unit = Decimal(1).scaleb(max(dcor_a, dcor_b).adjusted() - 11)
+            assert abs(dcor_a - dcor_b) <= unit, (name, row_a, row_b)

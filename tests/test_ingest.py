@@ -60,7 +60,7 @@ def test_parse_daily_segment_duplicate_is_error():
         parse_daily_segment(text)
 
 
-@pytest.mark.parametrize("bad", ["101", "-3", "1e9", "nan", "abc"])
+@pytest.mark.parametrize("bad", ["101", "-3", "1e9", "nan", "abc", "5_0"])
 def test_parse_daily_segment_value_out_of_range(bad):
     message = rf"^2020-03-16: (value {bad} outside \[0,100.0\]|unparseable value '{bad}')$"
     with pytest.raises(TrendnetError, match=message):

@@ -202,7 +202,7 @@ def test_pair_persistence_counts_planted_edges():
         (2, 3): set(),
     }
     frames = frames_with_planted_edges(92, plant)
-    members, counts = pair_persistence(frames, (D, D + 91 * DAY))
+    [(members, counts)] = pair_persistence(frames, [(D, D + 91 * DAY)])
     assert members.shape == (6, 2)  # exhaustive over all pairs
     assert members[:2].tolist() == [[0, 1], [0, 2]]
     assert counts.tolist() == [52, 46, 0, 0, 0, 0]
@@ -211,7 +211,7 @@ def test_pair_persistence_counts_planted_edges():
 def test_pair_persistence_respects_period_bounds():
     plant = {(0, 1): set(range(92))}
     frames = frames_with_planted_edges(92, plant)
-    members, counts = pair_persistence(frames, (D + 10 * DAY, D + 19 * DAY))
+    [(members, counts)] = pair_persistence(frames, [(D + 10 * DAY, D + 19 * DAY)])
     assert members[0].tolist() == [0, 1]
     assert counts[0] == 10
 
@@ -219,7 +219,7 @@ def test_pair_persistence_respects_period_bounds():
 def test_pair_persistence_ties_break_lexicographically():
     plant = {(0, 1): {0}, (2, 3): {0}, (0, 2): {0}}
     frames = frames_with_planted_edges(1, plant)
-    members, counts = pair_persistence(frames, (D, D))
+    [(members, counts)] = pair_persistence(frames, [(D, D)])
     assert members[:3].tolist() == [[0, 1], [0, 2], [2, 3]]
     assert counts[:3].tolist() == [1, 1, 1]
 
@@ -232,7 +232,7 @@ def test_triad_persistence_counts_planted_triangles():
         (1, 3): set(range(92)),  # extra edge, no third side
     }
     frames = frames_with_planted_edges(92, plant)
-    members, counts = triad_persistence(frames, (D, D + 91 * DAY))
+    [(members, counts)] = triad_persistence(frames, [(D, D + 91 * DAY)])
     assert members.shape == (4, 3)  # C(4,3) triples
     assert members[0].tolist() == [0, 1, 2]
     assert counts.tolist() == [60, 0, 0, 0]
@@ -240,8 +240,25 @@ def test_triad_persistence_counts_planted_triangles():
 
 def test_persistence_empty_period():
     frames = frames_with_planted_edges(5, {(0, 1): {0}})
-    with pytest.raises(TrendnetError, match=r"^no frames labeled within 2020-07-09\.\.2020-07-19$"):
-        pair_persistence(frames, (D + 100 * DAY, D + 110 * DAY))
+    for persistence in (pair_persistence, triad_persistence):
+        with pytest.raises(TrendnetError,
+                           match=r"^no frames labeled within 2020-07-09\.\.2020-07-19$"):
+            persistence(frames, [(D, D + 4 * DAY), (D + 100 * DAY, D + 110 * DAY)])
+
+
+def test_persistence_overlapping_periods_count_as_each_alone():
+    rng = np.random.default_rng(71)
+    adjacency = np.stack([random_graph(rng, 7, 0.5) for _ in range(30)])
+    g = graph_stack(adjacency, keywords=tuple(f"k{i}" for i in rng.permutation(7).tolist()))
+    periods = [(D, D + 19 * DAY), (D + 5 * DAY, D + 29 * DAY), (D + 5 * DAY, D + 9 * DAY),
+               (D, D + 19 * DAY)]
+    for persistence in (pair_persistence, triad_persistence):
+        together = persistence(g, periods)
+        assert len(together) == len(periods)
+        for period, (members, counts) in zip(periods, together):
+            [(alone_members, alone_counts)] = persistence(g, [period])
+            assert members.tolist() == alone_members.tolist()
+            assert counts.tolist() == alone_counts.tolist()
 
 
 def test_persistence_matches_recount_on_random_stacks():
@@ -274,8 +291,8 @@ def test_persistence_matches_recount_on_random_stacks():
             )
             for i in range(k) for j in range(i + 1, k) for m in range(j + 1, k)
         }
-        for result, recount in ((pair_persistence(g, period), pairs),
-                                (triad_persistence(g, period), triads)):
+        for [result], recount in ((pair_persistence(g, [period]), pairs),
+                                  (triad_persistence(g, [period]), triads)):
             expected = sorted(
                 recount.items(), key=lambda r: (-r[1], tuple(names[i] for i in r[0]))
             )
@@ -436,7 +453,7 @@ def test_csv_quoting_round_trips_through_csv_reader():
     )
     g = threshold_adjacency(frames, 0.5)
     period = (D, D + 2 * DAY)
-    groups = [(period, 0.5, *triad_persistence(g, period))]
+    groups = [(period, 0.5, *counted) for counted in triad_persistence(g, [period])]
     persistence_text = emit_persistence_csv(names, groups)
     correlations_text = emit_correlations_csv(frames)
 
