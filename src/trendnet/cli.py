@@ -33,7 +33,7 @@ from pathlib import Path
 
 from . import correlate, ingest, netstat, render, stitch, timeline, util
 from .errors import TrendnetError
-from .registry import KeywordRegistry
+from .registry import KeywordRegistry, check_separator
 
 
 def _parse(path: Path, parse, *args):
@@ -270,6 +270,8 @@ def _load_stitched(stitched_dir: Path, registry: Path | None):
         keywords = _load_registry(registry).keywords
     else:
         keywords = tuple(sorted(p.stem for p in stitched_dir.glob("*.csv")))
+        for kw in keywords:
+            check_separator(kw, f"{stitched_dir / f'{kw}.csv'}: ")
     if not keywords:
         raise TrendnetError(f"{stitched_dir}: no stitched CSV files", 3)
     if len(keywords) < 2:

@@ -101,14 +101,15 @@ def rolling_correlation(series: dict[str, DailySeries], window_days: int) -> Cor
 
 def emit_correlations_csv(frames: CorrelationFrame) -> str:
     """Long-format `label_date,keyword_a,keyword_b,dcor` CSV, 12 significant digits."""
-    quoted = [csv_field(kw) for kw in frames.keywords]
+    quoted = [csv_field(kw).replace("%", "%%") for kw in frames.keywords]
     rows, cols = np.triu_indices(len(quoted), 1)
-    pairs = [f"{quoted[i]},{quoted[j]}" for i, j in zip(rows.tolist(), cols.tolist())]
-    labels = np.datetime_as_string(frames.label_dates).tolist()
-    # Joined per frame: only one frame's row strings are alive at a time.
+    # One `%` template holds a frame's rows, filled from its (label, dcor) pairs.
+    template = "".join(f"%s,{quoted[i]},{quoted[j]},%.12g\n"
+                       for i, j in zip(rows.tolist(), cols.tolist()))
+    cells = [None] * (2 * len(rows))
     chunks = ["label_date,keyword_a,keyword_b,dcor\n"]
-    for label, matrix in zip(labels, frames.matrix):
-        chunks.append("".join(
-            f"{label},{pair},{v:.12g}\n" for pair, v in zip(pairs, matrix[rows, cols].tolist())
-        ))
+    for label, matrix in zip(np.datetime_as_string(frames.label_dates).tolist(), frames.matrix):
+        cells[::2] = [label] * len(rows)
+        cells[1::2] = matrix[rows, cols].tolist()
+        chunks.append(template % tuple(cells))
     return "".join(chunks)

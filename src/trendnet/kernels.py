@@ -20,31 +20,40 @@ same thing. The only bits lost are those of entries more than 2**1021
 times smaller than their column's maximum, which become subnormal and
 weigh nothing against the column's spread.
 
-Each call to `_dcor_frames` allocates its workspaces once and reuses them
-for every frame of its range: the (k, n) rescaled window, the (k, n, n)
-centred distance matrices, one per column and each contiguous, so the Gram
-product reads them as one (k, n*n) matrix, and the (n, k) row means. Fresh
+Each call to `_dcor_frames` works on one contiguous range of frames. The
+small work that does not touch the centred matrices runs once per range,
+not once per frame: the power-of-two exponents of every frame come from
+one sliding-window maximum over the range's days, and the dVar/dCov tail
+(divide, clamp, square roots, the constant-column mask) runs once over the
+range's (F, k, k) slots, each of which the frame's Gram product was written
+into directly, with its dVar in an (F, k) array. Per frame only the
+centring and the two products run, in workspaces allocated once per call:
+the (k, n) rescaled window, the (k, n, n) centred distance matrices, one
+per column and each contiguous, so the Gram product reads them as one
+(k, n*n) matrix, and the (k, n) row means with an (n, k) copy. Fresh
 temporaries of that size per frame were served by `mmap` and page-faulted
 in again on every frame. The reduction axes are fixed on purpose: numpy
-sums pairwise along a contiguous axis but sequentially along an outer one,
-so the row means reduce over the outer `i` axis of (k, n, n) and the grand
-mean over the outer axis of the (n, k) buffer. Any other order moves the
-last bits.
+sums pairwise along a contiguous axis but sequentially along an outer one.
+The row means reduce over the outer `i` axis of (k, n, n). The grand mean
+reduces over the outer axis of the contiguous (n, k) copy of the row
+means: over the transposed (k, n) buffer, numpy would sum pairwise and
+move the last bits.
 
 `rolling_dcor` splits the frames over processes with `util.forked_map`:
 contiguous frame ranges, one per worker, of a stack in an anonymous shared
 mapping, which it returns. A frame reads only its window and writes only
 its (k, k) slot, through the same operations in the same order in any
-process, so the split moves no bit. Threads do not pay: the per-frame
+process, and the once-per-range steps are a maximum and elementwise
+arithmetic, so the split moves no bit. Threads do not pay: the per-frame
 numpy calls are short and serialise on the interpreter lock. On a 2-CPU
 Xeon host (K = 15, n = 60 and 90, two years of days) two threads took
 0.8-1.7x the serial time, two processes 0.53-0.72x.
 
 Workers are at most one per MIN_WORKER_WORK frames * k * n**2 units. On
-that host a fork and wait cost 6-11 ms, the serial kernel runs 2.5e7
-(n = 15) to 9.8e7 (n = 90) units per second, and two workers broke even at
-1e6-3e6 units. 1e7 units are 0.1-0.2 s of work, so a fork costs under a
-tenth of the share it takes over, even when the other CPU is busy. One
+that host a fork and wait cost 6-11 ms, the serial kernel runs 4.3e7
+(n = 15) to 1.4e8 (n = 90) units per second, and two workers broke even at
+1e6-3e6 units. 1e7 units are 0.07-0.23 s of work, so a fork costs at most
+a sixth of the share it takes over, even when the other CPU is busy. One
 frame (`dcor_matrix`) and a year of 15 keywords at n <= 30 (4.5e6 units
 at most) stay serial.
 
@@ -59,6 +68,7 @@ from __future__ import annotations
 import mmap
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import util
 
@@ -99,27 +109,39 @@ def rolling_dcor(data: np.ndarray, window: int) -> np.ndarray:
 def _dcor_frames(series: np.ndarray, n: int, out: np.ndarray, first: int) -> None:
     """dCor matrices of frames first, first + 1, ... into `out`, one (k, k) slot
     each, before the caller mirrors them and sets their diagonals."""
-    k = len(series)
+    k, frames = len(series), len(out)
+    days = np.abs(series[:, first : first + frames + n - 1])
+    _, exp = np.frexp(sliding_window_view(days, n, axis=1).max(axis=2))
+    shifts = -exp.T[:, :, None]  # (frames, k, 1)
     win = np.empty((k, n))
     cen = np.empty((k, n, n))
-    m = np.empty((n, k))
+    m = np.empty((k, n))
+    mt = np.empty((n, k))
+    g = np.empty(k)
+    dvar = np.empty((frames, k))
     flat = cen.reshape(k, n * n)
-    for f, r in enumerate(out, first):
-        x = series[:, f : f + n]
-        _, exp = np.frexp(np.abs(x).max(axis=1))
-        np.ldexp(x, -exp[:, None], out=win)
+    for f, r in enumerate(out):
+        np.ldexp(series[:, first + f : first + f + n], shifts[f], out=win)
         np.abs(np.subtract(win[:, :, None], win[:, None, :], out=cen), out=cen)
-        np.mean(cen, axis=1, out=m.T)
-        g = m.mean(axis=0)
-        cen -= m.T[:, None, :]
-        cen -= m.T[:, :, None]
+        # np.mean's arithmetic, a sum then one division, without its per-call overhead.
+        np.add.reduce(cen, axis=1, out=m)
+        m /= n
+        mt[...] = m.T
+        np.add.reduce(mt, axis=0, out=g)
+        g /= n
+        cen -= m[:, None, :]
+        cen -= m[:, :, None]
         cen += g[:, None, None]
-        dvar = np.einsum("kij,kij->k", cen, cen) / (n * n)
-        dcov2 = np.maximum(flat @ flat.T / (n * n), 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # constant columns, zeroed below
-            np.minimum(np.sqrt(dcov2 / np.sqrt(np.outer(dvar, dvar))), 1.0, out=r)
-        constant = dvar == 0.0
-        r[constant[:, None] | constant[None, :]] = 0.0
+        np.einsum("kij,kij->k", cen, cen, out=dvar[f])
+        np.matmul(flat, flat.T, out=r)
+    # dCov^2, dVar and dCor of every frame at once.
+    out /= n * n
+    np.maximum(out, 0.0, out=out)
+    dvar /= n * n
+    with np.errstate(divide="ignore", invalid="ignore"):  # constant columns, zeroed below
+        np.minimum(np.sqrt(out / np.sqrt(dvar[:, :, None] * dvar[:, None, :])), 1.0, out=out)
+    constant = dvar == 0.0
+    out[constant[:, :, None] | constant[:, None, :]] = 0.0
 
 
 def triangle_counts(adj: np.ndarray) -> np.ndarray:
@@ -128,7 +150,8 @@ def triangle_counts(adj: np.ndarray) -> np.ndarray:
     `adj` is one (K, K) matrix or a stack (..., K, K); the result has the
     shape of `adj` without its last axis.
     """
-    a = np.asarray(adj, dtype=np.uint8).astype(np.int64)
+    a = np.asarray(adj, dtype=np.float64)
     # ((A @ A) * A)[v].sum() counts closed 2-paths through v; each triangle
-    # at v is counted twice. Integer matmul keeps this exact.
-    return ((a @ a) * a).sum(axis=-1) // 2
+    # at v is counted twice. The 0/1 products and their sums, at most
+    # K(K - 1), are integers far below 2**53, so float64 keeps them exact.
+    return ((a @ a) * a).sum(axis=-1).astype(np.int64) // 2

@@ -42,7 +42,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from datetime import date
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain, combinations
 from typing import NamedTuple
 
@@ -278,12 +278,14 @@ def parse_metrics_csv(text: str) -> MetricTable:
 def emit_persistence_csv(keywords: tuple[str, ...], groups: list[tuple]) -> str:
     """(period, threshold, members, counts) groups as the persistence report;
     each `members` row is written as its keywords joined by `|`."""
+    # Each member set is quoted once, for every group it is in.
+    quote = cache(lambda row: csv_field("|".join([keywords[i] for i in row])))
     lines = ["period_start,period_end,threshold,members,count\n"]
-    quoted = {}  # each member set is quoted once, for every group it is in
     for (start, end), threshold, members, counts in groups:
-        prefix = f"{start.isoformat()},{end.isoformat()},{threshold:g},"
-        for row, count in zip(map(tuple, members.tolist()), counts.tolist()):
-            if row not in quoted:
-                quoted[row] = csv_field("|".join([keywords[i] for i in row]))
-            lines.append(f"{prefix}{quoted[row]},{count}\n")
+        # One `%` template holds the group's rows, filled from its (members, count) pairs.
+        cells = [None] * (2 * len(counts))
+        cells[::2] = map(quote, map(tuple, members.tolist()))
+        cells[1::2] = counts.tolist()
+        template = f"{start.isoformat()},{end.isoformat()},{threshold:g},%s,%d\n"
+        lines.append(template * len(counts) % tuple(cells))
     return "".join(lines)

@@ -64,9 +64,9 @@ class KeywordRegistry:
         """Parse `keyword,category` rows; a first row of exactly `keyword,category`
         is a header, and blank rows are skipped.
 
-        A short row, an unknown category, a repeated keyword or one that
-        cannot be a file name is an error naming its line; so is a file
-        without keyword rows.
+        A short row, an unknown category, a repeated keyword, one that
+        cannot be a file name or one holding `|` is an error naming its
+        line; so is a file without keyword rows.
         """
         entries, seen = [], set()
         for line, (keyword, category, *_) in csv_records(text, ["keyword", "category"]):
@@ -79,14 +79,23 @@ class KeywordRegistry:
 
 
 def _check_entry(keyword: str, category: str, seen: set[str], where: str = "") -> None:
-    """Reject an unknown category, a keyword already in `seen` or one that
-    cannot name its `<keyword>.csv` file, then add it."""
+    """Reject an unknown category, a keyword already in `seen`, one that
+    cannot name its `<keyword>.csv` file or one holding `|`, then add it."""
     if keyword in ("", ".", "..") or "/" in keyword or "\\" in keyword:
         raise TrendnetError(f"{where}keyword {keyword!r} cannot name a file; a keyword"
                             " must not be empty, '.' or '..' or hold '/' or '\\'")
+    check_separator(keyword, where)
     if category not in CATEGORIES:
         raise TrendnetError(f"{where}unknown keyword category {category!r} for {keyword!r};"
                             f" expected one of {', '.join(CATEGORIES)}")
     if keyword in seen:
         raise TrendnetError(f"{where}duplicate keyword {keyword!r}")
     seen.add(keyword)
+
+
+def check_separator(keyword: str, where: str = "") -> None:
+    """Reject a keyword holding `|`, which joins the keywords of a persistence
+    row: with it, two different keyword sets could be written alike."""
+    if "|" in keyword:
+        raise TrendnetError(f"{where}keyword {keyword!r} holds '|', which joins the keywords"
+                            " of a persistence row")

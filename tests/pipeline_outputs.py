@@ -1,12 +1,15 @@
-"""Write the stitch -> analyze -> report outputs of the two reference fixtures.
+"""Write the stitch -> analyze -> report outputs of the three reference fixtures.
 
 Usage: PYTHONPATH=src python tests/pipeline_outputs.py OUT
 
 Builds the planted-block (seed 42) and flat (seed 101) 15-keyword year
-fixtures of `helpers.py`, then runs each through `trendnet.cli.main` with
-default settings: stitch, analyze, and report for density and for
-clustering. That leaves 37 files per fixture under OUT/<fixture>/out, 74 in
-all. Run it once on each of two versions of `src` and compare the trees
+fixtures of `helpers.py`, and the planted series again (seed 43) under a
+registry of 15 keywords holding commas, quotes, `%` and spaces, in
+unsorted order. Each runs through `trendnet.cli.main` with default
+settings: stitch, analyze, and report for density and for clustering; the
+third passes its registry to stitch and analyze, so the CSV writers quote
+its keywords. That leaves 37 files per fixture under OUT/<fixture>/out, 111
+in all. Run it once on each of two versions of `src` and compare the trees
 with `diff -r OUT_A OUT_B`: an empty diff means the change moved no output
 byte. Pytest does not collect this file.
 """
@@ -23,22 +26,42 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from helpers import flat_latent_series, planted_block_series, write_export_tree  # noqa: E402
 
 from trendnet.cli import main  # noqa: E402
-from trendnet.registry import KeywordRegistry  # noqa: E402
+from trendnet.registry import CATEGORIES, KeywordRegistry  # noqa: E402
+from trendnet.util import csv_field  # noqa: E402
+
+# Keywords that the CSV writers must quote or escape, in unsorted order.
+QUOTED_KEYWORDS = (
+    "work from home", 'say "ahh"', "zinc, vitamin c", "100% cotton", "%s,%d",
+    "face shield", "ubo", "lagnat, ubo", "50%% off", 'masks "n95", kn95',
+    "social distancing", "ecq", "a b c", "fever 38.5%", "cough",
+)
 
 
-def fixtures() -> dict[str, dict[str, np.ndarray]]:
+def fixtures() -> dict[str, tuple[dict[str, np.ndarray], str | None]]:
+    """Each fixture's series and registry CSV text, None for the built-in set."""
     keywords = KeywordRegistry.default().keywords
     planted, _ = planted_block_series(np.random.default_rng(42), keywords)
-    return {"planted": planted, "flat": flat_latent_series(np.random.default_rng(101), keywords)}
+    quoted, _ = planted_block_series(np.random.default_rng(43), QUOTED_KEYWORDS)
+    registry = "keyword,category\n" + "".join(
+        f"{csv_field(kw)},{CATEGORIES[i % len(CATEGORIES)]}\n"
+        for i, kw in enumerate(QUOTED_KEYWORDS))
+    return {"planted": (planted, None),
+            "flat": (flat_latent_series(np.random.default_rng(101), keywords), None),
+            "quoted": (quoted, registry)}
 
 
-def run_pipeline(root: Path, series: dict[str, np.ndarray]) -> None:
+def run_pipeline(root: Path, series: dict[str, np.ndarray], registry: str | None) -> None:
     daily, weekly = write_export_tree(root / "inputs", series)
+    given = []
+    if registry is not None:
+        (root / "inputs" / "registry.csv").write_text(registry, "utf-8")
+        given = ["--registry", str(root / "inputs" / "registry.csv")]
     out = root / "out"
     commands = [
-        ["stitch", "--daily-dir", str(daily), "--weekly-dir", str(weekly),
+        ["stitch", "--daily-dir", str(daily), "--weekly-dir", str(weekly), *given,
          "--out", str(out / "stitched")],
-        ["analyze", "--stitched", str(out / "stitched"), "--out", str(out / "analysis")],
+        ["analyze", "--stitched", str(out / "stitched"), *given,
+         "--out", str(out / "analysis")],
         *(["report", "--metrics", str(out / "analysis"), "--metric", metric,
            "--out", str(out / "reports" / f"{metric}.svg")] for metric in ("density", "clustering")),
     ]
@@ -50,5 +73,5 @@ def run_pipeline(root: Path, series: dict[str, np.ndarray]) -> None:
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         raise SystemExit(__doc__.splitlines()[2])
-    for name, series in fixtures().items():
-        run_pipeline(Path(sys.argv[1]) / name, series)
+    for name, (series, registry) in fixtures().items():
+        run_pipeline(Path(sys.argv[1]) / name, series, registry)

@@ -250,6 +250,39 @@ def test_empty_registry_exits_2_naming_file(stitched_dir, export_tree, tmp_path,
     assert not out.exists()
 
 
+PIPE_KEYWORDS = ("a|b", "c", "a", "b|c")  # ("a|b", "c") and ("a", "b|c") would both join as a|b|c
+PIPE_MESSAGE = "keyword 'a|b' holds '|', which joins the keywords of a persistence row"
+
+
+@pytest.mark.parametrize("command", ["stitch", "analyze"])
+def test_keyword_holding_a_pipe_in_the_registry_exits_2_naming_line(
+        stitched_dir, export_tree, tmp_path, capsys, command):
+    registry = export_tree / "registry.csv"
+    registry.write_text("".join(f"{kw},FaceWearing\n" for kw in PIPE_KEYWORDS), "utf-8")
+    out = tmp_path / "out"
+    if command == "stitch":
+        code = run_stitch(export_tree, out)
+    else:
+        code = main(["analyze", "--stitched", str(stitched_dir), "--registry", str(registry),
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {registry}: line 1: {PIPE_MESSAGE}\n"
+    assert not out.exists()
+
+
+def test_analyze_stitched_file_named_with_a_pipe_exits_2_naming_it(stitched_dir, tmp_path,
+                                                                   capsys):
+    text = (stitched_dir / "cough.csv").read_text()
+    for path in stitched_dir.iterdir():
+        path.unlink()
+    for kw in PIPE_KEYWORDS:
+        (stitched_dir / f"{kw}.csv").write_text(text, "utf-8")
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--stitched", str(stitched_dir), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {stitched_dir / 'a|b.csv'}: {PIPE_MESSAGE}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, code", [
     ("thresholds", "1.5", 2),
     ("registry", "missing.csv", 3),

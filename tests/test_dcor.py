@@ -208,6 +208,20 @@ def test_rolling_dcor_split_over_workers_is_bit_exact(cpus, workers, frames):
     assert len(forks) == min(workers, frames) - 1  # one worker per range, the first in-process
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_rolling_dcor_split_with_exponents_changing_inside_ranges(cpus, workers):
+    """Window maxima that cross 30 powers of two a frame: a range computed with
+    another frame's exponents over- or underflows and moves bits."""
+    forks = cpus(workers)
+    window, frames = 15, 40
+    data = _stack(np.random.default_rng(37), frames + window - 1, 6)
+    days = np.arange(len(data))
+    data[:, 3] *= 2.0 ** (30 * days - 800)
+    data[:, 4] *= 2.0 ** (800 - 30 * days)
+    assert np.array_equal(kernels.rolling_dcor(data, window), rolling_dcor_reference(data, window))
+    assert len(forks) == workers - 1
+
+
 def test_rolling_dcor_split_across_scales_and_windows(cpus):
     forks = cpus(3)
     data = _stack(np.random.default_rng(29), 70, 8)

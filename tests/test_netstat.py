@@ -438,9 +438,10 @@ def test_persistence_csv_format():
 
 
 def test_csv_quoting_round_trips_through_csv_reader():
-    """Keywords with commas, quotes and spaces, in unsorted order, are written
-    as csv.writer writes them one row at a time."""
-    names = ('z "q"', "b,c", "a b", 'x,"y"', "tail,", '"lead', "k10", "k2")
+    """Keywords with commas, quotes, spaces and `%`, in unsorted order, are
+    written as csv.writer writes them one row at a time."""
+    names = ('z "q"', "b,c", "a b", 'x,"y"', "tail,", '"lead', "k10", "k2", "100% cotton",
+             "%s,%d", '50%% "off"')
     k = len(names)
     rng = np.random.default_rng(61)
     raw = rng.random((3, k, k))

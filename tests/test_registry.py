@@ -25,8 +25,9 @@ def test_from_csv_skips_header_and_blank_rows():
     ("..,FaceWearing\n", "line 2: keyword '..' cannot name a file"),
     ("cough,SymptomsEnglish\n,FaceWearing\n", "line 3: keyword '' cannot name a file"),
     ("  ,FaceWearing\n", "line 2: keyword '' cannot name a file"),
+    ("a,FaceWearing\nb|c,FaceWearing\n", "line 3: keyword 'b|c' holds '|', which joins"),
 ], ids=["duplicate", "short", "category", "parent-dir", "slash", "backslash", "dot", "dot-dot",
-        "empty", "blank"])
+        "empty", "blank", "pipe"])
 def test_from_csv_errors_name_the_line(rows, message):
     with pytest.raises(TrendnetError, match=f"^{re.escape(message)}"):
         KeywordRegistry.from_csv(HEADER + rows)
