@@ -57,7 +57,7 @@ def distance_correlation(x, y) -> float:
         raise ValueError("need at least 2 points")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise TrendnetError("inputs must be finite")
-    return float(kernels.dcor_matrix(np.column_stack((x, y)))[0, 1])
+    return float(kernels.rolling_dcor(np.column_stack((x, y)), len(x))[0, 0, 1])
 
 
 def rolling_correlation(series: dict[str, DailySeries], window_days: int) -> CorrelationFrame:

@@ -20,42 +20,43 @@ same thing. The only bits lost are those of entries more than 2**1021
 times smaller than their column's maximum, which become subnormal and
 weigh nothing against the column's spread.
 
-Each call to `_dcor_frames` works on one contiguous range of frames. The
-small work that does not touch the centred matrices runs once per range,
-not once per frame: the power-of-two exponents of every frame come from
-one sliding-window maximum over the range's days, and the dVar/dCov tail
-(divide, clamp, square roots, the constant-column mask) runs once over the
-range's (F, k, k) slots, each of which the frame's Gram product was written
-into directly, with its dVar in an (F, k) array. Per frame only the
-centring and the two products run, in workspaces allocated once per call:
-the (k, n) rescaled window, the (k, n, n) centred distance matrices, one
-per column and each contiguous, so the Gram product reads them as one
-(k, n*n) matrix, and the (k, n) row means with an (n, k) copy. Fresh
-temporaries of that size per frame were served by `mmap` and page-faulted
-in again on every frame. The reduction axes are fixed on purpose: numpy
-sums pairwise along a contiguous axis but sequentially along an outer one.
-The row means reduce over the outer `i` axis of (k, n, n). The grand mean
-reduces over the outer axis of the contiguous (n, k) copy of the row
-means: over the transposed (k, n) buffer, numpy would sum pairwise and
-move the last bits.
+Each call to `_dcor_frames` takes the days of one contiguous range of
+frames and returns the range's finished (F, k, k) frames. The small work
+that does not touch the centred matrices runs once per range, not once per
+frame: the power-of-two exponents of every frame come from one
+sliding-window maximum over the range's days, and the dVar/dCov tail
+(divide, clamp, square roots, the constant-column mask, the mirrored upper
+triangle and the unit diagonal) runs once over the range's (F, k, k) slots,
+each of which the frame's Gram product was written into directly, with its
+dVar in an (F, k) array. Per frame only the centring and the two products
+run, in workspaces allocated once per call: the (k, n) rescaled window, the
+(k, n, n) centred distance matrices, one per column and each contiguous, so
+the Gram product reads them as one (k, n*n) matrix, and the (k, n) row
+means with an (n, k) copy. Per-frame temporaries of that size came as new
+pages from the allocator and were page-faulted in again on every frame. The reduction axes are fixed on purpose: numpy sums pairwise along a
+contiguous axis but sequentially along an outer one. The row means reduce
+over the outer `i` axis of (k, n, n). The grand mean reduces over the outer
+axis of the contiguous (n, k) copy of the row means: over the transposed
+(k, n) buffer, numpy would sum pairwise and move the last bits.
 
 `rolling_dcor` splits the frames over processes with `util.forked_map`:
-contiguous frame ranges, one per worker, of a stack in an anonymous shared
-mapping, which it returns. A frame reads only its window and writes only
-its (k, k) slot, through the same operations in the same order in any
-process, and the once-per-range steps are a maximum and elementwise
-arithmetic, so the split moves no bit. Threads do not pay: the per-frame
-numpy calls are short and serialise on the interpreter lock. On a 2-CPU
-Xeon host (K = 15, n = 60 and 90, two years of days) two threads took
-0.8-1.7x the serial time, two processes 0.53-0.72x.
+contiguous frame ranges, one per worker, each of which returns its range's
+frames through `forked_map`, as a window worker of `analyze` returns its
+texts; `rolling_dcor` joins them in order. A frame reads only its window,
+through the same operations in the same order in any process, and the
+once-per-range steps are a maximum and elementwise arithmetic, so the split
+moves no bit. Threads do not pay: the per-frame numpy calls are short and
+serialise on the interpreter lock. On a 2-CPU Xeon host (K = 15, n = 60 and
+90, two years of days) two threads took 0.8-1.7x the serial time, two
+processes 0.53-0.72x.
 
 Workers are at most one per MIN_WORKER_WORK frames * k * n**2 units. On
 that host a fork and wait cost 6-11 ms, the serial kernel runs 4.3e7
 (n = 15) to 1.4e8 (n = 90) units per second, and two workers broke even at
 1e6-3e6 units. 1e7 units are 0.07-0.23 s of work, so a fork costs at most
 a sixth of the share it takes over, even when the other CPU is busy. One
-frame (`dcor_matrix`) and a year of 15 keywords at n <= 30 (4.5e6 units
-at most) stay serial.
+frame (`correlate.distance_correlation`) and a year of 15 keywords at
+n <= 30 (4.5e6 units at most) stay serial.
 
 A window worker of `analyze` still splits its frames: at windows 60 and 90
 over two years of 15 keywords, W = 90 holds two thirds of the dCor work.
@@ -65,8 +66,6 @@ against 0.938 s on that host (medians of 6 alternating pairs, slower in 4).
 
 from __future__ import annotations
 
-import mmap
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -74,11 +73,6 @@ from . import util
 
 # Least frames * k * n**2 work units per worker process; see the module docstring.
 MIN_WORKER_WORK = 10**7
-
-
-def dcor_matrix(win: np.ndarray) -> np.ndarray:
-    """Pairwise distance-correlation matrix of the columns of `win` (n, k)."""
-    return rolling_dcor(win, len(win))[0]
 
 
 def rolling_dcor(data: np.ndarray, window: int) -> np.ndarray:
@@ -92,26 +86,19 @@ def rolling_dcor(data: np.ndarray, window: int) -> np.ndarray:
     """
     series = np.ascontiguousarray(np.transpose(data), dtype=np.float64)  # (k, t)
     k, t = series.shape
+    if not 2 <= window <= t:
+        raise ValueError(f"window {window} must lie between 2 and the data's {t} rows")
     frames = t - window + 1
-    out = np.frombuffer(mmap.mmap(-1, frames * k * k * 8)).reshape(frames, k, k)
-    util.forked_map(
-        lambda part: _dcor_frames(series, window, out[part.start : part.stop], part.start),
+    return np.concatenate(util.forked_map(
+        lambda part: _dcor_frames(series[:, part.start : part.stop + window - 1], window),
         range(frames), lambda part: f"dCor worker for frames {part[0]}..{part[-1]} of {frames}",
-        most=frames * k * window * window // MIN_WORKER_WORK)
-    # Mirror the upper triangle: the Gram product need not be exactly symmetric.
-    rows, cols = np.triu_indices(k, 1)
-    out[:, cols, rows] = out[:, rows, cols]
-    diagonal = np.arange(k)
-    out[:, diagonal, diagonal] = 1.0
-    return out
+        most=frames * k * window * window // MIN_WORKER_WORK))
 
 
-def _dcor_frames(series: np.ndarray, n: int, out: np.ndarray, first: int) -> None:
-    """dCor matrices of frames first, first + 1, ... into `out`, one (k, k) slot
-    each, before the caller mirrors them and sets their diagonals."""
-    k, frames = len(series), len(out)
-    days = np.abs(series[:, first : first + frames + n - 1])
-    _, exp = np.frexp(sliding_window_view(days, n, axis=1).max(axis=2))
+def _dcor_frames(days: np.ndarray, n: int) -> np.ndarray:
+    """The (F, k, k) dCor matrices of the F length-`n` frames of `days` (k, F + n - 1)."""
+    k, frames = len(days), days.shape[1] - n + 1
+    _, exp = np.frexp(sliding_window_view(np.abs(days), n, axis=1).max(axis=2))
     shifts = -exp.T[:, :, None]  # (frames, k, 1)
     win = np.empty((k, n))
     cen = np.empty((k, n, n))
@@ -119,9 +106,10 @@ def _dcor_frames(series: np.ndarray, n: int, out: np.ndarray, first: int) -> Non
     mt = np.empty((n, k))
     g = np.empty(k)
     dvar = np.empty((frames, k))
+    out = np.empty((frames, k, k))
     flat = cen.reshape(k, n * n)
     for f, r in enumerate(out):
-        np.ldexp(series[:, first + f : first + f + n], shifts[f], out=win)
+        np.ldexp(days[:, f : f + n], shifts[f], out=win)
         np.abs(np.subtract(win[:, :, None], win[:, None, :], out=cen), out=cen)
         # np.mean's arithmetic, a sum then one division, without its per-call overhead.
         np.add.reduce(cen, axis=1, out=m)
@@ -142,6 +130,12 @@ def _dcor_frames(series: np.ndarray, n: int, out: np.ndarray, first: int) -> Non
         np.minimum(np.sqrt(out / np.sqrt(dvar[:, :, None] * dvar[:, None, :])), 1.0, out=out)
     constant = dvar == 0.0
     out[constant[:, :, None] | constant[:, None, :]] = 0.0
+    # Mirror the upper triangle: the Gram product need not be exactly symmetric.
+    rows, cols = np.triu_indices(k, 1)
+    out[:, cols, rows] = out[:, rows, cols]
+    diagonal = np.arange(k)
+    out[:, diagonal, diagonal] = 1.0
+    return out
 
 
 def triangle_counts(adj: np.ndarray) -> np.ndarray:

@@ -472,16 +472,17 @@ def test_analyze_failed_dcor_worker_exits_3_leaving_nothing(
     stitched_dir, tmp_path, capsys, monkeypatch, failing, message
 ):
     force_dcor_workers(monkeypatch, 3)
-    real_frames = kernels._dcor_frames
+    real_frames, parent = kernels._dcor_frames, os.getpid()
 
-    def dcor_frames(series, n, out, first):
-        if failing == "parent" and first == 0:
+    def dcor_frames(days, n):
+        in_parent = os.getpid() == parent
+        if failing == "parent" and in_parent:
             raise OSError(errno.ENOMEM, "Cannot allocate memory")
-        if failing == "child" and first > 0:
+        if failing == "child" and not in_parent:
             raise RuntimeError("worker failed")
-        if failing == "signal" and first > 0:
+        if failing == "signal" and not in_parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        real_frames(series, n, out, first)
+        return real_frames(days, n)
 
     monkeypatch.setattr(kernels, "_dcor_frames", dcor_frames)
     out = tmp_path / "analysis"

@@ -132,7 +132,7 @@ def test_dcor_matrix_invariants():
     rng = np.random.default_rng(3)
     win = rng.uniform(0, 100, (15, 8))
     win[:, 3] = 42.0  # one constant column
-    m = kernels.dcor_matrix(win)
+    m = kernels.rolling_dcor(win, 15)[0]
     assert np.array_equal(m, m.T)
     assert np.all(np.diag(m) == 1.0)
     assert np.all((m >= 0.0) & (m <= 1.0))
@@ -171,11 +171,23 @@ def test_rolling_dcor_bit_exact_across_scales_and_layouts():
 
 
 def test_dcor_matrix_is_the_one_frame_stack():
+    """A window's frame is the same whether it is the only frame of its stack
+    or one frame of a longer one."""
     rng = np.random.default_rng(23)
     for n, k in [(2, 3), (15, 8), (30, 3), (90, 15)]:
         win = _stack(rng, n, k)
-        assert np.array_equal(kernels.dcor_matrix(win), kernels.rolling_dcor(win, n)[0])
-        assert np.array_equal(kernels.dcor_matrix(win), rolling_dcor_reference(win, n)[0])
+        one = kernels.rolling_dcor(win, n)
+        assert one.shape == (1, k, k)
+        assert np.array_equal(one[0], rolling_dcor_reference(win, n)[0])
+        longer = np.concatenate((_stack(rng, 3, k), win, _stack(rng, 2, k)))
+        assert np.array_equal(one[0], kernels.rolling_dcor(longer, n)[3])
+
+
+@pytest.mark.parametrize("window", [0, 1, 11, 12, 40])
+def test_rolling_dcor_rejects_a_window_outside_2_to_the_rows(window):
+    with pytest.raises(ValueError,
+                       match=f"^window {window} must lie between 2 and the data's 10 rows$"):
+        kernels.rolling_dcor(np.ones((10, 3)), window)
 
 
 @pytest.fixture()
@@ -198,11 +210,16 @@ def cpus(monkeypatch):
     return set_cpus
 
 
+# Uneven splits, fewer frames than workers, and one frame: a window of all the rows.
+# Each range reads its days up to `stop + window - 1`. Ids without a `w` are window 15.
+SPLITS = [(frames, window) for window in (15, 2, 90) for frames in (1, 2, 5, 7, 40)]
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("frames", [1, 2, 5, 7, 40])  # uneven splits; fewer frames than workers
-def test_rolling_dcor_split_over_workers_is_bit_exact(cpus, workers, frames):
+@pytest.mark.parametrize("frames, window", SPLITS,
+                         ids=[f"{f}" if w == 15 else f"{f}w{w}" for f, w in SPLITS])
+def test_rolling_dcor_split_over_workers_is_bit_exact(cpus, workers, frames, window):
     forks = cpus(workers)
-    window = 15
     data = _stack(np.random.default_rng(100 + frames), frames + window - 1, 6)
     assert np.array_equal(kernels.rolling_dcor(data, window), rolling_dcor_reference(data, window))
     assert len(forks) == min(workers, frames) - 1  # one worker per range, the first in-process
@@ -254,7 +271,7 @@ def test_short_stacks_never_fork(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     rng = np.random.default_rng(37)
-    kernels.dcor_matrix(_stack(rng, 90, 15))
+    assert kernels.rolling_dcor(_stack(rng, 90, 15), 90)[0].shape == (15, 15)
     assert distance_correlation(rng.normal(size=90), rng.normal(size=90)) >= 0.0
     assert kernels.rolling_dcor(_stack(rng, 365, 15), 30).shape == (336, 15, 15)
 
