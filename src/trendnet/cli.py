@@ -98,6 +98,12 @@ def _parse_date(value: str) -> date:
         raise TrendnetError(f"must be an ISO date, got {value!r}") from None
 
 
+def _parse_path(value: str) -> Path:
+    if "\0" in value:  # no file name holds one; open() would raise ValueError
+        raise TrendnetError(f"must not hold a NUL byte, got {value!r}")
+    return Path(value)
+
+
 def _parse_period(raw: str) -> tuple[date, date]:
     try:
         start, end = (util.iso_date(tok.strip()) for tok in raw.split(":"))
@@ -156,27 +162,27 @@ REPEATABLE = {"period"}  # a list of values, one per flag or config line
 # A text default is parsed like a flag value; None means no value.
 SETTINGS = {
     "stitch": {
-        "daily_dir": (REQUIRED, Path, None),
-        "weekly_dir": (REQUIRED, Path, None),
-        "registry": (None, Path, "keyword,category CSV (default: built-in set)"),
-        "out": (REQUIRED, Path, "output directory for stitched CSVs"),
+        "daily_dir": (REQUIRED, _parse_path, None),
+        "weekly_dir": (REQUIRED, _parse_path, None),
+        "registry": (None, _parse_path, "keyword,category CSV (default: built-in set)"),
+        "out": (REQUIRED, _parse_path, "output directory for stitched CSVs"),
         "span_start": ("2020-03-16", _parse_date, "ISO date"),
         "span_end": ("2021-03-15", _parse_date, "ISO date"),
     },
     "analyze": {
-        "stitched": (REQUIRED, Path, "directory of stitched CSVs"),
-        "registry": (None, Path, None),
+        "stitched": (REQUIRED, _parse_path, "directory of stitched CSVs"),
+        "registry": (None, _parse_path, None),
         "windows": ("15,30", _parse_windows, "comma list"),
         "thresholds": ("0.4,0.5,0.6,0.8", _parse_thresholds, "comma list"),
         "period": (None, _parse_period,
                    "start:end persistence period (repeatable; default quarters)"),
-        "out": (REQUIRED, Path, None),
+        "out": (REQUIRED, _parse_path, None),
     },
     "report": {
-        "metrics": (REQUIRED, Path, "directory holding metrics_w*_t*.csv"),
-        "events": (None, Path, "events CSV (default: bundled timeline)"),
+        "metrics": (REQUIRED, _parse_path, "directory holding metrics_w*_t*.csv"),
+        "events": (None, _parse_path, "events CSV (default: bundled timeline)"),
         "metric": ("density", _parse_metric, "charted metric, density or clustering"),
-        "out": (REQUIRED, Path, "output SVG path; _w<window> is appended per window"),
+        "out": (REQUIRED, _parse_path, "output SVG path; _w<window> is appended per window"),
     },
 }
 COMMAND_HELP = {
@@ -203,7 +209,7 @@ def _settings(args: argparse.Namespace) -> dict:
     table = SETTINGS[args.command]
     config = {}
     if args.config is not None:
-        path = _parse_value("--config", args.config, Path)
+        path = _parse_value("--config", args.config, _parse_path)
         config = _parse(path, util.parse_config, set(table), REPEATABLE)
     raws = {}
     for key, (default, _, _) in table.items():

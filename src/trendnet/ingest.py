@@ -18,8 +18,6 @@ errors and warnings.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import TrendnetError
-from .util import DAY, iso_date, number
+from .util import DAY, csv_rows, iso_date, number
 
 WEEK = timedelta(days=7)
 
@@ -87,8 +85,7 @@ def _read_series(raw_csv: str, step: timedelta, upper: float | None) -> tuple[da
     next date and a value in [0, `upper`].
     """
     values, prev = [], None
-    rows = csv.reader(io.StringIO(raw_csv))
-    for record in rows:
+    for line, record in csv_rows(raw_csv):
         if not record:
             continue
         token = record[0].strip()
@@ -98,7 +95,7 @@ def _read_series(raw_csv: str, step: timedelta, upper: float | None) -> tuple[da
             if not any(field.strip() for field in record) or (
                     prev is None and not token[:1].isdigit()):
                 continue  # blank row, or preamble and header before the data
-            raise TrendnetError(f"line {rows.line_num}: date {token!r} does not parse") from None
+            raise TrendnetError(f"line {line}: date {token!r} does not parse") from None
         if prev is None:
             first = when
         elif when != prev + step:

@@ -31,14 +31,12 @@ columns (label_date, window_days, threshold, edge_count, density,
 clustering_global, clustering_avg_local), one list per column and one row
 per frame, holding plain dates, ints and floats. `analyze` writes it with
 `emit_metrics_csv` and `report` reads it back with `parse_metrics_csv`;
-both convert a whole column at a time, and only a failed column is searched
+both convert a whole column at a time, and the reader reruns failed checks
 row by row for the line to name. Non-finite floats are rejected on reading.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from datetime import date
@@ -51,7 +49,7 @@ import numpy as np
 from . import kernels
 from .correlate import CorrelationFrame
 from .errors import TrendnetError
-from .util import csv_field, iso_date, underscored
+from .util import csv_field, csv_rows, iso_date
 
 
 @dataclass(eq=False)
@@ -219,9 +217,28 @@ def emit_metrics_csv(table: MetricTable) -> str:
 _METRIC_PARSERS = (iso_date, int, float, int, float, float, float)
 
 
-def _loose(text: str) -> bool:
-    """Whether `text` holds whitespace or `_`, which int() and float() skip."""
-    return underscored(text) or len("".join(text.split())) != len(text)
+def _metric_columns(rows: list[list[str]]) -> list[list]:
+    """`rows`' columns, each read by its parser; the checks run a column at a time.
+
+    A row of another field count fails first, then, column by column, a
+    field holding whitespace or `_` (which int() and float() skip), one that
+    does not parse and a non-finite float. The error quotes the column's
+    first field, so for one row it names the row's first bad field.
+    """
+    if {len(row) for row in rows} != {len(METRIC_COLUMNS)}:
+        raise TrendnetError(f"{len(rows[0])} fields, expected {len(METRIC_COLUMNS)}")
+    parsed = []
+    for name, parse, column in zip(METRIC_COLUMNS, _METRIC_PARSERS, zip(*rows)):
+        text = "".join(column)
+        if "_" in text or len("".join(text.split())) != len(text):
+            raise TrendnetError(f"{name} {column[0]!r} holds whitespace or an underscore")
+        try:
+            parsed.append(list(map(parse, column)))
+        except ValueError:
+            raise TrendnetError(f"{name} {column[0]!r} does not parse") from None
+        if parse is float and not all(map(math.isfinite, parsed[-1])):
+            raise TrendnetError(f"{name} {column[0]!r} is not finite")
+    return parsed
 
 
 def parse_metrics_csv(text: str) -> MetricTable:
@@ -232,47 +249,25 @@ def parse_metrics_csv(text: str) -> MetricTable:
     or is a non-finite float, is an error naming its line; so is a file
     with no data rows, without a line. Blank lines are skipped.
     """
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    rows = csv_rows(text)
+    _, header = next(rows, (None, None))
     if header is None:
         raise TrendnetError("no header and no data rows")
     if header != list(METRIC_COLUMNS):
         raise TrendnetError(f"line 1: header is not {','.join(METRIC_COLUMNS)}")
-    rows = [row for row in reader if row]
+    rows = [(line, row) for line, row in rows if row]
     if not rows:
         raise TrendnetError("no data rows")
-    # One pass per column; the strict zips reject a row of another field count.
     try:
-        columns = [list(map(parse, column)) for parse, column in zip(
-            _METRIC_PARSERS, zip(*rows, strict=True), strict=True)]
-        floats = (column for parse, column in zip(_METRIC_PARSERS, columns) if parse is float)
-        if (all(all(map(math.isfinite, column)) for column in floats)
-                and not _loose("".join(chain.from_iterable(rows)))):
-            return MetricTable(*columns)
-    except ValueError:
-        pass
-    # A check failed: report the first bad row in file order, by its line.
-    reader = csv.reader(io.StringIO(text))
-    next(reader)
-    for row in reader:
-        if row and len(row) != len(METRIC_COLUMNS):
-            raise TrendnetError(
-                f"line {reader.line_num}: {len(row)} fields, expected {len(METRIC_COLUMNS)}"
-            )
-        for name, parse, token in zip(METRIC_COLUMNS, _METRIC_PARSERS, row):
-            if _loose(token):
-                raise TrendnetError(
-                    f"line {reader.line_num}: {name} {token!r} holds whitespace or an underscore"
-                )
+        return MetricTable(*_metric_columns([row for _, row in rows]))
+    except TrendnetError:
+        # A check failed: the same checks, row by row in file order, name the first bad line.
+        for line, row in rows:
             try:
-                value = parse(token)
-            except ValueError:
-                raise TrendnetError(
-                    f"line {reader.line_num}: {name} {token!r} does not parse"
-                ) from None
-            if parse is float and not math.isfinite(value):
-                raise TrendnetError(f"line {reader.line_num}: {name} {token!r} is not finite")
-    raise AssertionError("the row-wise search repeats the column-wise checks")
+                _metric_columns([row])
+            except TrendnetError as err:
+                raise TrendnetError(f"line {line}: {err}") from None
+        raise
 
 
 def emit_persistence_csv(keywords: tuple[str, ...], groups: list[tuple]) -> str:

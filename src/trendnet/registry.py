@@ -84,6 +84,8 @@ def _check_entry(keyword: str, category: str, seen: set[str], where: str = "") -
     if keyword in ("", ".", "..") or "/" in keyword or "\\" in keyword:
         raise TrendnetError(f"{where}keyword {keyword!r} cannot name a file; a keyword"
                             " must not be empty, '.' or '..' or hold '/' or '\\'")
+    if "\0" in keyword:
+        raise TrendnetError(f"{where}keyword {keyword!r} cannot name a file: it holds a NUL byte")
     check_separator(keyword, where)
     if category not in CATEGORIES:
         raise TrendnetError(f"{where}unknown keyword category {category!r} for {keyword!r};"

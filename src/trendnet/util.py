@@ -28,14 +28,9 @@ def iso_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-def underscored(text: str) -> bool:
-    """Whether `text` holds `_`, which int() and float() skip (`1_5` reads as 15)."""
-    return "_" in text
-
-
 def number(text: str, kind: type = float) -> float | int:
     """`kind(text)`, int or float, which skip surrounding whitespace; ValueError on `_`."""
-    if underscored(text):
+    if "_" in text:
         raise ValueError(f"{text!r} holds an underscore")
     return kind(text)
 
@@ -87,6 +82,18 @@ def parse_config(
     return config
 
 
+def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of every CSV row of `text`, blank ones included; a row
+    spanning lines has its last line's number. A row `csv` cannot read (a field over
+    its size limit, a bare `\\r`) is an error naming its line."""
+    rows = csv.reader(io.StringIO(text))
+    try:
+        for row in rows:
+            yield rows.line_num, row
+    except csv.Error as err:
+        raise TrendnetError(f"line {rows.line_num}: {err}") from None
+
+
 def csv_records(text: str, columns: list[str]) -> Iterator[tuple[int, list[str]]]:
     """(line number, stripped fields) of each CSV row of `text` that is not blank.
 
@@ -94,9 +101,8 @@ def csv_records(text: str, columns: list[str]) -> Iterator[tuple[int, list[str]]
     `columns`; a row with fewer fields than `columns` is an error naming
     its line. Fields past `columns` are passed on.
     """
-    rows = csv.reader(io.StringIO(text))
     header_allowed = True
-    for row in rows:
+    for line, row in csv_rows(text):
         fields = [field.strip() for field in row]
         if not any(fields):
             continue
@@ -105,8 +111,8 @@ def csv_records(text: str, columns: list[str]) -> Iterator[tuple[int, list[str]]
             if fields == columns:
                 continue
         if len(fields) < len(columns):
-            raise TrendnetError(f"line {rows.line_num}: row needs {','.join(columns)}: {row!r}")
-        yield rows.line_num, fields
+            raise TrendnetError(f"line {line}: row needs {','.join(columns)}: {row!r}")
+        yield line, fields
 
 
 def csv_field(text: str) -> str:

@@ -8,9 +8,11 @@ registry of 15 keywords holding commas, quotes, `%` and spaces, in
 unsorted order. Each runs through `trendnet.cli.main` with default
 settings: stitch, analyze, and report for density and for clustering; the
 third passes its registry to stitch and analyze, so the CSV writers quote
-its keywords. That leaves 37 files per fixture under OUT/<fixture>/out, 111
-in all. Run it once on each of two versions of `src` and compare the trees
-with `diff -r OUT_A OUT_B`: an empty diff means the change moved no output
+its keywords, and writes its daily exports as real ones look
+(`dress_daily_exports`), so the export reader skips their preamble. That
+leaves 37 files per fixture under OUT/<fixture>/out, 111 in all. Run it
+once on each of two versions of `src` and compare the trees with
+`diff -r OUT_A OUT_B`: an empty diff means the change moved no output
 byte. Pytest does not collect this file.
 """
 
@@ -50,10 +52,21 @@ def fixtures() -> dict[str, tuple[dict[str, np.ndarray], str | None]]:
             "quoted": (quoted, registry)}
 
 
+def dress_daily_exports(daily: Path) -> None:
+    """Rewrite each daily export the way real ones look, values unchanged: a
+    `Category` line, a blank row and a `Day,<keyword>: (Philippines)` header
+    first, CRLF line ends, and a UTF-8 byte-order mark on every other file."""
+    for i, path in enumerate(sorted(daily.glob("*/*.csv"))):
+        day = csv_field(f"{path.parent.name}: (Philippines)")
+        path.write_text(f"Category: All categories\n\nDay,{day}\n" + path.read_text("utf-8"),
+                        "utf-8-sig" if i % 2 else "utf-8", newline="\r\n")
+
+
 def run_pipeline(root: Path, series: dict[str, np.ndarray], registry: str | None) -> None:
     daily, weekly = write_export_tree(root / "inputs", series)
     given = []
     if registry is not None:
+        dress_daily_exports(daily)
         (root / "inputs" / "registry.csv").write_text(registry, "utf-8")
         given = ["--registry", str(root / "inputs" / "registry.csv")]
     out = root / "out"

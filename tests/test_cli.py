@@ -1,3 +1,4 @@
+import csv
 import errno
 import os
 import re
@@ -1070,3 +1071,168 @@ def test_repeated_period_exits_2_naming_both_sources(stitched_dir, tmp_path, cap
                           f"{config}: config line 3: period {periods[2]}"))
     assert capsys.readouterr().err == f"error: {third} repeats {first}\n"
     assert not out.exists()
+
+
+def _leftovers(root):
+    """The `.part` and `.prev` files anywhere under `root`."""
+    return [p for p in root.rglob(".*") if p.suffix in (".part", ".prev")] if root.exists() else []
+
+
+def _plant_line(path, lineno, text):
+    """Replace line `lineno` (1-based) of a text file with `text`."""
+    lines = path.read_text().split("\n")
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines), "utf-8")
+
+
+def _stitch_argv(tree):
+    return ["stitch", "--daily-dir", str(tree / "daily"), "--weekly-dir", str(tree / "weekly"),
+            "--registry", str(tree / "registry.csv")]
+
+
+def _unreadable_segment(row, tmp_path, fixture):
+    tree = fixture("export_tree")
+    seg = tree / "daily" / "fever" / "2.csv"
+    _plant_line(seg, 5, row)
+    return _stitch_argv(tree), seg, 5
+
+
+def _unreadable_stitched(row, tmp_path, fixture):
+    stitched = fixture("stitched_dir")
+    _plant_line(stitched / "fever.csv", 41, row)
+    return ["analyze", "--stitched", str(stitched)], stitched / "fever.csv", 41
+
+
+def _unreadable_metrics(row, tmp_path, fixture):
+    analysis = _analysis(fixture("stitched_dir"), tmp_path)
+    _plant_line(analysis / "metrics_w15_t0.5.csv", 3, row)
+    return ["report", "--metrics", str(analysis)], analysis / "metrics_w15_t0.5.csv", 3
+
+
+@pytest.mark.parametrize("plant", [_unreadable_segment, _unreadable_stitched, _unreadable_metrics],
+                         ids=lambda plant: plant.__name__[12:])
+@pytest.mark.parametrize("row", ["2020-04-20," + "1" * 200_000, "2020-04-20,0.5\0"],
+                         ids=["over-field-limit", "nul"])
+def test_unreadable_row_exits_2_naming_file_and_line(request, tmp_path, capsys, plant, row):
+    """A field over csv's size limit is an error csv raises; so is a NUL, on
+    Python 3.10 only (later ones read it, and the value then fails to parse),
+    so for a NUL only the exit code and the file are checked."""
+    argv, path, lineno = plant(row, tmp_path, request.getfixturevalue)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out / "r.svg" if argv[0] == "report" else out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    if "\0" not in row:
+        assert err == (f"error: {path}: line {lineno}: field larger than field limit"
+                       f" ({csv.field_size_limit()})\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["out = o\0x", "registry = r\0x"], ids=["out", "registry"])
+def test_config_path_holding_nul_exits_2_naming_config_line(export_tree, tmp_path, capsys, line):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{line}\n", "utf-8")
+    key, _, value = line.partition(" = ")
+    argv = ["stitch", "--daily-dir", str(export_tree / "daily"),
+            "--weekly-dir", str(export_tree / "weekly"), "--config", str(config)]
+    if key != "out":
+        argv += ["--out", str(tmp_path / "stitched")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: config line 1: {key} must not hold a NUL byte, got {value!r}\n")
+    assert not (tmp_path / "stitched").exists()
+
+
+def test_registry_keyword_holding_nul_exits_2_naming_line(export_tree, tmp_path, capsys):
+    """Python 3.10's csv rejects the NUL itself; later ones leave it to the registry."""
+    registry = export_tree / "registry.csv"
+    registry.write_text("keyword,category\ncough,SymptomsEnglish\nfe\0ver,SymptomsEnglish\n")
+    out = tmp_path / "stitched"
+    assert run_stitch(export_tree, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {registry}: line 3: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_second_run_replaces_files_and_keeps_no_prev(export_tree, tmp_path, capsys):
+    out = tmp_path / "stitched"
+    (out / "unrelated").mkdir(parents=True)
+    for name in ("cough.csv", "fever.csv"):
+        (out / name).write_text("earlier run\n", "utf-8")
+    assert run_stitch(export_tree, out) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.iterdir()) == ["cough.csv", "fever.csv", "flu.csv",
+                                                     "unrelated"]
+    assert parse_stitched((out / "cough.csv").read_text()).start_date == SPAN_START
+    assert _leftovers(out) == []
+
+
+def test_failed_move_removes_files_placed_where_none_existed(export_tree, tmp_path, capsys):
+    out = tmp_path / "stitched"
+    (out / "flu.csv").mkdir(parents=True)  # the last target: cough and fever move first
+    assert run_stitch(export_tree, out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'flu.csv'}: ") and err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == ["flu.csv"]
+    assert not any((out / "flu.csv").iterdir())
+
+
+def _inverted_period(tmp_path, fixture):
+    return (["analyze", "--stitched", str(fixture("stitched_dir")),
+             "--period", "2020-06-30:2020-04-01"],
+            2, "--period end 2020-04-01 precedes start 2020-06-30")
+
+
+def _missing_segment_dir(tmp_path, fixture):
+    tree = fixture("export_tree")
+    for seg in (tree / "daily" / "fever").iterdir():
+        seg.unlink()
+    (tree / "daily" / "fever").rmdir()
+    return (_stitch_argv(tree), 3, f"{tree / 'daily' / 'fever'}: missing daily segment directory")
+
+
+def _no_segment_csvs(tmp_path, fixture):
+    tree = fixture("export_tree")
+    for seg in (tree / "daily" / "fever").iterdir():
+        seg.rename(seg.with_suffix(".txt"))
+    return (_stitch_argv(tree), 3, f"{tree / 'daily' / 'fever'}: no segment CSV files")
+
+
+def _no_stitched_csvs(tmp_path, fixture):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    return ["analyze", "--stitched", str(empty)], 3, f"{empty}: no stitched CSV files"
+
+
+def _no_metrics_csvs(tmp_path, fixture):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    return ["report", "--metrics", str(empty)], 3, f"{empty}: no metrics_w*_t*.csv files"
+
+
+def _missing_value_field(tmp_path, fixture):
+    tree = fixture("export_tree")
+    seg = tree / "daily" / "cough" / "2.csv"
+    _plant_line(seg, 5, "2020-04-20")
+    return (_stitch_argv(tree), 2, f"{seg}: 2020-04-20: missing value field")
+
+
+def _config_line_without_equals(tmp_path, fixture):
+    config = tmp_path / "run.cfg"
+    config.write_text("# windows\nwindows 15\n", "utf-8")
+    return (["analyze", "--stitched", str(fixture("stitched_dir")), "--config", str(config)],
+            2, f"{config}: config line 2: expected key=value, got 'windows 15'")
+
+
+@pytest.mark.parametrize("case", [
+    _inverted_period, _missing_segment_dir, _no_segment_csvs, _no_stitched_csvs,
+    _no_metrics_csvs, _missing_value_field, _config_line_without_equals,
+], ids=lambda case: case.__name__[1:])
+def test_failure_exits_with_one_error_line_and_leaves_nothing(request, tmp_path, capsys, case):
+    argv, code, message = case(tmp_path, request.getfixturevalue)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out / "r.svg" if argv[0] == "report" else out)]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and _leftovers(tmp_path) == []

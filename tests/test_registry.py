@@ -38,3 +38,8 @@ def test_from_csv_without_keyword_rows_raises(text):
     with pytest.raises(TrendnetError, match="^no keyword rows$"):
         KeywordRegistry.from_csv(text)
 
+
+
+def test_keyword_holding_nul_cannot_name_a_file():
+    with pytest.raises(TrendnetError, match=re.escape("keyword 'fe\\x00ver' cannot name a file")):
+        KeywordRegistry((("fe\0ver", "SymptomsEnglish"),))

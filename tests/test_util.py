@@ -1,3 +1,4 @@
+import csv
 import os
 import pickle
 import re
@@ -7,9 +8,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trendnet.errors import TrendnetError
+from trendnet.ingest import parse_daily_segment, parse_stitched, parse_weekly
+from trendnet.netstat import parse_metrics_csv
 from trendnet.registry import KeywordRegistry
 from trendnet.timeline import load_events
-from trendnet.util import csv_records, default_periods, forked_map, iso_date, month_starts
+from trendnet.util import (
+    csv_records,
+    csv_rows,
+    default_periods,
+    forked_map,
+    iso_date,
+    month_starts,
+)
 
 DAY = timedelta(days=1)
 QUARTER_MONTHS = (1, 4, 7, 10)
@@ -73,6 +83,35 @@ def test_csv_records_skip_blank_rows_and_a_first_row_header_only():
 def test_short_row_names_its_line_and_the_columns(parse, text, message):
     with pytest.raises(TrendnetError, match=f"^{re.escape(message)}$"):
         parse(text)
+
+
+def test_csv_rows_number_every_row_blank_ones_included():
+    text = 'a,b\n\n"x\ny",z\n\r\nc\n'
+    assert list(csv_rows(text)) == [(1, ["a", "b"]), (2, []), (4, ["x\ny", "z"]), (5, []),
+                                    (6, ["c"])]
+
+
+# Two rows each parser reads without complaint, before the unreadable third.
+READABLE_ROWS = {
+    parse_daily_segment: "Day,cough: (Philippines)\n2020-03-16,100\n",
+    parse_weekly: "Week,cough\n2020-03-15,100\n",
+    parse_stitched: "date,value\n2020-03-16,1.5\n",
+    KeywordRegistry.from_csv: "keyword,category\ncough,SymptomsEnglish\n",
+    load_events: "date,label,category\n2020-04-01,ok,Policy\n",
+    parse_metrics_csv: "label_date,window_days,threshold,edge_count,density,clustering_global,"
+                       "clustering_avg_local\n2020-03-30,15,0.5,3,0.2,0.1,0.1\n",
+}
+
+
+@pytest.mark.parametrize("parse", READABLE_ROWS, ids=lambda parse: parse.__name__)
+@pytest.mark.parametrize("row, message", [
+    ("2020-03-17," + "1" * (csv.field_size_limit() + 1),
+     f"field larger than field limit ({csv.field_size_limit()})"),
+    ("2020-03-17,5\r0,x", "new-line character seen in unquoted field"),
+], ids=["over-field-limit", "bare-cr"])
+def test_unreadable_row_is_an_error_naming_its_line(parse, row, message):
+    with pytest.raises(TrendnetError, match=f"^line 3: {re.escape(message)}"):
+        parse(READABLE_ROWS[parse] + row + "\n")
 
 
 def test_trendnet_error_pickles_with_its_code():
