@@ -29,6 +29,7 @@ import os
 import sys
 import warnings
 from datetime import date, timedelta
+from itertools import takewhile
 from pathlib import Path
 
 from . import correlate, ingest, netstat, render, stitch, timeline, util
@@ -59,12 +60,14 @@ def _commit(texts: dict[Path, str]) -> None:
     """Write each text to `.<name>.part` beside its target, then move all into place.
 
     Each target replaced so far is kept as `.<name>.prev` until every part is
-    in place; if a move fails, the earlier files are put back.
+    in place; if a write or move fails, the earlier files are put back and the
+    directories this call created are removed.
     """
-    parts, prevs, placed = {}, {}, []
+    parts, prevs, placed, made = {}, {}, [], []
     try:
         for path, text in texts.items():
             parts[path] = path.with_name(f".{path.name}.part")
+            made += reversed([*takewhile(lambda d: not d.exists(), path.parents)])
             path.parent.mkdir(parents=True, exist_ok=True)
             parts[path].write_text(text, "utf-8")
         for path, part in parts.items():
@@ -82,6 +85,9 @@ def _commit(texts: dict[Path, str]) -> None:
             os.replace(prev, target)
         for part in parts.values():
             part.unlink(missing_ok=True)
+        for directory in reversed(made):  # deepest first; a failed mkdir may have made fewer
+            if directory.exists():
+                directory.rmdir()
         raise TrendnetError(f"{path}: {err.strerror or err}", 3) from err
     for prev in prevs.values():
         prev.unlink()

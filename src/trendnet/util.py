@@ -61,10 +61,11 @@ def parse_config(
     caller can name the line of a value it rejects. Keys are matched with
     `-` read as `_`; a key not in `known` is an error. A key in
     `repeatable` may appear on several lines, as a repeated flag may; any
-    other key only once. Values are stripped and not parsed.
+    other key only once. Values are stripped and not parsed. Lines end at `\\n`
+    only, as editors number them, not at a form feed as with `str.splitlines`.
     """
     config: dict[str, list[tuple[int, str]]] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

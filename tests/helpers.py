@@ -1,12 +1,16 @@
-"""Fixture builders: synthetic export trees shaped like the real inputs."""
+"""Fixture builders: synthetic export trees shaped like the real inputs, the
+mutations a test plants in them, and the CLI's failure contract, `assert_fails`."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
+from trendnet.cli import main
 from trendnet.registry import KeywordRegistry
 
 SPAN_START = date(2020, 3, 16)
@@ -141,3 +145,67 @@ def planted_block_series(
             noisy = latent + rng.normal(0, noise_sd, SPAN_DAYS)
             series[kw] = np.clip(noisy, 0, 100)
     return series, blocks
+
+
+def write(path: Path, text: str) -> Path:
+    path.write_text(text, "utf-8")
+    return path
+
+
+def plant(path: Path, lineno: int, text: str | None = None, field: int | None = None) -> Path:
+    """Replace line `lineno` (1-based) of a text file with `text`, or only its
+    comma-separated field `field`; `text` None deletes the line or the field.
+    Returns `path`, so a message can name it."""
+    lines = path.read_text("utf-8").split("\n")
+    if field is not None:
+        fields = lines[lineno - 1].split(",")
+        fields[field : field + 1] = [] if text is None else [text]
+        text = ",".join(fields)
+    lines[lineno - 1 : lineno] = [] if text is None else [text]
+    return write(path, "\n".join(lines))
+
+
+def mkdir(path: Path) -> Path:
+    path.mkdir(parents=True)
+    return path
+
+
+def remove(path: Path) -> Path:
+    """Delete a file, or a directory of files; returns `path`."""
+    if path.is_dir():
+        for child in path.iterdir():
+            child.unlink()
+        path.rmdir()
+    else:
+        path.unlink()
+    return path
+
+
+def rename_files(directory: Path, suffix: str) -> Path:
+    """Give every file in `directory` the suffix `suffix`; returns `directory`."""
+    for path in directory.iterdir():
+        path.rename(path.with_suffix(suffix))
+    return directory
+
+
+def tree_bytes(root: Path) -> dict[Path, bytes | None]:
+    """Every path under `root`, relative to it, with a file's bytes (None for anything else)."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def assert_fails(root: Path, argv: list[str], code: int, message: str) -> None:
+    """Check the CLI's failure contract on `main(argv)`.
+
+    It returns `code`, prints nothing on stdout and exactly `error: <message>`
+    on stderr, and leaves every path and byte under `root`, which holds the
+    inputs and `--out` alike, as it found them: no `.part`, `.prev`, output
+    or directory is left behind.
+    """
+    before = tree_bytes(root)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        result = main(argv), stdout.getvalue(), stderr.getvalue()
+    assert result == (code, "", f"error: {message}\n"), result
+    after = tree_bytes(root)
+    assert after == before, sorted(p for p in before.keys() | after.keys()
+                                   if before.get(p, ...) != after.get(p, ...))
