@@ -359,8 +359,11 @@ def cmd_report(settings: dict) -> tuple[dict[Path, str], str]:
     for window in windows:
         points = table.take([i for i, w in enumerate(table.window_days) if w == window])
         name = f"{stem}_w{window}"
-        texts[out_path.with_name(f"{name}.svg")] = render.render_metric_chart(
-            points, events, metric=settings["metric"])
+        try:
+            texts[out_path.with_name(f"{name}.svg")] = render.render_metric_chart(
+                points, events, metric=settings["metric"])
+        except TrendnetError as err:
+            raise TrendnetError(f"{metrics_root}: window {window}: {err}", err.code) from None
         texts[out_path.with_name(f"{name}.json")] = render.metrics_report_json(points, events)
     return texts, f"reported windows {windows} -> {out_path.parent or Path('.')}"
 

@@ -31,8 +31,9 @@ columns (label_date, window_days, threshold, edge_count, density,
 clustering_global, clustering_avg_local), one list per column and one row
 per frame, holding plain dates, ints and floats. `analyze` writes it with
 `emit_metrics_csv` and `report` reads it back with `parse_metrics_csv`;
-both convert a whole column at a time, and the reader reruns failed checks
-row by row for the line to name. Non-finite floats are rejected on reading.
+both convert a whole column at a time, each distinct value or field text
+of a column once, and the reader reruns failed checks row by row for the
+line to name. Non-finite floats are rejected on reading.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 from . import kernels
 from .correlate import CorrelationFrame
 from .errors import TrendnetError
-from .util import csv_field, csv_rows, iso_date
+from .util import csv_field, csv_rows, distinct_texts, iso_date
 
 
 @dataclass(eq=False)
@@ -142,16 +143,18 @@ def clustering_global(g: GraphFrame) -> list[float]:
 def clustering_avg_local(g: GraphFrame) -> list[float]:
     """Mean per-vertex triangle ratio per frame; degree < 2 vertices count as 0.
 
-    The ratios lam/tau are summed exactly over the common denominator
-    lcm(tau > 0) in Python integers, then divided once by lcm * K.
+    The ratios lam/tau are summed exactly in Python integers over the common
+    denominator L = lcm(C(d, 2) for 2 <= d < K), then divided once by L * K;
+    int / int is correctly rounded, so any common multiple gives one float.
     """
     lam, tau = g.triples
     k = lam.shape[-1]
-    out = []
-    for lam_f, tau_f in zip(lam.tolist(), tau.tolist()):
-        common = math.lcm(*(t for t in tau_f if t))
-        out.append(sum(l * (common // t) for l, t in zip(lam_f, tau_f) if t) / (common * k))
-    return out
+    pairs = [d * (d - 1) // 2 for d in range(2, k)]
+    common = math.lcm(*pairs)
+    # L / tau by tau, 0 where tau = 0; object dtype keeps the products exact at any K.
+    weight = np.zeros((k - 1) * (k - 2) // 2 + 1, dtype=object)
+    weight[pairs] = [common // t for t in pairs]
+    return ((lam * weight[tau]).sum(axis=-1) / (common * k)).tolist()
 
 
 def frame_metrics(g: GraphFrame) -> MetricTable:
@@ -207,14 +210,15 @@ def triad_persistence(g: GraphFrame, periods: list[tuple[date, date]]) -> list[t
 
 
 def emit_metrics_csv(table: MetricTable) -> str:
-    """One row per frame, under a header naming the columns."""
-    return f"{','.join(METRIC_COLUMNS)}\n" + "".join(
-        map("{},{},{:g},{},{!r},{!r},{!r}\n".format, *table)
-    )
+    """One row per frame, under a header naming the columns: dates and ints by
+    str, the threshold by `:g` and the metrics by repr."""
+    columns = map(distinct_texts, table, (str, str, "{:g}".format, str, repr, repr, repr))
+    return "\n".join([",".join(METRIC_COLUMNS), *map(",".join, zip(*columns)), ""])
 
 
-# How each column is read back, in column order.
-_METRIC_PARSERS = (iso_date, int, float, int, float, float, float)
+# How each column is read back, in column order. Every metrics file of a
+# report labels the same dates, so one date cache serves them all.
+_METRIC_PARSERS = (cache(iso_date), int, float, int, float, float, float)
 
 
 def _metric_columns(rows: list[list[str]]) -> list[list]:
@@ -229,15 +233,17 @@ def _metric_columns(rows: list[list[str]]) -> list[list]:
         raise TrendnetError(f"{len(rows[0])} fields, expected {len(METRIC_COLUMNS)}")
     parsed = []
     for name, parse, column in zip(METRIC_COLUMNS, _METRIC_PARSERS, zip(*rows)):
-        text = "".join(column)
+        distinct = set(column)
+        text = "".join(distinct)
         if "_" in text or len("".join(text.split())) != len(text):
             raise TrendnetError(f"{name} {column[0]!r} holds whitespace or an underscore")
         try:
-            parsed.append(list(map(parse, column)))
+            values = {field: parse(field) for field in distinct}
         except ValueError:
             raise TrendnetError(f"{name} {column[0]!r} does not parse") from None
-        if parse is float and not all(map(math.isfinite, parsed[-1])):
+        if parse is float and not all(map(math.isfinite, values.values())):
             raise TrendnetError(f"{name} {column[0]!r} is not finite")
+        parsed.append(list(map(values.__getitem__, column)))
     return parsed
 
 
@@ -273,8 +279,16 @@ def parse_metrics_csv(text: str) -> MetricTable:
 def emit_persistence_csv(keywords: tuple[str, ...], groups: list[tuple]) -> str:
     """(period, threshold, members, counts) groups as the persistence report;
     each `members` row is written as its keywords joined by `|`."""
-    # Each member set is quoted once, for every group it is in.
-    quote = cache(lambda row: csv_field("|".join([keywords[i] for i in row])))
+    # Each keyword is quoted once: `|` is no special character of csv, so a member
+    # set needs quotes iff a member does. Each set is joined once, for every group.
+    escaped = [keyword.replace('"', '""') for keyword in keywords]
+    quoted = [csv_field(keyword) != keyword for keyword in keywords]
+
+    def field(row: tuple[int, ...]) -> str:
+        joined = "|".join([escaped[i] for i in row])
+        return f'"{joined}"' if any([quoted[i] for i in row]) else joined
+
+    quote = cache(field)
     lines = ["period_start,period_end,threshold,members,count\n"]
     for (start, end), threshold, members, counts in groups:
         # One `%` template holds the group's rows, filled from its (members, count) pairs.

@@ -7,8 +7,11 @@ the x axis and a [0, 1] y axis. Identical inputs yield byte-identical
 output, so rendered files can serve as goldens.
 
 Both outputs read a MetricTable by column, through row indices sorted once.
-The JSON report is byte for byte `json.dumps(body, indent=2)`, but its
-metric rows are formatted here with one format string: with `indent` set,
+A metric column holds few distinct values, so each distinct value of a
+column is formatted once (`util.distinct_texts`): a date placed on the x
+axis, a value on the y axis, a JSON field. 0.0 and -0.0 keep their own
+texts. The JSON report is byte for byte `json.dumps(body, indent=2)`, but
+its metric rows are filled here from one row template: with `indent` set,
 json uses its pure-Python encoder, which cost most of `report`'s time.
 Ints format by `str` and floats by `repr`, as json writes them; the parser
 rejects NaN and infinities, which json would write as bare `NaN`/`Infinity`.
@@ -23,7 +26,7 @@ from datetime import date
 from .errors import TrendnetError
 from .netstat import MetricTable
 from .timeline import EventRecord, JoinedEvent, join_events
-from .util import month_starts
+from .util import distinct_texts, month_starts
 
 WIDTH = 1200
 HEIGHT = 500
@@ -142,11 +145,11 @@ def render_metric_chart(
             parts.append(_line("event", x, MARGIN_TOP, x, axis_y, event.color, dash="5,4",
                                title=f"{event.date.isoformat()}: {event.label}"))
 
-    # one polyline per threshold
+    # one polyline per threshold; each distinct date and value is placed once
+    xs = distinct_texts(dates, lambda when: _fmt(x_at(when)))
+    ys = distinct_texts(values, lambda value: _fmt(y_at(value)))
     for threshold, color in zip(thresholds, SERIES_PALETTE):
-        coords = " ".join(
-            f"{_fmt(x_at(dates[i]))},{_fmt(y_at(values[i]))}" for i in by_threshold[threshold]
-        )
+        coords = " ".join([f"{xs[i]},{ys[i]}" for i in by_threshold[threshold]])
         parts.append(
             f'<polyline class="series" fill="none" stroke="{color}" '
             f'stroke-width="1.5" points="{coords}"/>'
@@ -167,19 +170,21 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-# A metric row as `json.dumps(body, indent=2)` writes it: ints by str, floats by repr.
+# A metric row as `json.dumps(body, indent=2)` writes it, filled with the texts
+# of its fields: dates by isoformat, ints by str and floats by repr.
 _METRIC_ROW = (
-    '    {{\n      "label_date": "{}",\n      "window_days": {},\n      "threshold": {!r},\n'
-    '      "edge_count": {},\n      "density": {!r},\n      "clustering_global": {!r},\n'
-    '      "clustering_avg_local": {!r}\n    }}'
+    '    {\n      "label_date": "%s",\n      "window_days": %s,\n      "threshold": %s,\n'
+    '      "edge_count": %s,\n      "density": %s,\n      "clustering_global": %s,\n'
+    '      "clustering_avg_local": %s\n    }'
 )
+_METRIC_FORMATS = (date.isoformat, str, repr, str, repr, repr, repr)
 
 
 def metrics_report_json(metrics: MetricTable, events: list[EventRecord] | None = None) -> str:
     """JSON report: metric rows mirroring the metrics CSV schema, plus the
     event join when events are given; `json.dumps(body, indent=2)` byte for byte."""
-    ordered = metrics.take(metrics.order("threshold", "label_date"))
-    rows = ",\n".join(map(_METRIC_ROW.format, *ordered))
+    cells = list(zip(*map(distinct_texts, metrics, _METRIC_FORMATS)))
+    rows = ",\n".join([_METRIC_ROW % cells[i] for i in metrics.order("threshold", "label_date")])
     text = '{\n  "metrics": ' + (f"[\n{rows}\n  ]" if rows else "[]")
     if events is not None:
         joined = [_joined_row(metrics, j) for j in join_events(metrics, events)]

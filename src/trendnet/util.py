@@ -1,10 +1,11 @@
 """Shared plumbing: dates, numbers, period arithmetic, config files, CSV rows
-and fields, and work split over forked processes."""
+and fields, the texts of a column, and work split over forked processes."""
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import pickle
 import threading
@@ -121,6 +122,17 @@ def csv_field(text: str) -> str:
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow((text,))
     return out.getvalue()[:-1]
+
+
+def distinct_texts(column: Sequence, fmt: Callable[[object], str]) -> list[str]:
+    """`[fmt(v) for v in column]`, calling `fmt` once per distinct value. 0.0 and
+    -0.0 are one key, but `repr` writes `-0.0`, so a zero is keyed by its sign too."""
+    texts = {value: fmt(value) for value in set(column)}
+    if 0 not in texts:
+        return list(map(texts.__getitem__, column))
+    zeros = {math.copysign(1, v): v for v in column if v == 0}
+    zeros = {sign: fmt(v) for sign, v in zeros.items()}
+    return [texts[v] if v else zeros[math.copysign(1, v)] for v in column]
 
 
 def _max_workers() -> int:

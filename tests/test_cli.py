@@ -512,10 +512,11 @@ FAILURES = [
     # analyze refuses an 11th threshold, so its metrics file is written by hand.
     ("test_report_more_thresholds_than_colours_exits_2", lambda t, f: (extra_thresholds(
         t, f, "15", ",".join(f"0.{i:02d}" for i in range(5, 55, 5)), 15, ["0.55"]),
-        2, CHART_COLOURS)),
+        2, f"{t / 'analysis'}: window 15: {CHART_COLOURS}")),
     # w15 renders; w30 gets 11 thresholds, one more than a chart has colours.
     ("test_report_failing_window_writes_nothing", lambda t, f: (extra_thresholds(
-        t, f, "15,30", "0.5", 30, [f"0.{i:02d}" for i in range(1, 11)]), 2, CHART_COLOURS)),
+        t, f, "15,30", "0.5", 30, [f"0.{i:02d}" for i in range(1, 11)]),
+        2, f"{t / 'analysis'}: window 30: {CHART_COLOURS}")),
     *[(f"test_report_malformed_metrics_exits_2_naming_file[{name}]",
        planted_case("report", METRICS, lineno, text, field, message))
       for name, lineno, text, field, message in [

@@ -337,6 +337,14 @@ def test_parse_metrics_csv_names_line_of_unparseable_field():
         parse_metrics_csv("\n".join(lines))
 
 
+def test_parse_metrics_csv_names_first_line_of_a_repeated_bad_field():
+    # A field text is parsed once however often it repeats; the error names its first line.
+    lines = [line.split(",") for line in metrics_text(4).split("\n")]
+    lines[2][3] = lines[4][3] = "xx"  # edge_count, lines 3 and 5
+    with pytest.raises(TrendnetError, match="^line 3: edge_count 'xx' does not parse$"):
+        parse_metrics_csv("\n".join(map(",".join, lines)))
+
+
 def test_parse_metrics_csv_names_line_of_truncated_row():
     lines = metrics_text().split("\n")
     lines[3] = lines[3][: lines[3].rindex(",")]

@@ -3,7 +3,9 @@ import xml.etree.ElementTree as ET
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, strategies as st
 
+from trendnet import render
 from trendnet.errors import TrendnetError
 from trendnet.netstat import METRIC_COLUMNS, MetricTable
 from trendnet.render import SERIES_PALETTE, metrics_report_json, render_metric_chart
@@ -204,3 +206,53 @@ def test_json_report_of_empty_and_one_row_tables():
     for metrics in (series(0.5, []), series(0.5, [0.125])):
         for events in (None, [], load_events("2020-03-31,x,Policy\n")):
             assert metrics_report_json(metrics, events) == reference_json(metrics, events)
+
+
+FLOAT_COLUMNS = ("threshold", "density", "clustering_global", "clustering_avg_local")
+
+
+@st.composite
+def repetitive_tables(draw):
+    """Tables whose columns repeat few values, one float column holding both 0.0 and -0.0."""
+    n = draw(st.integers(2, 40))
+
+    def column(values):
+        return draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+
+    floats = draw(st.lists(st.floats(-2, 2), min_size=1, max_size=4)) + [0.0, -0.0]
+    table = MetricTable(
+        label_date=column([D + i * DAY for i in range(draw(st.integers(1, 20)))]),
+        window_days=[15] * n,
+        threshold=column(draw(st.lists(st.sampled_from(floats), min_size=1, max_size=10))),
+        edge_count=column(range(4)),
+        density=column(floats),
+        clustering_global=column(floats),
+        clustering_avg_local=column(floats),
+    )
+    signed = getattr(table, draw(st.sampled_from(FLOAT_COLUMNS)))
+    first = draw(st.integers(0, n - 2))
+    signed[first], signed[draw(st.integers(first + 1, n - 1))] = draw(
+        st.sampled_from([(0.0, -0.0), (-0.0, 0.0)]))
+    return table
+
+
+def reference_points(metrics, metric):
+    """Each polyline's points, every row placed on its own."""
+    values = getattr(metrics, render.METRIC_FIELDS[metric][0])
+    first, last = min(metrics.label_date), max(metrics.label_date)
+    span_days = max((last - first).days, 1)
+    lines = {}
+    for i in sorted(range(len(values)), key=lambda i: (metrics.threshold[i], metrics.label_date[i])):
+        x = render.MARGIN_LEFT + render.PLOT_W * (metrics.label_date[i] - first).days / span_days
+        y = render.MARGIN_TOP + render.PLOT_H * (1.0 - values[i])
+        lines.setdefault(metrics.threshold[i], []).append(f"{render._fmt(x)},{render._fmt(y)}")
+    return [" ".join(points) for points in lines.values()]
+
+
+@given(table=repetitive_tables(), metric=st.sampled_from(sorted(render.METRIC_FIELDS)))
+def test_report_of_repeated_values_and_signed_zeros_matches_per_row_reference(table, metric):
+    events = load_events("2020-04-01,marker,Policy\n")
+    assert metrics_report_json(table, events) == reference_json(table, events)
+    _, root = render_tree(table, events, metric)
+    points = [line.get("points") for line in collect(root, "polyline", "series")]
+    assert points == reference_points(table, metric)
