@@ -141,8 +141,9 @@ def _parse_windows(raw: str) -> list[int]:
 
 
 def _parse_thresholds(raw: str) -> list[float]:
+    tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
     try:
-        thresholds = [util.number(tok) for tok in raw.split(",") if tok.strip()]
+        thresholds = [util.number(tok) for tok in tokens]
     except ValueError:
         raise TrendnetError(f"must be numbers, got {raw!r}") from None
     if not thresholds or any(not 0.0 < t < 1.0 for t in thresholds):
@@ -151,7 +152,12 @@ def _parse_thresholds(raw: str) -> list[float]:
     if len(thresholds) > len(render.SERIES_PALETTE):
         raise TrendnetError(f"takes at most {len(render.SERIES_PALETTE)} values,"
                             f" got {len(thresholds)}")
-    _reject_label_collisions(raw, [f"{t:g}" for t in thresholds])
+    labels = [f"{t:g}" for t in thresholds]
+    _reject_label_collisions(raw, labels)
+    for tok, t, label in zip(tokens, thresholds, labels):
+        if float(label) != t:  # edges are drawn at t, but every output names the label
+            raise TrendnetError(f"{tok} is labelled {label} in outputs;"
+                                " give at most 6 significant digits")
     return sorted(thresholds)
 
 
@@ -296,7 +302,10 @@ def _analyze_windows(series: dict, windows: list[int], settings: dict) -> dict[P
     out_root, explicit_periods = settings["out"], settings["period"]
     texts = {}
     for window in windows:
-        frames = correlate.rolling_correlation(series, window)
+        try:
+            frames = correlate.rolling_correlation(series, window)
+        except TrendnetError as err:
+            raise TrendnetError(f"{settings['stitched']}: {err}", err.code) from err
         texts[out_root / f"correlations_w{window}.csv"] = correlate.emit_correlations_csv(frames)
 
         first, last = frames.label_dates[[0, -1]].tolist()

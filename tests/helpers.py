@@ -1,16 +1,20 @@
 """Fixture builders: synthetic export trees shaped like the real inputs, the
-mutations a test plants in them, and the CLI's failure contract, `assert_fails`."""
+mutations a test plants in them, CPUs shown to the fork sites, and the two
+failure contracts: `assert_fails` for the CLI and `assert_raises` for the library."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from trendnet.cli import main
+from trendnet.errors import TrendnetError
 from trendnet.registry import KeywordRegistry
 
 SPAN_START = date(2020, 3, 16)
@@ -209,3 +213,64 @@ def assert_fails(root: Path, argv: list[str], code: int, message: str) -> None:
     after = tree_bytes(root)
     assert after == before, sorted(p for p in before.keys() | after.keys()
                                    if before.get(p, ...) != after.get(p, ...))
+
+
+def assert_raises(call, message: str, code: int = 2, kind: type = TrendnetError) -> None:
+    """Check the library's failure contract on `call()`.
+
+    It raises `kind` itself, not a subclass, whose text is exactly `message`
+    and, for a `TrendnetError`, whose `code` (the exit status `main` returns
+    for it) is `code`.
+    """
+    with pytest.raises(kind) as raised:
+        call()
+    error = raised.value
+    assert (type(error), str(error)) == (kind, message), (type(error), str(error))
+    if kind is TrendnetError:
+        assert error.code == code, error.code
+
+
+def raised_text(call) -> str:
+    """The text of the exception `call()` raises: a row whose message comes from
+    the standard library reads it here, as its wording may differ by Python version."""
+    with pytest.raises(Exception) as raised:
+        call()
+    return str(raised.value)
+
+
+def by_test_id(rows, run=lambda request, *row: assert_raises(*row)) -> dict:
+    """Test functions by name, for a module's globals: the row `(id, *args)` runs
+    `run(request, *args)`, by default `assert_raises(*args)` of a library failure
+    row `(id, call, message[, code, kind])`, and is collected under `id`, `name` or
+    `name[param]`, the id it had as a test function of its own."""
+    cases = {}
+    for case_id, *args in rows:
+        name, _, param = case_id.partition("[")
+        cases.setdefault(name, {})[param[:-1]] = args
+    return {name: _test_of(run, params) for name, params in cases.items()}
+
+
+def _test_of(run, params: dict):
+    if list(params) == [""]:
+        return lambda request: run(request, *params[""])
+
+    @pytest.mark.parametrize("args", [pytest.param(args, id=param)
+                                      for param, args in params.items()])
+    def test(request, args):
+        run(request, *args)
+    return test
+
+
+def show_cpus(monkeypatch, n: int) -> list[int]:
+    """Show every fork site `n` CPUs; returns the list that records the pid
+    of each process that forks, in fork order."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
+    return forks
+
+
+def assert_reaped() -> None:
+    """Every forked child was waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

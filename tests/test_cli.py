@@ -13,11 +13,11 @@ import pytest
 
 from trendnet import cli, correlate, kernels
 from trendnet.cli import main
-from trendnet.errors import TrendnetError
 from trendnet.ingest import parse_stitched
 
-from helpers import (SPAN_END, SPAN_START, assert_fails, flat_latent_series, mkdir, plant, remove,
-                     rename_files, write, write_export_tree)
+from helpers import (SPAN_END, SPAN_START, assert_fails, assert_raises, assert_reaped, by_test_id,
+                     flat_latent_series, mkdir, plant, remove, rename_files, show_cpus, write,
+                     write_export_tree)
 
 KW3 = ("cough", "fever", "flu")
 REGISTRY3 = (
@@ -138,34 +138,22 @@ def test_analyze_overlapping_periods_count_as_each_alone(stitched_dir, tmp_path)
         assert rows["both"] == rows["alone"] and rows["alone"]
 
 
-def show_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
 def force_dcor_workers(monkeypatch, n):
-    """Show `analyze` n CPUs and let a single frame pay for a dCor worker."""
-    show_cpus(monkeypatch, n)
+    """Show `analyze` n CPUs and let a single frame pay for a dCor worker; returns
+    the fork record of `show_cpus`."""
     monkeypatch.setattr(kernels, "MIN_WORKER_WORK", 1)
-
-
-def assert_reaped():
-    """Every forked child was waited for."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    return show_cpus(monkeypatch, n)
 
 
 def test_analyze_outputs_do_not_depend_on_dcor_workers(stitched_dir, tmp_path, monkeypatch):
     """The windows split over 1, 2 and 3 CPUs, and the first group's frames
     split again, write the same bytes as one process."""
-    forks, real_fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     outputs = {}
     for cpus in (1, 2, 3):
-        force_dcor_workers(monkeypatch, cpus)
+        forks = force_dcor_workers(monkeypatch, cpus)
         out = tmp_path / f"cpus{cpus}"
         assert main(analyze_argv(stitched_dir, "--windows", "15,30,45", "--out", str(out))) == 0
         outputs[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}, len(forks)
-        forks.clear()
     # The parent forks a worker per later window group and per later frame range of its own group.
     assert [n for _, n in outputs.values()] == [0, 1 + 1, 2 + 2]
     assert outputs[1][0] == outputs[2][0] == outputs[3][0]
@@ -453,6 +441,8 @@ REQUIRED = {"stitch": "stitch requires --daily-dir, --weekly-dir and --out",
             "report": "report requires --metrics and --out"}
 PERIODS = ["2020-04-01:2020-06-30", "2020-05-01:2020-05-31", "2020-04-01 : 2020-06-30"]
 WINDOW_400 = "window of 400 days exceeds 365 days of data"
+UNLABELLED = ("0.48663415325799997 is labelled 0.486634 in outputs;"
+              " give at most 6 significant digits")
 CHART_COLOURS = "11 thresholds in one chart, at most 10 have distinct colours"
 ONE_LINE = "test_failure_exits_with_one_error_line_and_leaves_nothing"
 FAILURES = [
@@ -472,10 +462,14 @@ FAILURES = [
     ("test_stitch_inverted_span_exits_2_writing_nothing", flags_case(
         "stitch", 2, "--span-start 2021-03-15 is after --span-end 2020-03-16",
         "--span-start", "2021-03-15", "--span-end", "2020-03-16")),
-    ("test_analyze_window_exceeding_data_exits_4", flags_case(
-        "analyze", 4, WINDOW_400, "--windows", "400")),
+    ("test_analyze_window_exceeding_data_exits_4", lambda t, f: (
+        cmd(f, "analyze", "--windows", "400"), 4, f"{t / 'stitched'}: {WINDOW_400}")),
     ("test_analyze_failing_window_writes_nothing", lambda t, f: (
-        cmd(f, "analyze", "--windows", "15,400", "--out", str(t / "new/deeper")), 4, WINDOW_400)),
+        cmd(f, "analyze", "--windows", "15,400", "--out", str(t / "new/deeper")), 4,
+        f"{t / 'stitched'}: {WINDOW_400}")),
+    ("test_analyze_stitched_file_starting_a_day_late_exits_2_naming_dir", lambda t, f: (
+        cmd(f, "analyze"), 2, f"{plant(t / 'stitched/flu.csv', 2, None).parent}: flu: spans"
+        " 2020-03-17..2021-03-15, expected 2020-03-16..2021-03-15")),
     ("test_analyze_bad_threshold_exits_2", flags_case(
         "analyze", 2, "--thresholds must lie in (0,1), got '1.5'", "--thresholds", "1.5")),
     *[(f"test_analyze_colliding_labels_exit_2[{flag}-{raw}]", flags_case(
@@ -483,6 +477,12 @@ FAILURES = [
       for flag, raw, label in [("--thresholds", "0.5,0.5", "0.5"),
                                ("--thresholds", "0.5,0.5000001", "0.5"),  # both label t0.5
                                ("--windows", "15,15", "15"), ("--windows", "15,015", "15")]],
+    # Edges are drawn at the value itself, but every output names its `:g` label.
+    ("test_analyze_threshold_not_its_label_exits_2[flag]", flags_case(
+        "analyze", 2, f"--thresholds {UNLABELLED}", "--thresholds", "0.48663415325799997")),
+    ("test_analyze_threshold_not_its_label_exits_2[config]", config_case(
+        "analyze", "thresholds = 0.4,0.48663415325799997\n",
+        f"{{config}}: config line 1: thresholds {UNLABELLED}")),
     ("test_analyze_missing_dir_exits_3", lambda t, f: (
         ["analyze", "--stitched", str(t / "void"), "--out", str(t / "out")], 3,
         f"{t / 'void'}: not a directory")),
@@ -660,39 +660,28 @@ FAILURES = [
 ]
 
 
-def failure_test(setups):
-    """A test of each setup in `setups`, by its id in brackets ("" for a test without one)."""
-    def test(request, tmp_path, setup):
-        assert_fails(tmp_path, *setup(tmp_path, request.getfixturevalue))
-    if list(setups) == [""]:
-        return lambda request, tmp_path: test(request, tmp_path, setups[""])
-    cases = [pytest.param(setup, id=case) for case, setup in setups.items()]
-    return pytest.mark.parametrize("setup", cases)(test)
+def run_failure(request, setup):
+    tmp_path = request.getfixturevalue("tmp_path")
+    assert_fails(tmp_path, *setup(tmp_path, request.getfixturevalue))
 
 
-# Each case is collected under the test id it had as a function of its own.
-CASES = {}
-for case_id, setup in FAILURES:
-    name, _, param = case_id.partition("[")
-    CASES.setdefault(name, {})[param[:-1]] = setup
-globals().update({name: failure_test(setups) for name, setups in CASES.items()})
+globals().update(by_test_id(FAILURES, run_failure))
 
 
 # --- failures that need a fork, a signal, a patched call or shown CPUs ---
 
-@pytest.mark.parametrize("key, value, code", [
-    ("thresholds", "1.5", 2),
-    ("registry", "missing.csv", 3),
-    ("windows", "400", 4),
+@pytest.mark.parametrize("key, value, code, message", [
+    ("thresholds", "1.5", 2, "--thresholds must lie in (0,1), got '1.5'"),
+    ("registry", "{tmp}/missing.csv", 3, "{tmp}/missing.csv: No such file or directory"),
+    ("windows", "400", 4, "{stitched}: " + WINDOW_400),
 ], ids=["invalid", "io", "too-little-data"])
-def test_exit_code_is_the_error_code(stitched_dir, tmp_path, key, value, code):
-    if key == "registry":
-        value = str(tmp_path / value)
-    argv = analyze_argv(stitched_dir, f"--{key}", value)
-    with pytest.raises(TrendnetError) as raised:
-        cli.cmd_analyze(cli._settings(cli.build_parser().parse_args(argv)))
-    assert raised.value.code == code
-    assert_fails(tmp_path, argv, code, str(raised.value))
+def test_exit_code_is_the_error_code(stitched_dir, tmp_path, key, value, code, message):
+    """The code of the error the library raises is the exit status of `main`."""
+    argv = analyze_argv(stitched_dir, f"--{key}", value.format(tmp=tmp_path))
+    message = message.format(tmp=tmp_path, stitched=stitched_dir)
+    assert_raises(lambda: cli.cmd_analyze(cli._settings(cli.build_parser().parse_args(argv))),
+                  message, code)
+    assert_fails(tmp_path, argv, code, message)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -700,7 +689,7 @@ def test_analyze_earliest_failing_window_decides_on_any_cpus(stitched_dir, tmp_p
                                                              cpus):
     show_cpus(monkeypatch, cpus)
     assert_fails(tmp_path, analyze_argv(stitched_dir, "--windows", "15,400,500"), 4,
-                 "window of 400 days exceeds 365 days of data")
+                 f"{stitched_dir}: {WINDOW_400}")
     assert_reaped()
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from trendnet.correlate import emit_correlations_csv, rolling_correlation
-from trendnet.errors import TrendnetError
 from trendnet.ingest import DailySeries
 
+from helpers import by_test_id
 from oracles import dcor_oracle
 
 START = date(2020, 3, 16)
@@ -70,35 +70,10 @@ def test_frame_matrix_invariants_hold_everywhere():
     assert np.all((m >= 0.0) & (m <= 1.0))
 
 
-def test_misaligned_series_rejected():
-    series = year_fixture(n_keywords=2, n_days=30)
-    series["late"] = series_from(np.ones(30), start=START + DAY)
-    with pytest.raises(TrendnetError, match="late"):
-        rolling_correlation(series, 15)
-
-
-def test_window_longer_than_series_rejected():
-    with pytest.raises(TrendnetError, match="^window of 31 days exceeds 30 days of data$"):
-        rolling_correlation(year_fixture(n_days=30), 31)
-
-
 def test_window_equal_to_series_gives_single_frame():
     frames = rolling_correlation(year_fixture(n_days=30), 30)
     assert frames.matrix.shape == (1, 3, 3)
     assert frames.label_dates.tolist() == [START + 30 * DAY]
-
-
-@pytest.mark.parametrize("window", [1, 0, -3])
-def test_window_shorter_than_two_days_rejected(window):
-    with pytest.raises(ValueError, match="at least 2"):
-        rolling_correlation(year_fixture(n_days=30), window)
-
-
-def test_non_finite_series_rejected():
-    bad = np.ones(30)
-    bad[7] = np.inf
-    with pytest.raises(TrendnetError, match="^series contain non-finite values$"):
-        rolling_correlation({"a": series_from(bad), "b": series_from(np.ones(30))}, 15)
 
 
 def test_keyword_order_follows_mapping_order():
@@ -129,3 +104,20 @@ def test_long_format_csv_rows_follow_frames_then_pairs():
         for i, j in ((0, 1), (0, 2), (1, 2))
     ]
     assert rows == expected
+
+
+FAILURES = [  # (test id, call, message[, code, kind])
+    ("test_misaligned_series_rejected", lambda: rolling_correlation(
+        {**year_fixture(2, 30), "late": series_from(np.ones(30), START + DAY)}, 15),
+     "late: spans 2020-03-17..2020-04-15, expected 2020-03-16..2020-04-14"),
+    ("test_window_longer_than_series_rejected",
+     lambda: rolling_correlation(year_fixture(n_days=30), 31),
+     "window of 31 days exceeds 30 days of data", 4),
+    *[(f"test_window_shorter_than_two_days_rejected[{window}]",
+       lambda window=window: rolling_correlation(year_fixture(n_days=30), window),
+       f"window_days must be at least 2, got {window}", None, ValueError) for window in (1, 0, -3)],
+    ("test_non_finite_series_rejected", lambda: rolling_correlation(
+        {"a": series_from(np.where(np.arange(30) == 7, np.inf, 1)), "b": series_from(np.ones(30))},
+        15), "series contain non-finite values"),
+]
+globals().update(by_test_id(FAILURES))

@@ -16,9 +16,8 @@ import trendnet
 from trendnet import kernels
 from trendnet.cli import main
 from trendnet.correlate import distance_correlation
-from trendnet.errors import TrendnetError
 
-from helpers import planted_block_series, write_export_tree
+from helpers import by_test_id, planted_block_series, show_cpus, write_export_tree
 from oracles import dcor_oracle, rolling_dcor_reference
 
 
@@ -112,20 +111,20 @@ def test_scale_robust_across_float64_range(s):
         assert r == pytest.approx(base, abs=1e-12)
 
 
-def test_length_mismatch():
-    with pytest.raises(TrendnetError, match="^vector lengths differ: 3 vs 2$"):
-        distance_correlation([1, 2, 3], [1, 2])
-
-
-def test_too_short():
-    with pytest.raises(ValueError):
-        distance_correlation([1.0], [2.0])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_input(bad):
-    with pytest.raises(TrendnetError, match="^inputs must be finite$"):
-        distance_correlation([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+FAILURES = [  # (test id, call, message[, code, kind])
+    ("test_length_mismatch", lambda: distance_correlation([1, 2, 3], [1, 2]),
+     "vector lengths differ: 3 vs 2"),
+    ("test_too_short", lambda: distance_correlation([1.0], [2.0]), "need at least 2 points", None,
+     ValueError),
+    *[(f"test_non_finite_input[{bad}]", lambda bad=bad: distance_correlation(
+        [1.0, bad, 3.0], [1.0, 2.0, 3.0]), "inputs must be finite")
+      for bad in (np.nan, np.inf, -np.inf)],
+    *[(f"test_rolling_dcor_rejects_a_window_outside_2_to_the_rows[{window}]",
+       lambda window=window: kernels.rolling_dcor(np.ones((10, 3)), window),
+       f"window {window} must lie between 2 and the data's 10 rows", None, ValueError)
+      for window in (0, 1, 11, 12, 40)],
+]
+globals().update(by_test_id(FAILURES))
 
 
 def test_dcor_matrix_invariants():
@@ -183,31 +182,11 @@ def test_dcor_matrix_is_the_one_frame_stack():
         assert np.array_equal(one[0], kernels.rolling_dcor(longer, n)[3])
 
 
-@pytest.mark.parametrize("window", [0, 1, 11, 12, 40])
-def test_rolling_dcor_rejects_a_window_outside_2_to_the_rows(window):
-    with pytest.raises(ValueError,
-                       match=f"^window {window} must lie between 2 and the data's 10 rows$"):
-        kernels.rolling_dcor(np.ones((10, 3)), window)
-
-
 @pytest.fixture()
 def cpus(monkeypatch):
-    """`cpus(n)` shows `rolling_dcor` n CPUs and lets a single frame pay for a
-    worker; it returns the list that records each fork."""
+    """`cpus(n)` is `show_cpus(monkeypatch, n)` with a single frame paying for a worker."""
     monkeypatch.setattr(kernels, "MIN_WORKER_WORK", 1)
-    forks, real_fork = [], os.fork
-
-    def fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        return forks
-
-    return set_cpus
+    return lambda n: show_cpus(monkeypatch, n)
 
 
 # Uneven splits, fewer frames than workers, and one frame: a window of all the rows.
@@ -264,16 +243,12 @@ def test_rolling_dcor_stays_in_process_while_other_threads_run(cpus):
 def test_short_stacks_never_fork(monkeypatch):
     """At the real cut-off one frame, and a year of 15 keywords at a 30-day
     window (4.5e6 units of work), stay in the calling process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
-
-    def fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", fork)
+    forks = show_cpus(monkeypatch, 3)
     rng = np.random.default_rng(37)
     assert kernels.rolling_dcor(_stack(rng, 90, 15), 90)[0].shape == (15, 15)
     assert distance_correlation(rng.normal(size=90), rng.normal(size=90)) >= 0.0
     assert kernels.rolling_dcor(_stack(rng, 365, 15), 30).shape == (336, 15, 15)
+    assert forks == []
 
 
 def test_analyze_bytes_under_another_blas_kernel(tmp_path):

@@ -1,11 +1,9 @@
-import re
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trendnet.errors import TrendnetError
 from trendnet.ingest import (
     DailySeries,
     assemble_daily,
@@ -15,7 +13,7 @@ from trendnet.ingest import (
     parse_weekly,
 )
 
-from helpers import daily_csv, weekly_csv
+from helpers import by_test_id, daily_csv, weekly_csv
 
 D = date(2020, 3, 16)
 DAY = timedelta(days=1)
@@ -47,31 +45,6 @@ def test_parse_daily_segment_censored_value_maps_to_half():
     assert seg.values[1] == 0.5
 
 
-def test_parse_daily_segment_gap_is_error():
-    text = "2020-03-17,10\n2020-03-19,20\n"
-    with pytest.raises(TrendnetError, match="2020-03-18"):
-        parse_daily_segment(text)
-
-
-def test_parse_daily_segment_duplicate_is_error():
-    text = "2020-03-17,10\n2020-03-17,20\n"
-    message = "^expected 2020-03-18 after 2020-03-17, got 2020-03-17$"
-    with pytest.raises(TrendnetError, match=message):
-        parse_daily_segment(text)
-
-
-@pytest.mark.parametrize("bad", ["101", "-3", "1e9", "nan", "abc", "5_0"])
-def test_parse_daily_segment_value_out_of_range(bad):
-    message = rf"^2020-03-16: (value {bad} outside \[0,100.0\]|unparseable value '{bad}')$"
-    with pytest.raises(TrendnetError, match=message):
-        parse_daily_segment(f"2020-03-16,{bad}\n2020-03-17,5\n")
-
-
-def test_parse_daily_segment_empty():
-    with pytest.raises(TrendnetError, match="^no data rows$"):
-        parse_daily_segment(GOOGLE_PREAMBLE)
-
-
 def test_parse_daily_segment_warns_without_normalization_peak():
     with pytest.warns(UserWarning, match="max 60"):
         parse_daily_segment(daily_csv(D, [10, 60, 30]))
@@ -94,18 +67,6 @@ def test_parse_weekly_censored_value():
     assert weekly.values.tolist() == [0.5, 100.0]
 
 
-def test_parse_weekly_irregular_spacing():
-    text = "2020-03-15,10\n2020-03-21,20\n"
-    message = "^expected 2020-03-22 after 2020-03-15, got 2020-03-21$"
-    with pytest.raises(TrendnetError, match=message):
-        parse_weekly(text)
-
-
-def test_parse_weekly_empty():
-    with pytest.raises(TrendnetError, match="^no data rows$"):
-        parse_weekly("Week,flu\n")
-
-
 def _segment(start: date, values):
     return parse_daily_segment(daily_csv(start, values))
 
@@ -121,29 +82,6 @@ def test_assemble_daily_contiguous_segments():
     assert series.start_date == D
     assert series.end_date == date(2020, 5, 26)
     assert series.values.tolist() == [100.0] * 72
-
-
-def test_assemble_daily_overlap():
-    segs = [_segment(D, [100] * 31), _segment(date(2020, 4, 15), [100] * 5)]
-    with pytest.raises(TrendnetError, match="2020-04-15"):
-        assemble_daily(segs)
-
-
-def test_assemble_daily_gap():
-    segs = [_segment(D, [100] * 31), _segment(date(2020, 4, 18), [100] * 5)]
-    with pytest.raises(TrendnetError, match="2020-04-16"):
-        assemble_daily(segs)
-
-
-def test_assemble_daily_span_not_covered():
-    message = r"^assembled span 2020-03-16\.\.2020-03-25 does not cover 2020-03-16\.\."
-    with pytest.raises(TrendnetError, match=message):
-        assemble_daily([_segment(D, [100] * 10)], span=(D, date(2021, 3, 15)))
-
-
-def test_assemble_daily_inverted_span():
-    with pytest.raises(TrendnetError, match="span start 2020-03-20 is after its end 2020-03-18"):
-        assemble_daily([_segment(D, [100] * 10)], span=(D + 4 * DAY, D + 2 * DAY))
 
 
 def test_assemble_daily_trims_to_span():
@@ -166,27 +104,6 @@ def test_parse_stitched_allows_values_over_100():
     text = "date,value\n2020-03-16,104.375\n2020-03-17,0.5\n"
     series = parse_stitched(text)
     assert series.values.tolist() == [104.375, 0.5]
-
-
-@pytest.mark.parametrize("bad", ["101", "1e9"])
-def test_parse_weekly_value_out_of_range(bad):
-    with pytest.raises(TrendnetError, match=r"outside \[0,100.0\]"):
-        parse_weekly(f"2020-03-15,{bad}\n2020-03-22,5\n")
-
-
-@pytest.mark.parametrize("bad", ["-3", "nan", "inf", "abc"])
-def test_parse_stitched_value_out_of_range(bad):
-    with pytest.raises(TrendnetError, match="2020-03-16"):
-        parse_stitched(f"2020-03-16,{bad}\n2020-03-17,5\n")
-
-
-def test_parse_stitched_rejects_gaps():
-    gap = "^expected 2020-03-17 after 2020-03-16, got 2020-03-18$"
-    with pytest.raises(TrendnetError, match=gap):
-        parse_stitched("2020-03-16,1.0\n2020-03-18,2.0\n")
-    duplicate = "^expected 2020-03-17 after 2020-03-16, got 2020-03-16$"
-    with pytest.raises(TrendnetError, match=duplicate):
-        parse_stitched("2020-03-16,1.0\n2020-03-16,2.0\n")
 
 
 @given(
@@ -212,19 +129,69 @@ def same_series(a, b):
     return (a.start_date, a.values.tolist()) == (b.start_date, b.values.tolist())
 
 
-@pytest.mark.parametrize("parse, text, message", [
-    (parse_daily_segment, "2020-04-01,100\n2020-04-02,100\n2020-04-O3,70\n",
-     "line 3: date '2020-04-O3' does not parse"),
-    (parse_stitched, "date,value\n2020-04-01,1.5\n2020-04-0x,2.5\n2020-04-03,3.5\n",
-     "line 3: date '2020-04-0x' does not parse"),
-    (parse_weekly, "Week,flu\n2020-03-15,10\n2020-03-22,20\n2020-0329,30\n2020-04-05,40\n",
-     "line 4: date '2020-0329' does not parse"),
-    (parse_daily_segment, "20200316,50\n2020-03-17,100\n2020-03-18,40\n",
-     "line 1: date '20200316' does not parse"),
-    (parse_daily_segment, GOOGLE_PREAMBLE + "2020-03-l6,3\n2020-03-17,100\n",
-     "line 4: date '2020-03-l6' does not parse"),
-], ids=["daily-last-row", "stitched-mid-file", "weekly-mid-file", "daily-first-row",
-        "daily-first-row-after-preamble"])
-def test_mistyped_date_after_first_row_names_line(parse, text, message):
-    with pytest.raises(TrendnetError, match=f"^{re.escape(message)}$"):
-        parse(text)
+def outside(when, token, upper="100.0"):
+    return f"{when}: value {token} outside [0,{upper}]"
+
+
+def unparseable(when, token):
+    return f"{when}: unparseable value {token!r}"
+
+
+FAILURES = [  # (test id, call, message)
+    ("test_parse_daily_segment_gap_is_error",
+     lambda: parse_daily_segment("2020-03-17,10\n2020-03-19,20\n"),
+     "expected 2020-03-18 after 2020-03-17, got 2020-03-19"),
+    ("test_parse_daily_segment_duplicate_is_error",
+     lambda: parse_daily_segment("2020-03-17,10\n2020-03-17,20\n"),
+     "expected 2020-03-18 after 2020-03-17, got 2020-03-17"),
+    *[(f"test_parse_daily_segment_value_out_of_range[{bad}]",
+       lambda bad=bad: parse_daily_segment(f"2020-03-16,{bad}\n2020-03-17,5\n"), message)
+      for bad, message in [("101", outside(D, "101")), ("-3", outside(D, "-3")),
+                           ("1e9", outside(D, "1e9")), ("nan", outside(D, "nan")),
+                           ("abc", unparseable(D, "abc")), ("5_0", unparseable(D, "5_0"))]],
+    ("test_parse_daily_segment_empty", lambda: parse_daily_segment(GOOGLE_PREAMBLE),
+     "no data rows"),
+    ("test_parse_weekly_irregular_spacing", lambda: parse_weekly("2020-03-15,10\n2020-03-21,20\n"),
+     "expected 2020-03-22 after 2020-03-15, got 2020-03-21"),
+    ("test_parse_weekly_empty", lambda: parse_weekly("Week,flu\n"), "no data rows"),
+    ("test_assemble_daily_overlap",
+     lambda: assemble_daily([_segment(D, [100] * 31), _segment(date(2020, 4, 15), [100] * 5)]),
+     "segments overlap at 2020-04-15 (previous segment runs through 2020-04-15)"),
+    ("test_assemble_daily_gap",
+     lambda: assemble_daily([_segment(D, [100] * 31), _segment(date(2020, 4, 18), [100] * 5)]),
+     "missing date 2020-04-16 between segments (2020-04-15 -> 2020-04-18)"),
+    ("test_assemble_daily_span_not_covered",
+     lambda: assemble_daily([_segment(D, [100] * 10)], span=(D, date(2021, 3, 15))),
+     "assembled span 2020-03-16..2020-03-25 does not cover 2020-03-16..2021-03-15"),
+    ("test_assemble_daily_inverted_span",
+     lambda: assemble_daily([_segment(D, [100] * 10)], span=(D + 4 * DAY, D + 2 * DAY)),
+     "span start 2020-03-20 is after its end 2020-03-18"),
+    *[(f"test_parse_weekly_value_out_of_range[{bad}]",
+       lambda bad=bad: parse_weekly(f"2020-03-15,{bad}\n2020-03-22,5\n"),
+       outside(date(2020, 3, 15), bad)) for bad in ("101", "1e9")],
+    *[(f"test_parse_stitched_value_out_of_range[{bad}]",
+       lambda bad=bad: parse_stitched(f"2020-03-16,{bad}\n2020-03-17,5\n"), message)
+      for bad, message in [("-3", outside(D, "-3", "inf")), ("nan", outside(D, "nan", "inf")),
+                           ("inf", outside(D, "inf", "inf")), ("abc", unparseable(D, "abc"))]],
+    ("test_parse_stitched_rejects_gaps", lambda: parse_stitched("2020-03-16,1.0\n2020-03-18,2.0\n"),
+     "expected 2020-03-17 after 2020-03-16, got 2020-03-18"),
+    ("test_parse_stitched_rejects_duplicates",
+     lambda: parse_stitched("2020-03-16,1.0\n2020-03-16,2.0\n"),
+     "expected 2020-03-17 after 2020-03-16, got 2020-03-16"),
+    *[(f"test_mistyped_date_after_first_row_names_line[{name}]", lambda parse=parse, text=text:
+       parse(text), f"line {line}: date {bad!r} does not parse")
+      for name, parse, text, line, bad in [
+          ("daily-last-row", parse_daily_segment,
+           "2020-04-01,100\n2020-04-02,100\n2020-04-O3,70\n", 3, "2020-04-O3"),
+          ("stitched-mid-file", parse_stitched,
+           "date,value\n2020-04-01,1.5\n2020-04-0x,2.5\n2020-04-03,3.5\n", 3, "2020-04-0x"),
+          ("weekly-mid-file", parse_weekly,
+           "Week,flu\n2020-03-15,10\n2020-03-22,20\n2020-0329,30\n2020-04-05,40\n", 4,
+           "2020-0329"),
+          ("daily-first-row", parse_daily_segment,
+           "20200316,50\n2020-03-17,100\n2020-03-18,40\n", 1, "20200316"),
+          ("daily-first-row-after-preamble", parse_daily_segment,
+           GOOGLE_PREAMBLE + "2020-03-l6,3\n2020-03-17,100\n", 4, "2020-03-l6"),
+      ]],
+]
+globals().update(by_test_id(FAILURES))

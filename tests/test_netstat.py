@@ -1,6 +1,5 @@
 import csv
 import io
-import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from trendnet import kernels
 from trendnet.correlate import CorrelationFrame, emit_correlations_csv
-from trendnet.errors import TrendnetError
 from trendnet.netstat import (
     METRIC_COLUMNS,
     GraphFrame,
@@ -26,6 +24,7 @@ from trendnet.netstat import (
     triad_persistence,
 )
 
+from helpers import by_test_id
 from oracles import graph_oracle
 
 D = date(2020, 3, 31)
@@ -80,12 +79,6 @@ def test_threshold_full_matrix_gives_complete_graph():
     frame = corr_frame(np.ones((4, 4)))
     g = threshold_adjacency(frame, 0.6)
     assert g.adjacency.sum() == 4 * 3  # every off-diagonal entry
-
-
-@pytest.mark.parametrize("theta", [0.0, 1.0, -0.2, 1.5])
-def test_threshold_out_of_range(theta):
-    with pytest.raises(TrendnetError, match=rf"^threshold {theta} not in \(0, 1\)$"):
-        threshold_adjacency(corr_frame(np.ones((3, 3))), theta)
 
 
 def test_density_matches_reported_peak_arithmetic():
@@ -238,14 +231,6 @@ def test_triad_persistence_counts_planted_triangles():
     assert counts.tolist() == [60, 0, 0, 0]
 
 
-def test_persistence_empty_period():
-    frames = frames_with_planted_edges(5, {(0, 1): {0}})
-    for persistence in (pair_persistence, triad_persistence):
-        with pytest.raises(TrendnetError,
-                           match=r"^no frames labeled within 2020-07-09\.\.2020-07-19$"):
-            persistence(frames, [(D, D + 4 * DAY), (D + 100 * DAY, D + 110 * DAY)])
-
-
 def test_persistence_overlapping_periods_count_as_each_alone():
     rng = np.random.default_rng(71)
     adjacency = np.stack([random_graph(rng, 7, 0.5) for _ in range(30)])
@@ -328,79 +313,9 @@ def metrics_text(n_frames=3):
     return emit_metrics_csv(frame_metrics(g))
 
 
-def test_parse_metrics_csv_names_line_of_unparseable_field():
-    lines = metrics_text().split("\n")
-    fields_ = lines[2].split(",")
-    fields_[3] = "xx"  # edge_count
-    lines[2] = ",".join(fields_)
-    with pytest.raises(TrendnetError, match="line 3: edge_count 'xx'"):
-        parse_metrics_csv("\n".join(lines))
-
-
-def test_parse_metrics_csv_names_first_line_of_a_repeated_bad_field():
-    # A field text is parsed once however often it repeats; the error names its first line.
-    lines = [line.split(",") for line in metrics_text(4).split("\n")]
-    lines[2][3] = lines[4][3] = "xx"  # edge_count, lines 3 and 5
-    with pytest.raises(TrendnetError, match="^line 3: edge_count 'xx' does not parse$"):
-        parse_metrics_csv("\n".join(map(",".join, lines)))
-
-
-def test_parse_metrics_csv_names_line_of_truncated_row():
-    lines = metrics_text().split("\n")
-    lines[3] = lines[3][: lines[3].rindex(",")]
-    with pytest.raises(TrendnetError, match="line 4: 6 fields, expected 7"):
-        parse_metrics_csv("\n".join(lines))
-
-
-def test_parse_metrics_csv_rejects_other_header():
-    text = metrics_text().replace("edge_count", "edges", 1)
-    with pytest.raises(TrendnetError, match="line 1: header"):
-        parse_metrics_csv(text)
-
-
 METRICS_HEADER = (
     "label_date,window_days,threshold,edge_count,density,clustering_global,clustering_avg_local\n"
 )
-
-
-@pytest.mark.parametrize("column", [2, 4, 5, 6])
-@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
-def test_parse_metrics_csv_rejects_non_finite_floats(column, token):
-    lines = metrics_text().split("\n")
-    fields_ = lines[3].split(",")
-    fields_[column] = token
-    lines[3] = ",".join(fields_)
-    name = METRIC_COLUMNS[column]
-    with pytest.raises(TrendnetError, match=f"line 4: {name} '{token}' is not finite"):
-        parse_metrics_csv("\n".join(lines))
-
-
-@pytest.mark.parametrize("column, token", [
-    (0, " 2020-04-02"), (1, " 1_5 "), (1, "1_5"), (2, "0.5 "), (3, "1_0"), (3, "\t1"),
-    (4, "0.2_5"), (5, "0.25\u00a0"), (6, " 0.25"),
-])
-def test_parse_metrics_csv_rejects_whitespace_and_underscores(column, token):
-    # int() and float() read ' 1_5 ' as 15; the emitter writes neither.
-    lines = metrics_text().split("\n")
-    fields_ = lines[3].split(",")
-    fields_[column] = token
-    lines[3] = ",".join(fields_)
-    name = METRIC_COLUMNS[column]
-    message = f"line 4: {name} {token!r} holds whitespace or an underscore"
-    with pytest.raises(TrendnetError, match=re.escape(message)):
-        parse_metrics_csv("\n".join(lines))
-
-
-def test_parse_metrics_csv_names_first_bad_row_in_file_order():
-    lines = [line.split(",") for line in metrics_text(4).split("\n")]
-    lines[2][4] = "nan"  # density, line 3
-    del lines[3][5:]  # too few fields, line 4
-    lines[4][0] = "2020-02-30"  # label_date, line 5
-    with pytest.raises(TrendnetError, match="line 3: density 'nan' is not finite"):
-        parse_metrics_csv("\n".join(map(",".join, lines)))
-    lines[2][4] = "0.5"
-    with pytest.raises(TrendnetError, match="line 4: 5 fields, expected 7"):
-        parse_metrics_csv("\n".join(map(",".join, lines)))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -431,10 +346,68 @@ def test_metrics_csv_round_trip_property(table):
     assert [list(map(repr, c)) for c in parsed] == [list(map(repr, c)) for c in table]
 
 
-@pytest.mark.parametrize("text", ["", METRICS_HEADER], ids=["empty", "header-only"])
-def test_parse_metrics_csv_without_data_rows(text):
-    with pytest.raises(TrendnetError, match="^no (header and no )?data rows$"):
-        parse_metrics_csv(text)
+def metrics_with(*edits, n_frames=3):
+    """`metrics_text(n_frames)` with each edit (line, column, token) made: the field
+    `column` of line `line` set to `token`, or, where `token` is None, cut off with
+    the fields after it."""
+    lines = [line.split(",") for line in metrics_text(n_frames).split("\n")]
+    for line, column, token in edits:
+        if token is None:
+            del lines[line - 1][column:]
+        else:
+            lines[line - 1][column] = token
+    return "\n".join(map(",".join, lines))
+
+
+def first_bad_row_in_file_order(density):
+    """Lines 4 and 5 are bad, and line 3 too unless `density` parses."""
+    return metrics_with((3, 4, density), (4, 5, None), (5, 0, "2020-02-30"), n_frames=4)
+
+
+FAILURES = [  # (test id, call, message)
+    *[(f"test_threshold_out_of_range[{theta}]",
+       lambda theta=theta: threshold_adjacency(corr_frame(np.ones((3, 3))), theta),
+       f"threshold {theta} not in (0, 1)") for theta in (0.0, 1.0, -0.2, 1.5)],
+    *[(name, lambda persistence=persistence: persistence(
+        frames_with_planted_edges(5, {(0, 1): {0}}),
+        [(D, D + 4 * DAY), (D + 100 * DAY, D + 110 * DAY)]),
+       "no frames labeled within 2020-07-09..2020-07-19")
+      for name, persistence in [("test_persistence_empty_period", pair_persistence),
+                                ("test_triad_persistence_empty_period", triad_persistence)]],
+    ("test_parse_metrics_csv_names_line_of_unparseable_field",
+     lambda: parse_metrics_csv(metrics_with((3, 3, "xx"))),
+     "line 3: edge_count 'xx' does not parse"),
+    # A field text is parsed once however often it repeats; the error names its first line.
+    ("test_parse_metrics_csv_names_first_line_of_a_repeated_bad_field",
+     lambda: parse_metrics_csv(metrics_with((3, 3, "xx"), (5, 3, "xx"), n_frames=4)),
+     "line 3: edge_count 'xx' does not parse"),
+    ("test_parse_metrics_csv_names_line_of_truncated_row",
+     lambda: parse_metrics_csv(metrics_with((4, 6, None))), "line 4: 6 fields, expected 7"),
+    ("test_parse_metrics_csv_rejects_other_header",
+     lambda: parse_metrics_csv(metrics_text().replace("edge_count", "edges", 1)),
+     f"line 1: header is not {METRICS_HEADER.strip()}"),
+    *[(f"test_parse_metrics_csv_rejects_non_finite_floats[{token}-{column}]",
+       lambda column=column, token=token: parse_metrics_csv(metrics_with((4, column, token))),
+       f"line 4: {METRIC_COLUMNS[column]} '{token}' is not finite")
+      for token in ("nan", "inf", "-inf", "NaN", "1e999") for column in (2, 4, 5, 6)],
+    # int() and float() read ' 1_5 ' as 15; the emitter writes neither.
+    *[(f"test_parse_metrics_csv_rejects_whitespace_and_underscores[{column}-{token}]",
+       lambda column=column, token=token: parse_metrics_csv(metrics_with((4, column, token))),
+       f"line 4: {METRIC_COLUMNS[column]} {token!r} holds whitespace or an underscore")
+      for column, token in [(0, " 2020-04-02"), (1, " 1_5 "), (1, "1_5"), (2, "0.5 "),
+                            (3, "1_0"), (3, "\t1"), (4, "0.2_5"), (5, "0.25\u00a0"),
+                            (6, " 0.25")]],
+    ("test_parse_metrics_csv_names_first_bad_row_in_file_order",
+     lambda: parse_metrics_csv(first_bad_row_in_file_order("nan")),
+     "line 3: density 'nan' is not finite"),
+    ("test_parse_metrics_csv_names_the_next_bad_row_once_the_first_is_mended",
+     lambda: parse_metrics_csv(first_bad_row_in_file_order("0.5")), "line 4: 5 fields, expected 7"),
+    ("test_parse_metrics_csv_without_data_rows[empty]", lambda: parse_metrics_csv(""),
+     "no header and no data rows"),
+    ("test_parse_metrics_csv_without_data_rows[header-only]",
+     lambda: parse_metrics_csv(METRICS_HEADER), "no data rows"),
+]
+globals().update(by_test_id(FAILURES))
 
 
 def test_persistence_csv_format():

@@ -1,9 +1,6 @@
-import re
-
-import pytest
-
-from trendnet.errors import TrendnetError
 from trendnet.registry import KeywordRegistry
+
+from helpers import by_test_id
 
 HEADER = "keyword,category\n"
 
@@ -13,33 +10,37 @@ def test_from_csv_skips_header_and_blank_rows():
     assert registry.entries == (("cough", "SymptomsEnglish"), ("ubo", "SymptomsFilipino"))
 
 
-@pytest.mark.parametrize("rows, message", [
-    ("cough,SymptomsEnglish\nfever,SymptomsEnglish\nCOUGH,SymptomsEnglish\n",
-     "line 4: duplicate keyword 'cough'"),
-    ("cough,SymptomsEnglish\n\nfever\n", "line 4: row needs keyword,category: ['fever']"),
-    ("cough,Symptoms\n", "line 2: unknown keyword category 'Symptoms' for 'cough'"),
-    ("../escaped,FaceWearing\n", "line 2: keyword '../escaped' cannot name a file"),
-    ("masks/n95,FaceWearing\n", "line 2: keyword 'masks/n95' cannot name a file"),
-    ("masks\\n95,FaceWearing\n", "line 2: keyword 'masks\\\\n95' cannot name a file"),
-    (".,FaceWearing\n", "line 2: keyword '.' cannot name a file"),
-    ("..,FaceWearing\n", "line 2: keyword '..' cannot name a file"),
-    ("cough,SymptomsEnglish\n,FaceWearing\n", "line 3: keyword '' cannot name a file"),
-    ("  ,FaceWearing\n", "line 2: keyword '' cannot name a file"),
-    ("a,FaceWearing\nb|c,FaceWearing\n", "line 3: keyword 'b|c' holds '|', which joins"),
-], ids=["duplicate", "short", "category", "parent-dir", "slash", "backslash", "dot", "dot-dot",
-        "empty", "blank", "pipe"])
-def test_from_csv_errors_name_the_line(rows, message):
-    with pytest.raises(TrendnetError, match=f"^{re.escape(message)}"):
-        KeywordRegistry.from_csv(HEADER + rows)
+def no_file(line, keyword):
+    return (f"line {line}: keyword {keyword!r} cannot name a file; a keyword"
+            " must not be empty, '.' or '..' or hold '/' or '\\'")
 
 
-@pytest.mark.parametrize("text", ["", HEADER, "\n\n"], ids=["empty", "header-only", "blank"])
-def test_from_csv_without_keyword_rows_raises(text):
-    with pytest.raises(TrendnetError, match="^no keyword rows$"):
-        KeywordRegistry.from_csv(text)
-
-
-
-def test_keyword_holding_nul_cannot_name_a_file():
-    with pytest.raises(TrendnetError, match=re.escape("keyword 'fe\\x00ver' cannot name a file")):
-        KeywordRegistry((("fe\0ver", "SymptomsEnglish"),))
+FAILURES = [  # (test id, call, message)
+    *[(f"test_from_csv_errors_name_the_line[{name}]",
+       lambda rows=rows: KeywordRegistry.from_csv(HEADER + rows), message)
+      for name, rows, message in [
+          ("duplicate", "cough,SymptomsEnglish\nfever,SymptomsEnglish\nCOUGH,SymptomsEnglish\n",
+           "line 4: duplicate keyword 'cough'"),
+          ("short", "cough,SymptomsEnglish\n\nfever\n",
+           "line 4: row needs keyword,category: ['fever']"),
+          ("category", "cough,Symptoms\n", "line 2: unknown keyword category 'Symptoms' for"
+           " 'cough'; expected one of SymptomsEnglish, SymptomsFilipino, FaceWearing,"
+           " Quarantine, NewNormal"),
+          ("parent-dir", "../escaped,FaceWearing\n", no_file(2, "../escaped")),
+          ("slash", "masks/n95,FaceWearing\n", no_file(2, "masks/n95")),
+          ("backslash", "masks\\n95,FaceWearing\n", no_file(2, "masks\\n95")),
+          ("dot", ".,FaceWearing\n", no_file(2, ".")),
+          ("dot-dot", "..,FaceWearing\n", no_file(2, "..")),
+          ("empty", "cough,SymptomsEnglish\n,FaceWearing\n", no_file(3, "")),
+          ("blank", "  ,FaceWearing\n", no_file(2, "")),
+          ("pipe", "a,FaceWearing\nb|c,FaceWearing\n",
+           "line 3: keyword 'b|c' holds '|', which joins the keywords of a persistence row"),
+      ]],
+    *[(f"test_from_csv_without_keyword_rows_raises[{name}]",
+       lambda text=text: KeywordRegistry.from_csv(text), "no keyword rows")
+      for name, text in [("empty", ""), ("header-only", HEADER), ("blank", "\n\n")]],
+    ("test_keyword_holding_nul_cannot_name_a_file",
+     lambda: KeywordRegistry((("fe\0ver", "SymptomsEnglish"),)),
+     "keyword 'fe\\x00ver' cannot name a file: it holds a NUL byte"),
+]
+globals().update(by_test_id(FAILURES))

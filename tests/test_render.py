@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trendnet import render
-from trendnet.errors import TrendnetError
 from trendnet.netstat import METRIC_COLUMNS, MetricTable
-from trendnet.render import SERIES_PALETTE, metrics_report_json, render_metric_chart
+from trendnet.render import metrics_report_json, render_metric_chart
 from trendnet.timeline import join_events, load_bundled_events, load_events
+
+from helpers import by_test_id
 
 D = date(2020, 3, 31)
 DAY = timedelta(days=1)
@@ -106,22 +107,6 @@ def test_clustering_variant_selects_global_field():
     assert "clustering coefficient" in title
 
 
-def test_empty_series_rejected():
-    with pytest.raises(TrendnetError, match="no metric points to render"):
-        render_metric_chart(series(0.5, []), [], metric="density")
-
-
-def test_mixed_windows_rejected():
-    metrics = MetricTable.concat([series(0.5, [0.2]), series(0.5, [0.2], window=30)])
-    with pytest.raises(ValueError, match="window"):
-        render_metric_chart(metrics, [])
-
-
-def test_unknown_metric_rejected():
-    with pytest.raises(ValueError, match="metric"):
-        render_metric_chart(series(0.5, [0.2]), [], metric="entropy")
-
-
 def test_json_report_mirrors_metrics_schema():
     metrics = series(0.5, [0.25, 0.75])
     events = load_events("2020-04-01,marker,Vaccine\n")
@@ -152,11 +137,20 @@ def test_five_thresholds_get_distinct_strokes():
     assert legend_strokes == series_strokes
 
 
-def test_more_thresholds_than_colours_rejected():
-    thetas = [round(0.05 * (i + 1), 2) for i in range(len(SERIES_PALETTE) + 1)]
-    metrics = MetricTable.concat([series(theta, [theta] * 5) for theta in thetas])
-    with pytest.raises(TrendnetError, match="11 thresholds"):
-        render_metric_chart(metrics, [])
+ELEVEN = MetricTable.concat([series(t, [t] * 5) for t in (0.05 * i for i in range(1, 12))])
+FAILURES = [  # (test id, call, message[, code, kind])
+    ("test_empty_series_rejected", lambda: render_metric_chart(series(0.5, []), []),
+     "no metric points to render"),
+    ("test_mixed_windows_rejected", lambda: render_metric_chart(
+        MetricTable.concat([series(0.5, [0.2]), series(0.5, [0.2], window=30)]), []),
+     "metric points mix window sizes: [15, 30]", None, ValueError),
+    ("test_unknown_metric_rejected",
+     lambda: render_metric_chart(series(0.5, [0.2]), [], metric="entropy"),
+     "metric must be one of ['clustering', 'density']", None, ValueError),
+    ("test_more_thresholds_than_colours_rejected", lambda: render_metric_chart(ELEVEN, []),
+     "11 thresholds in one chart, at most 10 have distinct colours"),
+]
+globals().update(by_test_id(FAILURES))
 
 
 def reference_json(metrics, events):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trendnet.errors import TrendnetError
 from trendnet.ingest import DailySeries, WeeklySeries
 from trendnet.stitch import stitch_series
+
+from helpers import by_test_id
 
 W0 = date(2020, 3, 16)  # a Monday
 DAY = timedelta(days=1)
@@ -49,13 +50,6 @@ def test_weekly_metrics_partial_week():
     assert rescaled.values.tolist() == [12.5, 25.0, 37.5]
 
 
-def test_weekly_metrics_uncovered_date():
-    with pytest.raises(TrendnetError, match="2020-03-15"):
-        stitch_series(daily_from([1], start=W0 - DAY), weekly_from([50]))
-    with pytest.raises(TrendnetError, match="2020-03-23"):
-        stitch_series(daily_from([1] * 8), weekly_from([50]))
-
-
 def test_weights_piecewise_rule():
     # weight = weekly / mean: 50/40 = 1.25, 37/37 = 1, and 1 for an all-zero week
     daily = daily_from([40] * 7 + [37] * 7 + [0] * 7)
@@ -79,9 +73,18 @@ def test_rescale_zero_avg_week_passes_values_through():
     assert rescaled.values[7:] == pytest.approx(daily.values[7:] * (50 / (65 / 7)))
 
 
-def test_rescale_uncovered_date():
-    with pytest.raises(TrendnetError, match="outside weekly coverage"):
-        stitch_series(daily_from([1] * 8), weekly_from([10]))
+COVERAGE = "outside weekly coverage [2020-03-16, 2020-03-23)"
+FAILURES = [  # (test id, call, message)
+    ("test_weekly_metrics_uncovered_date",
+     lambda: stitch_series(daily_from([1], start=W0 - DAY), weekly_from([50])),
+     f"daily date 2020-03-15 {COVERAGE}"),
+    ("test_weekly_metrics_uncovered_last_date",
+     lambda: stitch_series(daily_from([1] * 8), weekly_from([50])),
+     f"daily date 2020-03-23 {COVERAGE}"),
+    ("test_rescale_uncovered_date", lambda: stitch_series(daily_from([1] * 8), weekly_from([10])),
+     f"daily date 2020-03-23 {COVERAGE}"),
+]
+globals().update(by_test_id(FAILURES))
 
 
 # Export values are either 0 or at least the 0.5 the censored `<1` maps to.

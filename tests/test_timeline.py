@@ -1,9 +1,5 @@
-import re
 from datetime import date, timedelta
 
-import pytest
-
-from trendnet.errors import TrendnetError
 from trendnet.netstat import MetricTable
 from trendnet.timeline import (
     CATEGORY_COLORS,
@@ -11,6 +7,8 @@ from trendnet.timeline import (
     load_bundled_events,
     load_events,
 )
+
+from helpers import by_test_id
 
 D = date(2020, 3, 31)
 DAY = timedelta(days=1)
@@ -67,36 +65,7 @@ def test_load_events_parses_and_sorts():
     assert events[0].color == "magenta"
 
 
-def test_load_events_unknown_category():
-    with pytest.raises(TrendnetError, match="Earthquake"):
-        load_events("2020-04-07,quake,Earthquake\n")
-
-
-def test_load_events_short_row():
-    with pytest.raises(TrendnetError, match=re.escape("line 1: row needs date,label,"
-                                                      "category: ['2020-04-01', 'only-two']")):
-        load_events("2020-04-01,only-two\n")
-    with pytest.raises(TrendnetError, match=re.escape("line 4: row needs")):
-        load_events("date,label,category\n2020-04-01,ok,Policy\n\n2020-04-02,short\n")
-
-
-def test_load_events_mistyped_date_after_first_row_raises():
-    text = (
-        "2020-04-01,ok,Policy\n"
-        "2020-13-01,typo month,Policy\n"
-        "2020-04-31,typo day,Vaccine\n"
-    )
-    with pytest.raises(TrendnetError, match=re.escape("line 2: event date '2020-13-01'")):
-        load_events(text)
-    with pytest.raises(TrendnetError, match=re.escape("line 4: event date '2020-04-31'")):
-        load_events("date,label,category\n\n2020-04-01,ok,Policy\n2020-04-31,typo,Vaccine\n")
-
-
-def test_load_events_first_row_is_header_only_by_its_names():
-    with pytest.raises(TrendnetError, match=re.escape("line 1: event date '2020-13-01'")):
-        load_events("2020-13-01,typo month,Policy\n2020-04-01,ok,Policy\n")
-    with pytest.raises(TrendnetError, match=re.escape("line 2: event date 'when'")):
-        load_events("\nwhen,what,kind\n2020-04-01,ok,Policy\n")
+def test_load_events_header_names_are_stripped():
     events = load_events(" date , label ,category\n2020-04-01,ok,Policy\n")
     assert [(e.date, e.label) for e in events] == [(date(2020, 4, 1), "ok")]
 
@@ -147,3 +116,28 @@ def test_join_every_event_appears_once_in_date_order():
 def test_category_color_map_is_complete():
     assert set(CATEGORY_COLORS) == {"Quarantine", "Milestone", "Variant", "Policy", "Vaccine"}
     assert CATEGORY_COLORS["Policy"] == "orange"
+
+
+def no_date(line, day):
+    return f"line {line}: event date {day!r} does not parse"
+
+
+FAILURES = [  # (test id, call, message)
+    ("test_load_events_unknown_category", lambda: load_events("2020-04-07,quake,Earthquake\n"),
+     "2020-04-07: unknown event category 'Earthquake';"
+     " expected one of Milestone, Policy, Quarantine, Vaccine, Variant"),
+    ("test_load_events_short_row", lambda: load_events("2020-04-01,only-two\n"),
+     "line 1: row needs date,label,category: ['2020-04-01', 'only-two']"),
+    ("test_load_events_mistyped_date_after_first_row_raises", lambda: load_events(
+        "2020-04-01,ok,Policy\n2020-13-01,typo month,Policy\n2020-04-31,typo day,Vaccine\n"),
+     no_date(2, "2020-13-01")),
+    ("test_load_events_mistyped_date_after_a_blank_row_raises", lambda: load_events(
+        "date,label,category\n\n2020-04-01,ok,Policy\n2020-04-31,typo,Vaccine\n"),
+     no_date(4, "2020-04-31")),
+    ("test_load_events_first_row_is_header_only_by_its_names",
+     lambda: load_events("2020-13-01,typo month,Policy\n2020-04-01,ok,Policy\n"),
+     no_date(1, "2020-13-01")),
+    ("test_load_events_first_row_of_other_names_is_data",
+     lambda: load_events("\nwhen,what,kind\n2020-04-01,ok,Policy\n"), no_date(2, "when")),
+]
+globals().update(by_test_id(FAILURES))

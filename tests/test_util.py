@@ -1,7 +1,7 @@
 import csv
+import io
 import os
 import pickle
-import re
 from datetime import date, timedelta
 
 import pytest
@@ -20,6 +20,8 @@ from trendnet.util import (
     iso_date,
     month_starts,
 )
+
+from helpers import assert_raises, assert_reaped, by_test_id, raised_text, show_cpus
 
 DAY = timedelta(days=1)
 QUARTER_MONTHS = (1, 4, 7, 10)
@@ -60,35 +62,20 @@ def test_default_periods_match_a_day_by_day_walk(span):
     assert default_periods(data_start, last_label) == brute_default_periods(data_start, last_label)
 
 
-@pytest.mark.parametrize("text", [
-    "20200401", "2020-W14-5", "2020W141", "2020-W14", "2020-04-1", " 2020-04-01", "2020-13-01",
-    "2020-04-31", "",
-])
-def test_iso_date_reads_only_yyyy_mm_dd(text):
-    with pytest.raises(ValueError):
-        iso_date(text)
-
-
 def test_csv_records_skip_blank_rows_and_a_first_row_header_only():
     text = "a,b\n\n , \n x , y ,z\na,b\n"
     assert list(csv_records(text, ["a", "b"])) == [(4, ["x", "y", "z"]), (5, ["a", "b"])]
-
-
-@pytest.mark.parametrize("parse, text, message", [
-    (KeywordRegistry.from_csv, "keyword,category\ncough,SymptomsEnglish\n\nfever\n",
-     "line 4: row needs keyword,category: ['fever']"),
-    (load_events, "date,label,category\n2020-04-01,ok,Policy\n\n2020-04-02,short\n",
-     "line 4: row needs date,label,category: ['2020-04-02', 'short']"),
-], ids=["registry", "events"])
-def test_short_row_names_its_line_and_the_columns(parse, text, message):
-    with pytest.raises(TrendnetError, match=f"^{re.escape(message)}$"):
-        parse(text)
 
 
 def test_csv_rows_number_every_row_blank_ones_included():
     text = 'a,b\n\n"x\ny",z\n\r\nc\n'
     assert list(csv_rows(text)) == [(1, ["a", "b"]), (2, []), (4, ["x\ny", "z"]), (5, []),
                                     (6, ["c"])]
+
+
+def csv_error(row):
+    """What `csv` says of the row it cannot read."""
+    return raised_text(lambda: list(csv.reader(io.StringIO(row))))
 
 
 # Two rows each parser reads without complaint, before the unreadable third.
@@ -101,17 +88,29 @@ READABLE_ROWS = {
     parse_metrics_csv: "label_date,window_days,threshold,edge_count,density,clustering_global,"
                        "clustering_avg_local\n2020-03-30,15,0.5,3,0.2,0.1,0.1\n",
 }
-
-
-@pytest.mark.parametrize("parse", READABLE_ROWS, ids=lambda parse: parse.__name__)
-@pytest.mark.parametrize("row, message", [
-    ("2020-03-17," + "1" * (csv.field_size_limit() + 1),
-     f"field larger than field limit ({csv.field_size_limit()})"),
-    ("2020-03-17,5\r0,x", "new-line character seen in unquoted field"),
-], ids=["over-field-limit", "bare-cr"])
-def test_unreadable_row_is_an_error_naming_its_line(parse, row, message):
-    with pytest.raises(TrendnetError, match=f"^line 3: {re.escape(message)}"):
-        parse(READABLE_ROWS[parse] + row + "\n")
+UNREADABLE_ROWS = {"over-field-limit": "2020-03-17," + "1" * (csv.field_size_limit() + 1),
+                   "bare-cr": "2020-03-17,5\r0,x"}
+FAILURES = [  # (test id, call, message[, code, kind])
+    # Python 3.11+ `date.fromisoformat` also reads the basic and ISO-week forms.
+    *[(f"test_iso_date_reads_only_yyyy_mm_dd[{text}]", lambda text=text: iso_date(text),
+       f"not a YYYY-MM-DD date: {text!r}", None, ValueError)
+      for text in ["20200401", "2020-W14-5", "2020W141", "2020-W14", "2020-04-1", " 2020-04-01",
+                   ""]],
+    # Well-formed texts of no date fail `date.fromisoformat` itself.
+    *[(f"test_iso_date_reads_only_yyyy_mm_dd[{text}]", lambda text=text: iso_date(text),
+       raised_text(lambda text=text: date.fromisoformat(text)), None, ValueError)
+      for text in ["2020-13-01", "2020-04-31"]],
+    ("test_short_row_names_its_line_and_the_columns[registry]", lambda: KeywordRegistry.from_csv(
+        "keyword,category\ncough,SymptomsEnglish\n\nfever\n"),
+     "line 4: row needs keyword,category: ['fever']"),
+    ("test_short_row_names_its_line_and_the_columns[events]", lambda: load_events(
+        "date,label,category\n2020-04-01,ok,Policy\n\n2020-04-02,short\n"),
+     "line 4: row needs date,label,category: ['2020-04-02', 'short']"),
+    *[(f"test_unreadable_row_is_an_error_naming_its_line[{name}-{parse.__name__}]",
+       lambda parse=parse, text=text + row + "\n": parse(text), f"line 3: {csv_error(row)}")
+      for name, row in UNREADABLE_ROWS.items() for parse, text in READABLE_ROWS.items()],
+]
+globals().update(by_test_id(FAILURES))
 
 
 def test_trendnet_error_pickles_with_its_code():
@@ -120,47 +119,38 @@ def test_trendnet_error_pickles_with_its_code():
     assert (str(err), err.code) == ("window of 400 days exceeds 365 days", 4)
 
 
-@pytest.fixture()
-def three_cpus(monkeypatch):
-    """Shows `forked_map` 3 CPUs; returns the list that records each fork."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    forks, real_fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
-    return forks
-
-
 @pytest.mark.parametrize("items, most, parts", [
     (range(7), None, [range(0, 2), range(2, 4), range(4, 7)]),
     (range(7), 2, [range(0, 3), range(3, 7)]),
     (range(7), 0, [range(0, 7)]),
     ([15, 30], None, [[15], [30]]),
 ])
-def test_forked_map_cuts_contiguous_parts_one_per_worker(three_cpus, items, most, parts):
+def test_forked_map_cuts_contiguous_parts_one_per_worker(monkeypatch, items, most, parts):
+    forks = show_cpus(monkeypatch, 3)
     results = forked_map(lambda part: [part, os.getpid()], items, str, most=most)
     assert [part for part, _ in results] == parts
-    assert len(three_cpus) == len(parts) - 1
+    assert len(forks) == len(parts) - 1
     assert results[0][1] == os.getpid() and len({pid for _, pid in results}) == len(parts)
 
 
-def test_forked_map_raises_the_earliest_failing_part_with_its_code(three_cpus):
+def test_forked_map_raises_the_earliest_failing_part_with_its_code(monkeypatch):
+    forks = show_cpus(monkeypatch, 3)
+
     def work(part):
         if part[0]:
             raise TrendnetError(f"part {part[0]}", 3 + part[0])
         return part
 
-    with pytest.raises(TrendnetError, match="^part 1$") as info:
-        forked_map(work, [0, 1, 2], str)
-    assert info.value.code == 4
-    assert len(three_cpus) == 2
-    with pytest.raises(ChildProcessError):  # both children were waited for
-        os.waitpid(-1, os.WNOHANG)
+    assert_raises(lambda: forked_map(work, [0, 1, 2], str), "part 1", 4)
+    assert len(forks) == 2
+    assert_reaped()
 
 
-def test_forked_map_own_part_error_wins_after_waiting(three_cpus):
+def test_forked_map_own_part_error_wins_after_waiting(monkeypatch):
+    show_cpus(monkeypatch, 3)
+
     def work(part):
         raise TrendnetError(f"part {part[0]}")
 
-    with pytest.raises(TrendnetError, match="^part 0$"):
-        forked_map(work, [0, 1, 2], str)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_raises(lambda: forked_map(work, [0, 1, 2], str), "part 0")
+    assert_reaped()
