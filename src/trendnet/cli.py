@@ -17,9 +17,11 @@ command leaves no output and puts back any file it had replaced.
 
 Every failure is a `TrendnetError`, whose `code` is the exit status (2 bad
 input or parameters, 3 I/O, 4 too little data for a window), or an
-`OSError` (3). `_parse` reads and parses one input file and prefixes an
-error or a warning from it with that file's path, so the message names
-the file and the date, row or line; the parsers themselves take only text.
+`OSError` (3). Each rule is checked once, by the function that owns it;
+the CLI adds only where the input came from, with `errors.prefixed`. `_parse`
+reads and parses one input file and prefixes an error or a warning from it
+with that file's path, so the message names the file and the date, row or
+line; the parsers themselves take only text.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import takewhile
 from pathlib import Path
 
 from . import correlate, ingest, netstat, render, stitch, timeline, util
-from .errors import TrendnetError
+from .errors import TrendnetError, prefixed
 from .registry import KeywordRegistry, check_separator
 
 
@@ -45,12 +47,9 @@ def _parse(path: Path, parse, *args):
         text = path.read_text("utf-8-sig")
     except OSError as err:
         raise TrendnetError(f"{path}: {err.strerror or err}", 3) from err
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            parsed = parse(text, *args)
-    except TrendnetError as err:
-        raise TrendnetError(f"{path}: {err}", err.code) from err
+    with prefixed(path), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parsed = parse(text, *args)
     for warning in caught:
         warnings.warn(f"{path}: {warning.message}", warning.category)
     return parsed
@@ -208,10 +207,8 @@ def _parse_value(source: str, raw: str, parse):
     """`parse(raw)`, its error prefixed with `source`; empty text is an error."""
     if not raw.strip():
         raise TrendnetError(f"{source} is empty")
-    try:
+    with prefixed(source, " "):
         return parse(raw)
-    except TrendnetError as err:
-        raise TrendnetError(f"{source} {err}", err.code) from err
 
 
 def _settings(args: argparse.Namespace) -> dict:
@@ -269,10 +266,8 @@ def cmd_stitch(settings: dict) -> tuple[dict[Path, str], str]:
             raise TrendnetError(f"{seg_dir}: no segment CSV files", 3)
         segments = [_parse(seg_file, ingest.parse_daily_segment) for seg_file in seg_files]
         weekly = _parse(weekly_root / f"{keyword}.csv", ingest.parse_weekly)
-        try:
+        with prefixed(seg_dir):
             rescaled = stitch.stitch_series(ingest.assemble_daily(segments, span=span), weekly)
-        except TrendnetError as err:
-            raise TrendnetError(f"{seg_dir}: {err}", err.code) from err
         return ingest.emit_daily_csv(rescaled)
 
     texts = {settings["out"] / f"{kw}.csv": stitch_keyword(kw) for kw in registry.keywords}
@@ -302,10 +297,8 @@ def _analyze_windows(series: dict, windows: list[int], settings: dict) -> dict[P
     out_root, explicit_periods = settings["out"], settings["period"]
     texts = {}
     for window in windows:
-        try:
+        with prefixed(settings["stitched"]):
             frames = correlate.rolling_correlation(series, window)
-        except TrendnetError as err:
-            raise TrendnetError(f"{settings['stitched']}: {err}", err.code) from err
         texts[out_root / f"correlations_w{window}.csv"] = correlate.emit_correlations_csv(frames)
 
         first, last = frames.label_dates[[0, -1]].tolist()
@@ -368,11 +361,9 @@ def cmd_report(settings: dict) -> tuple[dict[Path, str], str]:
     for window in windows:
         points = table.take([i for i, w in enumerate(table.window_days) if w == window])
         name = f"{stem}_w{window}"
-        try:
+        with prefixed(f"{metrics_root}: window {window}"):
             texts[out_path.with_name(f"{name}.svg")] = render.render_metric_chart(
                 points, events, metric=settings["metric"])
-        except TrendnetError as err:
-            raise TrendnetError(f"{metrics_root}: window {window}: {err}", err.code) from None
         texts[out_path.with_name(f"{name}.json")] = render.metrics_report_json(points, events)
     return texts, f"reported windows {windows} -> {out_path.parent or Path('.')}"
 

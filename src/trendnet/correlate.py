@@ -50,13 +50,9 @@ def distance_correlation(x, y) -> float:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1:
-        raise ValueError("inputs must be 1-d vectors")
+        raise TrendnetError("inputs must be 1-d vectors")
     if x.shape[0] != y.shape[0]:
         raise TrendnetError(f"vector lengths differ: {x.shape[0]} vs {y.shape[0]}")
-    if x.shape[0] < 2:
-        raise ValueError("need at least 2 points")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise TrendnetError("inputs must be finite")
     return float(kernels.rolling_dcor(np.column_stack((x, y)), len(x))[0, 0, 1])
 
 
@@ -66,12 +62,11 @@ def rolling_correlation(series: dict[str, DailySeries], window_days: int) -> Cor
     All series must cover the identical consecutive date range. Keyword
     order follows the mapping order. The first label date is series start
     + window_days; the last is the day after the series end, so every
-    window of data labels the day it leads into.
+    window of data labels the day it leads into. `kernels.rolling_dcor`
+    checks the window's length and that the values are finite.
     """
     if not series:
         raise TrendnetError("no series given")
-    if window_days < 2:
-        raise ValueError(f"window_days must be at least 2, got {window_days}")
     keywords = tuple(series.keys())
     first = series[keywords[0]]
     for kw in keywords:
@@ -81,14 +76,7 @@ def rolling_correlation(series: dict[str, DailySeries], window_days: int) -> Cor
                 f"{kw}: spans {s.start_date}..{s.end_date},"
                 f" expected {first.start_date}..{first.end_date}"
             )
-    n_days = len(first)
-    if window_days > n_days:
-        raise TrendnetError(f"window of {window_days} days exceeds {n_days} days of data", 4)
-
     data = np.column_stack([series[kw].values for kw in keywords])
-    if not np.isfinite(data).all():
-        raise TrendnetError("series contain non-finite values")
-
     stack = kernels.rolling_dcor(data, window_days)
     first_label = np.datetime64(first.start_date) + window_days
     return CorrelationFrame(

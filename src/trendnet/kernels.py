@@ -33,7 +33,9 @@ run, in workspaces allocated once per call: the (k, n) rescaled window, the
 (k, n, n) centred distance matrices, one per column and each contiguous, so
 the Gram product reads them as one (k, n*n) matrix, and the (k, n) row
 means with an (n, k) copy. Per-frame temporaries of that size came as new
-pages from the allocator and were page-faulted in again on every frame. The reduction axes are fixed on purpose: numpy sums pairwise along a
+pages from the allocator and were page-faulted in again on every frame.
+
+The reduction axes are fixed on purpose: numpy sums pairwise along a
 contiguous axis but sequentially along an outer one. The row means reduce
 over the outer `i` axis of (k, n, n). The grand mean reduces over the outer
 axis of the contiguous (n, k) copy of the row means: over the transposed
@@ -70,6 +72,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import util
+from .errors import TrendnetError
 
 # Least frames * k * n**2 work units per worker process; see the module docstring.
 MIN_WORKER_WORK = 10**7
@@ -82,12 +85,18 @@ def rolling_dcor(data: np.ndarray, window: int) -> np.ndarray:
     window correlates 0 with everything in that frame by convention.
     Large stacks are computed by forked workers, one contiguous frame range
     each; a worker that fails raises ChildProcessError naming its range and
-    the worker's exception.
+    the worker's exception. It owns the dCor input rules: before any
+    arithmetic or fork, a window under 2 or over the t rows (code 4) or
+    a non-finite value raises `TrendnetError` (`errors.prefixed` adds where).
     """
     series = np.ascontiguousarray(np.transpose(data), dtype=np.float64)  # (k, t)
     k, t = series.shape
-    if not 2 <= window <= t:
-        raise ValueError(f"window {window} must lie between 2 and the data's {t} rows")
+    if window < 2:
+        raise TrendnetError(f"need at least 2 points, got {window}")
+    if window > t:
+        raise TrendnetError(f"window of {window} days exceeds {t} days of data", 4)
+    if not np.isfinite(series).all():
+        raise TrendnetError("series contain non-finite values")
     frames = t - window + 1
     return np.concatenate(util.forked_map(
         lambda part: _dcor_frames(series[:, part.start : part.stop + window - 1], window),

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import kernels
 from .correlate import CorrelationFrame
-from .errors import TrendnetError
+from .errors import TrendnetError, prefixed
 from .util import csv_field, csv_rows, distinct_texts, iso_date
 
 
@@ -129,7 +129,7 @@ def network_density(g: GraphFrame) -> list[float]:
     """Existing edges over the K(K-1)/2 possible ones, per frame."""
     k = g.adjacency.shape[-1]
     if k < 2:
-        raise ValueError("density needs at least 2 vertices")
+        raise TrendnetError("density needs at least 2 vertices")
     return (2 * _edge_counts(g) / (k * (k - 1))).tolist()
 
 
@@ -269,10 +269,8 @@ def parse_metrics_csv(text: str) -> MetricTable:
     except TrendnetError:
         # A check failed: the same checks, row by row in file order, name the first bad line.
         for line, row in rows:
-            try:
+            with prefixed(f"line {line}"):
                 _metric_columns([row])
-            except TrendnetError as err:
-                raise TrendnetError(f"line {line}: {err}") from None
         raise
 
 

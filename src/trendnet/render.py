@@ -84,12 +84,12 @@ def render_metric_chart(
     the global clustering coefficient.
     """
     if metric not in METRIC_FIELDS:
-        raise ValueError(f"metric must be one of {sorted(METRIC_FIELDS)}")
+        raise TrendnetError(f"metric must be one of {sorted(METRIC_FIELDS)}")
     if not metrics.label_date:
         raise TrendnetError("no metric points to render")
     windows = set(metrics.window_days)
     if len(windows) > 1:
-        raise ValueError(f"metric points mix window sizes: {sorted(windows)}")
+        raise TrendnetError(f"metric points mix window sizes: {sorted(windows)}")
     window_days = windows.pop()
     field, axis_label = METRIC_FIELDS[metric]
     dates, values = metrics.label_date, getattr(metrics, field)

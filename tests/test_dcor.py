@@ -114,15 +114,24 @@ def test_scale_robust_across_float64_range(s):
 FAILURES = [  # (test id, call, message[, code, kind])
     ("test_length_mismatch", lambda: distance_correlation([1, 2, 3], [1, 2]),
      "vector lengths differ: 3 vs 2"),
-    ("test_too_short", lambda: distance_correlation([1.0], [2.0]), "need at least 2 points", None,
-     ValueError),
+    ("test_too_short", lambda: distance_correlation([1.0], [2.0]),
+     "need at least 2 points, got 1"),
+    ("test_two_dimensional_input", lambda: distance_correlation([[1.0, 2.0]], [[3.0, 4.0]]),
+     "inputs must be 1-d vectors"),
     *[(f"test_non_finite_input[{bad}]", lambda bad=bad: distance_correlation(
-        [1.0, bad, 3.0], [1.0, 2.0, 3.0]), "inputs must be finite")
+        [1.0, bad, 3.0], [1.0, 2.0, 3.0]), "series contain non-finite values")
       for bad in (np.nan, np.inf, -np.inf)],
     *[(f"test_rolling_dcor_rejects_a_window_outside_2_to_the_rows[{window}]",
        lambda window=window: kernels.rolling_dcor(np.ones((10, 3)), window),
-       f"window {window} must lie between 2 and the data's 10 rows", None, ValueError)
-      for window in (0, 1, 11, 12, 40)],
+       f"need at least 2 points, got {window}") for window in (0, 1)],
+    *[(f"test_rolling_dcor_rejects_a_window_outside_2_to_the_rows[{window}]",
+       lambda window=window: kernels.rolling_dcor(np.ones((10, 3)), window),
+       f"window of {window} days exceeds 10 days of data", 4) for window in (11, 12, 40)],
+    # Unchecked, one NaN would make the dCor of every frame whose window holds it NaN.
+    *[(f"test_rolling_dcor_rejects_non_finite_data[{bad}]",
+       lambda bad=bad: kernels.rolling_dcor(
+           np.where(np.arange(90).reshape(30, 3) == 22, bad, 1.0), 15),
+       "series contain non-finite values") for bad in (np.nan, np.inf)],
 ]
 globals().update(by_test_id(FAILURES))
 

@@ -365,6 +365,8 @@ def first_bad_row_in_file_order(density):
 
 
 FAILURES = [  # (test id, call, message)
+    ("test_density_of_one_keyword_rejected",
+     lambda: network_density(graph_stack(np.zeros((2, 1, 1)))), "density needs at least 2 vertices"),
     *[(f"test_threshold_out_of_range[{theta}]",
        lambda theta=theta: threshold_adjacency(corr_frame(np.ones((3, 3))), theta),
        f"threshold {theta} not in (0, 1)") for theta in (0.0, 1.0, -0.2, 1.5)],

@@ -143,10 +143,10 @@ FAILURES = [  # (test id, call, message[, code, kind])
      "no metric points to render"),
     ("test_mixed_windows_rejected", lambda: render_metric_chart(
         MetricTable.concat([series(0.5, [0.2]), series(0.5, [0.2], window=30)]), []),
-     "metric points mix window sizes: [15, 30]", None, ValueError),
+     "metric points mix window sizes: [15, 30]"),
     ("test_unknown_metric_rejected",
      lambda: render_metric_chart(series(0.5, [0.2]), [], metric="entropy"),
-     "metric must be one of ['clustering', 'density']", None, ValueError),
+     "metric must be one of ['clustering', 'density']"),
     ("test_more_thresholds_than_colours_rejected", lambda: render_metric_chart(ELEVEN, []),
      "11 thresholds in one chart, at most 10 have distinct colours"),
 ]
