@@ -9,11 +9,15 @@ once into a typed one and naming its source in an error: the flag
 (`run.cfg: config line 2: windows must be ...`); empty text is an error,
 as is a repeated value of a repeatable setting. Checks across values (the
 span's order, a period's frames) name each value's source the same way.
-`cmd_<command>` then computes every output text, parsing no setting and
-writing nothing, and `_commit` writes each text to a hidden `.<name>.part`
-beside its target and, once all are written, moves them into place,
-keeping each replaced file as `.<name>.prev` until the last move; a failed
-command leaves no output and puts back any file it had replaced.
+`cmd_<command>` then computes its outputs, parsing no setting, and writes
+each text to a hidden `.<name>.part` beside its target as soon as it is
+computed, in the process that computed it: a forked window worker of
+`analyze` writes its own windows' parts and sends back only their paths, so
+no process holds more than one window's outputs, and that is `analyze`'s
+peak, not every window's. Only the parent places them: `_commit` moves
+every part into place, keeping each replaced file as `.<name>.prev` until
+the last move. A failed command leaves no output, no part and no directory
+it created, and puts back any file it had replaced.
 
 Every failure is a `TrendnetError`, whose `code` is the exit status (2 bad
 input or parameters, 3 I/O, 4 too little data for a window), or an
@@ -30,6 +34,7 @@ import argparse
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from datetime import date, timedelta
 from itertools import takewhile
 from pathlib import Path
@@ -55,26 +60,62 @@ def _parse(path: Path, parse, *args):
     return parsed
 
 
-def _commit(texts: dict[Path, str]) -> None:
-    """Write each text to `.<name>.part` beside its target, then move all into place.
+def _part(path: Path) -> Path:
+    """The hidden file beside `path` that its text is written to before it is placed."""
+    return path.with_name(f".{path.name}.part")
+
+
+def _write_part(path: Path, text: str) -> Path:
+    """Write `text` to the part of `path` and return `path`; a failed write exits 3 naming `path`."""
+    try:
+        _part(path).write_text(text, "utf-8")
+    except OSError as err:
+        raise TrendnetError(f"{path}: {err.strerror or err}", 3) from err
+    return path
+
+
+def _discard(targets: list[Path], made: list[Path]) -> None:
+    """Remove the part of each target, where there is one, and the directories `made`."""
+    for path in targets:
+        _part(path).unlink(missing_ok=True)
+    for directory in reversed(made):  # deepest first; a failed mkdir may have made fewer
+        if directory.exists():
+            directory.rmdir()
+
+
+@contextmanager
+def _staging(directory: Path, targets: list[Path]):
+    """Create `directory` and its missing parents, and yield those created, shallowest
+    first, to the block, which writes the parts of `targets`. If the block fails, every
+    part of `targets` and the created directories are removed; a failed mkdir exits 3."""
+    made = [*takewhile(lambda d: not d.exists(), [directory, *directory.parents])][::-1]
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        _discard([], made)
+        raise TrendnetError(f"{directory}: {err.strerror or err}", 3) from err
+    try:
+        yield made
+    except BaseException:
+        _discard(targets, made)
+        raise
+
+
+def _commit(targets: list[Path], made: list[Path]) -> None:
+    """Move the part of each target into place, in order.
 
     Each target replaced so far is kept as `.<name>.prev` until every part is
-    in place; if a write or move fails, the earlier files are put back and the
-    directories this call created are removed.
+    in place; if a move fails, the earlier files are put back, and the parts
+    and the directories `made` for them are removed.
     """
-    parts, prevs, placed, made = {}, {}, [], []
+    prevs, placed = {}, []
     try:
-        for path, text in texts.items():
-            parts[path] = path.with_name(f".{path.name}.part")
-            made += reversed([*takewhile(lambda d: not d.exists(), path.parents)])
-            path.parent.mkdir(parents=True, exist_ok=True)
-            parts[path].write_text(text, "utf-8")
-        for path, part in parts.items():
+        for path in targets:
             if path.is_symlink() or path.exists() and not path.is_dir():
                 prev = path.with_name(f".{path.name}.prev")
                 os.replace(path, prev)
                 prevs[path] = prev
-            os.replace(part, path)
+            os.replace(_part(path), path)
             placed.append(path)
     except OSError as err:
         for new in placed:
@@ -82,11 +123,7 @@ def _commit(texts: dict[Path, str]) -> None:
                 new.unlink()
         for target, prev in prevs.items():
             os.replace(prev, target)
-        for part in parts.values():
-            part.unlink(missing_ok=True)
-        for directory in reversed(made):  # deepest first; a failed mkdir may have made fewer
-            if directory.exists():
-                directory.rmdir()
+        _discard(targets, made)
         raise TrendnetError(f"{path}: {err.strerror or err}", 3) from err
     for prev in prevs.values():
         prev.unlink()
@@ -246,7 +283,7 @@ def _settings(args: argparse.Namespace) -> dict:
 
 # --- stitch ---
 
-def cmd_stitch(settings: dict) -> tuple[dict[Path, str], str]:
+def cmd_stitch(settings: dict) -> tuple[list[Path], list[Path], str]:
     registry = _load_registry(settings["registry"])
     span = (settings["span_start"], settings["span_end"])
     if span[1] < span[0]:
@@ -270,8 +307,12 @@ def cmd_stitch(settings: dict) -> tuple[dict[Path, str], str]:
             rescaled = stitch.stitch_series(ingest.assemble_daily(segments, span=span), weekly)
         return ingest.emit_daily_csv(rescaled)
 
-    texts = {settings["out"] / f"{kw}.csv": stitch_keyword(kw) for kw in registry.keywords}
-    return texts, f"stitched {len(texts)} keywords -> {settings['out']}"
+    out = settings["out"]
+    targets = [out / f"{kw}.csv" for kw in registry.keywords]
+    with _staging(out, targets) as made:
+        for target, kw in zip(targets, registry.keywords):
+            _write_part(target, stitch_keyword(kw))
+    return targets, made, f"stitched {len(targets)} keywords -> {out}"
 
 
 # --- analyze ---
@@ -292,14 +333,24 @@ def _load_stitched(stitched_dir: Path, registry: Path | None):
     return {kw: _parse(stitched_dir / f"{kw}.csv", ingest.parse_stitched) for kw in keywords}
 
 
-def _analyze_windows(series: dict, windows: list[int], settings: dict) -> dict[Path, str]:
-    """The correlation, metrics and persistence texts of each window, in window order."""
-    out_root, explicit_periods = settings["out"], settings["period"]
-    texts = {}
+def _window_outputs(out_root: Path, window: int, thresholds: list[float]) -> list[Path]:
+    """The output files of one window, in the order `_analyze_windows` writes them."""
+    return [out_root / f"correlations_w{window}.csv",
+            *(out_root / f"metrics_w{window}_t{theta:g}.csv" for theta in thresholds),
+            *(out_root / f"persistence_{kind}_w{window}.csv" for kind in ("pairs", "triads"))]
+
+
+def _analyze_windows(series: dict, windows: list[int], settings: dict) -> list[Path]:
+    """Write the correlation, metrics and persistence texts of each window, in window
+    order, each to its part as soon as it is computed; returns their target paths."""
+    explicit_periods, thresholds = settings["period"], settings["thresholds"]
+    written = []
     for window in windows:
+        outputs = _window_outputs(settings["out"], window, thresholds)
+        correlations, *metrics, pairs, triads = outputs
         with prefixed(settings["stitched"]):
             frames = correlate.rolling_correlation(series, window)
-        texts[out_root / f"correlations_w{window}.csv"] = correlate.emit_correlations_csv(frames)
+        _write_part(correlations, correlate.emit_correlations_csv(frames))
 
         first, last = frames.label_dates[[0, -1]].tolist()
         periods = []
@@ -312,35 +363,36 @@ def _analyze_windows(series: dict, windows: list[int], settings: dict) -> dict[P
                 raise TrendnetError(f"{settings['sources']['period'][i]} {start}:{end} selects no"
                                     f" frame of window {window}, labeled {first}..{last}")
         groups = {netstat.pair_persistence: [], netstat.triad_persistence: []}
-        for theta in settings["thresholds"]:
+        for theta, path in zip(thresholds, metrics):
             graphs = netstat.threshold_adjacency(frames, theta)
-            texts[out_root / f"metrics_w{window}_t{theta:g}.csv"] = netstat.emit_metrics_csv(
-                netstat.frame_metrics(graphs))
+            _write_part(path, netstat.emit_metrics_csv(netstat.frame_metrics(graphs)))
             for persistence, found in groups.items():
                 found += [(p, theta, *c) for p, c in zip(periods, persistence(graphs, periods))]
-        for kind, found in zip(("pairs", "triads"), groups.values()):
-            texts[out_root / f"persistence_{kind}_w{window}.csv"] = netstat.emit_persistence_csv(
-                frames.keywords, found)
-    return texts
+        for path, found in zip((pairs, triads), groups.values()):
+            _write_part(path, netstat.emit_persistence_csv(frames.keywords, found))
+        written += outputs
+    return written
 
 
-def cmd_analyze(settings: dict) -> tuple[dict[Path, str], str]:
+def cmd_analyze(settings: dict) -> tuple[list[Path], list[Path], str]:
     series = _load_stitched(settings["stitched"], settings["registry"])
-    windows = settings["windows"]
-    # The windows are independent, so contiguous groups of them run on every
-    # CPU; a forked group only sends its texts back, and this process writes.
-    parts = util.forked_map(
-        lambda group: _analyze_windows(series, group, settings), windows,
-        lambda group: f"analyze worker for windows {','.join(map(str, group))}")
-    texts = {path: text for part in parts for path, text in part.items()}
+    windows, out = settings["windows"], settings["out"]
+    every = [path for window in windows
+             for path in _window_outputs(out, window, settings["thresholds"])]
+    # The windows are independent, so contiguous groups of them run on every CPU;
+    # a forked group writes its own parts and sends back only their paths.
+    with _staging(out, every) as made:
+        groups = util.forked_map(
+            lambda group: _analyze_windows(series, group, settings), windows,
+            lambda group: f"analyze worker for windows {','.join(map(str, group))}")
     summary = (f"analyzed {len(series)} keywords, windows {windows},"
-               f" thresholds {settings['thresholds']} -> {settings['out']}")
-    return texts, summary
+               f" thresholds {settings['thresholds']} -> {out}")
+    return [path for group in groups for path in group], made, summary
 
 
 # --- report ---
 
-def cmd_report(settings: dict) -> tuple[dict[Path, str], str]:
+def cmd_report(settings: dict) -> tuple[list[Path], list[Path], str]:
     metrics_root = settings["metrics"]
     if not metrics_root.is_dir():
         raise TrendnetError(f"{metrics_root}: not a directory", 3)
@@ -357,15 +409,16 @@ def cmd_report(settings: dict) -> tuple[dict[Path, str], str]:
 
     out_path = settings["out"]
     stem = out_path.stem if out_path.suffix else out_path.name
-    texts = {}
-    for window in windows:
-        points = table.take([i for i, w in enumerate(table.window_days) if w == window])
-        name = f"{stem}_w{window}"
-        with prefixed(f"{metrics_root}: window {window}"):
-            texts[out_path.with_name(f"{name}.svg")] = render.render_metric_chart(
-                points, events, metric=settings["metric"])
-        texts[out_path.with_name(f"{name}.json")] = render.metrics_report_json(points, events)
-    return texts, f"reported windows {windows} -> {out_path.parent or Path('.')}"
+    charts = {window: out_path.with_name(f"{stem}_w{window}.svg") for window in windows}
+    targets = [path for chart in charts.values() for path in (chart, chart.with_suffix(".json"))]
+    with _staging(out_path.parent, targets) as made:
+        for window, chart in charts.items():
+            points = table.take([i for i, w in enumerate(table.window_days) if w == window])
+            with prefixed(f"{metrics_root}: window {window}"):
+                svg = render.render_metric_chart(points, events, metric=settings["metric"])
+            _write_part(chart, svg)
+            _write_part(chart.with_suffix(".json"), render.metrics_report_json(points, events))
+    return targets, made, f"reported windows {windows} -> {out_path.parent or Path('.')}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,8 +443,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # Looked up at call time, so a wrapper set on the module attribute runs.
-        texts, summary = globals()[f"cmd_{args.command}"](_settings(args))
-        _commit(texts)
+        targets, made, summary = globals()[f"cmd_{args.command}"](_settings(args))
+        _commit(targets, made)
     except TrendnetError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code

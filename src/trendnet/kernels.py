@@ -44,7 +44,7 @@ axis of the contiguous (n, k) copy of the row means: over the transposed
 `rolling_dcor` splits the frames over processes with `util.forked_map`:
 contiguous frame ranges, one per worker, each of which returns its range's
 frames through `forked_map`, as a window worker of `analyze` returns its
-texts; `rolling_dcor` joins them in order. A frame reads only its window,
+output paths; `rolling_dcor` joins them in order. A frame reads only its window,
 through the same operations in the same order in any process, and the
 once-per-range steps are a maximum and elementwise arithmetic, so the split
 moves no bit. Threads do not pay: the per-frame numpy calls are short and
@@ -86,9 +86,12 @@ def rolling_dcor(data: np.ndarray, window: int) -> np.ndarray:
     Large stacks are computed by forked workers, one contiguous frame range
     each; a worker that fails raises ChildProcessError naming its range and
     the worker's exception. It owns the dCor input rules: before any
-    arithmetic or fork, a window under 2 or over the t rows (code 4) or
-    a non-finite value raises `TrendnetError` (`errors.prefixed` adds where).
+    arithmetic or fork, data that is not 2-d, a window under 2 or over the
+    t rows (code 4) or a non-finite value raises `TrendnetError`
+    (`errors.prefixed` adds where).
     """
+    if np.ndim(data) != 2:
+        raise TrendnetError(f"data must be 2-d (days, keywords), got {np.ndim(data)}-d")
     series = np.ascontiguousarray(np.transpose(data), dtype=np.float64)  # (k, t)
     k, t = series.shape
     if window < 2:

@@ -246,19 +246,21 @@ def test_events_flag_and_custom_events(stitched_dir, tmp_path):
     assert markers[0].get("stroke") == "orange"
 
 
-def test_cmd_analyze_returns_texts_and_writes_nothing(stitched_dir, tmp_path):
+def test_cmd_analyze_writes_parts_and_places_nothing(stitched_dir, tmp_path):
     out = tmp_path / "out"
     settings = cli._settings(cli.build_parser().parse_args(
         analyze_argv(stitched_dir, "--windows", "15", "--thresholds", "0.5")))
-    texts, summary = cli.cmd_analyze(settings)
-    assert sorted(path.name for path in texts) == [
-        "correlations_w15.csv", "metrics_w15_t0.5.csv",
-        "persistence_pairs_w15.csv", "persistence_triads_w15.csv",
-    ]
-    assert all(path.parent == out for path in texts)
-    assert texts[out / "correlations_w15.csv"].startswith("label_date,keyword_a,keyword_b,dcor\n")
+    targets, made, summary = cli.cmd_analyze(settings)
+    names = ["correlations_w15.csv", "metrics_w15_t0.5.csv",
+             "persistence_pairs_w15.csv", "persistence_triads_w15.csv"]
+    assert sorted(path.name for path in targets) == names
+    assert all(path.parent == out for path in targets)
+    assert (out / ".correlations_w15.csv.part").read_text().startswith(
+        "label_date,keyword_a,keyword_b,dcor\n")
     assert str(out) in summary
-    assert not out.exists()
+    # Every output is a part beside its target; no target has been placed.
+    assert made == [out]
+    assert sorted(path.name for path in out.iterdir()) == sorted(f".{name}.part" for name in names)
 
 
 @pytest.mark.parametrize("command", sorted(cli.SETTINGS))
@@ -641,6 +643,13 @@ FAILURES = [
     ("test_failed_move_removes_files_placed_where_none_existed", lambda t, f: (
         cmd(f, "stitch"), 3,  # flu is the last target: cough and fever move first
         f"{mkdir(t / 'out/flu.csv')}: Is a directory")),
+    # The failed mkdir is the error, not a cleanup that tries to remove a part under a file.
+    *[(f"test_out_that_cannot_be_a_directory_exits_3_naming_it[{case}]",
+       lambda t, f, name=name, strerror=strerror: (
+           cmd(f, "stitch", "--out", str(out := write(t / "taken", "a file\n") / name)), 3,
+           f"{out}: {strerror}"))
+      for case, name, strerror in [("a-file", "", "File exists"),
+                                   ("under-a-file", "sub", "Not a directory")]],
     (f"{ONE_LINE}[inverted_period]", flags_case(
         "analyze", 2, "--period end 2020-04-01 precedes start 2020-06-30",
         "--period", "2020-06-30:2020-04-01")),
@@ -705,26 +714,69 @@ def test_analyze_period_without_frames_of_a_later_window_exits_2(stitched_dir, t
     assert_reaped()
 
 
-@pytest.mark.parametrize("failing, message", [
-    ("signal", "analyze worker for windows 30 died by signal 9"),
-    ("raise", "analyze worker for windows 30 exited with status 1: RuntimeError: window failed"),
-])
+@pytest.mark.parametrize("windows, failing, message", [
+    pytest.param(windows, failing, message, id=f"{failing}-{message}")
+    for windows, failing, message in [
+        ("15,30", "signal", "analyze worker for windows 30 died by signal 9"),
+        ("15,30", "raise", "analyze worker for windows 30 exited with status 1:"
+                           " RuntimeError: window failed"),
+        # The worker of windows 30 and 45 fails at 45, once it wrote window 30's parts.
+        ("15,30,45", "signal", "analyze worker for windows 30,45 died by signal 9"),
+        ("15,30,45", "raise", "analyze worker for windows 30,45 exited with status 1:"
+                              " RuntimeError: window failed"),
+    ]])
 def test_analyze_failed_window_worker_exits_3_leaving_nothing(stitched_dir, tmp_path, monkeypatch,
-                                                              failing, message):
+                                                              windows, failing, message):
     show_cpus(monkeypatch, 2)
     parent, real_correlation = os.getpid(), correlate.rolling_correlation
+    last = int(windows.rpartition(",")[2])
 
     def rolling_correlation(series, window):
-        if window == 30:
-            assert os.getpid() != parent, "window 30 ran in the parent"
+        if window == last:
+            assert os.getpid() != parent, f"window {window} ran in the parent"
+            window_30_parts = list((tmp_path / "out").glob(".*_w30*.part"))
+            assert len(window_30_parts) == (7 if last == 45 else 0)
             if failing == "signal":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise RuntimeError("window failed")
         return real_correlation(series, window)
 
     monkeypatch.setattr(correlate, "rolling_correlation", rolling_correlation)
-    assert_fails(tmp_path, analyze_argv(stitched_dir), 3, message)
+    assert_fails(tmp_path, analyze_argv(stitched_dir, "--windows", windows), 3, message)
     assert_reaped()
+
+
+def test_forked_window_worker_writes_its_own_parts(stitched_dir, tmp_path, monkeypatch):
+    show_cpus(monkeypatch, 2)
+    log, real_write = tmp_path / "writes.log", Path.write_text
+
+    def write_text(path, text, *args, **kwargs):
+        with open(log, "a") as writes:  # one short append per write, from any process
+            writes.write(f"{os.getpid()} {path.name}\n")
+        return real_write(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    assert main(analyze_argv(stitched_dir)) == 0
+    writers = {}
+    for line in log.read_text().splitlines():
+        pid, name = line.split()
+        writers.setdefault("_w30" in name, []).append(int(pid))
+    assert len(writers[True]) == 7 and os.getpid() not in writers[True]
+    assert set(writers[False]) == {os.getpid()}
+
+
+def test_window_parts_are_written_before_the_next_window_runs(stitched_dir, tmp_path,
+                                                              monkeypatch):
+    show_cpus(monkeypatch, 1)
+    real_correlation, seen = correlate.rolling_correlation, {}
+
+    def rolling_correlation(series, window):
+        seen[window] = (tmp_path / "out" / ".correlations_w15.csv.part").exists()
+        return real_correlation(series, window)
+
+    monkeypatch.setattr(correlate, "rolling_correlation", rolling_correlation)
+    assert main(analyze_argv(stitched_dir)) == 0
+    assert seen == {15: False, 30: True}
 
 
 @pytest.mark.parametrize("failing, message", [

@@ -127,6 +127,9 @@ FAILURES = [  # (test id, call, message[, code, kind])
     *[(f"test_rolling_dcor_rejects_a_window_outside_2_to_the_rows[{window}]",
        lambda window=window: kernels.rolling_dcor(np.ones((10, 3)), window),
        f"window of {window} days exceeds 10 days of data", 4) for window in (11, 12, 40)],
+    *[(f"test_rolling_dcor_rejects_data_not_2_d[{len(shape)}-d]",
+       lambda shape=shape: kernels.rolling_dcor(np.ones(shape), 3),
+       f"data must be 2-d (days, keywords), got {len(shape)}-d") for shape in [(10,), (10, 3, 2)]],
     # Unchecked, one NaN would make the dCor of every frame whose window holds it NaN.
     *[(f"test_rolling_dcor_rejects_non_finite_data[{bad}]",
        lambda bad=bad: kernels.rolling_dcor(
