@@ -11,10 +11,11 @@ as is a repeated value of a repeatable setting. Checks across values (the
 span's order, a period's frames) name each value's source the same way.
 `cmd_<command>` then computes its outputs, parsing no setting, and writes
 each text to a hidden `.<name>.part` beside its target as soon as it is
-computed, in the process that computed it: a forked window worker of
-`analyze` writes its own windows' parts and sends back only their paths, so
-no process holds more than one window's outputs, and that is `analyze`'s
-peak, not every window's. Only the parent places them: `_commit` moves
+computed, in the process that computed it: a forked keyword worker of
+`stitch` and a forked window worker of `analyze` write the parts of their
+own keywords or windows and send back only their paths, so no process holds
+more than one window's outputs, and that is `analyze`'s peak, not every
+window's. Only the parent places them: `_commit` moves
 every part into place, keeping each replaced file as `.<name>.prev` until
 the last move. A failed command leaves no output, no part and no directory
 it created, and puts back any file it had replaced.
@@ -309,9 +310,12 @@ def cmd_stitch(settings: dict) -> tuple[list[Path], list[Path], str]:
 
     out = settings["out"]
     targets = [out / f"{kw}.csv" for kw in registry.keywords]
+    # The keywords are independent, so contiguous groups of them run on every CPU;
+    # a forked group writes its own parts and sends back only their paths.
     with _staging(out, targets) as made:
-        for target, kw in zip(targets, registry.keywords):
-            _write_part(target, stitch_keyword(kw))
+        util.forked_map(
+            lambda group: [_write_part(out / f"{kw}.csv", stitch_keyword(kw)) for kw in group],
+            registry.keywords, lambda group: f"stitch worker for keywords {group[0]}..{group[-1]}")
     return targets, made, f"stitched {len(targets)} keywords -> {out}"
 
 

@@ -8,7 +8,9 @@ import io
 import math
 import os
 import pickle
+import sys
 import threading
+import warnings
 from collections.abc import Callable, Iterator, Sequence
 from datetime import date, timedelta
 
@@ -145,6 +147,18 @@ def _max_workers() -> int:
         return os.cpu_count() or 1
 
 
+def _warn_again(text: str, category: type, filename: str, lineno: int) -> None:
+    """Warn as a forked child's `warnings.warn` did at `filename:lineno`: under the name
+    and registry of that file's module, so its filters and once-per-line rule apply here."""
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    if module is None:  # a module of None would drop the warning
+        warnings.warn_explicit(text, category, filename, lineno)
+    else:
+        warnings.warn_explicit(text, category, filename, lineno, module.__name__,
+                               vars(module).setdefault("__warningregistry__", {}))
+
+
 def forked_map(work: Callable[[Sequence], object], items: Sequence,
                name: Callable[[Sequence], str], most: int | None = None) -> list:
     """`[work(part) for part in parts]`, the parts computed on every CPU.
@@ -164,6 +178,12 @@ def forked_map(work: Callable[[Sequence], object], items: Sequence,
     of CPUs. A child that raised anything else, exited nonzero or died by a
     signal raises ChildProcessError, `name(part)` followed by how it ended
     and, if it raised, its exception.
+
+    A child records the warnings of its slice and sends them back with its
+    reply, failed or not; they are warned here, at the place each was warned
+    in the child, in slice order after this process's own, up to and including
+    the first failing slice's. So a filter here, "error" included, sees every
+    warning that one process would, in the same order.
     """
     workers = max(1, min(_max_workers(), len(items), len(items) if most is None else most))
     parts = [items[len(items) * i // workers : len(items) * (i + 1) // workers]
@@ -182,14 +202,16 @@ def forked_map(work: Callable[[Sequence], object], items: Sequence,
                 code = 1
                 try:
                     os.close(reader)
-                    with open(writer, "wb") as pipe:
+                    with open(writer, "wb") as pipe, warnings.catch_warnings(record=True) as log:
+                        warnings.simplefilter("always")
                         try:
                             reply, status = work(part), 0
                         except TrendnetError as err:
                             reply, status = err, 1
                         except Exception as err:
                             reply, status = f"{type(err).__name__}: {err}".replace("\n", " "), 1
-                        pickle.dump(reply, pipe)
+                        warned = [(str(w.message), w.category, w.filename, w.lineno) for w in log]
+                        pickle.dump((reply, warned), pipe)
                     code = status
                 finally:
                     os._exit(code)
@@ -202,11 +224,13 @@ def forked_map(work: Callable[[Sequence], object], items: Sequence,
             # Read before waiting: a child blocks on a full pipe until its reply is read.
             with open(reader, "rb") as pipe:
                 try:
-                    reply = pickle.load(pipe)
+                    reply, warned = pickle.load(pipe)
                 except (EOFError, pickle.UnpicklingError):  # the child ended before it replied
-                    reply = ""
-            replies.append((part, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), reply))
-    for part, code, reply in replies:
+                    reply, warned = "", []
+            replies.append((part, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), reply, warned))
+    for part, code, reply, warned in replies:
+        for warning in warned:
+            _warn_again(*warning)
         if code == 0:
             results.append(reply)
             continue

@@ -11,13 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trendnet import cli, correlate, kernels
+from trendnet import cli, correlate, kernels, stitch
 from trendnet.cli import main
 from trendnet.ingest import parse_stitched
 
 from helpers import (SPAN_END, SPAN_START, assert_fails, assert_raises, assert_reaped, by_test_id,
-                     flat_latent_series, mkdir, plant, remove, rename_files, show_cpus, write,
-                     write_export_tree)
+                     flat_latent_series, mkdir, plant, remove, rename_files, show_cpus, tree_bytes,
+                     write, write_export_tree)
 
 KW3 = ("cough", "fever", "flu")
 REGISTRY3 = (
@@ -850,7 +850,97 @@ def test_analyze_write_failure_leaves_no_output(stitched_dir, tmp_path, monkeypa
 
 
 def test_stitch_write_failure_keeps_earlier_output(export_tree, tmp_path, monkeypatch):
+    show_cpus(monkeypatch, 1)  # `fail_third_write` counts the writes of one process
     write(mkdir(tmp_path / "out") / "cough.csv", "earlier run\n")
     fail_third_write(monkeypatch)
     assert_fails(tmp_path, stitch_argv(export_tree), 3,
                  f"{tmp_path / 'out' / 'flu.csv'}: No space left on device")
+
+
+def test_stitch_forked_worker_write_failure_leaves_nothing(export_tree, tmp_path, monkeypatch):
+    show_cpus(monkeypatch, 2)
+    write(mkdir(tmp_path / "out") / "cough.csv", "earlier run\n")
+    real_write, parent = Path.write_text, os.getpid()
+
+    def write_text(path, text, *args, **kwargs):
+        if path.name == ".flu.csv.part":
+            assert os.getpid() != parent, "flu was stitched in the parent"
+            real_write(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    assert_fails(tmp_path, stitch_argv(export_tree), 3,
+                 f"{tmp_path / 'out' / 'flu.csv'}: No space left on device")
+    assert_reaped()
+
+
+# --- stitch on every CPU: on 2 CPUs cough is stitched here, fever and flu by a worker ---
+
+def test_stitch_outputs_do_not_depend_on_cpus(export_tree, monkeypatch, capsys):
+    runs = []
+    for cpus in (1, 2, 3):
+        forks = show_cpus(monkeypatch, cpus)
+        assert main(stitch_argv(export_tree)) == 0
+        assert len(forks) == cpus - 1
+        runs.append((tree_bytes(export_tree / "out"), capsys.readouterr()))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][1].err == ""
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_stitch_earliest_failing_keyword_decides_on_any_cpus(export_tree, tmp_path, monkeypatch,
+                                                             cpus):
+    show_cpus(monkeypatch, cpus)
+    remove(tmp_path / "weekly" / "flu.csv")  # would exit 3
+    fever = plant(tmp_path / "daily" / "fever" / "2.csv", 5, "2020-13-01", 0)
+    assert_fails(tmp_path, stitch_argv(export_tree), 2,
+                 f"{fever}: line 5: date '2020-13-01' does not parse")
+    assert_reaped()
+
+
+def test_stitch_segment_peak_warning_of_a_forked_keyword_names_file(export_tree, monkeypatch):
+    forks = show_cpus(monkeypatch, 2)
+    seg = export_tree / "daily" / "flu" / "1.csv"
+    seg.write_text(re.sub(r",100$", ",60", seg.read_text(), flags=re.M), "utf-8")
+    with pytest.warns(UserWarning) as log:
+        assert main(stitch_argv(export_tree)) == 0
+    assert len(forks) == 1
+    assert [str(w.message).partition(" has max ")[0] for w in log] == [
+        f"{seg}: segment starting 2020-03-16"]
+    assert log[0].filename == cli.__file__  # where `_parse` warns it in one process
+
+
+def test_forked_keyword_worker_writes_its_own_parts(export_tree, tmp_path, monkeypatch):
+    show_cpus(monkeypatch, 2)
+    log, real_write = tmp_path / "writes.log", Path.write_text
+
+    def write_text(path, text, *args, **kwargs):
+        with open(log, "a") as writes:  # one short append per write, from any process
+            writes.write(f"{os.getpid()} {path.name}\n")
+        return real_write(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    assert main(stitch_argv(export_tree)) == 0
+    lines = log.read_text().splitlines()
+    writers = {name: int(pid) for pid, name in map(str.split, lines)}
+    assert len(lines) == len(writers)
+    assert sorted(writers) == [".cough.csv.part", ".fever.csv.part", ".flu.csv.part"]
+    assert writers[".cough.csv.part"] == os.getpid()
+    assert writers[".fever.csv.part"] == writers[".flu.csv.part"] != os.getpid()
+
+
+def test_stitch_killed_keyword_worker_exits_3_leaving_nothing(export_tree, tmp_path, monkeypatch):
+    show_cpus(monkeypatch, 2)
+    real_stitch, parent = stitch.stitch_series, os.getpid()
+
+    def stitch_series(daily, weekly):
+        # The worker dies at flu, once it wrote fever's part.
+        if os.getpid() != parent and (tmp_path / "out" / ".fever.csv.part").exists():
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_stitch(daily, weekly)
+
+    monkeypatch.setattr(stitch, "stitch_series", stitch_series)
+    assert_fails(tmp_path, stitch_argv(export_tree), 3,
+                 "stitch worker for keywords fever..flu died by signal 9")
+    assert_reaped()

@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import pickle
+import warnings
 from datetime import date, timedelta
 
 import pytest
@@ -153,4 +154,90 @@ def test_forked_map_own_part_error_wins_after_waiting(monkeypatch):
         raise TrendnetError(f"part {part[0]}")
 
     assert_raises(lambda: forked_map(work, [0, 1, 2], str), "part 0")
+    assert_reaped()
+
+
+PART_WARNINGS = (UserWarning, RuntimeWarning, FutureWarning)  # the warning of part 0, 1, 2
+
+
+def warn_then(fail: int | None = None):
+    """The work of a part [i]: warn `part i` as category i, then raise if i is `fail`."""
+    def work(part):
+        warnings.warn(f"part {part[0]}", PART_WARNINGS[part[0]])
+        if part[0] == fail:
+            raise TrendnetError(f"part {part[0]}", 3)
+        return part
+    return work
+
+
+def relayed(call) -> list:
+    """`(category, text)` of each warning `call()` warns here, in order, and the
+    one (file, line) they were all warned at."""
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        call()
+    assert len({(w.filename, w.lineno) for w in log}) == 1
+    return [(w.category, str(w.message)) for w in log]
+
+
+def test_forked_map_relays_child_warnings_in_slice_order(monkeypatch):
+    forks = show_cpus(monkeypatch, 3)
+    assert relayed(lambda: forked_map(warn_then(), [0, 1, 2], str)) == [
+        (UserWarning, "part 0"), (RuntimeWarning, "part 1"), (FutureWarning, "part 2")]
+    assert len(forks) == 2
+    assert_reaped()
+
+
+def test_forked_map_drops_warnings_after_the_first_failing_part(monkeypatch):
+    show_cpus(monkeypatch, 3)
+    assert relayed(lambda: assert_raises(lambda: forked_map(warn_then(1), [0, 1, 2], str),
+                                         "part 1", 3)) == [(UserWarning, "part 0"),
+                                                           (RuntimeWarning, "part 1")]
+    assert_reaped()
+
+
+def test_forked_map_relayed_warning_raises_under_an_error_filter(monkeypatch):
+    forks = show_cpus(monkeypatch, 3)
+
+    def work(part):
+        if part[0]:
+            warnings.warn(f"part {part[0]}")
+        return part
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_raises(lambda: forked_map(work, [0, 1, 2], str), "part 1", kind=UserWarning)
+    assert len(forks) == 2
+    assert_reaped()
+
+
+def test_forked_map_relayed_warnings_meet_the_filters_of_their_module(monkeypatch):
+    """A relayed warning is filtered as if warned here: by its module's name, and
+    under "default" once per text and line in that module's registry."""
+    show_cpus(monkeypatch, 3)
+
+    def work(part):
+        warnings.warn("the same text at the same line")
+        return part
+
+    for action, module, shown in [("default", "", 1), ("ignore", __name__, 0)]:
+        with warnings.catch_warnings(record=True) as log:
+            warnings.filterwarnings(action, module=module)
+            forked_map(work, [0, 1, 2], str)
+        assert len(log) == shown, action
+    assert_reaped()
+
+
+def test_forked_map_relays_a_warning_of_no_module_file(monkeypatch):
+    show_cpus(monkeypatch, 2)
+
+    def work(part):
+        warnings.warn_explicit(f"part {part[0]}", UserWarning, "<string>", 1)
+        return part
+
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        forked_map(work, [0, 1], str)
+    assert [(str(w.message), w.filename) for w in log] == [("part 0", "<string>"),
+                                                           ("part 1", "<string>")]
     assert_reaped()
