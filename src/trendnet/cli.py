@@ -9,16 +9,13 @@ once into a typed one and naming its source in an error: the flag
 (`run.cfg: config line 2: windows must be ...`); empty text is an error,
 as is a repeated value of a repeatable setting. Checks across values (the
 span's order, a period's frames) name each value's source the same way.
-`cmd_<command>` then computes its outputs, parsing no setting, and writes
-each text to a hidden `.<name>.part` beside its target as soon as it is
-computed, in the process that computed it: a forked keyword worker of
-`stitch` and a forked window worker of `analyze` write the parts of their
-own keywords or windows and send back only their paths, so no process holds
-more than one window's outputs, and that is `analyze`'s peak, not every
-window's. Only the parent places them: `_commit` moves
-every part into place, keeping each replaced file as `.<name>.prev` until
-the last move. A failed command leaves no output, no part and no directory
-it created, and puts back any file it had replaced.
+`cmd_<command>` then computes its outputs, parsing no setting, in one
+`_Outputs` block, which writes each text to its part as soon as it is
+computed, in the process that computed it, and places every part when the
+block ends. A forked keyword worker of `stitch` or window worker of
+`analyze` writes its own parts and replies with nothing, so no process holds
+more than one window's outputs. A failed command leaves no output, no part
+and no directory it created, and puts back any file it had replaced.
 
 Every failure is a `TrendnetError`, whose `code` is the exit status (2 bad
 input or parameters, 3 I/O, 4 too little data for a window), or an
@@ -35,7 +32,6 @@ import argparse
 import os
 import sys
 import warnings
-from contextlib import contextmanager
 from datetime import date, timedelta
 from itertools import takewhile
 from pathlib import Path
@@ -45,6 +41,11 @@ from .errors import TrendnetError, prefixed
 from .registry import KeywordRegistry, check_separator
 
 
+def _io_error(path: Path, err: OSError) -> TrendnetError:
+    """The exit-3 error of an I/O failure at `path`."""
+    return TrendnetError(f"{path}: {err.strerror or err}", 3)
+
+
 def _parse(path: Path, parse, *args):
     """`parse(text, *args)` of the file at `path`, read as UTF-8 without a leading
     byte-order mark; its errors and warnings are prefixed with the path, errors
@@ -52,7 +53,7 @@ def _parse(path: Path, parse, *args):
     try:
         text = path.read_text("utf-8-sig")
     except OSError as err:
-        raise TrendnetError(f"{path}: {err.strerror or err}", 3) from err
+        raise _io_error(path, err) from err
     with prefixed(path), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         parsed = parse(text, *args)
@@ -61,73 +62,69 @@ def _parse(path: Path, parse, *args):
     return parsed
 
 
-def _part(path: Path) -> Path:
-    """The hidden file beside `path` that its text is written to before it is placed."""
-    return path.with_name(f".{path.name}.part")
+class _Outputs:
+    """A `with` block that places all of a command's `targets` or none.
 
-
-def _write_part(path: Path, text: str) -> Path:
-    """Write `text` to the part of `path` and return `path`; a failed write exits 3 naming `path`."""
-    try:
-        _part(path).write_text(text, "utf-8")
-    except OSError as err:
-        raise TrendnetError(f"{path}: {err.strerror or err}", 3) from err
-    return path
-
-
-def _discard(targets: list[Path], made: list[Path]) -> None:
-    """Remove the part of each target, where there is one, and the directories `made`."""
-    for path in targets:
-        _part(path).unlink(missing_ok=True)
-    for directory in reversed(made):  # deepest first; a failed mkdir may have made fewer
-        if directory.exists():
-            directory.rmdir()
-
-
-@contextmanager
-def _staging(directory: Path, targets: list[Path]):
-    """Create `directory` and its missing parents, and yield those created, shallowest
-    first, to the block, which writes the parts of `targets`. If the block fails, every
-    part of `targets` and the created directories are removed; a failed mkdir exits 3."""
-    made = [*takewhile(lambda d: not d.exists(), [directory, *directory.parents])][::-1]
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        _discard([], made)
-        raise TrendnetError(f"{directory}: {err.strerror or err}", 3) from err
-    try:
-        yield made
-    except BaseException:
-        _discard(targets, made)
-        raise
-
-
-def _commit(targets: list[Path], made: list[Path]) -> None:
-    """Move the part of each target into place, in order.
-
-    Each target replaced so far is kept as `.<name>.prev` until every part is
-    in place; if a move fails, the earlier files are put back, and the parts
-    and the directories `made` for them are removed.
+    Entering creates `directory`, which holds every target, and its missing
+    parents. `write` writes a target's text to its hidden `.<name>.part`, in
+    any process. When the block ends, the parts are moved into place in order,
+    each replaced file kept as `.<name>.prev` until the last move. If the block
+    raises or a move fails, every file is put back as it was and each part and
+    created directory removed. Each OSError exits 3 naming its path.
     """
-    prevs, placed = {}, []
-    try:
-        for path in targets:
-            if path.is_symlink() or path.exists() and not path.is_dir():
-                prev = path.with_name(f".{path.name}.prev")
-                os.replace(path, prev)
-                prevs[path] = prev
-            os.replace(_part(path), path)
-            placed.append(path)
-    except OSError as err:
-        for new in placed:
-            if new not in prevs:
-                new.unlink()
-        for target, prev in prevs.items():
-            os.replace(prev, target)
-        _discard(targets, made)
-        raise TrendnetError(f"{path}: {err.strerror or err}", 3) from err
-    for prev in prevs.values():
-        prev.unlink()
+
+    def __init__(self, directory: Path, targets: list[Path]):
+        self.directory, self.targets = directory, targets
+
+    @staticmethod
+    def _part(path: Path) -> Path:
+        return path.with_name(f".{path.name}.part")
+
+    def __enter__(self) -> _Outputs:
+        directory, self.placed, self.prevs = self.directory, [], {}
+        # The directories created, shallowest first; a failed mkdir may create fewer.
+        self.made = [*takewhile(lambda d: not d.exists(), [directory, *directory.parents])][::-1]
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            self._undo(parts=False)  # none was written, and none can be under a file
+            raise _io_error(directory, err) from err
+        return self
+
+    def write(self, path: Path, text: str) -> None:
+        try:
+            self._part(path).write_text(text, "utf-8")
+        except OSError as err:
+            raise _io_error(path, err) from err
+
+    def __exit__(self, kind, error, trace) -> None:
+        if kind is not None:
+            self._undo()
+            return
+        try:
+            for path in self.targets:
+                if path.is_symlink() or path.exists() and not path.is_dir():
+                    self.prevs[path] = path.with_name(f".{path.name}.prev")
+                    os.replace(path, self.prevs[path])
+                os.replace(self._part(path), path)
+                self.placed.append(path)
+        except OSError as err:
+            self._undo()
+            raise _io_error(path, err) from err
+        for prev in self.prevs.values():
+            prev.unlink()
+
+    def _undo(self, parts: bool = True) -> None:
+        for path in self.placed:
+            if path not in self.prevs:
+                path.unlink()
+        for path, prev in self.prevs.items():
+            os.replace(prev, path)
+        for path in self.targets if parts else ():
+            self._part(path).unlink(missing_ok=True)
+        for directory in reversed(self.made):
+            if directory.exists():
+                directory.rmdir()
 
 
 def _load_registry(path: Path | None) -> KeywordRegistry:
@@ -284,7 +281,7 @@ def _settings(args: argparse.Namespace) -> dict:
 
 # --- stitch ---
 
-def cmd_stitch(settings: dict) -> tuple[list[Path], list[Path], str]:
+def cmd_stitch(settings: dict) -> str:
     registry = _load_registry(settings["registry"])
     span = (settings["span_start"], settings["span_end"])
     if span[1] < span[0]:
@@ -295,28 +292,29 @@ def cmd_stitch(settings: dict) -> tuple[list[Path], list[Path], str]:
         if not root.is_dir():
             raise TrendnetError(f"{root}: not a directory", 3)
 
-    def stitch_keyword(keyword: str) -> str:
-        seg_dir = daily_root / keyword
-        if not seg_dir.is_dir():
-            raise TrendnetError(f"{seg_dir}: missing daily segment directory", 3)
-        seg_files = sorted(seg_dir.glob("*.csv"))
-        if not seg_files:
-            raise TrendnetError(f"{seg_dir}: no segment CSV files", 3)
-        segments = [_parse(seg_file, ingest.parse_daily_segment) for seg_file in seg_files]
-        weekly = _parse(weekly_root / f"{keyword}.csv", ingest.parse_weekly)
-        with prefixed(seg_dir):
-            rescaled = stitch.stitch_series(ingest.assemble_daily(segments, span=span), weekly)
-        return ingest.emit_daily_csv(rescaled)
-
     out = settings["out"]
-    targets = [out / f"{kw}.csv" for kw in registry.keywords]
+    outputs = _Outputs(out, [out / f"{kw}.csv" for kw in registry.keywords])
+
+    def stitch_keywords(keywords: tuple[str, ...]) -> None:
+        for keyword in keywords:
+            seg_dir = daily_root / keyword
+            if not seg_dir.is_dir():
+                raise TrendnetError(f"{seg_dir}: missing daily segment directory", 3)
+            seg_files = sorted(seg_dir.glob("*.csv"))
+            if not seg_files:
+                raise TrendnetError(f"{seg_dir}: no segment CSV files", 3)
+            segments = [_parse(seg_file, ingest.parse_daily_segment) for seg_file in seg_files]
+            weekly = _parse(weekly_root / f"{keyword}.csv", ingest.parse_weekly)
+            with prefixed(seg_dir):
+                rescaled = stitch.stitch_series(ingest.assemble_daily(segments, span=span), weekly)
+            outputs.write(out / f"{keyword}.csv", ingest.emit_daily_csv(rescaled))
+
     # The keywords are independent, so contiguous groups of them run on every CPU;
-    # a forked group writes its own parts and sends back only their paths.
-    with _staging(out, targets) as made:
-        util.forked_map(
-            lambda group: [_write_part(out / f"{kw}.csv", stitch_keyword(kw)) for kw in group],
-            registry.keywords, lambda group: f"stitch worker for keywords {group[0]}..{group[-1]}")
-    return targets, made, f"stitched {len(targets)} keywords -> {out}"
+    # a forked group writes its own parts and replies with nothing.
+    with outputs:
+        util.forked_map(stitch_keywords, registry.keywords,
+                        lambda group: f"stitch worker for keywords {group[0]}..{group[-1]}")
+    return f"stitched {len(registry.keywords)} keywords -> {out}"
 
 
 # --- analyze ---
@@ -338,23 +336,22 @@ def _load_stitched(stitched_dir: Path, registry: Path | None):
 
 
 def _window_outputs(out_root: Path, window: int, thresholds: list[float]) -> list[Path]:
-    """The output files of one window, in the order `_analyze_windows` writes them."""
+    """The output files of one window, in the order `_analyze_windows` writes their parts;
+    `cmd_analyze`'s `_Outputs` block places every window's, so a worker returns nothing."""
     return [out_root / f"correlations_w{window}.csv",
             *(out_root / f"metrics_w{window}_t{theta:g}.csv" for theta in thresholds),
             *(out_root / f"persistence_{kind}_w{window}.csv" for kind in ("pairs", "triads"))]
 
 
-def _analyze_windows(series: dict, windows: list[int], settings: dict) -> list[Path]:
+def _analyze_windows(series: dict, windows: list[int], settings: dict, outputs: _Outputs) -> None:
     """Write the correlation, metrics and persistence texts of each window, in window
-    order, each to its part as soon as it is computed; returns their target paths."""
+    order, each with `outputs.write` as soon as it is computed."""
     explicit_periods, thresholds = settings["period"], settings["thresholds"]
-    written = []
     for window in windows:
-        outputs = _window_outputs(settings["out"], window, thresholds)
-        correlations, *metrics, pairs, triads = outputs
+        correlations, *metrics, pairs, triads = _window_outputs(settings["out"], window, thresholds)
         with prefixed(settings["stitched"]):
             frames = correlate.rolling_correlation(series, window)
-        _write_part(correlations, correlate.emit_correlations_csv(frames))
+        outputs.write(correlations, correlate.emit_correlations_csv(frames))
 
         first, last = frames.label_dates[[0, -1]].tolist()
         periods = []
@@ -369,34 +366,31 @@ def _analyze_windows(series: dict, windows: list[int], settings: dict) -> list[P
         groups = {netstat.pair_persistence: [], netstat.triad_persistence: []}
         for theta, path in zip(thresholds, metrics):
             graphs = netstat.threshold_adjacency(frames, theta)
-            _write_part(path, netstat.emit_metrics_csv(netstat.frame_metrics(graphs)))
+            outputs.write(path, netstat.emit_metrics_csv(netstat.frame_metrics(graphs)))
             for persistence, found in groups.items():
                 found += [(p, theta, *c) for p, c in zip(periods, persistence(graphs, periods))]
         for path, found in zip((pairs, triads), groups.values()):
-            _write_part(path, netstat.emit_persistence_csv(frames.keywords, found))
-        written += outputs
-    return written
+            outputs.write(path, netstat.emit_persistence_csv(frames.keywords, found))
 
 
-def cmd_analyze(settings: dict) -> tuple[list[Path], list[Path], str]:
+def cmd_analyze(settings: dict) -> str:
     series = _load_stitched(settings["stitched"], settings["registry"])
     windows, out = settings["windows"], settings["out"]
     every = [path for window in windows
              for path in _window_outputs(out, window, settings["thresholds"])]
     # The windows are independent, so contiguous groups of them run on every CPU;
-    # a forked group writes its own parts and sends back only their paths.
-    with _staging(out, every) as made:
-        groups = util.forked_map(
-            lambda group: _analyze_windows(series, group, settings), windows,
+    # a forked group writes its own parts and replies with nothing.
+    with _Outputs(out, every) as outputs:
+        util.forked_map(
+            lambda group: _analyze_windows(series, group, settings, outputs), windows,
             lambda group: f"analyze worker for windows {','.join(map(str, group))}")
-    summary = (f"analyzed {len(series)} keywords, windows {windows},"
-               f" thresholds {settings['thresholds']} -> {out}")
-    return [path for group in groups for path in group], made, summary
+    return (f"analyzed {len(series)} keywords, windows {windows},"
+            f" thresholds {settings['thresholds']} -> {out}")
 
 
 # --- report ---
 
-def cmd_report(settings: dict) -> tuple[list[Path], list[Path], str]:
+def cmd_report(settings: dict) -> str:
     metrics_root = settings["metrics"]
     if not metrics_root.is_dir():
         raise TrendnetError(f"{metrics_root}: not a directory", 3)
@@ -415,14 +409,14 @@ def cmd_report(settings: dict) -> tuple[list[Path], list[Path], str]:
     stem = out_path.stem if out_path.suffix else out_path.name
     charts = {window: out_path.with_name(f"{stem}_w{window}.svg") for window in windows}
     targets = [path for chart in charts.values() for path in (chart, chart.with_suffix(".json"))]
-    with _staging(out_path.parent, targets) as made:
+    with _Outputs(out_path.parent, targets) as outputs:
         for window, chart in charts.items():
             points = table.take([i for i, w in enumerate(table.window_days) if w == window])
             with prefixed(f"{metrics_root}: window {window}"):
                 svg = render.render_metric_chart(points, events, metric=settings["metric"])
-            _write_part(chart, svg)
-            _write_part(chart.with_suffix(".json"), render.metrics_report_json(points, events))
-    return targets, made, f"reported windows {windows} -> {out_path.parent or Path('.')}"
+            outputs.write(chart, svg)
+            outputs.write(chart.with_suffix(".json"), render.metrics_report_json(points, events))
+    return f"reported windows {windows} -> {out_path.parent or Path('.')}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,8 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # Looked up at call time, so a wrapper set on the module attribute runs.
-        targets, made, summary = globals()[f"cmd_{args.command}"](_settings(args))
-        _commit(targets, made)
+        summary = globals()[f"cmd_{args.command}"](_settings(args))
     except TrendnetError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code

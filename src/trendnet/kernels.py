@@ -43,14 +43,14 @@ axis of the contiguous (n, k) copy of the row means: over the transposed
 
 `rolling_dcor` splits the frames over processes with `util.forked_map`:
 contiguous frame ranges, one per worker, each of which returns its range's
-frames through `forked_map`, as a window worker of `analyze` returns its
-output paths; `rolling_dcor` joins them in order. A frame reads only its window,
-through the same operations in the same order in any process, and the
-once-per-range steps are a maximum and elementwise arithmetic, so the split
-moves no bit. Threads do not pay: the per-frame numpy calls are short and
-serialise on the interpreter lock. On a 2-CPU Xeon host (K = 15, n = 60 and
-90, two years of days) two threads took 0.8-1.7x the serial time, two
-processes 0.53-0.72x.
+frames through `forked_map` (a window worker of `analyze` returns nothing:
+`cmd_analyze`'s `_Outputs` places its parts); `rolling_dcor` joins them in
+order. A frame reads only its window, through the same operations in the
+same order in any process, and the once-per-range steps are a maximum and
+elementwise arithmetic, so the split moves no bit. Threads do not pay: the
+per-frame numpy calls are short and serialise on the interpreter lock. On a
+2-CPU Xeon host (K = 15, n = 60 and 90, two years of days) two threads took
+0.8-1.7x the serial time, two processes 0.53-0.72x.
 
 Workers are at most one per MIN_WORKER_WORK frames * k * n**2 units. On
 that host a fork and wait cost 6-11 ms, the serial kernel runs 4.3e7

@@ -183,7 +183,8 @@ def forked_map(work: Callable[[Sequence], object], items: Sequence,
     reply, failed or not; they are warned here, at the place each was warned
     in the child, in slice order after this process's own, up to and including
     the first failing slice's. So a filter here, "error" included, sees every
-    warning that one process would, in the same order.
+    warning that one process would, in the same order. A child whose reply or
+    warnings pickle cannot write fails, and sends pickle's error in their place.
     """
     workers = max(1, min(_max_workers(), len(items), len(items) if most is None else most))
     parts = [items[len(items) * i // workers : len(items) * (i + 1) // workers]
@@ -211,7 +212,11 @@ def forked_map(work: Callable[[Sequence], object], items: Sequence,
                         except Exception as err:
                             reply, status = f"{type(err).__name__}: {err}".replace("\n", " "), 1
                         warned = [(str(w.message), w.category, w.filename, w.lineno) for w in log]
-                        pickle.dump((reply, warned), pipe)
+                        try:  # whole before any byte is sent, so a failure sends its cause
+                            data = pickle.dumps((reply, warned))
+                        except Exception as err:  # a lambda, say, or a class local to `work`
+                            data, status = pickle.dumps((f"{type(err).__name__}: {err}", [])), 1
+                        pipe.write(data)
                     code = status
                 finally:
                     os._exit(code)

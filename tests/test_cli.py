@@ -246,21 +246,18 @@ def test_events_flag_and_custom_events(stitched_dir, tmp_path):
     assert markers[0].get("stroke") == "orange"
 
 
-def test_cmd_analyze_writes_parts_and_places_nothing(stitched_dir, tmp_path):
+def test_cmd_analyze_places_its_outputs(stitched_dir, tmp_path):
     out = tmp_path / "out"
     settings = cli._settings(cli.build_parser().parse_args(
         analyze_argv(stitched_dir, "--windows", "15", "--thresholds", "0.5")))
-    targets, made, summary = cli.cmd_analyze(settings)
-    names = ["correlations_w15.csv", "metrics_w15_t0.5.csv",
-             "persistence_pairs_w15.csv", "persistence_triads_w15.csv"]
-    assert sorted(path.name for path in targets) == names
-    assert all(path.parent == out for path in targets)
-    assert (out / ".correlations_w15.csv.part").read_text().startswith(
+    summary = cli.cmd_analyze(settings)
+    # Exactly the four outputs, with no `.part` or `.prev` beside them.
+    assert sorted(out.iterdir()) == [out / name for name in [
+        "correlations_w15.csv", "metrics_w15_t0.5.csv",
+        "persistence_pairs_w15.csv", "persistence_triads_w15.csv"]]
+    assert (out / "correlations_w15.csv").read_text().startswith(
         "label_date,keyword_a,keyword_b,dcor\n")
     assert str(out) in summary
-    # Every output is a part beside its target; no target has been placed.
-    assert made == [out]
-    assert sorted(path.name for path in out.iterdir()) == sorted(f".{name}.part" for name in names)
 
 
 @pytest.mark.parametrize("command", sorted(cli.SETTINGS))
@@ -746,16 +743,21 @@ def test_analyze_failed_window_worker_exits_3_leaving_nothing(stitched_dir, tmp_
     assert_reaped()
 
 
-def test_forked_window_worker_writes_its_own_parts(stitched_dir, tmp_path, monkeypatch):
-    show_cpus(monkeypatch, 2)
-    log, real_write = tmp_path / "writes.log", Path.write_text
+def log_writes(monkeypatch, log: Path) -> None:
+    """Append `<pid> <file name>` to `log` for each `Path.write_text`, from any process."""
+    real_write = Path.write_text
 
     def write_text(path, text, *args, **kwargs):
-        with open(log, "a") as writes:  # one short append per write, from any process
+        with open(log, "a") as writes:  # one short append per write
             writes.write(f"{os.getpid()} {path.name}\n")
         return real_write(path, text, *args, **kwargs)
 
     monkeypatch.setattr(Path, "write_text", write_text)
+
+
+def test_forked_window_worker_writes_its_own_parts(stitched_dir, tmp_path, monkeypatch):
+    show_cpus(monkeypatch, 2)
+    log_writes(monkeypatch, log := tmp_path / "writes.log")
     assert main(analyze_argv(stitched_dir)) == 0
     writers = {}
     for line in log.read_text().splitlines():
@@ -777,6 +779,23 @@ def test_window_parts_are_written_before_the_next_window_runs(stitched_dir, tmp_
     monkeypatch.setattr(correlate, "rolling_correlation", rolling_correlation)
     assert main(analyze_argv(stitched_dir)) == 0
     assert seen == {15: False, 30: True}
+
+
+def test_analyze_interrupted_after_a_window_leaves_nothing(stitched_dir, tmp_path, monkeypatch):
+    """An exception that is no `Exception`, raised once window 15's parts are written."""
+    show_cpus(monkeypatch, 1)
+    real_correlation = correlate.rolling_correlation
+
+    def rolling_correlation(series, window):
+        if window == 30:
+            assert (tmp_path / "out" / ".correlations_w15.csv.part").exists()
+            raise KeyboardInterrupt("stop")
+        return real_correlation(series, window)
+
+    monkeypatch.setattr(correlate, "rolling_correlation", rolling_correlation)
+    before = tree_bytes(tmp_path)
+    assert_raises(lambda: main(analyze_argv(stitched_dir)), "stop", kind=KeyboardInterrupt)
+    assert tree_bytes(tmp_path) == before
 
 
 @pytest.mark.parametrize("failing, message", [
@@ -913,14 +932,7 @@ def test_stitch_segment_peak_warning_of_a_forked_keyword_names_file(export_tree,
 
 def test_forked_keyword_worker_writes_its_own_parts(export_tree, tmp_path, monkeypatch):
     show_cpus(monkeypatch, 2)
-    log, real_write = tmp_path / "writes.log", Path.write_text
-
-    def write_text(path, text, *args, **kwargs):
-        with open(log, "a") as writes:  # one short append per write, from any process
-            writes.write(f"{os.getpid()} {path.name}\n")
-        return real_write(path, text, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "write_text", write_text)
+    log_writes(monkeypatch, log := tmp_path / "writes.log")
     assert main(stitch_argv(export_tree)) == 0
     lines = log.read_text().splitlines()
     writers = {name: int(pid) for pid, name in map(str.split, lines)}

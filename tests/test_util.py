@@ -241,3 +241,30 @@ def test_forked_map_relays_a_warning_of_no_module_file(monkeypatch):
     assert [(str(w.message), w.filename) for w in log] == [("part 0", "<string>"),
                                                            ("part 1", "<string>")]
     assert_reaped()
+
+
+@pytest.mark.parametrize("unpicklable", ["reply", "warning"])
+def test_forked_map_child_names_what_pickle_cannot_write(monkeypatch, unpicklable):
+    """A child whose reply or warning pickle cannot write fails with pickle's error
+    as the cause, and sends no warning."""
+    show_cpus(monkeypatch, 2)
+
+    def work(part):
+        class LocalWarning(UserWarning):
+            pass
+        warnings.warn(f"part {part[0]}", LocalWarning if unpicklable == "warning" else UserWarning)
+        return (lambda: part) if unpicklable == "reply" else part
+
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        sent = (work([1]), [(str(w.message), w.category, w.filename, w.lineno) for w in log])
+    try:  # the same objects, so the same wording on any Python version
+        pickle.dumps(sent)
+    except Exception as err:
+        cause = f"{type(err).__name__}: {err}"
+    warned = relayed(lambda: assert_raises(lambda: forked_map(work, [0, 1], str),
+                                           f"[1] exited with status 1: {cause}",
+                                           kind=ChildProcessError))
+    # Only this process's own warning of part 0; each call of `work` makes its own class.
+    assert [(c.__name__, text) for c, text in warned] == [(log[0].category.__name__, "part 0")]
+    assert_reaped()
