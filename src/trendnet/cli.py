@@ -346,7 +346,7 @@ def _window_outputs(out_root: Path, window: int, thresholds: list[float]) -> lis
 def _analyze_windows(series: dict, windows: list[int], settings: dict, outputs: _Outputs) -> None:
     """Write the correlation, metrics and persistence texts of each window, in window
     order, each with `outputs.write` as soon as it is computed."""
-    explicit_periods, thresholds = settings["period"], settings["thresholds"]
+    thresholds = settings["thresholds"]
     for window in windows:
         correlations, *metrics, pairs, triads = _window_outputs(settings["out"], window, thresholds)
         with prefixed(settings["stitched"]):
@@ -354,15 +354,11 @@ def _analyze_windows(series: dict, windows: list[int], settings: dict, outputs: 
         outputs.write(correlations, correlate.emit_correlations_csv(frames))
 
         first, last = frames.label_dates[[0, -1]].tolist()
-        periods = []
-        # A long window can leave a default quarter without frames; it is skipped.
-        candidates = explicit_periods or util.default_periods(first - timedelta(window), last)
-        for i, (start, end) in enumerate(candidates):
-            if netstat.period_mask(frames.label_dates, (start, end)).any():
-                periods.append((start, end))
-            elif explicit_periods:
-                raise TrendnetError(f"{settings['sources']['period'][i]} {start}:{end} selects no"
+        for source, (start, end) in zip(settings["sources"]["period"], settings["period"]):
+            if not netstat.period_mask(frames.label_dates, (start, end)).any():
+                raise TrendnetError(f"{source} {start}:{end} selects no"
                                     f" frame of window {window}, labeled {first}..{last}")
+        periods = settings["period"] or util.default_periods(first - timedelta(window), first, last)
         groups = {netstat.pair_persistence: [], netstat.triad_persistence: []}
         for theta, path in zip(thresholds, metrics):
             graphs = netstat.threshold_adjacency(frames, theta)
@@ -442,12 +438,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # Looked up at call time, so a wrapper set on the module attribute runs.
         summary = globals()[f"cmd_{args.command}"](_settings(args))
-    except TrendnetError as err:
+    except (TrendnetError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return err.code
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        return err.code if isinstance(err, TrendnetError) else 3
     print(summary)
     return 0
 

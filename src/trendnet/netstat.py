@@ -2,11 +2,12 @@
 
 Correlation frames become undirected simple graphs (edge iff dcor >= theta,
 inclusive so exact-boundary correlations count). A GraphFrame holds the
-(F, K, K) 0/1 adjacency stack of every frame of one window at one
-threshold; each statistic is computed for the whole stack at once and
-returned as one float per frame. Per frame we report the edge density
-2E/(K(K-1)) and two clustering statistics that coincide on
-vertex-transitive graphs but differ in general:
+(F, K, K) bool adjacency stack of every frame of one window at one
+threshold, and its `counts`: edges per frame, and triangles and connected
+triples per vertex, all from one degree sum. Each statistic reads them for
+the whole stack at once and returns one float per frame. Per frame we
+report the edge density 2E/(K(K-1)) and two clustering statistics that
+coincide on vertex-transitive graphs but differ in general:
 
 * clustering_global: sum of per-vertex triangle counts over the total
   number of connected triples, i.e. 3*triangles / paths-of-length-2
@@ -58,8 +59,9 @@ class GraphFrame:
     """Dated binary adjacency stack at one threshold; no self-loops.
 
     `label_dates` (datetime64[D], shape (F,)) labels each graph of
-    `adjacency` (uint8, shape (F, K, K)). `triples` is cached on first
-    read, so `adjacency` is not to be modified afterwards.
+    `adjacency` (shape (F, K, K); bool from `threshold_adjacency`, but any
+    0/1 stack is read alike). `counts` is cached on first read, so
+    `adjacency` is not to be modified afterwards.
     """
 
     label_dates: np.ndarray
@@ -69,13 +71,14 @@ class GraphFrame:
     adjacency: np.ndarray = field(repr=False)
 
     @cached_property
-    def triples(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-vertex triangle counts and connected-triple counts, both (F, K).
+    def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edges per frame (F,), and triangles and connected triples per vertex (F, K).
 
-        Counted once per stack: both clustering statistics read them.
+        Counted once per stack, from one degree sum: every metric reads them.
         """
         degrees = self.adjacency.sum(axis=-1, dtype=np.int64)
-        return kernels.triangle_counts(self.adjacency), degrees * (degrees - 1) // 2
+        return (degrees.sum(axis=-1) // 2, kernels.triangle_counts(self.adjacency),
+                degrees * (degrees - 1) // 2)
 
 
 class MetricTable(NamedTuple):
@@ -109,9 +112,9 @@ def threshold_adjacency(frames: CorrelationFrame, theta: float) -> GraphFrame:
     """Binary adjacency of every frame: edge iff dcor >= theta; diagonal 0."""
     if not 0.0 < theta < 1.0:
         raise TrendnetError(f"threshold {theta} not in (0, 1)")
-    adjacency = (frames.matrix >= theta).astype(np.uint8)
+    adjacency = frames.matrix >= theta
     diagonal = np.arange(adjacency.shape[-1])
-    adjacency[:, diagonal, diagonal] = 0
+    adjacency[:, diagonal, diagonal] = False
     return GraphFrame(
         label_dates=frames.label_dates,
         window_days=frames.window_days,
@@ -121,21 +124,17 @@ def threshold_adjacency(frames: CorrelationFrame, theta: float) -> GraphFrame:
     )
 
 
-def _edge_counts(g: GraphFrame) -> np.ndarray:
-    return g.adjacency.sum(axis=(1, 2), dtype=np.int64) // 2
-
-
 def network_density(g: GraphFrame) -> list[float]:
     """Existing edges over the K(K-1)/2 possible ones, per frame."""
     k = g.adjacency.shape[-1]
     if k < 2:
         raise TrendnetError("density needs at least 2 vertices")
-    return (2 * _edge_counts(g) / (k * (k - 1))).tolist()
+    return (2 * g.counts[0] / (k * (k - 1))).tolist()
 
 
 def clustering_global(g: GraphFrame) -> list[float]:
     """Total triangles-at-vertices over total connected triples; 0 if no triples."""
-    lam, tau = g.triples
+    _, lam, tau = g.counts
     lam_total, tau_total = lam.sum(axis=-1), tau.sum(axis=-1)
     return np.divide(lam_total, tau_total, out=np.zeros(len(lam)), where=tau_total > 0).tolist()
 
@@ -147,7 +146,7 @@ def clustering_avg_local(g: GraphFrame) -> list[float]:
     denominator L = lcm(C(d, 2) for 2 <= d < K), then divided once by L * K;
     int / int is correctly rounded, so any common multiple gives one float.
     """
-    lam, tau = g.triples
+    _, lam, tau = g.counts
     k = lam.shape[-1]
     pairs = [d * (d - 1) // 2 for d in range(2, k)]
     common = math.lcm(*pairs)
@@ -161,7 +160,7 @@ def frame_metrics(g: GraphFrame) -> MetricTable:
     """The metrics of every frame of the stack, one table row per frame."""
     frames = len(g.label_dates)
     return MetricTable(g.label_dates.tolist(), [g.window_days] * frames, [g.threshold] * frames,
-                       _edge_counts(g).tolist(), network_density(g), clustering_global(g),
+                       g.counts[0].tolist(), network_density(g), clustering_global(g),
                        clustering_avg_local(g))
 
 
@@ -185,8 +184,8 @@ def _persistence(g: GraphFrame, periods: list[tuple[date, date]], size: int) -> 
     name_keys = rank[members[:, ::-1]].T
     # (F, P): whether each set is a clique in each frame, formed once for every
     # period and in place, so that at most two (F, P) arrays are alive.
-    stack = g.adjacency.astype(bool)
-    edges = (stack[:, members[:, a], members[:, b]] for a, b in combinations(range(size), 2))
+    edges = (g.adjacency[:, members[:, a], members[:, b]]
+             for a, b in combinations(range(size), 2))
     cliques = reduce(lambda acc, edge: np.logical_and(acc, edge, out=acc), edges)
     out = []
     for start, end in periods:

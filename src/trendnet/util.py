@@ -44,15 +44,17 @@ def month_starts(first: date, last: date, every: int = 1) -> list[date]:
     return [date(m // 12, m % 12 + 1, 1) for m in months if m % 12 % every == 0]
 
 
-def default_periods(data_start: date, last_label: date) -> list[tuple[date, date]]:
-    """Calendar quarters (Jan/Apr/Jul/Oct anchored) covering the analysis.
+def default_periods(data_start: date, first_label: date,
+                    last_label: date) -> list[tuple[date, date]]:
+    """Calendar quarters (Jan/Apr/Jul/Oct anchored) covering the frame labels.
 
-    Starts at the first quarter boundary on or after the data start and
-    stops once quarters begin after the last frame label. The default
-    timeline yields Apr-Jun, Jul-Sep, Oct-Dec, Jan-Mar.
+    Each starts on or after the data start, on or before the last label, and
+    ends on or after the first label, so it holds a label of daily frames.
+    The default timeline yields Apr-Jun, Jul-Sep, Oct-Dec, Jan-Mar.
     """
     starts = month_starts(data_start, last_label + 92 * DAY, every=3)  # one quarter past the end
-    return [(start, after - DAY) for start, after in zip(starts, starts[1:]) if start <= last_label]
+    return [(start, after - DAY) for start, after in zip(starts, starts[1:])
+            if start <= last_label and after > first_label]
 
 
 def parse_config(
@@ -184,7 +186,8 @@ def forked_map(work: Callable[[Sequence], object], items: Sequence,
     in the child, in slice order after this process's own, up to and including
     the first failing slice's. So a filter here, "error" included, sees every
     warning that one process would, in the same order. A child whose reply or
-    warnings pickle cannot write fails, and sends pickle's error in their place.
+    warnings pickle cannot write, or read back, fails, and sends pickle's error
+    in their place.
     """
     workers = max(1, min(_max_workers(), len(items), len(items) if most is None else most))
     parts = [items[len(items) * i // workers : len(items) * (i + 1) // workers]
@@ -214,6 +217,7 @@ def forked_map(work: Callable[[Sequence], object], items: Sequence,
                         warned = [(str(w.message), w.category, w.filename, w.lineno) for w in log]
                         try:  # whole before any byte is sent, so a failure sends its cause
                             data = pickle.dumps((reply, warned))
+                            pickle.loads(data)  # and reads back, as the parent must
                         except Exception as err:  # a lambda, say, or a class local to `work`
                             data, status = pickle.dumps((f"{type(err).__name__}: {err}", [])), 1
                         pipe.write(data)

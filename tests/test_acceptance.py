@@ -21,6 +21,7 @@ from trendnet.netstat import (
     clustering_avg_local,
     clustering_global,
     network_density,
+    parse_metrics_csv,
     threshold_adjacency,
 )
 from trendnet.registry import KeywordRegistry
@@ -29,6 +30,7 @@ from helpers import (
     SPAN_END,
     SPAN_START,
     flat_latent_series,
+    persistent_series,
     planted_block_series,
     write_export_tree,
 )
@@ -288,3 +290,30 @@ def test_window_label_spans_match_default_timeline(year_stitched):
     labels30 = rolling_correlation(year_stitched, 30).label_dates
     assert labels30[0] == date(2020, 4, 15)
     assert labels30[-1] == date(2021, 3, 16)
+
+
+def mean_densities(tree: Path, out: Path) -> dict[tuple[int, str], float]:
+    """Mean density per (window, threshold) of a default stitch -> analyze of `tree`."""
+    assert main(["stitch", "--daily-dir", str(tree / "daily"), "--weekly-dir",
+                 str(tree / "weekly"), "--out", str(out / "stitched")]) == 0
+    assert main(["analyze", "--stitched", str(out / "stitched"), "--out", str(out / "analysis")]) == 0
+    return {(window, theta): float(np.mean(parse_metrics_csv(
+                (out / "analysis" / f"metrics_w{window}_t{theta}.csv").read_text("utf-8")).density))
+            for window in (15, 30) for theta in ("0.5", "0.8")}
+
+
+@criterion("persistent-independent-density")
+def test_persistent_independent_keywords_are_far_denser_than_flat(year_tree, keywords,
+                                                                  tmp_path_factory):
+    """Independent keywords that persist from day to day, AR(1) with phi = 0.9 (seed 0),
+    pass the paper's thresholds far more often than the flat fixture's iid ones: Yule's
+    nonsense correlation. Mean density measured, persistent against flat: W = 15, 0.482
+    against 0.129 at 0.5 and 0.053 against 0.001 at 0.8; W = 30, 0.290 against 0.012
+    at 0.5 and 0.013 against 0 at 0.8. Each margin below is 60-70% of its measured gap."""
+    root = tmp_path_factory.mktemp("persistent")
+    write_export_tree(root / "tree", persistent_series(np.random.default_rng(0), keywords, 0.9))
+    persistent = mean_densities(root / "tree", root / "persistent")
+    flat = mean_densities(year_tree, root / "flat")
+    margins = {(15, "0.5"): 0.25, (15, "0.8"): 0.03, (30, "0.5"): 0.2, (30, "0.8"): 0.008}
+    gaps = {key: persistent[key] - flat[key] for key in margins}
+    assert all(gaps[key] >= margin for key, margin in margins.items()), (persistent, flat)

@@ -31,9 +31,9 @@ D = date(2020, 3, 31)
 DAY = timedelta(days=1)
 
 
-def graph_stack(adjacency, start=D, theta=0.5, keywords=None):
-    """GraphFrame over an (F, K, K) stack labeled start, start+1, ..."""
-    adjacency = np.asarray(adjacency, dtype=np.uint8)
+def graph_stack(adjacency, start=D, theta=0.5, keywords=None, dtype=np.uint8):
+    """GraphFrame over an (F, K, K) stack labeled start, start+1, ..., as 0/1 `dtype`."""
+    adjacency = np.asarray(adjacency, dtype=dtype)
     n_frames, k, _ = adjacency.shape
     return GraphFrame(
         label_dates=np.datetime64(start) + np.arange(n_frames),
@@ -143,13 +143,14 @@ def test_stack_metrics_match_enumeration_oracle_exactly():
     rng = np.random.default_rng(47)
     for n in [40, 40, 33, *rng.integers(2, 30, 37).tolist()]:
         frames = [random_graph(rng, n, rng.uniform(0.0, 1.0)) for _ in range(rng.integers(2, 5))]
-        g = graph_stack(np.stack(frames))
         oracles = [graph_oracle(a) for a in frames]
-        assert network_density(g) == [float(o["density"]) for o in oracles]
-        assert clustering_global(g) == [float(o["clustering_global"]) for o in oracles]
-        assert clustering_avg_local(g) == [float(o["clustering_avg_local"]) for o in oracles]
-        assert frame_metrics(g).edge_count == [o["edges"] for o in oracles]
-        assert kernels.triangle_counts(g.adjacency).tolist() == [o["lambda"] for o in oracles]
+        for dtype in (np.uint8, bool):  # as the tests build stacks, and as analyze does
+            g = graph_stack(np.stack(frames), dtype=dtype)
+            assert network_density(g) == [float(o["density"]) for o in oracles]
+            assert clustering_global(g) == [float(o["clustering_global"]) for o in oracles]
+            assert clustering_avg_local(g) == [float(o["clustering_avg_local"]) for o in oracles]
+            assert frame_metrics(g).edge_count == [o["edges"] for o in oracles]
+            assert kernels.triangle_counts(g.adjacency).tolist() == [o["lambda"] for o in oracles]
 
 
 def test_frame_metrics_fields():
@@ -259,7 +260,6 @@ def test_persistence_matches_recount_on_random_stacks():
         if (shuffled == np.sort(shuffled)).all():
             shuffled = shuffled[::-1]
         names = tuple(f"k{i}" for i in shuffled.tolist())
-        g = graph_stack(adjacency, keywords=names)
         lo, hi = sorted(rng.integers(-3, n_frames + 3, 2).tolist())
         if hi < 0 or lo >= n_frames:
             continue
@@ -276,14 +276,16 @@ def test_persistence_matches_recount_on_random_stacks():
             )
             for i in range(k) for j in range(i + 1, k) for m in range(j + 1, k)
         }
-        for [result], recount in ((pair_persistence(g, [period]), pairs),
-                                  (triad_persistence(g, [period]), triads)):
-            expected = sorted(
-                recount.items(), key=lambda r: (-r[1], tuple(names[i] for i in r[0]))
-            )
-            members, counts = result
-            assert members.tolist() == [list(ids) for ids, _ in expected]
-            assert counts.tolist() == [count for _, count in expected]
+        for dtype in (np.uint8, bool):  # as the tests build stacks, and as analyze does
+            g = graph_stack(adjacency, keywords=names, dtype=dtype)
+            for [result], recount in ((pair_persistence(g, [period]), pairs),
+                                      (triad_persistence(g, [period]), triads)):
+                expected = sorted(
+                    recount.items(), key=lambda r: (-r[1], tuple(names[i] for i in r[0]))
+                )
+                members, counts = result
+                assert members.tolist() == [list(ids) for ids, _ in expected]
+                assert counts.tolist() == [count for _, count in expected]
 
 
 def test_threshold_monotonicity_on_random_matrices():

@@ -32,15 +32,17 @@ def days(first, last):
     return [first + i * DAY for i in range((last - first).days + 1)]
 
 
-def brute_default_periods(data_start, last_label):
-    """Each quarter starting in [data_start, last_label], walked a day at a time to its end."""
+def brute_default_periods(data_start, first_label, last_label):
+    """Each quarter starting in [data_start, last_label], walked a day at a time to its
+    end, unless it ends before first_label."""
     periods = []
     for start in days(data_start, last_label):
         if start.day == 1 and start.month in QUARTER_MONTHS:
             end = start
             while not ((end + DAY).day == 1 and (end + DAY).month in QUARTER_MONTHS):
                 end += DAY
-            periods.append((start, end))
+            if end >= first_label:
+                periods.append((start, end))
     return periods
 
 
@@ -56,11 +58,13 @@ def test_month_starts_match_a_day_by_day_walk(span, every):
     ]
 
 
-@given(spans)
-def test_default_periods_match_a_day_by_day_walk(span):
+@given(spans, st.integers(0, 1200))
+def test_default_periods_match_a_day_by_day_walk(span, offset):
     data_start, length = span
     last_label = data_start + length * DAY
-    assert default_periods(data_start, last_label) == brute_default_periods(data_start, last_label)
+    first_label = data_start + min(offset, max(length, 0)) * DAY  # inside the span
+    assert (default_periods(data_start, first_label, last_label)
+            == brute_default_periods(data_start, first_label, last_label))
 
 
 def test_csv_records_skip_blank_rows_and_a_first_row_header_only():
@@ -267,4 +271,25 @@ def test_forked_map_child_names_what_pickle_cannot_write(monkeypatch, unpicklabl
                                            kind=ChildProcessError))
     # Only this process's own warning of part 0; each call of `work` makes its own class.
     assert [(c.__name__, text) for c, text in warned] == [(log[0].category.__name__, "part 0")]
+    assert_reaped()
+
+
+class TwoArgs(Exception):
+    """An exception pickle writes but cannot read back: its args are not `__init__`'s."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}{b}")
+
+
+def test_forked_map_child_names_a_reply_pickle_cannot_read_back(monkeypatch):
+    """A reply that pickles but does not unpickle fails in its child, which names the
+    cause, and every later child is still waited for."""
+    show_cpus(monkeypatch, 3)
+    try:  # the same object, so the same wording on any Python version
+        pickle.loads(pickle.dumps(TwoArgs("x", "y")))
+    except Exception as err:
+        cause = f"{type(err).__name__}: {err}"
+    assert_raises(lambda: forked_map(lambda part: TwoArgs("x", "y") if part == [1] else part,
+                                     [0, 1, 2], str),
+                  f"[1] exited with status 1: {cause}", kind=ChildProcessError)
     assert_reaped()
