@@ -359,14 +359,14 @@ def _analyze_windows(series: dict, windows: list[int], settings: dict, outputs: 
                 raise TrendnetError(f"{source} {start}:{end} selects no"
                                     f" frame of window {window}, labeled {first}..{last}")
         periods = settings["period"] or util.default_periods(first - timedelta(window), first, last)
-        groups = {netstat.pair_persistence: [], netstat.triad_persistence: []}
-        for theta, path in zip(thresholds, metrics):
-            graphs = netstat.threshold_adjacency(frames, theta)
-            outputs.write(path, netstat.emit_metrics_csv(netstat.frame_metrics(graphs)))
-            for persistence, found in groups.items():
-                found += [(p, theta, *c) for p, c in zip(periods, persistence(graphs, periods))]
-        for path, found in zip((pairs, triads), groups.values()):
-            outputs.write(path, netstat.emit_persistence_csv(frames.keywords, found))
+        graphs = netstat.threshold_adjacency(frames, thresholds)
+        table, n = netstat.frame_metrics(graphs), len(frames.label_dates)
+        for t, path in enumerate(metrics):  # the table's rows run threshold by threshold
+            outputs.write(path, netstat.emit_metrics_csv(table.take(range(t * n, (t + 1) * n))))
+        for path, persistence in ((pairs, netstat.pair_persistence),
+                                  (triads, netstat.triad_persistence)):
+            outputs.write(path, netstat.emit_persistence_csv(frames.keywords,
+                                                             persistence(graphs, periods)))
 
 
 def cmd_analyze(settings: dict) -> str:

@@ -1,13 +1,13 @@
 """Threshold graphs and their network statistics.
 
 Correlation frames become undirected simple graphs (edge iff dcor >= theta,
-inclusive so exact-boundary correlations count). A GraphFrame holds the
-(F, K, K) bool adjacency stack of every frame of one window at one
-threshold, and its `counts`: edges per frame, and triangles and connected
-triples per vertex, all from one degree sum. Each statistic reads them for
-the whole stack at once and returns one float per frame. Per frame we
-report the edge density 2E/(K(K-1)) and two clustering statistics that
-coincide on vertex-transitive graphs but differ in general:
+inclusive so exact-boundary correlations count). A GraphFrame holds one
+window's graphs at every threshold as one (F, K, K) level stack (a pair is
+an edge at threshold t iff its level, the count of sorted thresholds at or
+below its dcor, exceeds t) and their `counts`. Each statistic reads them for
+the whole stack and returns one float per (threshold, frame), threshold-major:
+the edge density 2E/(K(K-1)) and two clustering statistics that coincide on
+vertex-transitive graphs but differ in general:
 
 * clustering_global: sum of per-vertex triangle counts over the total
   number of connected triples, i.e. 3*triangles / paths-of-length-2
@@ -19,22 +19,22 @@ Both are computed with integer triangle/triple counts and converted to
 float in a single correctly rounded division, so results match
 enumeration oracles digit for digit.
 
-Persistence counts, per period, the frames in which each keyword pair is
-an edge (`pair_persistence`) or each keyword triple a triangle
-(`triad_persistence`), over a list of periods that may overlap. Each
-returns one `(members, counts)` per period: an (P, 2) or (P, 3) int array
-of keyword indices, ascending within a row, over all C(K, 2) or C(K, 3)
-sets, and the (P,) int64 counts. Rows run by descending count, then by
-the member keyword strings, first member first, not by their indices.
+Persistence counts, per threshold and period (periods may overlap), the
+frames in which each keyword pair is an edge (`pair_persistence`) or each
+triple a triangle (`triad_persistence`): a set's level is the least of its
+pairs', gathered once per period. Each returns the `(period, threshold,
+members, counts)` groups `emit_persistence_csv` writes, threshold-major:
+(P, 2) or (P, 3) keyword indices, ascending within a row, over all sets,
+and (P,) int64 counts, by descending count, then member keyword strings.
 
 `frame_metrics` returns a MetricTable: the tuple of the metrics CSV's
 columns (label_date, window_days, threshold, edge_count, density,
 clustering_global, clustering_avg_local), one list per column and one row
-per frame, holding plain dates, ints and floats. `analyze` writes it with
-`emit_metrics_csv` and `report` reads it back with `parse_metrics_csv`;
-both convert a whole column at a time, each distinct value or field text
-of a column once, and the reader reruns failed checks row by row for the
-line to name. Non-finite floats are rejected on reading.
+per (threshold, frame), holding plain dates, ints and floats. `analyze`
+writes each threshold's rows with `emit_metrics_csv`, `report` reads them
+back with `parse_metrics_csv`; both convert a whole column at a time, each
+distinct value or field text of a column once, and the reader reruns failed
+checks row by row for the line to name. Non-finite floats fail on reading.
 """
 
 from __future__ import annotations
@@ -56,29 +56,28 @@ from .util import csv_field, csv_rows, distinct_texts, iso_date
 
 @dataclass(eq=False)
 class GraphFrame:
-    """Dated binary adjacency stack at one threshold; no self-loops.
+    """One window's dated graphs at every threshold, as one level stack; no self-loops.
 
-    `label_dates` (datetime64[D], shape (F,)) labels each graph of
-    `adjacency` (shape (F, K, K); bool from `threshold_adjacency`, but any
-    0/1 stack is read alike). `counts` is cached on first read, so
-    `adjacency` is not to be modified afterwards.
+    `label_dates` (datetime64[D], (F,)) labels each frame of `levels` ((F, K, K),
+    int8 from `threshold_adjacency`), whose graph at `thresholds[t]` (ascending)
+    is `levels > t`, so a 0/1 stack of any dtype is one threshold's levels.
+    `counts` is cached on first read: do not modify `levels` afterwards.
     """
 
     label_dates: np.ndarray
     window_days: int
-    threshold: float
+    thresholds: tuple[float, ...]
     keywords: tuple[str, ...]
-    adjacency: np.ndarray = field(repr=False)
+    levels: np.ndarray = field(repr=False)
 
     @cached_property
     def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edges per frame (F,), and triangles and connected triples per vertex (F, K).
-
-        Counted once per stack, from one degree sum: every metric reads them.
-        """
-        degrees = self.adjacency.sum(axis=-1, dtype=np.int64)
-        return (degrees.sum(axis=-1) // 2, kernels.triangle_counts(self.adjacency),
-                degrees * (degrees - 1) // 2)
+        """Edges (T·F,), and triangles and connected triples per vertex (T·F, K),
+        threshold-major; counted once per stack, and every metric reads them."""
+        adjacency = [self.levels > t for t in range(len(self.thresholds))]
+        degrees = np.concatenate([a.sum(axis=-1, dtype=np.int64) for a in adjacency])
+        triangles = np.concatenate([kernels.triangle_counts(a) for a in adjacency])
+        return degrees.sum(axis=-1) // 2, triangles, degrees * (degrees - 1) // 2
 
 
 class MetricTable(NamedTuple):
@@ -108,25 +107,25 @@ class MetricTable(NamedTuple):
 METRIC_COLUMNS = MetricTable._fields
 
 
-def threshold_adjacency(frames: CorrelationFrame, theta: float) -> GraphFrame:
-    """Binary adjacency of every frame: edge iff dcor >= theta; diagonal 0."""
-    if not 0.0 < theta < 1.0:
-        raise TrendnetError(f"threshold {theta} not in (0, 1)")
-    adjacency = frames.matrix >= theta
-    diagonal = np.arange(adjacency.shape[-1])
-    adjacency[:, diagonal, diagonal] = False
-    return GraphFrame(
-        label_dates=frames.label_dates,
-        window_days=frames.window_days,
-        threshold=theta,
-        keywords=frames.keywords,
-        adjacency=adjacency,
-    )
+def threshold_adjacency(frames: CorrelationFrame, thresholds: list[float]) -> GraphFrame:
+    """Every frame's level stack over the sorted thresholds: edge at thresholds[t]
+    iff dcor >= thresholds[t], i.e. level > t; diagonal 0."""
+    thresholds = tuple(sorted(thresholds))
+    if not 0 < len(thresholds) <= np.iinfo(np.int8).max:
+        raise TrendnetError(f"{len(thresholds)} thresholds, expected 1 to 127")
+    # Each pair's count of thresholds <= dcor, as searchsorted(side="right"), 12x faster.
+    levels = np.zeros(frames.matrix.shape, dtype=np.int8)
+    for theta in thresholds:
+        if not 0.0 < theta < 1.0:
+            raise TrendnetError(f"threshold {theta} not in (0, 1)")
+        levels += frames.matrix >= theta
+    levels *= ~np.eye(levels.shape[-1], dtype=bool)  # no self-loops
+    return GraphFrame(frames.label_dates, frames.window_days, thresholds, frames.keywords, levels)
 
 
 def network_density(g: GraphFrame) -> list[float]:
-    """Existing edges over the K(K-1)/2 possible ones, per frame."""
-    k = g.adjacency.shape[-1]
+    """Existing edges over the K(K-1)/2 possible ones, per (threshold, frame)."""
+    k = g.levels.shape[-1]
     if k < 2:
         raise TrendnetError("density needs at least 2 vertices")
     return (2 * g.counts[0] / (k * (k - 1))).tolist()
@@ -140,7 +139,7 @@ def clustering_global(g: GraphFrame) -> list[float]:
 
 
 def clustering_avg_local(g: GraphFrame) -> list[float]:
-    """Mean per-vertex triangle ratio per frame; degree < 2 vertices count as 0.
+    """Mean per-vertex triangle ratio per (threshold, frame); degree < 2 vertices count as 0.
 
     The ratios lam/tau are summed exactly in Python integers over the common
     denominator L = lcm(C(d, 2) for 2 <= d < K), then divided once by L * K;
@@ -157,11 +156,11 @@ def clustering_avg_local(g: GraphFrame) -> list[float]:
 
 
 def frame_metrics(g: GraphFrame) -> MetricTable:
-    """The metrics of every frame of the stack, one table row per frame."""
-    frames = len(g.label_dates)
-    return MetricTable(g.label_dates.tolist(), [g.window_days] * frames, [g.threshold] * frames,
-                       g.counts[0].tolist(), network_density(g), clustering_global(g),
-                       clustering_avg_local(g))
+    """The metrics of the stack, one table row per (threshold, frame), threshold-major."""
+    edges = g.counts[0]
+    return MetricTable(g.label_dates.tolist() * len(g.thresholds), [g.window_days] * len(edges),
+                       np.repeat(g.thresholds, len(g.label_dates)).tolist(), edges.tolist(),
+                       network_density(g), clustering_global(g), clustering_avg_local(g))
 
 
 def period_mask(label_dates: np.ndarray, period: tuple[date, date]) -> np.ndarray:
@@ -171,9 +170,9 @@ def period_mask(label_dates: np.ndarray, period: tuple[date, date]) -> np.ndarra
 
 
 def _persistence(g: GraphFrame, periods: list[tuple[date, date]], size: int) -> list[tuple]:
-    """Per period, in order, (members (P, size) int, counts (P,) int64) over all
-    C(K, size) keyword sets: the frames in the period in which the set is a
-    clique, rows by descending count, then member strings, as (-count, names)."""
+    """Per threshold, then period, (period, threshold, members (P, size) int, counts
+    (P,) int64) over all C(K, size) keyword sets: the frames in the period in which
+    the set is a clique, rows by descending count, then member strings."""
     k = len(g.keywords)
     sets = chain.from_iterable(combinations(range(k), size))
     members = np.fromiter(sets, np.intp).reshape(-1, size)
@@ -182,29 +181,30 @@ def _persistence(g: GraphFrame, periods: list[tuple[date, date]], size: int) -> 
     rank[sorted(range(k), key=g.keywords.__getitem__)] = np.arange(k)
     # np.lexsort sorts by its last key first.
     name_keys = rank[members[:, ::-1]].T
-    # (F, P): whether each set is a clique in each frame, formed once for every
-    # period and in place, so that at most two (F, P) arrays are alive.
-    edges = (g.adjacency[:, members[:, a], members[:, b]]
-             for a, b in combinations(range(size), 2))
-    cliques = reduce(lambda acc, edge: np.logical_and(acc, edge, out=acc), edges)
-    out = []
-    for start, end in periods:
-        selected = period_mask(g.label_dates, (start, end))
+    pairs = [members[:, a] * k + members[:, b] for a, b in combinations(range(size), 2)]
+    groups = [[None] * len(periods) for _ in g.thresholds]
+    for p, period in enumerate(periods):
+        selected = period_mask(g.label_dates, period)
         if not selected.any():
-            raise TrendnetError(f"no frames labeled within {start}..{end}")
-        counts = cliques[selected].sum(axis=0, dtype=np.int64)
-        order = np.lexsort((*name_keys, -counts))
-        out.append((members[order], counts[order]))
-    return out
+            raise TrendnetError("no frames labeled within {}..{}".format(*period))
+        levels = g.levels[selected].reshape(-1, k * k)
+        # (frames, P): each set's level per frame, its pairs' least, formed in place.
+        found = reduce(lambda acc, pair: np.minimum(acc, levels[:, pair], out=acc),
+                       pairs[1:], levels[:, pairs[0]])
+        for t, theta in enumerate(g.thresholds):
+            counts = (found > t).sum(axis=0, dtype=np.int64)
+            order = np.lexsort((*name_keys, -counts))
+            groups[t][p] = (period, theta, members[order], counts[order])
+    return list(chain.from_iterable(groups))
 
 
 def pair_persistence(g: GraphFrame, periods: list[tuple[date, date]]) -> list[tuple]:
-    """Per period, (members (P, 2), counts (P,)): frames in it with each pair as an edge."""
+    """Per threshold and period, the frames with each keyword pair as an edge."""
     return _persistence(g, periods, 2)
 
 
 def triad_persistence(g: GraphFrame, periods: list[tuple[date, date]]) -> list[tuple]:
-    """Per period, (members (P, 3), counts (P,)): frames in it with each triple as a triangle."""
+    """Per threshold and period, the frames with each keyword triple as a triangle."""
     return _persistence(g, periods, 3)
 
 

@@ -123,16 +123,24 @@ def flat_latent_series(rng: np.ndarray, keywords) -> dict[str, np.ndarray]:
     }
 
 
-def persistent_series(rng, keywords, phi: float) -> dict[str, np.ndarray]:
+def persistent_series(rng, keywords, phi: float, trend: float = 0.0,
+                      cycle: float = 0.0) -> dict[str, np.ndarray]:
     """Independent AR(1) latents per keyword, persistent from day to day as search
     interest is, with no dependence between keywords: stationary x[t] = phi x[t-1]
-    + e[t] of unit variance, on the common positive scale 50 + 12x clipped to [1, 100]."""
+    + e[t] of unit variance, on the common positive scale 50 + 12x clipped to [1, 100].
+
+    `trend` and `cycle` add the same deterministic terms to every keyword's latent,
+    in its units: a line through 0 at mid-span that moves by `trend` over the span,
+    and a weekly sine of amplitude `cycle`. No innovation is shared, and with both
+    at 0 the series are those of the latents alone, from the same draws."""
     latent = np.empty((SPAN_DAYS, len(keywords)))
     latent[0] = rng.normal(size=len(keywords))
     shocks = rng.normal(0.0, np.sqrt(1 - phi * phi), latent.shape)
     for day in range(1, SPAN_DAYS):
         latent[day] = phi * latent[day - 1] + shocks[day]
-    return {kw: np.clip(50 + 12 * x, 1, 100) for kw, x in zip(keywords, latent.T)}
+    days = np.arange(SPAN_DAYS)[:, None]
+    shared = trend * (days / (SPAN_DAYS - 1) - 0.5) + cycle * np.sin(2 * np.pi * days / 7)
+    return {kw: np.clip(50 + 12 * x, 1, 100) for kw, x in zip(keywords, (latent + shared).T)}
 
 
 def planted_block_series(

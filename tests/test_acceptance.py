@@ -125,9 +125,9 @@ def _graph(adjacency):
     return GraphFrame(
         label_dates=np.array([date(2020, 4, 6)], dtype="datetime64[D]"),
         window_days=15,
-        threshold=0.4,
+        thresholds=(0.4,),
         keywords=tuple(f"k{i}" for i in range(adjacency.shape[-1])),
-        adjacency=adjacency,
+        levels=adjacency,
     )
 
 
@@ -184,9 +184,9 @@ def test_threshold_monotonicity_zero_violations():
             keywords=tuple(f"k{i}" for i in range(k)),
             matrix=sym[None],
         )
-        graphs = [threshold_adjacency(frame, t) for t in THETA_GRID]
+        graphs = [threshold_adjacency(frame, [t]) for t in THETA_GRID]
         for lo, hi in zip(graphs, graphs[1:]):
-            assert np.all(hi.adjacency <= lo.adjacency)
+            assert np.all(hi.levels <= lo.levels)
             assert network_density(hi)[0] <= network_density(lo)[0]
 
 
@@ -302,18 +302,45 @@ def mean_densities(tree: Path, out: Path) -> dict[tuple[int, str], float]:
             for window in (15, 30) for theta in ("0.5", "0.8")}
 
 
+@pytest.fixture(scope="module")
+def persistent_densities(keywords, tmp_path_factory):
+    """`mean_densities` of independent AR(1) keywords, phi = 0.9 (seed 0)."""
+    root = tmp_path_factory.mktemp("persistent")
+    write_export_tree(root / "tree", persistent_series(np.random.default_rng(0), keywords, 0.9))
+    return mean_densities(root / "tree", root / "persistent")
+
+
 @criterion("persistent-independent-density")
-def test_persistent_independent_keywords_are_far_denser_than_flat(year_tree, keywords,
+def test_persistent_independent_keywords_are_far_denser_than_flat(year_tree, persistent_densities,
                                                                   tmp_path_factory):
     """Independent keywords that persist from day to day, AR(1) with phi = 0.9 (seed 0),
     pass the paper's thresholds far more often than the flat fixture's iid ones: Yule's
     nonsense correlation. Mean density measured, persistent against flat: W = 15, 0.482
     against 0.129 at 0.5 and 0.053 against 0.001 at 0.8; W = 30, 0.290 against 0.012
     at 0.5 and 0.013 against 0 at 0.8. Each margin below is 60-70% of its measured gap."""
-    root = tmp_path_factory.mktemp("persistent")
-    write_export_tree(root / "tree", persistent_series(np.random.default_rng(0), keywords, 0.9))
-    persistent = mean_densities(root / "tree", root / "persistent")
-    flat = mean_densities(year_tree, root / "flat")
+    persistent = persistent_densities
+    flat = mean_densities(year_tree, tmp_path_factory.mktemp("flat"))
     margins = {(15, "0.5"): 0.25, (15, "0.8"): 0.03, (30, "0.5"): 0.2, (30, "0.8"): 0.008}
     gaps = {key: persistent[key] - flat[key] for key in margins}
     assert all(gaps[key] >= margin for key, margin in margins.items()), (persistent, flat)
+
+
+@criterion("shared-trend-and-cycle-density")
+def test_shared_trend_and_weekly_cycle_do_not_raise_persistent_density(persistent_densities,
+                                                                        keywords,
+                                                                        tmp_path_factory):
+    """The same AR(1) latents (phi = 0.9, seed 0) plus a trend and a weekly cycle that
+    every keyword shares, with no shared innovation: a line falling by 2 latent units
+    over the year (24 on the 50 + 12x scale) and a weekly sine of amplitude 0.4 (about
+    +-10% of the level 50). Against the latents alone, mean density does not rise; it
+    falls a little. Gaps measured (shared - alone): W = 15, -0.0051 at 0.5 (0.4771 -
+    0.4821) and -0.0052 at 0.8 (0.0480 - 0.0532); W = 30, -0.0291 at 0.5 (0.2609 -
+    0.2900) and -0.0045 at 0.8 (0.0089 - 0.0133). Seeds 1-4 read -0.052 to -0.0047,
+    every gap negative. The bounds below leave at least 0.0045 above each seed-0 gap
+    and 0.02 below it."""
+    root = tmp_path_factory.mktemp("shared")
+    series = persistent_series(np.random.default_rng(0), keywords, 0.9, trend=-2.0, cycle=0.4)
+    write_export_tree(root / "tree", series)
+    shared = mean_densities(root / "tree", root / "shared")
+    gaps = {key: shared[key] - alone for key, alone in persistent_densities.items()}
+    assert all(-0.05 <= gap <= 0.0 for gap in gaps.values()), (shared, persistent_densities)

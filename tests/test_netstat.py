@@ -1,6 +1,7 @@
 import csv
 import io
 from datetime import date, timedelta
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -32,15 +33,16 @@ DAY = timedelta(days=1)
 
 
 def graph_stack(adjacency, start=D, theta=0.5, keywords=None, dtype=np.uint8):
-    """GraphFrame over an (F, K, K) stack labeled start, start+1, ..., as 0/1 `dtype`."""
+    """One-threshold GraphFrame over an (F, K, K) 0/1 stack, as `dtype`, labeled start,
+    start+1, ...: a 0/1 stack is the levels of one threshold."""
     adjacency = np.asarray(adjacency, dtype=dtype)
     n_frames, k, _ = adjacency.shape
     return GraphFrame(
         label_dates=np.datetime64(start) + np.arange(n_frames),
         window_days=15,
-        threshold=theta,
+        thresholds=(theta,),
         keywords=keywords or tuple(f"k{i}" for i in range(k)),
-        adjacency=adjacency,
+        levels=adjacency,
     )
 
 
@@ -68,17 +70,65 @@ def corr_frame(matrix, label=D):
 
 def test_threshold_boundary_is_inclusive():
     frame = corr_frame([[1.0, 0.80, 0.79], [0.80, 1.0, 0.2], [0.79, 0.2, 1.0]])
-    g = threshold_adjacency(frame, 0.8)
-    assert g.adjacency.shape == (1, 3, 3)
-    assert g.adjacency[0, 0, 1] == 1
-    assert g.adjacency[0, 0, 2] == 0
-    assert np.all(np.diag(g.adjacency[0]) == 0)
+    g = threshold_adjacency(frame, [0.8])
+    assert g.levels.shape == (1, 3, 3)
+    assert g.levels[0, 0, 1] == 1
+    assert g.levels[0, 0, 2] == 0
+    assert np.all(np.diag(g.levels[0]) == 0)
 
 
 def test_threshold_full_matrix_gives_complete_graph():
     frame = corr_frame(np.ones((4, 4)))
-    g = threshold_adjacency(frame, 0.6)
-    assert g.adjacency.sum() == 4 * 3  # every off-diagonal entry
+    g = threshold_adjacency(frame, [0.6])
+    assert g.levels.sum() == 4 * 3  # every off-diagonal entry
+
+
+def tied_frames(rng, thresholds, n_frames, k):
+    """Random symmetric dcor frames (unit diagonal) whose entries often lie exactly on a
+    threshold or one ulp either side of one."""
+    ties = [x for t in thresholds for x in (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0))]
+    raw = np.where(rng.random((n_frames, k, k)) < 0.6, rng.choice(ties, (n_frames, k, k)),
+                   rng.random((n_frames, k, k)))
+    matrix = np.triu(raw, 1)
+    matrix += matrix.transpose(0, 2, 1)
+    matrix[:, range(k), range(k)] = 1.0
+    return CorrelationFrame(label_dates=np.datetime64(D) + np.arange(n_frames), window_days=15,
+                            keywords=tuple(f"k{i}" for i in range(k)), matrix=matrix)
+
+
+def test_levels_match_each_threshold_comparison():
+    """Thresholds given unsorted: the graph at sorted(thresholds)[t] is levels > t, and
+    equals matrix >= that threshold off the diagonal, also on and one ulp beside it."""
+    rng = np.random.default_rng(83)
+    for thresholds in ([0.5], [0.8, 0.4, 0.6, 0.5], [0.3, 0.7], [0.9, 0.1, 0.45]):
+        for _ in range(20):
+            frames = tied_frames(rng, thresholds, int(rng.integers(1, 5)), int(rng.integers(2, 12)))
+            g = threshold_adjacency(frames, thresholds)
+            k = len(frames.keywords)
+            off_diagonal = ~np.eye(k, dtype=bool)
+            assert g.thresholds == tuple(sorted(thresholds)) and g.levels.dtype == np.int8
+            for t, theta in enumerate(sorted(thresholds)):
+                assert ((g.levels > t) == (frames.matrix >= theta) & off_diagonal).all()
+            assert not g.levels[:, range(k), range(k)].any()
+
+
+def test_level_stack_rows_are_each_threshold_alone():
+    """Metrics and persistence of one level stack are those of each threshold's own
+    stack, threshold-major."""
+    rng = np.random.default_rng(89)
+    thresholds = [0.6, 0.4, 0.8]
+    frames = tied_frames(rng, thresholds, 12, 9)
+    periods = [(D, D + 7 * DAY), (D + 3 * DAY, D + 11 * DAY)]
+    stack = threshold_adjacency(frames, thresholds)
+    alone = [threshold_adjacency(frames, [theta]) for theta in sorted(thresholds)]
+    assert frame_metrics(stack) == MetricTable.concat([frame_metrics(g) for g in alone])
+    for persistence in (pair_persistence, triad_persistence):
+        expected = [group for g in alone for group in persistence(g, periods)]
+        found = persistence(stack, periods)
+        assert [group[:2] for group in found] == [group[:2] for group in expected]
+        for (*_, members, counts), (*_, alone_members, alone_counts) in zip(found, expected):
+            assert members.tolist() == alone_members.tolist()
+            assert counts.tolist() == alone_counts.tolist()
 
 
 def test_density_matches_reported_peak_arithmetic():
@@ -150,7 +200,7 @@ def test_stack_metrics_match_enumeration_oracle_exactly():
             assert clustering_global(g) == [float(o["clustering_global"]) for o in oracles]
             assert clustering_avg_local(g) == [float(o["clustering_avg_local"]) for o in oracles]
             assert frame_metrics(g).edge_count == [o["edges"] for o in oracles]
-            assert kernels.triangle_counts(g.adjacency).tolist() == [o["lambda"] for o in oracles]
+            assert kernels.triangle_counts(g.levels).tolist() == [o["lambda"] for o in oracles]
 
 
 def test_frame_metrics_fields():
@@ -196,7 +246,8 @@ def test_pair_persistence_counts_planted_edges():
         (2, 3): set(),
     }
     frames = frames_with_planted_edges(92, plant)
-    [(members, counts)] = pair_persistence(frames, [(D, D + 91 * DAY)])
+    [(period, theta, members, counts)] = pair_persistence(frames, [(D, D + 91 * DAY)])
+    assert period == (D, D + 91 * DAY) and theta == 0.5
     assert members.shape == (6, 2)  # exhaustive over all pairs
     assert members[:2].tolist() == [[0, 1], [0, 2]]
     assert counts.tolist() == [52, 46, 0, 0, 0, 0]
@@ -205,7 +256,7 @@ def test_pair_persistence_counts_planted_edges():
 def test_pair_persistence_respects_period_bounds():
     plant = {(0, 1): set(range(92))}
     frames = frames_with_planted_edges(92, plant)
-    [(members, counts)] = pair_persistence(frames, [(D + 10 * DAY, D + 19 * DAY)])
+    [(_, _, members, counts)] = pair_persistence(frames, [(D + 10 * DAY, D + 19 * DAY)])
     assert members[0].tolist() == [0, 1]
     assert counts[0] == 10
 
@@ -213,7 +264,7 @@ def test_pair_persistence_respects_period_bounds():
 def test_pair_persistence_ties_break_lexicographically():
     plant = {(0, 1): {0}, (2, 3): {0}, (0, 2): {0}}
     frames = frames_with_planted_edges(1, plant)
-    [(members, counts)] = pair_persistence(frames, [(D, D)])
+    [(_, _, members, counts)] = pair_persistence(frames, [(D, D)])
     assert members[:3].tolist() == [[0, 1], [0, 2], [2, 3]]
     assert counts[:3].tolist() == [1, 1, 1]
 
@@ -226,7 +277,7 @@ def test_triad_persistence_counts_planted_triangles():
         (1, 3): set(range(92)),  # extra edge, no third side
     }
     frames = frames_with_planted_edges(92, plant)
-    [(members, counts)] = triad_persistence(frames, [(D, D + 91 * DAY)])
+    [(_, _, members, counts)] = triad_persistence(frames, [(D, D + 91 * DAY)])
     assert members.shape == (4, 3)  # C(4,3) triples
     assert members[0].tolist() == [0, 1, 2]
     assert counts.tolist() == [60, 0, 0, 0]
@@ -241,8 +292,9 @@ def test_persistence_overlapping_periods_count_as_each_alone():
     for persistence in (pair_persistence, triad_persistence):
         together = persistence(g, periods)
         assert len(together) == len(periods)
-        for period, (members, counts) in zip(periods, together):
-            [(alone_members, alone_counts)] = persistence(g, [period])
+        for period, (group_period, _, members, counts) in zip(periods, together):
+            [(_, _, alone_members, alone_counts)] = persistence(g, [period])
+            assert group_period == period
             assert members.tolist() == alone_members.tolist()
             assert counts.tolist() == alone_counts.tolist()
 
@@ -283,7 +335,34 @@ def test_persistence_matches_recount_on_random_stacks():
                 expected = sorted(
                     recount.items(), key=lambda r: (-r[1], tuple(names[i] for i in r[0]))
                 )
-                members, counts = result
+                _, _, members, counts = result
+                assert members.tolist() == [list(ids) for ids, _ in expected]
+                assert counts.tolist() == [count for _, count in expected]
+    # Level stacks over 1-4 thresholds and overlapping periods: each group is the
+    # recount of its period at levels > t.
+    rng = np.random.default_rng(59)
+    for _ in range(30):
+        k, n_frames, n_thresholds = (int(n) for n in rng.integers([3, 1, 1], [9, 25, 5]))
+        upper = np.triu(rng.integers(0, n_thresholds + 1, (n_frames, k, k)), 1)
+        levels = (upper + upper.transpose(0, 2, 1)).astype(np.int8)
+        thetas = tuple(sorted(rng.choice(np.arange(1, 10) / 10, n_thresholds, replace=False)))
+        names = tuple(f"k{i}" for i in rng.permutation(k).tolist())
+        g = GraphFrame(np.datetime64(D) + np.arange(n_frames), 15, thetas, names, levels)
+        periods = [(D, D + (n_frames - 1) * DAY)] + [
+            (D + int(lo) * DAY, D + int(hi) * DAY)
+            for lo, hi in np.sort(rng.integers(0, n_frames, (int(rng.integers(1, 4)), 2)))]
+        for persistence, size in ((pair_persistence, 2), (triad_persistence, 3)):
+            groups = persistence(g, periods)
+            assert [group[:2] for group in groups] == [(p, t) for t in thetas for p in periods]
+            for (start, end), theta, members, counts in groups:
+                t = thetas.index(theta)
+                frames = range((start - D).days, (end - D).days + 1)
+                recount = {ids: sum(all(levels[f, a, b] > t for a, b in combinations(ids, 2))
+                                    for f in frames)
+                           for ids in combinations(range(k), size)}
+                expected = sorted(
+                    recount.items(), key=lambda r: (-r[1], tuple(names[i] for i in r[0]))
+                )
                 assert members.tolist() == [list(ids) for ids, _ in expected]
                 assert counts.tolist() == [count for _, count in expected]
 
@@ -296,9 +375,9 @@ def test_threshold_monotonicity_on_random_matrices():
         sym = (raw + raw.T) / 2
         np.fill_diagonal(sym, 1.0)
         frame = corr_frame(sym)
-        graphs = [threshold_adjacency(frame, t) for t in thetas]
+        graphs = [threshold_adjacency(frame, [t]) for t in thetas]
         for lo, hi in zip(graphs, graphs[1:]):
-            assert np.all(hi.adjacency <= lo.adjacency)  # nested edge sets
+            assert np.all(hi.levels <= lo.levels)  # nested edge sets
             assert network_density(hi) <= network_density(lo)
 
 
@@ -370,8 +449,11 @@ FAILURES = [  # (test id, call, message)
     ("test_density_of_one_keyword_rejected",
      lambda: network_density(graph_stack(np.zeros((2, 1, 1)))), "density needs at least 2 vertices"),
     *[(f"test_threshold_out_of_range[{theta}]",
-       lambda theta=theta: threshold_adjacency(corr_frame(np.ones((3, 3))), theta),
+       lambda theta=theta: threshold_adjacency(corr_frame(np.ones((3, 3))), [theta]),
        f"threshold {theta} not in (0, 1)") for theta in (0.0, 1.0, -0.2, 1.5)],
+    *[(f"test_threshold_count_out_of_range[{n}]",
+       lambda n=n: threshold_adjacency(corr_frame(np.ones((3, 3))), np.linspace(0.1, 0.9, n)),
+       f"{n} thresholds, expected 1 to 127") for n in (0, 128)],
     *[(name, lambda persistence=persistence: persistence(
         frames_with_planted_edges(5, {(0, 1): {0}}),
         [(D, D + 4 * DAY), (D + 100 * DAY, D + 110 * DAY)]),
@@ -437,9 +519,9 @@ def test_csv_quoting_round_trips_through_csv_reader():
         keywords=names,
         matrix=matrix,
     )
-    g = threshold_adjacency(frames, 0.5)
+    g = threshold_adjacency(frames, [0.5])
     period = (D, D + 2 * DAY)
-    groups = [(period, 0.5, *counted) for counted in triad_persistence(g, [period])]
+    groups = triad_persistence(g, [period])
     persistence_text = emit_persistence_csv(names, groups)
     correlations_text = emit_correlations_csv(frames)
 
