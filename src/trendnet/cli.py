@@ -19,11 +19,18 @@ and no directory it created, and puts back any file it had replaced.
 
 Every failure is a `TrendnetError`, whose `code` is the exit status (2 bad
 input or parameters, 3 I/O, 4 too little data for a window), or an
-`OSError` (3). Each rule is checked once, by the function that owns it;
-the CLI adds only where the input came from, with `errors.prefixed`. `_parse`
-reads and parses one input file and prefixes an error or a warning from it
-with that file's path, so the message names the file and the date, row or
-line; the parsers themselves take only text.
+`OSError` (3). Each rule is owned by one library function, and the CLI adds
+where the input came from, with `errors.prefixed`. `_parse` reads and parses
+one input file and prefixes an error or a warning from it with that file's
+path, so the message names the file and the date, row or line; the parsers
+themselves take only text. Seven rules the CLI checks again before any work,
+to name the flag or config line (CLI check, owner): window >= 2
+(`_parse_windows`, `kernels.rolling_dcor`); thresholds in (0, 1) and at
+most 10 of them (`_parse_thresholds`, `netstat.threshold_adjacency` and
+`render.render_metric_chart`); the metric name (`_parse_metric`,
+`render_metric_chart`); span order (`cmd_stitch`, `ingest.assemble_daily`);
+2 keywords or more (`_load_stitched`, `netstat.network_density`); a period
+that selects a frame (`_analyze_windows`, `netstat._persistence`).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """The one exception the trendnet library raises for bad input or arguments.
 
-Each rule is checked once, by the function that owns it (the dCor data's
-2-d shape, the window and finite data by `kernels.rolling_dcor`), and its
-message names the offending date, row or line; a caller that knows the
-input's file or window adds it with `prefixed`. `code` is the exit code
-the CLI returns: 2 for invalid input or parameters, 3 for I/O problems, 4
-for too little data for a requested window.
+Each rule is owned by one function (the dCor data's 2-d shape, the window
+and finite data: `kernels.rolling_dcor`), whose message names the offending
+date, row or line; a caller that knows the input's file or window adds it
+with `prefixed`. The CLI checks seven rules again first, to name the flag or
+config line (the `cli` docstring lists them). `code` is the CLI's exit code:
+2 invalid input or parameters, 3 I/O, 4 too little data for a window.
 """
 
 from contextlib import contextmanager

@@ -48,22 +48,15 @@ frames through `forked_map` (a window worker of `analyze` returns nothing:
 order. A frame reads only its window, through the same operations in the
 same order in any process, and the once-per-range steps are a maximum and
 elementwise arithmetic, so the split moves no bit. Threads do not pay: the
-per-frame numpy calls are short and serialise on the interpreter lock. On a
-2-CPU Xeon host (K = 15, n = 60 and 90, two years of days) two threads took
-0.8-1.7x the serial time, two processes 0.53-0.72x.
+per-frame numpy calls are short and serialise on the interpreter lock.
 
-Workers are at most one per MIN_WORKER_WORK frames * k * n**2 units. On
-that host a fork and wait cost 6-11 ms, the serial kernel runs 4.3e7
-(n = 15) to 1.4e8 (n = 90) units per second, and two workers broke even at
-1e6-3e6 units. 1e7 units are 0.07-0.23 s of work, so a fork costs at most
-a sixth of the share it takes over, even when the other CPU is busy. One
-frame (`correlate.distance_correlation`) and a year of 15 keywords at
-n <= 30 (4.5e6 units at most) stay serial.
-
-A window worker of `analyze` still splits its frames: at windows 60 and 90
-over two years of 15 keywords, W = 90 holds two thirds of the dCor work.
-Without the split, as with one CPU per window worker, `analyze` took 1.028 s
-against 0.938 s on that host (medians of 6 alternating pairs, slower in 4).
+Workers are at most one per MIN_WORKER_WORK frames * k * n**2 units, so a
+fork costs at most a sixth of the share it takes over, even when the other
+CPU is busy. One frame (`correlate.distance_correlation`) and a year of 15
+keywords at n <= 30 (4.5e6 units at most) stay serial. A window worker of
+`analyze` still splits its frames: at windows 60 and 90 over two years of
+15 keywords, W = 90 holds two thirds of the dCor work. The README ("CLI")
+gives the measurements behind these rules.
 """
 
 from __future__ import annotations

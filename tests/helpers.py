@@ -1,6 +1,9 @@
-"""Fixture builders: synthetic export trees shaped like the real inputs, the
-mutations a test plants in them, CPUs shown to the fork sites, and the two
-failure contracts: `assert_fails` for the CLI and `assert_raises` for the library."""
+"""The one place that builds what tier-1 feeds trendnet: correlation frames, graph
+level stacks, daily and weekly series, synthetic export trees, and the three
+reference fixtures (`reference_series`, `run_reference`) that tier-1 and
+`tests/pipeline_outputs.py` share. Also the mutations a test plants in an input
+tree, the CPUs shown to the fork sites, and the two failure contracts:
+`assert_fails` for the CLI and `assert_raises` for the library."""
 
 from __future__ import annotations
 
@@ -13,15 +16,64 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trendnet import kernels
 from trendnet.cli import main
+from trendnet.correlate import CorrelationFrame
 from trendnet.errors import TrendnetError
-from trendnet.registry import KeywordRegistry
+from trendnet.ingest import DailySeries, WeeklySeries
+from trendnet.netstat import GraphFrame
+from trendnet.registry import CATEGORIES, KeywordRegistry
+from trendnet.util import csv_field
 
 SPAN_START = date(2020, 3, 16)
 SPAN_END = date(2021, 3, 15)
 SPAN_DAYS = (SPAN_END - SPAN_START).days + 1  # 365
 
 DAY = timedelta(days=1)
+FIRST_LABEL = date(2020, 3, 31)  # the first 15-day window's label from SPAN_START
+
+
+def corr_frames(matrix, start: date = FIRST_LABEL, keywords=None) -> CorrelationFrame:
+    """15-day CorrelationFrame of one (K, K) dcor matrix or an (F, K, K) stack, its
+    frames labeled start, start+1, ...; keywords k0, k1, ... unless given."""
+    matrix = np.asarray(matrix, dtype=float)
+    matrix = matrix[None] if matrix.ndim == 2 else matrix
+    n_frames, k, _ = matrix.shape
+    return CorrelationFrame(np.datetime64(start) + np.arange(n_frames), 15,
+                            keywords or tuple(f"k{i}" for i in range(k)), matrix)
+
+
+def graph_stack(levels, start: date = FIRST_LABEL, thresholds=(0.5,), keywords=None,
+                dtype=np.uint8) -> GraphFrame:
+    """15-day GraphFrame of one (K, K) or an (F, K, K) level stack of `thresholds`, as
+    `dtype`, labeled as by `corr_frames`: a 0/1 stack is the levels of one threshold."""
+    levels = np.asarray(levels, dtype=dtype)
+    levels = levels[None] if levels.ndim == 2 else levels
+    n_frames, k, _ = levels.shape
+    return GraphFrame(np.datetime64(start) + np.arange(n_frames), 15, tuple(thresholds),
+                      keywords or tuple(f"k{i}" for i in range(k)), levels)
+
+
+def graph_from_edges(n: int, edges) -> GraphFrame:
+    """One-frame graph on n vertices with the given (i, j) edges."""
+    adjacency = np.zeros((n, n), dtype=np.uint8)
+    for i, j in edges:
+        adjacency[i, j] = adjacency[j, i] = 1
+    return graph_stack(adjacency)
+
+
+def random_graph(rng, n: int, density: float) -> np.ndarray:
+    """(n, n) symmetric 0/1 adjacency, each pair an edge with probability `density`."""
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return (upper | upper.T).astype(np.uint8)
+
+
+def daily_series(values, start: date = SPAN_START) -> DailySeries:
+    return DailySeries(start, np.asarray(values, dtype=float))
+
+
+def weekly_series(values, start: date = SPAN_START) -> WeeklySeries:
+    return WeeklySeries(start, np.asarray(values, dtype=float))
 
 
 def daily_csv(start: date, values, preamble: str = "") -> str:
@@ -171,6 +223,67 @@ def planted_block_series(
     return series, blocks
 
 
+# Keywords that the CSV writers must quote or escape, in unsorted order.
+QUOTED_KEYWORDS = (
+    "work from home", 'say "ahh"', "zinc, vitamin c", "100% cotton", "%s,%d",
+    "face shield", "ubo", "lagnat, ubo", "50%% off", 'masks "n95", kn95',
+    "social distancing", "ecq", "a b c", "fever 38.5%", "cough",
+)
+REFERENCE_FIXTURES = ("planted", "flat", "quoted")
+
+
+def reference_series(name: str) -> tuple[dict[str, np.ndarray], str | None]:
+    """Reference fixture `name`'s latent series and registry CSV text (None: the built-in
+    keywords): `planted` blocks of five (seed 42), `flat` independent series (seed 101),
+    `quoted` the planted blocks (seed 43) over `QUOTED_KEYWORDS`."""
+    keywords = KeywordRegistry.default().keywords
+    if name == "flat":
+        return flat_latent_series(np.random.default_rng(101), keywords), None
+    if name == "planted":
+        return planted_block_series(np.random.default_rng(42), keywords)[0], None
+    assert name == "quoted", name
+    registry = "keyword,category\n" + "".join(
+        f"{csv_field(kw)},{CATEGORIES[i % len(CATEGORIES)]}\n"
+        for i, kw in enumerate(QUOTED_KEYWORDS))
+    return planted_block_series(np.random.default_rng(43), QUOTED_KEYWORDS)[0], registry
+
+
+def dress_daily_exports(daily: Path) -> None:
+    """Rewrite each daily export the way real ones look, values unchanged: a
+    `Category` line, a blank row and a `Day,<keyword>: (Philippines)` header
+    first, CRLF line ends, and a UTF-8 byte-order mark on every other file."""
+    for i, path in enumerate(sorted(daily.glob("*/*.csv"))):
+        day = csv_field(f"{path.parent.name}: (Philippines)")
+        path.write_text(f"Category: All categories\n\nDay,{day}\n" + path.read_text("utf-8"),
+                        "utf-8-sig" if i % 2 else "utf-8", newline="\r\n")
+
+
+def run_reference(root: Path, name: str) -> Path:
+    """Write reference fixture `name`'s export tree under root/inputs and run `main`'s
+    stitch, analyze and two reports (density, clustering) on default settings, writing
+    37 files under root/out, which it returns. `quoted` dresses its daily exports and
+    passes its registry to stitch and analyze, so the CSV writers quote its keywords."""
+    series, registry = reference_series(name)
+    daily, weekly = write_export_tree(root / "inputs", series)
+    given = []
+    if registry is not None:
+        dress_daily_exports(daily)
+        given = ["--registry", str(write(root / "inputs" / "registry.csv", registry))]
+    out = root / "out"
+    commands = [
+        ["stitch", "--daily-dir", str(daily), "--weekly-dir", str(weekly), *given,
+         "--out", str(out / "stitched")],
+        ["analyze", "--stitched", str(out / "stitched"), *given,
+         "--out", str(out / "analysis")],
+        *(["report", "--metrics", str(out / "analysis"), "--metric", metric,
+           "--out", str(out / "reports" / f"{metric}.svg")] for metric in ("density", "clustering")),
+    ]
+    for argv in commands:
+        if main(argv) != 0:
+            raise SystemExit(f"{root.name}: trendnet {argv[0]} failed")
+    return out
+
+
 def write(path: Path, text: str) -> Path:
     path.write_text(text, "utf-8")
     return path
@@ -288,6 +401,12 @@ def show_cpus(monkeypatch, n: int) -> list[int]:
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     return forks
+
+
+def show_dcor_workers(monkeypatch, n: int) -> list[int]:
+    """`show_cpus(monkeypatch, n)`, and a single dCor frame pays for a worker of its own."""
+    monkeypatch.setattr(kernels, "MIN_WORKER_WORK", 1)
+    return show_cpus(monkeypatch, n)
 
 
 def assert_reaped() -> None:

@@ -17,7 +17,6 @@ from trendnet import ingest, stitch
 from trendnet.cli import main
 from trendnet.correlate import distance_correlation, rolling_correlation
 from trendnet.netstat import (
-    GraphFrame,
     clustering_avg_local,
     clustering_global,
     network_density,
@@ -29,9 +28,10 @@ from trendnet.registry import KeywordRegistry
 from helpers import (
     SPAN_END,
     SPAN_START,
-    flat_latent_series,
+    corr_frames,
+    graph_stack,
     persistent_series,
-    planted_block_series,
+    reference_series,
     write_export_tree,
 )
 from oracles import dcor_oracle, graph_oracle
@@ -56,17 +56,18 @@ def criterion(name):
     return wrap
 
 
+def read_tree(tree: Path, kw: str) -> tuple[ingest.DailySeries, ingest.WeeklySeries]:
+    """Keyword `kw`'s daily segments, assembled over the span, and weekly series."""
+    segments = [
+        ingest.parse_daily_segment(path.read_text("utf-8"))
+        for path in sorted((tree / "daily" / kw).glob("*.csv"))
+    ]
+    daily = ingest.assemble_daily(segments, span=(SPAN_START, SPAN_END))
+    return daily, ingest.parse_weekly((tree / "weekly" / f"{kw}.csv").read_text("utf-8"))
+
+
 def stitch_tree(tree: Path, keywords) -> dict[str, ingest.DailySeries]:
-    stitched = {}
-    for kw in keywords:
-        segments = [
-            ingest.parse_daily_segment(path.read_text("utf-8"))
-            for path in sorted((tree / "daily" / kw).glob("*.csv"))
-        ]
-        daily = ingest.assemble_daily(segments, span=(SPAN_START, SPAN_END))
-        weekly = ingest.parse_weekly((tree / "weekly" / f"{kw}.csv").read_text("utf-8"))
-        stitched[kw] = stitch.stitch_series(daily, weekly)
-    return stitched
+    return {kw: stitch.stitch_series(*read_tree(tree, kw)) for kw in keywords}
 
 
 @pytest.fixture(scope="module")
@@ -75,11 +76,10 @@ def keywords():
 
 
 @pytest.fixture(scope="module")
-def year_tree(tmp_path_factory, keywords):
-    """Synthetic 365-day, 15-keyword export tree with independent series."""
+def year_tree(tmp_path_factory):
+    """The `flat` reference fixture's export tree: 365 days of 15 independent keywords."""
     root = tmp_path_factory.mktemp("year_fixture")
-    rng = np.random.default_rng(101)
-    write_export_tree(root, flat_latent_series(rng, keywords))
+    write_export_tree(root, reference_series("flat")[0])
     return root
 
 
@@ -120,15 +120,8 @@ def test_dcor_properties():
 
 
 def _graph(adjacency):
-    """Single-frame GraphFrame: a stack of one (K, K) adjacency matrix."""
-    adjacency = np.asarray(adjacency, dtype=np.uint8)[None]
-    return GraphFrame(
-        label_dates=np.array([date(2020, 4, 6)], dtype="datetime64[D]"),
-        window_days=15,
-        thresholds=(0.4,),
-        keywords=tuple(f"k{i}" for i in range(adjacency.shape[-1])),
-        levels=adjacency,
-    )
+    """Single-frame GraphFrame of one (K, K) adjacency matrix."""
+    return graph_stack(adjacency, date(2020, 4, 6), (0.4,))
 
 
 @criterion("density-arithmetic-consistency")
@@ -171,19 +164,12 @@ def test_clustering_matches_enumeration_on_500_random_graphs():
 @criterion("threshold-monotonicity")
 def test_threshold_monotonicity_zero_violations():
     rng = np.random.default_rng(41)
-    from trendnet.correlate import CorrelationFrame
-
     for _ in range(200):
         k = int(rng.integers(3, 16))
         raw = rng.random((k, k))
         sym = (raw + raw.T) / 2
         np.fill_diagonal(sym, 1.0)
-        frame = CorrelationFrame(
-            label_dates=np.array([date(2020, 4, 6)], dtype="datetime64[D]"),
-            window_days=15,
-            keywords=tuple(f"k{i}" for i in range(k)),
-            matrix=sym[None],
-        )
+        frame = corr_frames(sym, date(2020, 4, 6))
         graphs = [threshold_adjacency(frame, [t]) for t in THETA_GRID]
         for lo, hi in zip(graphs, graphs[1:]):
             assert np.all(hi.levels <= lo.levels)
@@ -191,16 +177,11 @@ def test_threshold_monotonicity_zero_violations():
 
 
 @criterion("rescaling-week-mean-restoration")
-def test_week_mean_restoration_on_year_fixture(year_tree, keywords):
+def test_week_mean_restoration_on_year_fixture(year_tree, year_stitched, keywords):
     checked = 0
     for kw in keywords:
-        segments = [
-            ingest.parse_daily_segment(p.read_text("utf-8"))
-            for p in sorted((year_tree / "daily" / kw).glob("*.csv"))
-        ]
-        daily = ingest.assemble_daily(segments, span=(SPAN_START, SPAN_END))
-        weekly = ingest.parse_weekly((year_tree / "weekly" / f"{kw}.csv").read_text("utf-8"))
-        rescaled = stitch.stitch_series(daily, weekly)
+        daily, weekly = read_tree(year_tree, kw)
+        rescaled = year_stitched[kw]
         # Both start on SPAN_START, so week idx holds days 7*idx .. 7*idx + 6.
         # Export values are whole numbers, so every summation order is exact.
         assert daily.start_date == weekly.start_date
@@ -223,12 +204,11 @@ def test_week_mean_restoration_on_year_fixture(year_tree, keywords):
 @criterion("end-to-end-structure-recovery")
 def test_planted_blocks_recovered_at_half_threshold(tmp_path_factory):
     root = tmp_path_factory.mktemp("blocks")
-    rng = np.random.default_rng(42)
-    series, blocks = planted_block_series(rng)
+    series = reference_series("planted")[0]
     write_export_tree(root, series)
     stitched = stitch_tree(root, list(series))
     frames = rolling_correlation(stitched, 15)
-    block_of = {kw: i for i, block in enumerate(blocks) for kw in block}
+    block_of = {kw: i // 5 for i, kw in enumerate(series)}  # blocks of five, in keyword order
     kws = frames.keywords
     stack = frames.matrix
     within, cross = [], []

@@ -16,8 +16,8 @@ from trendnet.cli import main
 from trendnet.ingest import parse_stitched
 
 from helpers import (SPAN_END, SPAN_START, assert_fails, assert_raises, assert_reaped, by_test_id,
-                     flat_latent_series, mkdir, plant, remove, rename_files, show_cpus, tree_bytes,
-                     write, write_export_tree)
+                     flat_latent_series, mkdir, plant, remove, rename_files, show_cpus,
+                     show_dcor_workers, tree_bytes, write, write_export_tree)
 
 KW3 = ("cough", "fever", "flu")
 REGISTRY3 = (
@@ -138,19 +138,12 @@ def test_analyze_overlapping_periods_count_as_each_alone(stitched_dir, tmp_path)
         assert rows["both"] == rows["alone"] and rows["alone"]
 
 
-def force_dcor_workers(monkeypatch, n):
-    """Show `analyze` n CPUs and let a single frame pay for a dCor worker; returns
-    the fork record of `show_cpus`."""
-    monkeypatch.setattr(kernels, "MIN_WORKER_WORK", 1)
-    return show_cpus(monkeypatch, n)
-
-
 def test_analyze_outputs_do_not_depend_on_dcor_workers(stitched_dir, tmp_path, monkeypatch):
     """The windows split over 1, 2 and 3 CPUs, and the first group's frames
     split again, write the same bytes as one process."""
     outputs = {}
     for cpus in (1, 2, 3):
-        forks = force_dcor_workers(monkeypatch, cpus)
+        forks = show_dcor_workers(monkeypatch, cpus)
         out = tmp_path / f"cpus{cpus}"
         assert main(analyze_argv(stitched_dir, "--windows", "15,30,45", "--out", str(out))) == 0
         outputs[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}, len(forks)
@@ -806,7 +799,7 @@ def test_analyze_interrupted_after_a_window_leaves_nothing(stitched_dir, tmp_pat
 ], ids=["child", "signal", "parent"])
 def test_analyze_failed_dcor_worker_exits_3_leaving_nothing(stitched_dir, tmp_path, monkeypatch,
                                                             failing, message):
-    force_dcor_workers(monkeypatch, 3)
+    show_dcor_workers(monkeypatch, 3)
     real_frames, parent = kernels._dcor_frames, os.getpid()
 
     def dcor_frames(days, n):

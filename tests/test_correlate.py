@@ -1,26 +1,18 @@
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
 
 from trendnet.correlate import emit_correlations_csv, rolling_correlation
-from trendnet.ingest import DailySeries
 
-from helpers import by_test_id
+from helpers import DAY, SPAN_START, by_test_id, daily_series
 from oracles import dcor_oracle
-
-START = date(2020, 3, 16)
-DAY = timedelta(days=1)
-
-
-def series_from(values, start=START):
-    return DailySeries(start, np.asarray(values, dtype=float))
 
 
 def year_fixture(n_keywords=3, n_days=365, seed=0):
     rng = np.random.default_rng(seed)
     return {
-        f"kw{i}": series_from(rng.uniform(0, 120, n_days))
+        f"kw{i}": daily_series(rng.uniform(0, 120, n_days))
         for i in range(n_keywords)
     }
 
@@ -50,14 +42,14 @@ def test_window_excludes_label_date():
     for f in (0, 7, 25):
         expected = dcor_oracle(x[f : f + 15], y[f : f + 15])
         assert frames.matrix[f, 0, 1] == pytest.approx(expected, abs=1e-12)
-        assert frames.label_dates[f] == START + (15 + f) * DAY
+        assert frames.label_dates[f] == SPAN_START + (15 + f) * DAY
 
 
 def test_identical_series_correlate_one_everywhere():
     values = np.random.default_rng(1).uniform(0, 100, 50)
     series = {
-        "ubo": series_from(values),
-        "sipon": series_from(values),
+        "ubo": daily_series(values),
+        "sipon": daily_series(values),
     }
     frames = rolling_correlation(series, 15)
     assert frames.matrix[:, 0, 1] == pytest.approx(np.ones(36), abs=1e-12)
@@ -73,7 +65,7 @@ def test_frame_matrix_invariants_hold_everywhere():
 def test_window_equal_to_series_gives_single_frame():
     frames = rolling_correlation(year_fixture(n_days=30), 30)
     assert frames.matrix.shape == (1, 3, 3)
-    assert frames.label_dates.tolist() == [START + 30 * DAY]
+    assert frames.label_dates.tolist() == [SPAN_START + 30 * DAY]
 
 
 def test_keyword_order_follows_mapping_order():
@@ -108,7 +100,7 @@ def test_long_format_csv_rows_follow_frames_then_pairs():
 
 FAILURES = [  # (test id, call, message[, code, kind])
     ("test_misaligned_series_rejected", lambda: rolling_correlation(
-        {**year_fixture(2, 30), "late": series_from(np.ones(30), START + DAY)}, 15),
+        {**year_fixture(2, 30), "late": daily_series(np.ones(30), SPAN_START + DAY)}, 15),
      "late: spans 2020-03-17..2020-04-15, expected 2020-03-16..2020-04-14"),
     ("test_window_longer_than_series_rejected",
      lambda: rolling_correlation(year_fixture(n_days=30), 31),
@@ -117,7 +109,7 @@ FAILURES = [  # (test id, call, message[, code, kind])
        lambda window=window: rolling_correlation(year_fixture(n_days=30), window),
        f"need at least 2 points, got {window}") for window in (1, 0, -3)],
     ("test_non_finite_series_rejected", lambda: rolling_correlation(
-        {"a": series_from(np.where(np.arange(30) == 7, np.inf, 1)), "b": series_from(np.ones(30))},
-        15), "series contain non-finite values"),
+        {"a": daily_series(np.where(np.arange(30) == 7, np.inf, 1)),
+         "b": daily_series(np.ones(30))}, 15), "series contain non-finite values"),
 ]
 globals().update(by_test_id(FAILURES))

@@ -17,7 +17,7 @@ from trendnet import kernels
 from trendnet.cli import main
 from trendnet.correlate import distance_correlation
 
-from helpers import by_test_id, planted_block_series, show_cpus, write_export_tree
+from helpers import by_test_id, reference_series, show_cpus, show_dcor_workers, write_export_tree
 from oracles import dcor_oracle, rolling_dcor_reference
 
 
@@ -194,13 +194,6 @@ def test_dcor_matrix_is_the_one_frame_stack():
         assert np.array_equal(one[0], kernels.rolling_dcor(longer, n)[3])
 
 
-@pytest.fixture()
-def cpus(monkeypatch):
-    """`cpus(n)` is `show_cpus(monkeypatch, n)` with a single frame paying for a worker."""
-    monkeypatch.setattr(kernels, "MIN_WORKER_WORK", 1)
-    return lambda n: show_cpus(monkeypatch, n)
-
-
 # Uneven splits, fewer frames than workers, and one frame: a window of all the rows.
 # Each range reads its days up to `stop + window - 1`. Ids without a `w` are window 15.
 SPLITS = [(frames, window) for window in (15, 2, 90) for frames in (1, 2, 5, 7, 40)]
@@ -209,18 +202,18 @@ SPLITS = [(frames, window) for window in (15, 2, 90) for frames in (1, 2, 5, 7, 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("frames, window", SPLITS,
                          ids=[f"{f}" if w == 15 else f"{f}w{w}" for f, w in SPLITS])
-def test_rolling_dcor_split_over_workers_is_bit_exact(cpus, workers, frames, window):
-    forks = cpus(workers)
+def test_rolling_dcor_split_over_workers_is_bit_exact(monkeypatch, workers, frames, window):
+    forks = show_dcor_workers(monkeypatch, workers)
     data = _stack(np.random.default_rng(100 + frames), frames + window - 1, 6)
     assert np.array_equal(kernels.rolling_dcor(data, window), rolling_dcor_reference(data, window))
     assert len(forks) == min(workers, frames) - 1  # one worker per range, the first in-process
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_rolling_dcor_split_with_exponents_changing_inside_ranges(cpus, workers):
+def test_rolling_dcor_split_with_exponents_changing_inside_ranges(monkeypatch, workers):
     """Window maxima that cross 30 powers of two a frame: a range computed with
     another frame's exponents over- or underflows and moves bits."""
-    forks = cpus(workers)
+    forks = show_dcor_workers(monkeypatch, workers)
     window, frames = 15, 40
     data = _stack(np.random.default_rng(37), frames + window - 1, 6)
     days = np.arange(len(data))
@@ -230,8 +223,8 @@ def test_rolling_dcor_split_with_exponents_changing_inside_ranges(cpus, workers)
     assert len(forks) == workers - 1
 
 
-def test_rolling_dcor_split_across_scales_and_windows(cpus):
-    forks = cpus(3)
+def test_rolling_dcor_split_across_scales_and_windows(monkeypatch):
+    forks = show_dcor_workers(monkeypatch, 3)
     data = _stack(np.random.default_rng(29), 70, 8)
     data *= 10.0 ** np.linspace(-200, 200, 8)
     for window in (2, 15, 30):
@@ -240,8 +233,8 @@ def test_rolling_dcor_split_across_scales_and_windows(cpus):
     assert len(forks) == 6
 
 
-def test_rolling_dcor_stays_in_process_while_other_threads_run(cpus):
-    forks = cpus(2)
+def test_rolling_dcor_stays_in_process_while_other_threads_run(monkeypatch):
+    forks = show_dcor_workers(monkeypatch, 2)
     data = _stack(np.random.default_rng(31), 40, 5)
     result = {}
     thread = threading.Thread(target=lambda: result.update(out=kernels.rolling_dcor(data, 15)))
@@ -267,8 +260,7 @@ def test_analyze_bytes_under_another_blas_kernel(tmp_path):
     """The Gram product of `_dcor_frames` goes to OpenBLAS, whose summation
     order follows the CPU kernel it picks at run time. Another kernel may move
     the last of a dCor's 12 written digits, and nothing else."""
-    daily, weekly = write_export_tree(tmp_path / "inputs",
-                                      planted_block_series(np.random.default_rng(42))[0])
+    daily, weekly = write_export_tree(tmp_path / "inputs", reference_series("planted")[0])
     stitched = tmp_path / "stitched"
     assert main(["stitch", "--daily-dir", str(daily), "--weekly-dir", str(weekly),
                  "--out", str(stitched)]) == 0

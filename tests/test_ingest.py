@@ -1,11 +1,10 @@
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from trendnet.ingest import (
-    DailySeries,
     assemble_daily,
     emit_daily_csv,
     parse_daily_segment,
@@ -13,10 +12,9 @@ from trendnet.ingest import (
     parse_weekly,
 )
 
-from helpers import by_test_id, daily_csv, weekly_csv
+from helpers import DAY, by_test_id, daily_csv, daily_series, weekly_csv
 
 D = date(2020, 3, 16)
-DAY = timedelta(days=1)
 
 GOOGLE_PREAMBLE = "Category: All categories\n\nDay,cough: (Philippines)\n"
 
@@ -67,15 +65,11 @@ def test_parse_weekly_censored_value():
     assert weekly.values.tolist() == [0.5, 100.0]
 
 
-def _segment(start: date, values):
-    return parse_daily_segment(daily_csv(start, values))
-
-
 def test_assemble_daily_contiguous_segments():
     segs = [
-        _segment(D, [100] * 31),                 # through 2020-04-15
-        _segment(date(2020, 4, 16), [100] * 31), # through 2020-05-16
-        _segment(date(2020, 5, 17), [100] * 10),
+        daily_series([100] * 31, D),  # through 2020-04-15
+        daily_series([100] * 31, date(2020, 4, 16)),  # through 2020-05-16
+        daily_series([100] * 10, date(2020, 5, 17)),
     ]
     series = assemble_daily(segs)
     assert len(series) == 72
@@ -86,7 +80,7 @@ def test_assemble_daily_contiguous_segments():
 
 def test_assemble_daily_trims_to_span():
     series = assemble_daily(
-        [_segment(D, list(range(70, 101)))], span=(D + DAY, D + 5 * DAY)
+        [daily_series(list(range(70, 101)), D)], span=(D + DAY, D + 5 * DAY)
     )
     assert series.start_date == D + DAY
     assert series.end_date == D + 5 * DAY
@@ -94,7 +88,7 @@ def test_assemble_daily_trims_to_span():
 
 
 def test_assemble_daily_sorts_segments():
-    segs = [_segment(date(2020, 4, 16), [0] * 5), _segment(D, [100] * 31)]
+    segs = [daily_series([0] * 5, date(2020, 4, 16)), daily_series([100] * 31, D)]
     series = assemble_daily(segs)
     assert series.start_date == D
     assert series.values.tolist() == [100.0] * 31 + [0.0] * 5
@@ -114,7 +108,7 @@ def test_parse_stitched_allows_values_over_100():
     )
 )
 def test_stitched_csv_round_trip(values):
-    series = DailySeries(D, np.array(values))
+    series = daily_series(values, D)
     assert same_series(parse_stitched(emit_daily_csv(series)), series)
 
 
@@ -155,16 +149,18 @@ FAILURES = [  # (test id, call, message)
      "expected 2020-03-22 after 2020-03-15, got 2020-03-21"),
     ("test_parse_weekly_empty", lambda: parse_weekly("Week,flu\n"), "no data rows"),
     ("test_assemble_daily_overlap",
-     lambda: assemble_daily([_segment(D, [100] * 31), _segment(date(2020, 4, 15), [100] * 5)]),
+     lambda: assemble_daily([daily_series([100] * 31, D),
+                             daily_series([100] * 5, date(2020, 4, 15))]),
      "segments overlap at 2020-04-15 (previous segment runs through 2020-04-15)"),
     ("test_assemble_daily_gap",
-     lambda: assemble_daily([_segment(D, [100] * 31), _segment(date(2020, 4, 18), [100] * 5)]),
+     lambda: assemble_daily([daily_series([100] * 31, D),
+                             daily_series([100] * 5, date(2020, 4, 18))]),
      "missing date 2020-04-16 between segments (2020-04-15 -> 2020-04-18)"),
     ("test_assemble_daily_span_not_covered",
-     lambda: assemble_daily([_segment(D, [100] * 10)], span=(D, date(2021, 3, 15))),
+     lambda: assemble_daily([daily_series([100] * 10, D)], span=(D, date(2021, 3, 15))),
      "assembled span 2020-03-16..2020-03-25 does not cover 2020-03-16..2021-03-15"),
     ("test_assemble_daily_inverted_span",
-     lambda: assemble_daily([_segment(D, [100] * 10)], span=(D + 4 * DAY, D + 2 * DAY)),
+     lambda: assemble_daily([daily_series([100] * 10, D)], span=(D + 4 * DAY, D + 2 * DAY)),
      "span start 2020-03-20 is after its end 2020-03-18"),
     *[(f"test_parse_weekly_value_out_of_range[{bad}]",
        lambda bad=bad: parse_weekly(f"2020-03-15,{bad}\n2020-03-22,5\n"),

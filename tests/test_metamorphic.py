@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from trendnet.cli import main
-from trendnet.ingest import DailySeries, emit_daily_csv, parse_stitched
+from trendnet.ingest import emit_daily_csv, parse_stitched
 
-from helpers import planted_block_series, write_export_tree
+from helpers import daily_series, planted_block_series, write_export_tree
 
 KEYWORDS = ("cough", "fever", "flu", "ubo", "sipon", "lagnat")
 CATEGORY = {"cough": "SymptomsEnglish", "fever": "SymptomsEnglish", "flu": "SymptomsEnglish",
@@ -97,9 +97,7 @@ def test_affine_rescale_of_one_keyword_keeps_its_dcor_rows(stitched, tmp_path):
         text = (stitched / f"{kw}.csv").read_text()
         if kw == "flu":
             series = parse_stitched(text)
-            text = emit_daily_csv(
-                DailySeries(series.start_date, 3.7 * series.values + 12.5)
-            )
+            text = emit_daily_csv(daily_series(3.7 * series.values + 12.5, series.start_date))
         (scaled_dir / f"{kw}.csv").write_text(text)
     scaled = analyze(scaled_dir, tmp_path / "scaled", KEYWORDS)
 

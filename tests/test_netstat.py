@@ -1,17 +1,15 @@
 import csv
 import io
-from datetime import date, timedelta
+from datetime import date
 from itertools import combinations
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from trendnet import kernels
-from trendnet.correlate import CorrelationFrame, emit_correlations_csv
+from trendnet.correlate import emit_correlations_csv
 from trendnet.netstat import (
     METRIC_COLUMNS,
-    GraphFrame,
     MetricTable,
     clustering_avg_local,
     clustering_global,
@@ -25,51 +23,13 @@ from trendnet.netstat import (
     triad_persistence,
 )
 
-from helpers import by_test_id
+from helpers import (DAY, FIRST_LABEL as D, by_test_id, corr_frames, graph_from_edges, graph_stack,
+                     random_graph)
 from oracles import graph_oracle
-
-D = date(2020, 3, 31)
-DAY = timedelta(days=1)
-
-
-def graph_stack(adjacency, start=D, theta=0.5, keywords=None, dtype=np.uint8):
-    """One-threshold GraphFrame over an (F, K, K) 0/1 stack, as `dtype`, labeled start,
-    start+1, ...: a 0/1 stack is the levels of one threshold."""
-    adjacency = np.asarray(adjacency, dtype=dtype)
-    n_frames, k, _ = adjacency.shape
-    return GraphFrame(
-        label_dates=np.datetime64(start) + np.arange(n_frames),
-        window_days=15,
-        thresholds=(theta,),
-        keywords=keywords or tuple(f"k{i}" for i in range(k)),
-        levels=adjacency,
-    )
-
-
-def graph_from_edges(n, edges):
-    adjacency = np.zeros((1, n, n), dtype=np.uint8)
-    for i, j in edges:
-        adjacency[0, i, j] = adjacency[0, j, i] = 1
-    return graph_stack(adjacency)
-
-
-def random_graph(rng, n, density):
-    upper = np.triu(rng.random((n, n)) < density, 1)
-    return (upper | upper.T).astype(np.uint8)
-
-
-def corr_frame(matrix, label=D):
-    matrix = np.asarray(matrix, dtype=float)
-    return CorrelationFrame(
-        label_dates=np.array([label], dtype="datetime64[D]"),
-        window_days=15,
-        keywords=tuple(f"k{i}" for i in range(matrix.shape[0])),
-        matrix=matrix[None],
-    )
 
 
 def test_threshold_boundary_is_inclusive():
-    frame = corr_frame([[1.0, 0.80, 0.79], [0.80, 1.0, 0.2], [0.79, 0.2, 1.0]])
+    frame = corr_frames([[1.0, 0.80, 0.79], [0.80, 1.0, 0.2], [0.79, 0.2, 1.0]])
     g = threshold_adjacency(frame, [0.8])
     assert g.levels.shape == (1, 3, 3)
     assert g.levels[0, 0, 1] == 1
@@ -78,7 +38,7 @@ def test_threshold_boundary_is_inclusive():
 
 
 def test_threshold_full_matrix_gives_complete_graph():
-    frame = corr_frame(np.ones((4, 4)))
+    frame = corr_frames(np.ones((4, 4)))
     g = threshold_adjacency(frame, [0.6])
     assert g.levels.sum() == 4 * 3  # every off-diagonal entry
 
@@ -92,8 +52,7 @@ def tied_frames(rng, thresholds, n_frames, k):
     matrix = np.triu(raw, 1)
     matrix += matrix.transpose(0, 2, 1)
     matrix[:, range(k), range(k)] = 1.0
-    return CorrelationFrame(label_dates=np.datetime64(D) + np.arange(n_frames), window_days=15,
-                            keywords=tuple(f"k{i}" for i in range(k)), matrix=matrix)
+    return corr_frames(matrix)
 
 
 def test_levels_match_each_threshold_comparison():
@@ -131,19 +90,6 @@ def test_level_stack_rows_are_each_threshold_alone():
             assert counts.tolist() == alone_counts.tolist()
 
 
-def test_density_matches_reported_peak_arithmetic():
-    pairs = [(i, j) for i in range(15) for j in range(i + 1, 15)]
-    [density] = network_density(graph_from_edges(15, pairs[:91]))
-    assert density == pytest.approx(0.866667, abs=1e-6)
-    assert round(density, 4) == 0.8667
-
-
-def test_density_extremes():
-    assert network_density(graph_from_edges(15, [])) == [0.0]
-    all_pairs = [(i, j) for i in range(15) for j in range(i + 1, 15)]
-    assert network_density(graph_from_edges(15, all_pairs)) == [1.0]
-
-
 def test_clustering_triangle():
     g = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
     assert clustering_global(g) == [1.0]
@@ -154,12 +100,6 @@ def test_clustering_star_has_no_triangles():
     g = graph_from_edges(5, [(0, i) for i in range(1, 5)])
     assert clustering_global(g) == [0.0]
     assert clustering_avg_local(g) == [0.0]
-
-
-def test_clustering_k4_minus_edge():
-    g = graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    assert clustering_global(g) == [0.75]  # 6 triangle incidences over 8 triples
-    assert clustering_avg_local(g) == [5 / 6]
 
 
 def test_clustering_edgeless_graph():
@@ -175,25 +115,13 @@ def test_clustering_variants_agree_on_vertex_transitive_graphs():
         assert clustering_global(g) == clustering_avg_local(g)
 
 
-def test_metrics_match_enumeration_oracle_exactly():
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        n = int(rng.integers(2, 16))
-        adjacency = random_graph(rng, n, rng.uniform(0.1, 0.9))
-        g = graph_stack(adjacency[None])
-        oracle = graph_oracle(adjacency)
-        assert network_density(g) == [float(oracle["density"])]
-        assert clustering_global(g) == [float(oracle["clustering_global"])]
-        assert clustering_avg_local(g) == [float(oracle["clustering_avg_local"])]
-        assert sum(oracle["lambda"]) % 3 == 0  # each triangle counted thrice
-
-
 def test_stack_metrics_match_enumeration_oracle_exactly():
     """Multi-frame stacks up to K=40, each frame at its own density."""
     rng = np.random.default_rng(47)
     for n in [40, 40, 33, *rng.integers(2, 30, 37).tolist()]:
         frames = [random_graph(rng, n, rng.uniform(0.0, 1.0)) for _ in range(rng.integers(2, 5))]
         oracles = [graph_oracle(a) for a in frames]
+        assert all(sum(o["lambda"]) % 3 == 0 for o in oracles)  # each triangle counted thrice
         for dtype in (np.uint8, bool):  # as the tests build stacks, and as analyze does
             g = graph_stack(np.stack(frames), dtype=dtype)
             assert network_density(g) == [float(o["density"]) for o in oracles]
@@ -347,7 +275,7 @@ def test_persistence_matches_recount_on_random_stacks():
         levels = (upper + upper.transpose(0, 2, 1)).astype(np.int8)
         thetas = tuple(sorted(rng.choice(np.arange(1, 10) / 10, n_thresholds, replace=False)))
         names = tuple(f"k{i}" for i in rng.permutation(k).tolist())
-        g = GraphFrame(np.datetime64(D) + np.arange(n_frames), 15, thetas, names, levels)
+        g = graph_stack(levels, thresholds=thetas, keywords=names, dtype=np.int8)
         periods = [(D, D + (n_frames - 1) * DAY)] + [
             (D + int(lo) * DAY, D + int(hi) * DAY)
             for lo, hi in np.sort(rng.integers(0, n_frames, (int(rng.integers(1, 4)), 2)))]
@@ -365,20 +293,6 @@ def test_persistence_matches_recount_on_random_stacks():
                 )
                 assert members.tolist() == [list(ids) for ids, _ in expected]
                 assert counts.tolist() == [count for _, count in expected]
-
-
-def test_threshold_monotonicity_on_random_matrices():
-    rng = np.random.default_rng(31)
-    thetas = (0.4, 0.5, 0.6, 0.8)
-    for _ in range(50):
-        raw = rng.random((10, 10))
-        sym = (raw + raw.T) / 2
-        np.fill_diagonal(sym, 1.0)
-        frame = corr_frame(sym)
-        graphs = [threshold_adjacency(frame, [t]) for t in thetas]
-        for lo, hi in zip(graphs, graphs[1:]):
-            assert np.all(hi.levels <= lo.levels)  # nested edge sets
-            assert network_density(hi) <= network_density(lo)
 
 
 def test_metrics_csv_round_trip():
@@ -449,10 +363,10 @@ FAILURES = [  # (test id, call, message)
     ("test_density_of_one_keyword_rejected",
      lambda: network_density(graph_stack(np.zeros((2, 1, 1)))), "density needs at least 2 vertices"),
     *[(f"test_threshold_out_of_range[{theta}]",
-       lambda theta=theta: threshold_adjacency(corr_frame(np.ones((3, 3))), [theta]),
+       lambda theta=theta: threshold_adjacency(corr_frames(np.ones((3, 3))), [theta]),
        f"threshold {theta} not in (0, 1)") for theta in (0.0, 1.0, -0.2, 1.5)],
     *[(f"test_threshold_count_out_of_range[{n}]",
-       lambda n=n: threshold_adjacency(corr_frame(np.ones((3, 3))), np.linspace(0.1, 0.9, n)),
+       lambda n=n: threshold_adjacency(corr_frames(np.ones((3, 3))), np.linspace(0.1, 0.9, n)),
        f"{n} thresholds, expected 1 to 127") for n in (0, 128)],
     *[(name, lambda persistence=persistence: persistence(
         frames_with_planted_edges(5, {(0, 1): {0}}),
@@ -513,12 +427,7 @@ def test_csv_quoting_round_trips_through_csv_reader():
     rng = np.random.default_rng(61)
     raw = rng.random((3, k, k))
     matrix = (raw + raw.transpose(0, 2, 1)) / 2
-    frames = CorrelationFrame(
-        label_dates=np.datetime64(D) + np.arange(3),
-        window_days=15,
-        keywords=names,
-        matrix=matrix,
-    )
+    frames = corr_frames(matrix, keywords=names)
     g = threshold_adjacency(frames, [0.5])
     period = (D, D + 2 * DAY)
     groups = triad_persistence(g, [period])

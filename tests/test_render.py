@@ -1,6 +1,5 @@
 import json
 import xml.etree.ElementTree as ET
-from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,10 +9,8 @@ from trendnet.netstat import METRIC_COLUMNS, MetricTable
 from trendnet.render import metrics_report_json, render_metric_chart
 from trendnet.timeline import join_events, load_bundled_events, load_events
 
-from helpers import by_test_id
+from helpers import DAY, FIRST_LABEL as D, by_test_id
 
-D = date(2020, 3, 31)
-DAY = timedelta(days=1)
 SVG = "{http://www.w3.org/2000/svg}"
 
 

@@ -1,24 +1,12 @@
-from datetime import date, timedelta
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trendnet.ingest import DailySeries, WeeklySeries
 from trendnet.stitch import stitch_series
 
-from helpers import by_test_id
+from helpers import DAY, SPAN_START, by_test_id, daily_series, weekly_series
 
-W0 = date(2020, 3, 16)  # a Monday
-DAY = timedelta(days=1)
-
-
-def daily_from(values, start=W0):
-    return DailySeries(start, np.asarray(values, dtype=float))
-
-
-def weekly_from(values, start=W0):
-    return WeeklySeries(start, np.asarray(values, dtype=float))
+W0 = SPAN_START  # a Monday
 
 
 def week_means(daily, weekly):
@@ -32,34 +20,34 @@ def week_means(daily, weekly):
 
 def test_weekly_metrics_full_week():
     # a full week averaging 40 under a weekly value of 50: weight 1.25
-    rescaled = stitch_series(daily_from([10, 20, 30, 40, 50, 60, 70]), weekly_from([50]))
+    rescaled = stitch_series(daily_series([10, 20, 30, 40, 50, 60, 70]), weekly_series([50]))
     assert rescaled.values.tolist() == [12.5, 25.0, 37.5, 50.0, 62.5, 75.0, 87.5]
 
 
 def test_weekly_metrics_empty_week():
     # the first week holds no days; the second averages 2 under a weekly 40
-    daily = daily_from([1, 2, 3], start=W0 + 7 * DAY)
-    rescaled = stitch_series(daily, weekly_from([80, 40]))
+    daily = daily_series([1, 2, 3], start=W0 + 7 * DAY)
+    rescaled = stitch_series(daily, weekly_series([80, 40]))
     assert rescaled.start_date == W0 + 7 * DAY
     assert rescaled.values.tolist() == [20.0, 40.0, 60.0]
 
 
 def test_weekly_metrics_partial_week():
     # three days averaging 20 under a weekly 25: weight 1.25
-    rescaled = stitch_series(daily_from([10, 20, 30]), weekly_from([25]))
+    rescaled = stitch_series(daily_series([10, 20, 30]), weekly_series([25]))
     assert rescaled.values.tolist() == [12.5, 25.0, 37.5]
 
 
 def test_weights_piecewise_rule():
     # weight = weekly / mean: 50/40 = 1.25, 37/37 = 1, and 1 for an all-zero week
-    daily = daily_from([40] * 7 + [37] * 7 + [0] * 7)
-    rescaled = stitch_series(daily, weekly_from([50, 37, 80]))
+    daily = daily_series([40] * 7 + [37] * 7 + [0] * 7)
+    rescaled = stitch_series(daily, weekly_series([50, 37, 80]))
     assert rescaled.values.tolist() == [50.0] * 7 + [37.0] * 7 + [0.0] * 7
 
 
 def test_rescale_multiplies_by_week_weight():
-    daily = daily_from([10, 0, 40, 10, 20, 30, 30])
-    rescaled = stitch_series(daily, weekly_from([25]))  # 25 over daily avg 140/7 = 20
+    daily = daily_series([10, 0, 40, 10, 20, 30, 30])
+    rescaled = stitch_series(daily, weekly_series([25]))  # 25 over daily avg 140/7 = 20
     assert rescaled.values.tolist() == (daily.values * 1.25).tolist()
     assert rescaled.values[0] == 12.5
     assert rescaled.values[1] == 0.0
@@ -67,8 +55,8 @@ def test_rescale_multiplies_by_week_weight():
 
 
 def test_rescale_zero_avg_week_passes_values_through():
-    daily = daily_from([0, 0, 0, 0, 0, 0, 0, 5, 10, 5, 10, 5, 10, 20])
-    rescaled = stitch_series(daily, weekly_from([60, 50]))
+    daily = daily_series([0, 0, 0, 0, 0, 0, 0, 5, 10, 5, 10, 5, 10, 20])
+    rescaled = stitch_series(daily, weekly_series([60, 50]))
     assert rescaled.values[:7].tolist() == daily.values[:7].tolist()
     assert rescaled.values[7:] == pytest.approx(daily.values[7:] * (50 / (65 / 7)))
 
@@ -76,13 +64,13 @@ def test_rescale_zero_avg_week_passes_values_through():
 COVERAGE = "outside weekly coverage [2020-03-16, 2020-03-23)"
 FAILURES = [  # (test id, call, message)
     ("test_weekly_metrics_uncovered_date",
-     lambda: stitch_series(daily_from([1], start=W0 - DAY), weekly_from([50])),
+     lambda: stitch_series(daily_series([1], start=W0 - DAY), weekly_series([50])),
      f"daily date 2020-03-15 {COVERAGE}"),
     ("test_weekly_metrics_uncovered_last_date",
-     lambda: stitch_series(daily_from([1] * 8), weekly_from([50])),
+     lambda: stitch_series(daily_series([1] * 8), weekly_series([50])),
      f"daily date 2020-03-23 {COVERAGE}"),
-    ("test_rescale_uncovered_date", lambda: stitch_series(daily_from([1] * 8), weekly_from([10])),
-     f"daily date 2020-03-23 {COVERAGE}"),
+    ("test_rescale_uncovered_date",
+     lambda: stitch_series(daily_series([1] * 8), weekly_series([10])), f"daily date 2020-03-23 {COVERAGE}"),
 ]
 globals().update(by_test_id(FAILURES))
 
@@ -101,7 +89,7 @@ def daily_and_weekly(draw):
     n_days = draw(st.integers(min_value=1, max_value=n_weeks * 7 - lead))
     values = draw(st.lists(rsv_values, min_size=n_days, max_size=n_days))
     weekly = draw(st.lists(rsv_values, min_size=n_weeks, max_size=n_weeks))
-    return daily_from(values, start=W0 + lead * DAY), weekly_from(weekly)
+    return daily_series(values, start=W0 + lead * DAY), weekly_series(weekly)
 
 
 def running_sum_stitch(daily, weekly):
@@ -162,6 +150,6 @@ def test_rescaling_is_monotone_within_each_week(pair):
 
 
 def test_idempotent_when_weekly_equals_avg():
-    daily = daily_from([10, 20, 30, 40, 50, 60, 70, 5, 5, 5])
-    matched = weekly_from([avg for avg, _ in week_means(daily, weekly_from([1, 1]))])
+    daily = daily_series([10, 20, 30, 40, 50, 60, 70, 5, 5, 5])
+    matched = weekly_series([avg for avg, _ in week_means(daily, weekly_series([1, 1]))])
     assert stitch_series(daily, matched).values.tolist() == daily.values.tolist()

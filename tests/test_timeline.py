@@ -1,4 +1,4 @@
-from datetime import date, timedelta
+from datetime import date
 
 from trendnet.netstat import MetricTable
 from trendnet.timeline import (
@@ -8,10 +8,7 @@ from trendnet.timeline import (
     load_events,
 )
 
-from helpers import by_test_id
-
-D = date(2020, 3, 31)
-DAY = timedelta(days=1)
+from helpers import DAY, FIRST_LABEL as D, by_test_id
 
 
 def metrics_at(dates, threshold=0.5):

@@ -3,7 +3,7 @@ import io
 import os
 import pickle
 import warnings
-from datetime import date, timedelta
+from datetime import date
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,9 +22,8 @@ from trendnet.util import (
     month_starts,
 )
 
-from helpers import assert_raises, assert_reaped, by_test_id, raised_text, show_cpus
+from helpers import DAY, assert_raises, assert_reaped, by_test_id, raised_text, show_cpus
 
-DAY = timedelta(days=1)
 QUARTER_MONTHS = (1, 4, 7, 10)
 
 
