@@ -1,15 +1,19 @@
-"""Cross-output invariants of the reference fixtures' stitch -> analyze -> report runs.
+"""Cross-output invariants and committed digests of the reference fixtures' runs.
 
-Each reference fixture runs once per module through `helpers.run_reference`, as
-`tests/pipeline_outputs.py` runs it for CI's byte diff. The tests read only the
-written files and check that they agree with each other: persistence counts
-against the frames of their period, against each other and over the thresholds,
-and each metrics row's edge count against its frame's correlation rows.
+Each reference fixture runs stitch -> analyze -> report once per module through
+`helpers.run_reference`, laid out as `tests/pipeline_outputs.py` lays it out for
+CI's byte diff. The tests read only the written files. They check that the files
+agree with each other: persistence counts against the frames of their period,
+against each other and over the thresholds, and each metrics row's edge count
+against its frame's correlation rows. And they check that every file but the
+correlations matches its sha256 in `tests/reference_outputs.sha256`.
 """
 
 import csv
+import hashlib
 from collections import defaultdict
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +23,18 @@ WINDOWS = (15, 30)
 THRESHOLDS = ("0.4", "0.5", "0.6", "0.8")
 
 
+DIGESTS = Path(__file__).with_name("reference_outputs.sha256")
+
+
 @pytest.fixture(scope="module", params=REFERENCE_FIXTURES)
-def analysis(request, tmp_path_factory):
-    return run_reference(tmp_path_factory.mktemp(request.param), request.param) / "analysis"
+def out(request, tmp_path_factory):
+    """The fixture's outputs, at <tmp>/<fixture>/out as `tests/pipeline_outputs.py` writes them."""
+    return run_reference(tmp_path_factory.mktemp("runs") / request.param, request.param)
+
+
+@pytest.fixture()
+def analysis(out):
+    return out / "analysis"
 
 
 def rows(path):
@@ -86,3 +99,20 @@ def test_edge_counts_match_correlation_rows(analysis):
                     continue
                 assert int(edges) == sum(d >= bound for d in dcors[label]), (window, theta, label)
     assert skipped == dict.fromkeys(skipped, 0)
+
+
+def test_outputs_match_committed_digests(out):
+    """Each output's sha256 is the one `tests/reference_outputs.sha256` records, and no
+    file is missing or extra. The six `correlations_w*.csv` are left out: their last
+    digits depend on the host's BLAS kernel (`tests/test_dcor.py`). The file reads as
+    `sha256sum` writes it, by paths relative to `tests/pipeline_outputs.py`'s OUT, so
+    `sha256sum -c` in OUT checks a tree that script wrote. An owner-approved byte change
+    updates it, so the change shows in the diff."""
+    root = out.parent.parent
+    recorded = dict(line.split("  ", 1)[::-1] for line in DIGESTS.read_text("utf-8").splitlines())
+    expected = {name: digest for name, digest in recorded.items()
+                if name.startswith(f"{out.parent.name}/")}
+    assert {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.rglob("*")
+            if path.is_file() and not path.match("correlations_w*.csv")} == expected
+    assert len(recorded) == 105
