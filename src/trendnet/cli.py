@@ -10,11 +10,11 @@ once into a typed one and naming its source in an error: the flag
 as is a repeated value of a repeatable setting. Checks across values (the
 span's order, a period's frames) name each value's source the same way.
 `cmd_<command>` then computes its outputs, parsing no setting, in one
-`_Outputs` block, which writes each text to its part as soon as it is
-computed, in the process that computed it, and places every part when the
-block ends. A forked keyword worker of `stitch` or window worker of
-`analyze` writes its own parts and replies with nothing, so no process holds
-more than one window's outputs. A failed command leaves no output, no part
+`_Outputs` block. Its `write` writes each output to a part chunk by chunk, as
+the process that computes it (a forked keyword worker of `stitch` or window
+worker of `analyze` included) formats the chunks; the block places every part
+when it ends. So no process holds more than one window's outputs, nor a whole
+correlations or persistence text. A failed command leaves no output, no part
 and no directory it created, and puts back any file it had replaced.
 
 Every failure is a `TrendnetError`, whose `code` is the exit status (2 bad
@@ -39,6 +39,7 @@ import argparse
 import os
 import sys
 import warnings
+from collections.abc import Iterable
 from datetime import date, timedelta
 from itertools import takewhile
 from pathlib import Path
@@ -72,12 +73,12 @@ def _parse(path: Path, parse, *args):
 class _Outputs:
     """A `with` block that places all of a command's `targets` or none.
 
-    Entering creates `directory`, which holds every target, and its missing
-    parents. `write` writes a target's text to its hidden `.<name>.part`, in
-    any process. When the block ends, the parts are moved into place in order,
-    each replaced file kept as `.<name>.prev` until the last move. If the block
-    raises or a move fails, every file is put back as it was and each part and
-    created directory removed. Each OSError exits 3 naming its path.
+    Entering creates `directory`, which holds every target, and its missing parents. `write`
+    writes a target's chunks of str (a bare str would go a character per call) to its hidden
+    `.<name>.part` one by one, in any process. When the block ends, the parts are moved into
+    place in order, each replaced file kept as `.<name>.prev` until the last move. If the block
+    raises or a move fails, every file is put back as it was and each part and created
+    directory removed. Each OSError exits 3 naming its path.
     """
 
     def __init__(self, directory: Path, targets: list[Path]):
@@ -98,9 +99,10 @@ class _Outputs:
             raise _io_error(directory, err) from err
         return self
 
-    def write(self, path: Path, text: str) -> None:
+    def write(self, path: Path, chunks: Iterable[str]) -> None:
         try:
-            self._part(path).write_text(text, "utf-8")
+            with self._part(path).open("w", encoding="utf-8") as part:
+                part.writelines(chunks)
         except OSError as err:
             raise _io_error(path, err) from err
 
@@ -314,7 +316,7 @@ def cmd_stitch(settings: dict) -> str:
             weekly = _parse(weekly_root / f"{keyword}.csv", ingest.parse_weekly)
             with prefixed(seg_dir):
                 rescaled = stitch.stitch_series(ingest.assemble_daily(segments, span=span), weekly)
-            outputs.write(out / f"{keyword}.csv", ingest.emit_daily_csv(rescaled))
+            outputs.write(out / f"{keyword}.csv", (ingest.emit_daily_csv(rescaled),))
 
     # The keywords are independent, so contiguous groups of them run on every CPU;
     # a forked group writes its own parts and replies with nothing.
@@ -343,16 +345,14 @@ def _load_stitched(stitched_dir: Path, registry: Path | None):
 
 
 def _window_outputs(out_root: Path, window: int, thresholds: list[float]) -> list[Path]:
-    """The output files of one window, in the order `_analyze_windows` writes their parts;
-    `cmd_analyze`'s `_Outputs` block places every window's, so a worker returns nothing."""
+    """The output files of one window, in the order `_analyze_windows` writes their parts."""
     return [out_root / f"correlations_w{window}.csv",
             *(out_root / f"metrics_w{window}_t{theta:g}.csv" for theta in thresholds),
             *(out_root / f"persistence_{kind}_w{window}.csv" for kind in ("pairs", "triads"))]
 
 
 def _analyze_windows(series: dict, windows: list[int], settings: dict, outputs: _Outputs) -> None:
-    """Write the correlation, metrics and persistence texts of each window, in window
-    order, each with `outputs.write` as soon as it is computed."""
+    """Write each window's outputs with `outputs.write` as they are computed, in window order."""
     thresholds = settings["thresholds"]
     for window in windows:
         correlations, *metrics, pairs, triads = _window_outputs(settings["out"], window, thresholds)
@@ -369,7 +369,7 @@ def _analyze_windows(series: dict, windows: list[int], settings: dict, outputs: 
         graphs = netstat.threshold_adjacency(frames, thresholds)
         table, n = netstat.frame_metrics(graphs), len(frames.label_dates)
         for t, path in enumerate(metrics):  # the table's rows run threshold by threshold
-            outputs.write(path, netstat.emit_metrics_csv(table.take(range(t * n, (t + 1) * n))))
+            outputs.write(path, (netstat.emit_metrics_csv(table.take(range(t * n, (t + 1) * n))),))
         for path, persistence in ((pairs, netstat.pair_persistence),
                                   (triads, netstat.triad_persistence)):
             outputs.write(path, netstat.emit_persistence_csv(frames.keywords,
@@ -417,8 +417,8 @@ def cmd_report(settings: dict) -> str:
             points = table.take([i for i, w in enumerate(table.window_days) if w == window])
             with prefixed(f"{metrics_root}: window {window}"):
                 svg = render.render_metric_chart(points, events, metric=settings["metric"])
-            outputs.write(chart, svg)
-            outputs.write(chart.with_suffix(".json"), render.metrics_report_json(points, events))
+            outputs.write(chart, (svg,))
+            outputs.write(chart.with_suffix(".json"), (render.metrics_report_json(points, events),))
     return f"reported windows {windows} -> {out_path.parent or Path('.')}"
 
 

@@ -11,6 +11,7 @@ The frames of one window length form one stack: F label dates and an
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,17 +88,16 @@ def rolling_correlation(series: dict[str, DailySeries], window_days: int) -> Cor
     )
 
 
-def emit_correlations_csv(frames: CorrelationFrame) -> str:
-    """Long-format `label_date,keyword_a,keyword_b,dcor` CSV, 12 significant digits."""
+def emit_correlations_csv(frames: CorrelationFrame) -> Iterator[str]:
+    """Long-format `label_date,keyword_a,keyword_b,dcor` CSV, %.12g, yielded a frame at a time."""
     quoted = [csv_field(kw).replace("%", "%%") for kw in frames.keywords]
     rows, cols = np.triu_indices(len(quoted), 1)
     # One `%` template holds a frame's rows, filled from its (label, dcor) pairs.
     template = "".join(f"%s,{quoted[i]},{quoted[j]},%.12g\n"
                        for i, j in zip(rows.tolist(), cols.tolist()))
     cells = [None] * (2 * len(rows))
-    chunks = ["label_date,keyword_a,keyword_b,dcor\n"]
+    yield "label_date,keyword_a,keyword_b,dcor\n"
     for label, matrix in zip(np.datetime_as_string(frames.label_dates).tolist(), frames.matrix):
         cells[::2] = [label] * len(rows)
         cells[1::2] = matrix[rows, cols].tolist()
-        chunks.append(template % tuple(cells))
-    return "".join(chunks)
+        yield template % tuple(cells)

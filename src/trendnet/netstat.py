@@ -40,6 +40,7 @@ checks row by row for the line to name. Non-finite floats fail on reading.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cache, cached_property, reduce
@@ -273,9 +274,9 @@ def parse_metrics_csv(text: str) -> MetricTable:
         raise
 
 
-def emit_persistence_csv(keywords: tuple[str, ...], groups: list[tuple]) -> str:
-    """(period, threshold, members, counts) groups as the persistence report;
-    each `members` row is written as its keywords joined by `|`."""
+def emit_persistence_csv(keywords: tuple[str, ...], groups: list[tuple]) -> Iterator[str]:
+    """(period, threshold, members, counts) groups as the persistence report, yielded as its
+    header, then a chunk per group; a `members` row is written as its keywords joined by `|`."""
     # Each keyword is quoted once: `|` is no special character of csv, so a member
     # set needs quotes iff a member does. Each set is joined once, for every group.
     escaped = [keyword.replace('"', '""') for keyword in keywords]
@@ -286,12 +287,11 @@ def emit_persistence_csv(keywords: tuple[str, ...], groups: list[tuple]) -> str:
         return f'"{joined}"' if any([quoted[i] for i in row]) else joined
 
     quote = cache(field)
-    lines = ["period_start,period_end,threshold,members,count\n"]
+    yield "period_start,period_end,threshold,members,count\n"
     for (start, end), threshold, members, counts in groups:
         # One `%` template holds the group's rows, filled from its (members, count) pairs.
         cells = [None] * (2 * len(counts))
         cells[::2] = map(quote, map(tuple, members.tolist()))
         cells[1::2] = counts.tolist()
         template = f"{start.isoformat()},{end.isoformat()},{threshold:g},%s,%d\n"
-        lines.append(template * len(counts) % tuple(cells))
-    return "".join(lines)
+        yield template * len(counts) % tuple(cells)

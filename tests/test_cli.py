@@ -13,11 +13,12 @@ import pytest
 
 from trendnet import cli, correlate, kernels, stitch
 from trendnet.cli import main
+from trendnet.errors import TrendnetError
 from trendnet.ingest import parse_stitched
 
 from helpers import (SPAN_END, SPAN_START, assert_fails, assert_raises, assert_reaped, by_test_id,
-                     flat_latent_series, mkdir, plant, remove, rename_files, show_cpus,
-                     show_dcor_workers, tree_bytes, write, write_export_tree)
+                     flat_latent_series, mkdir, plant, remove, rename_files, run_reference,
+                     show_cpus, show_dcor_workers, tree_bytes, write, write_export_tree)
 
 KW3 = ("cough", "fever", "flu")
 REGISTRY3 = (
@@ -737,15 +738,15 @@ def test_analyze_failed_window_worker_exits_3_leaving_nothing(stitched_dir, tmp_
 
 
 def log_writes(monkeypatch, log: Path) -> None:
-    """Append `<pid> <file name>` to `log` for each `Path.write_text`, from any process."""
-    real_write = Path.write_text
+    """Append `<pid> <part name>` to `log` for each `_Outputs.write`, from any process."""
+    real_write = cli._Outputs.write
 
-    def write_text(path, text, *args, **kwargs):
+    def logged_write(outputs, path, chunks):
         with open(log, "a") as writes:  # one short append per write
-            writes.write(f"{os.getpid()} {path.name}\n")
-        return real_write(path, text, *args, **kwargs)
+            writes.write(f"{os.getpid()} {outputs._part(path).name}\n")
+        return real_write(outputs, path, chunks)
 
-    monkeypatch.setattr(Path, "write_text", write_text)
+    monkeypatch.setattr(cli._Outputs, "write", logged_write)
 
 
 def test_forked_window_worker_writes_its_own_parts(stitched_dir, tmp_path, monkeypatch):
@@ -838,19 +839,22 @@ def test_analyze_failed_fork_exits_3_leaking_nothing(stitched_dir, tmp_path, mon
     assert os.listdir("/proc/self/fd") == descriptors
 
 
+def half_then_enospc(chunks):
+    """The first half of `chunks`, rounded up, then the OSError of a full disk."""
+    chunks = list(chunks)
+    yield from chunks[: (len(chunks) + 1) // 2]
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
 def fail_third_write(monkeypatch):
-    """Make the third `Path.write_text` write half its text, then raise ENOSPC."""
-    real_write = Path.write_text
-    calls = []
+    """Make the third `_Outputs.write` write half its chunks, then raise ENOSPC."""
+    real_write, calls = cli._Outputs.write, []
 
-    def write_text(path, text, *args, **kwargs):
+    def failing_write(outputs, path, chunks):
         calls.append(path)
-        if len(calls) == 3:
-            real_write(path, text[: len(text) // 2], *args, **kwargs)
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return real_write(path, text, *args, **kwargs)
+        return real_write(outputs, path, half_then_enospc(chunks) if len(calls) == 3 else chunks)
 
-    monkeypatch.setattr(Path, "write_text", write_text)
+    monkeypatch.setattr(cli._Outputs, "write", failing_write)
 
 
 def test_analyze_write_failure_leaves_no_output(stitched_dir, tmp_path, monkeypatch):
@@ -872,18 +876,83 @@ def test_stitch_write_failure_keeps_earlier_output(export_tree, tmp_path, monkey
 def test_stitch_forked_worker_write_failure_leaves_nothing(export_tree, tmp_path, monkeypatch):
     show_cpus(monkeypatch, 2)
     write(mkdir(tmp_path / "out") / "cough.csv", "earlier run\n")
-    real_write, parent = Path.write_text, os.getpid()
+    real_write, parent = cli._Outputs.write, os.getpid()
 
-    def write_text(path, text, *args, **kwargs):
-        if path.name == ".flu.csv.part":
+    def failing_write(outputs, path, chunks):
+        if outputs._part(path).name == ".flu.csv.part":
             assert os.getpid() != parent, "flu was stitched in the parent"
-            real_write(path, text[: len(text) // 2], *args, **kwargs)
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return real_write(path, text, *args, **kwargs)
+            chunks = half_then_enospc(chunks)
+        return real_write(outputs, path, chunks)
 
-    monkeypatch.setattr(Path, "write_text", write_text)
+    monkeypatch.setattr(cli._Outputs, "write", failing_write)
     assert_fails(tmp_path, stitch_argv(export_tree), 3,
                  f"{tmp_path / 'out' / 'flu.csv'}: No space left on device")
+    assert_reaped()
+
+
+# --- the writer streams: no process holds a whole correlations or persistence text ---
+
+def spy_writes(monkeypatch) -> dict[str, tuple[bool, list]]:
+    """{target name: (whether its chunks came as an iterator, the chunks)} of each
+    `_Outputs.write` in this process."""
+    real_write, seen = cli._Outputs.write, {}
+
+    def spied_write(outputs, path, chunks):
+        seen[path.name] = (iter(chunks) is chunks, list(chunks))
+        return real_write(outputs, path, seen[path.name][1])
+
+    monkeypatch.setattr(cli._Outputs, "write", spied_write)
+    return seen
+
+
+def test_writer_gets_correlations_by_frame_and_persistence_by_group(tmp_path, monkeypatch):
+    """At K = 15, `correlations_w15.csv` comes as an iterator of its header and one chunk
+    per frame, 105 rows of one label each, never as one text; each persistence file as its
+    header and one chunk per (period, threshold) group. Every other output of stitch,
+    analyze and report comes as one str in a container, never as a bare str, which the
+    writer would write a character at a time."""
+    show_cpus(monkeypatch, 1)  # every write in this process, where the spy records it
+    seen = spy_writes(monkeypatch)
+    run_reference(tmp_path, "flat")
+    streamed = {name for name in seen if name.startswith(("correlations_", "persistence_"))}
+    assert (len(seen), len(streamed)) == (37, 6)
+    for name, (lazy, chunks) in seen.items():
+        assert lazy == (name in streamed) and all(isinstance(chunk, str) for chunk in chunks)
+        assert name in streamed or len(chunks) == 1, name
+    header, *frames = seen["correlations_w15.csv"][1]
+    assert header == "label_date,keyword_a,keyword_b,dcor\n" and len(frames) == 365 - 15 + 1
+    for chunk in frames:
+        rows = chunk.splitlines()
+        assert len(rows) == 105 and len({row.partition(",")[0] for row in rows}) == 1
+    for name in sorted(name for name in streamed if name.startswith("persistence_")):
+        header, *groups = seen[name][1]
+        assert header == "period_start,period_end,threshold,members,count\n"
+        keys = [{tuple(row.split(",")[:3]) for row in chunk.splitlines()} for chunk in groups]
+        assert {len(chunk.splitlines()) for chunk in groups} == {455 if "triads" in name else 105}
+        assert [len(key) for key in keys] == [1] * len(groups)
+        keys = [key.pop() for key in keys]
+        assert len(set(keys)) == len(groups) == 4 * len({key[:2] for key in keys}), name
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_emitter_failing_mid_stream_exits_2_leaving_nothing(stitched_dir, tmp_path, monkeypatch,
+                                                           cpus):
+    """Window 30's correlations yield their header, then raise: in this process on 1 CPU,
+    in the forked window worker on 2."""
+    show_cpus(monkeypatch, cpus)
+    real_emit, parent = correlate.emit_correlations_csv, os.getpid()
+
+    def emit_correlations_csv(frames):
+        chunks = real_emit(frames)
+        yield next(chunks)
+        if frames.window_days == 30:
+            assert (os.getpid() == parent) == (cpus == 1)
+            assert (tmp_path / "out" / ".correlations_w30.csv.part").exists()
+            raise TrendnetError("dcor row 2 failed mid-stream")
+        yield from chunks
+
+    monkeypatch.setattr(correlate, "emit_correlations_csv", emit_correlations_csv)
+    assert_fails(tmp_path, analyze_argv(stitched_dir), 2, "dcor row 2 failed mid-stream")
     assert_reaped()
 
 

@@ -76,7 +76,7 @@ def test_keyword_order_follows_mapping_order():
 
 def test_long_format_csv():
     frames = rolling_correlation(year_fixture(n_keywords=3, n_days=20, seed=2), 10)
-    text = emit_correlations_csv(frames)
+    text = "".join(emit_correlations_csv(frames))
     lines = text.strip().split("\n")
     assert lines[0] == "label_date,keyword_a,keyword_b,dcor"
     assert len(lines) == 1 + len(frames.label_dates) * 3  # 3 unordered pairs of 3 keywords
@@ -89,7 +89,7 @@ def test_long_format_csv():
 
 def test_long_format_csv_rows_follow_frames_then_pairs():
     frames = rolling_correlation(year_fixture(n_keywords=3, n_days=13, seed=4), 10)
-    rows = [line.split(",") for line in emit_correlations_csv(frames).split("\n")[1:-1]]
+    rows = [line.split(",") for line in "".join(emit_correlations_csv(frames)).split("\n")[1:-1]]
     expected = [
         [label.isoformat(), f"kw{i}", f"kw{j}", f"{frames.matrix[f, i, j].item():.12g}"]
         for f, label in enumerate(frames.label_dates.tolist())

@@ -115,4 +115,3 @@ def test_outputs_match_committed_digests(out):
     assert {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in out.rglob("*")
             if path.is_file() and not path.match("correlations_w*.csv")} == expected
-    assert len(recorded) == 105

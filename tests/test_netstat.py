@@ -412,7 +412,7 @@ globals().update(by_test_id(FAILURES))
 
 def test_persistence_csv_format():
     groups = [((D, D + 91 * DAY), 0.8, np.array([[1, 0]]), np.array([52]))]
-    text = emit_persistence_csv(("quarantine", "ecq"), groups)
+    text = "".join(emit_persistence_csv(("quarantine", "ecq"), groups))
     lines = text.strip().split("\n")
     assert lines[0] == "period_start,period_end,threshold,members,count"
     assert lines[1] == "2020-03-31,2020-06-30,0.8,ecq|quarantine,52"
@@ -431,8 +431,8 @@ def test_csv_quoting_round_trips_through_csv_reader():
     g = threshold_adjacency(frames, [0.5])
     period = (D, D + 2 * DAY)
     groups = triad_persistence(g, [period])
-    persistence_text = emit_persistence_csv(names, groups)
-    correlations_text = emit_correlations_csv(frames)
+    persistence_text = "".join(emit_persistence_csv(names, groups))
+    correlations_text = "".join(emit_correlations_csv(frames))
 
     def written(rows):
         out = io.StringIO()
