@@ -23,14 +23,15 @@ input or parameters, 3 I/O, 4 too little data for a window), or an
 where the input came from, with `errors.prefixed`. `_parse` reads and parses
 one input file and prefixes an error or a warning from it with that file's
 path, so the message names the file and the date, row or line; the parsers
-themselves take only text. Seven rules the CLI checks again before any work,
-to name the flag or config line (CLI check, owner): window >= 2
-(`_parse_windows`, `kernels.rolling_dcor`); thresholds in (0, 1) and at
-most 10 of them (`_parse_thresholds`, `netstat.threshold_adjacency` and
+themselves take only text. Seven rules the CLI checks again, to name the flag
+or config line (CLI check, owner): window >= 2 (`_parse_windows`,
+`kernels.rolling_dcor`); thresholds in (0, 1) and at most 10 of them
+(`_parse_thresholds`, `netstat.threshold_adjacency` and
 `render.render_metric_chart`); the metric name (`_parse_metric`,
 `render_metric_chart`); span order (`cmd_stitch`, `ingest.assemble_daily`);
 2 keywords or more (`_load_stitched`, `netstat.network_density`); a period
-that selects a frame (`_analyze_windows`, `netstat._persistence`).
+that selects a frame (`_analyze_windows`, `netstat._persistence`). All but the
+last run before any work; a period is checked per window, after that window's dCor.
 """
 
 from __future__ import annotations
@@ -409,8 +410,7 @@ def cmd_report(settings: dict) -> str:
               else _parse(settings["events"], timeline.load_events))
 
     out_path = settings["out"]
-    stem = out_path.stem if out_path.suffix else out_path.name
-    charts = {window: out_path.with_name(f"{stem}_w{window}.svg") for window in windows}
+    charts = {window: out_path.with_name(f"{out_path.stem}_w{window}.svg") for window in windows}
     targets = [path for chart in charts.values() for path in (chart, chart.with_suffix(".json"))]
     with _Outputs(out_path.parent, targets) as outputs:
         for window, chart in charts.items():
@@ -419,7 +419,7 @@ def cmd_report(settings: dict) -> str:
                 svg = render.render_metric_chart(points, events, metric=settings["metric"])
             outputs.write(chart, (svg,))
             outputs.write(chart.with_suffix(".json"), (render.metrics_report_json(points, events),))
-    return f"reported windows {windows} -> {out_path.parent or Path('.')}"
+    return f"reported windows {windows} -> {out_path.parent}"
 
 
 def build_parser() -> argparse.ArgumentParser:

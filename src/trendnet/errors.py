@@ -3,9 +3,10 @@
 Each rule is owned by one function (the dCor data's 2-d shape, the window
 and finite data: `kernels.rolling_dcor`), whose message names the offending
 date, row or line; a caller that knows the input's file or window adds it
-with `prefixed`. The CLI checks seven rules again first, to name the flag or
-config line (the `cli` docstring lists them). `code` is the CLI's exit code:
-2 invalid input or parameters, 3 I/O, 4 too little data for a window.
+with `prefixed`. The CLI checks seven rules again, six before any work and
+the period per window after that window's dCor, to name the flag or config
+line (the `cli` docstring lists them). `code` is the CLI's exit code: 2
+invalid input or parameters, 3 I/O, 4 too little data for a window.
 """
 
 from contextlib import contextmanager

@@ -63,7 +63,7 @@ class WeeklySeries(DailySeries):
     step = WEEK
 
 
-def _parse_value(token: str, when: date, upper: float | None = 100.0) -> float:
+def _parse_value(token: str, when: date, upper: float) -> float:
     token = token.strip()
     if token == "<1":
         return 0.5
@@ -71,13 +71,12 @@ def _parse_value(token: str, when: date, upper: float | None = 100.0) -> float:
         value = number(token)
     except ValueError:
         raise TrendnetError(f"{when}: unparseable value {token!r}") from None
-    if not math.isfinite(value) or value < 0 or (upper is not None and value > upper):
-        hi = upper if upper is not None else "inf"
-        raise TrendnetError(f"{when}: value {token} outside [0,{hi}]")
+    if not math.isfinite(value) or not 0 <= value <= upper:
+        raise TrendnetError(f"{when}: value {token} outside [0,{upper}]")
     return value
 
 
-def _read_series(raw_csv: str, step: timedelta, upper: float | None) -> tuple[date, np.ndarray]:
+def _read_series(raw_csv: str, step: timedelta, upper: float) -> tuple[date, np.ndarray]:
     """The first date and the values of `date,value` rows spaced `step` apart.
 
     Rows before the first dated row whose first field does not start with a
@@ -174,7 +173,7 @@ def assemble_daily(
 
 def parse_stitched(raw_csv: str) -> DailySeries:
     """Parse a canonical stitched CSV (`date,value`, full precision); values may exceed 100."""
-    return DailySeries(*_read_series(raw_csv, DAY, None))
+    return DailySeries(*_read_series(raw_csv, DAY, math.inf))
 
 
 def emit_daily_csv(series: DailySeries) -> str:

@@ -95,7 +95,7 @@ def _check_entry(keyword: str, category: str, seen: set[str], where: str = "") -
     seen.add(keyword)
 
 
-def check_separator(keyword: str, where: str = "") -> None:
+def check_separator(keyword: str, where: str) -> None:
     """Reject a keyword holding `|`, which joins the keywords of a persistence
     row: with it, two different keyword sets could be written alike."""
     if "|" in keyword:

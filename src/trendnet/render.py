@@ -180,16 +180,15 @@ _METRIC_ROW = (
 _METRIC_FORMATS = (date.isoformat, str, repr, str, repr, repr, repr)
 
 
-def metrics_report_json(metrics: MetricTable, events: list[EventRecord] | None = None) -> str:
-    """JSON report: metric rows mirroring the metrics CSV schema, plus the
-    event join when events are given; `json.dumps(body, indent=2)` byte for byte."""
+def metrics_report_json(metrics: MetricTable, events: list[EventRecord]) -> str:
+    """JSON report: metric rows mirroring the metrics CSV schema, then the
+    event join; `json.dumps(body, indent=2)` byte for byte."""
     cells = list(zip(*map(distinct_texts, metrics, _METRIC_FORMATS)))
     rows = ",\n".join([_METRIC_ROW % cells[i] for i in metrics.order("threshold", "label_date")])
     text = '{\n  "metrics": ' + (f"[\n{rows}\n  ]" if rows else "[]")
-    if events is not None:
-        joined = [_joined_row(metrics, j) for j in join_events(metrics, events)]
-        # json escapes newlines inside strings, so indenting each line nests the array.
-        text += ',\n  "events": ' + json.dumps(joined, indent=2).replace("\n", "\n  ")
+    joined = [_joined_row(metrics, j) for j in join_events(metrics, events)]
+    # json escapes newlines inside strings, so indenting each line nests the array.
+    text += ',\n  "events": ' + json.dumps(joined, indent=2).replace("\n", "\n  ")
     return text + "\n}\n"
 
 

@@ -57,9 +57,8 @@ def default_periods(data_start: date, first_label: date,
             if start <= last_label and after > first_label]
 
 
-def parse_config(
-    text: str, known: set[str], repeatable: set[str] = frozenset()
-) -> dict[str, list[tuple[int, str]]]:
+def parse_config(text: str, known: set[str],
+                 repeatable: set[str]) -> dict[str, list[tuple[int, str]]]:
     """Parse a `key = value` config file; `#` starts a comment line.
 
     Maps each key to its (line number, value) pairs in file order, so the

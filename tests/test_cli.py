@@ -174,16 +174,18 @@ def test_byte_order_mark_is_dropped(export_tree, tmp_path, name, headerless):
 def test_report_writes_svg_and_json_per_window(stitched_dir, tmp_path):
     analysis = tmp_path / "analysis"
     main(analyze_argv(stitched_dir, "--out", str(analysis)))
-    out = tmp_path / "reports" / "density.svg"
-    assert main(report_argv(analysis, "--out", str(out))) == 0
-    for window in (15, 30):
-        svg_path = tmp_path / "reports" / f"density_w{window}.svg"
-        assert svg_path.is_file()
-        root = ET.fromstring(svg_path.read_text())
-        series = [el for el in root.iter("{http://www.w3.org/2000/svg}polyline")
-                  if el.get("class") == "series"]
-        assert len(series) == 4
-        assert (tmp_path / "reports" / f"density_w{window}.json").is_file()
+    # Each file is named by the --out stem, which keeps a leading dot.
+    for i, (name, stem) in enumerate([("density.svg", "density"), ("density", "density"),
+                                      (".density", ".density")]):
+        reports = tmp_path / f"reports{i}"
+        assert main(report_argv(analysis, "--out", str(reports / name))) == 0
+        assert sorted(p.name for p in reports.iterdir()) == [
+            f"{stem}_w{window}.{ext}" for window in (15, 30) for ext in ("json", "svg")]
+        for window in (15, 30):
+            root = ET.fromstring((reports / f"{stem}_w{window}.svg").read_text())
+            series = [el for el in root.iter("{http://www.w3.org/2000/svg}polyline")
+                      if el.get("class") == "series"]
+            assert len(series) == 4
 
 
 def test_report_clustering_variant(stitched_dir, tmp_path):

@@ -99,6 +99,7 @@ def test_long_format_csv_rows_follow_frames_then_pairs():
 
 
 FAILURES = [  # (test id, call, message[, code, kind])
+    ("test_no_series_rejected", lambda: rolling_correlation({}, 15), "no series given"),
     ("test_misaligned_series_rejected", lambda: rolling_correlation(
         {**year_fixture(2, 30), "late": daily_series(np.ones(30), SPAN_START + DAY)}, 15),
      "late: spans 2020-03-17..2020-04-15, expected 2020-03-16..2020-04-14"),

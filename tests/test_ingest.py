@@ -44,8 +44,9 @@ def test_parse_daily_segment_censored_value_maps_to_half():
 
 
 def test_parse_daily_segment_warns_without_normalization_peak():
-    with pytest.warns(UserWarning, match="max 60"):
+    with pytest.warns(UserWarning, match="max 60") as caught:
         parse_daily_segment(daily_csv(D, [10, 60, 30]))
+    assert caught[0].filename == __file__  # the warning names the parser's caller
 
 
 def test_parse_daily_segment_all_zero_no_warning(recwarn):
@@ -148,6 +149,7 @@ FAILURES = [  # (test id, call, message)
     ("test_parse_weekly_irregular_spacing", lambda: parse_weekly("2020-03-15,10\n2020-03-21,20\n"),
      "expected 2020-03-22 after 2020-03-15, got 2020-03-21"),
     ("test_parse_weekly_empty", lambda: parse_weekly("Week,flu\n"), "no data rows"),
+    ("test_assemble_daily_no_segments", lambda: assemble_daily([]), "no segments to assemble"),
     ("test_assemble_daily_overlap",
      lambda: assemble_daily([daily_series([100] * 31, D),
                              daily_series([100] * 5, date(2020, 4, 15))]),

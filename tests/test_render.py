@@ -158,16 +158,15 @@ def reference_json(metrics, events):
 
     rows = range(len(metrics.label_date))
     order = sorted(rows, key=lambda i: (metrics.threshold[i], metrics.label_date[i]))
-    body = {"metrics": [{name: cell(name, i) for name in METRIC_COLUMNS} for i in order]}
-    if events is not None:
-        body["events"] = []
-        for joined in join_events(metrics, events):
-            row = {"date": joined.event.date.isoformat(), "label": joined.event.label,
-                   "category": joined.event.category, "match": joined.match}
-            if joined.point is not None:
-                row.update({name: cell(name, joined.point) for name in
-                            ("label_date", "threshold", "density", "clustering_global")})
-            body["events"].append(row)
+    body = {"metrics": [{name: cell(name, i) for name in METRIC_COLUMNS} for i in order],
+            "events": []}
+    for joined in join_events(metrics, events):
+        row = {"date": joined.event.date.isoformat(), "label": joined.event.label,
+               "category": joined.event.category, "match": joined.match}
+        if joined.point is not None:
+            row.update({name: cell(name, joined.point) for name in
+                        ("label_date", "threshold", "density", "clustering_global")})
+        body["events"].append(row)
     return json.dumps(body, indent=2) + "\n"
 
 
@@ -179,23 +178,20 @@ AWKWARD_EVENTS = (
 )
 
 
-@pytest.mark.parametrize("events", [None, "", AWKWARD_EVENTS, "bundled"],
-                         ids=["none", "empty", "awkward", "bundled"])
+@pytest.mark.parametrize("events", ["", AWKWARD_EVENTS, "bundled"],
+                         ids=["empty", "awkward", "bundled"])
 def test_json_report_is_json_dumps_byte_for_byte(events):
     values = [0.0, 1 / 3, 1e-7, 0.1 + 0.2, 1.0, 5e-324, 0.25]
     metrics = MetricTable.concat([
         series(0.8, values), series(0.4, values[::-1]), series(0.55, values[:3], start=D + 2 * DAY)
     ])
-    if events == "bundled":
-        events = load_bundled_events()
-    elif events is not None:
-        events = load_events(events)
+    events = load_bundled_events() if events == "bundled" else load_events(events)
     assert metrics_report_json(metrics, events) == reference_json(metrics, events)
 
 
 def test_json_report_of_empty_and_one_row_tables():
     for metrics in (series(0.5, []), series(0.5, [0.125])):
-        for events in (None, [], load_events("2020-03-31,x,Policy\n")):
+        for events in ([], load_events("2020-03-31,x,Policy\n")):
             assert metrics_report_json(metrics, events) == reference_json(metrics, events)
 
 

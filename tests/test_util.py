@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import os
 import pickle
@@ -8,6 +9,7 @@ from datetime import date
 import pytest
 from hypothesis import given, strategies as st
 
+import trendnet
 from trendnet.errors import TrendnetError
 from trendnet.ingest import parse_daily_segment, parse_stitched, parse_weekly
 from trendnet.netstat import parse_metrics_csv
@@ -115,6 +117,33 @@ FAILURES = [  # (test id, call, message[, code, kind])
       for name, row in UNREADABLE_ROWS.items() for parse, text in READABLE_ROWS.items()],
 ]
 globals().update(by_test_id(FAILURES))
+
+
+# The package's top level: the names README "Library" uses.
+PACKAGE_NAMES = {
+    "GraphFrame", "MetricTable", "TrendnetError", "assemble_daily", "clustering_avg_local",
+    "clustering_global", "frame_metrics", "network_density", "pair_persistence",
+    "parse_daily_segment", "parse_weekly", "rolling_correlation", "stitch_series",
+    "threshold_adjacency", "triad_persistence",
+}
+# Names the package root does not export, each by its module.
+MODULE_NAMES = {
+    "correlate": ("CorrelationFrame", "distance_correlation"),
+    "ingest": ("DailySeries", "WeeklySeries", "parse_stitched"),
+    "registry": ("KeywordRegistry",),
+    "render": ("render_metric_chart",),
+    "timeline": ("EventRecord", "join_events", "load_bundled_events", "load_events"),
+}
+
+
+def test_package_exports_its_library_api_and_other_names_import_from_their_module():
+    assert len(trendnet.__all__) == 15 and set(trendnet.__all__) == PACKAGE_NAMES
+    for name in trendnet.__all__:
+        assert getattr(trendnet, name)
+    for module, names in MODULE_NAMES.items():
+        for name in names:
+            assert not hasattr(trendnet, name), name
+            assert getattr(importlib.import_module(f"trendnet.{module}"), name)
 
 
 def test_trendnet_error_pickles_with_its_code():
