@@ -23,8 +23,10 @@ input or parameters, 3 I/O, 4 too little data for a window), or an
 where the input came from, with `errors.prefixed`. `_parse` reads and parses
 one input file and prefixes an error or a warning from it with that file's
 path, so the message names the file and the date, row or line; the parsers
-themselves take only text. Seven rules the CLI checks again, to name the flag
-or config line (CLI check, owner): window >= 2 (`_parse_windows`,
+themselves take only text. So does `registry.check_keyword`, which `analyze`
+without `--registry` runs on each stitched file's name less `.csv`. Outputs
+name thresholds by `netstat.threshold_label`. Seven rules the CLI checks again,
+to name the flag or config line (CLI check, owner): window >= 2 (`_parse_windows`,
 `kernels.rolling_dcor`); thresholds in (0, 1) and at most 10 of them
 (`_parse_thresholds`, `netstat.threshold_adjacency` and
 `render.render_metric_chart`); the metric name (`_parse_metric`,
@@ -47,7 +49,7 @@ from pathlib import Path
 
 from . import correlate, ingest, netstat, render, stitch, timeline, util
 from .errors import TrendnetError, prefixed
-from .registry import KeywordRegistry, check_separator
+from .registry import KeywordRegistry, check_keyword
 
 
 def _io_error(path: Path, err: OSError) -> TrendnetError:
@@ -154,6 +156,12 @@ def _parse_path(value: str) -> Path:
     return Path(value)
 
 
+def _parse_chart(value: str) -> Path:
+    if (path := _parse_path(value)).name in ("", ".."):  # `.`, `/` or `..`: no chart file
+        raise TrendnetError(f"must name a chart file, got {value!r}")
+    return path
+
+
 def _parse_period(raw: str) -> tuple[date, date]:
     try:
         start, end = (util.iso_date(tok.strip()) for tok in raw.split(":"))
@@ -196,7 +204,7 @@ def _parse_thresholds(raw: str) -> list[float]:
     if len(thresholds) > len(render.SERIES_PALETTE):
         raise TrendnetError(f"takes at most {len(render.SERIES_PALETTE)} values,"
                             f" got {len(thresholds)}")
-    labels = [f"{t:g}" for t in thresholds]
+    labels = list(map(netstat.threshold_label, thresholds))
     _reject_label_collisions(raw, labels)
     for tok, t, label in zip(tokens, thresholds, labels):
         if float(label) != t:  # edges are drawn at t, but every output names the label
@@ -238,7 +246,7 @@ SETTINGS = {
         "metrics": (REQUIRED, _parse_path, "directory holding metrics_w*_t*.csv"),
         "events": (None, _parse_path, "events CSV (default: bundled timeline)"),
         "metric": ("density", _parse_metric, "charted metric, density or clustering"),
-        "out": (REQUIRED, _parse_path, "output SVG path; _w<window> is appended per window"),
+        "out": (REQUIRED, _parse_chart, "output SVG path; _w<window> is appended per window"),
     },
 }
 COMMAND_HELP = {
@@ -335,9 +343,10 @@ def _load_stitched(stitched_dir: Path, registry: Path | None):
     if registry is not None:
         keywords = _load_registry(registry).keywords
     else:
-        keywords = tuple(sorted(p.stem for p in stitched_dir.glob("*.csv")))
+        keywords = sorted(p.name.removesuffix(".csv") for p in stitched_dir.glob("*.csv"))
         for kw in keywords:
-            check_separator(kw, f"{stitched_dir / f'{kw}.csv'}: ")
+            with prefixed(stitched_dir / f"{kw}.csv"):
+                check_keyword(kw)
     if not keywords:
         raise TrendnetError(f"{stitched_dir}: no stitched CSV files", 3)
     if len(keywords) < 2:
@@ -348,7 +357,8 @@ def _load_stitched(stitched_dir: Path, registry: Path | None):
 def _window_outputs(out_root: Path, window: int, thresholds: list[float]) -> list[Path]:
     """The output files of one window, in the order `_analyze_windows` writes their parts."""
     return [out_root / f"correlations_w{window}.csv",
-            *(out_root / f"metrics_w{window}_t{theta:g}.csv" for theta in thresholds),
+            *(out_root / f"metrics_w{window}_t{netstat.threshold_label(theta)}.csv"
+              for theta in thresholds),
             *(out_root / f"persistence_{kind}_w{window}.csv" for kind in ("pairs", "triads"))]
 
 

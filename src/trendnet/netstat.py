@@ -106,6 +106,8 @@ class MetricTable(NamedTuple):
 
 
 METRIC_COLUMNS = MetricTable._fields
+# The text naming a threshold in every output: file names, both `threshold` columns, the legend.
+threshold_label = "{:g}".format
 
 
 def threshold_adjacency(frames: CorrelationFrame, thresholds: list[float]) -> GraphFrame:
@@ -211,8 +213,8 @@ def triad_persistence(g: GraphFrame, periods: list[tuple[date, date]]) -> list[t
 
 def emit_metrics_csv(table: MetricTable) -> str:
     """One row per frame, under a header naming the columns: dates and ints by
-    str, the threshold by `:g` and the metrics by repr."""
-    columns = map(distinct_texts, table, (str, str, "{:g}".format, str, repr, repr, repr))
+    str, the threshold by `threshold_label` and the metrics by repr."""
+    columns = map(distinct_texts, table, (str, str, threshold_label, str, repr, repr, repr))
     return "\n".join([",".join(METRIC_COLUMNS), *map(",".join, zip(*columns)), ""])
 
 
@@ -293,5 +295,5 @@ def emit_persistence_csv(keywords: tuple[str, ...], groups: list[tuple]) -> Iter
         cells = [None] * (2 * len(counts))
         cells[::2] = map(quote, map(tuple, members.tolist()))
         cells[1::2] = counts.tolist()
-        template = f"{start.isoformat()},{end.isoformat()},{threshold:g},%s,%d\n"
+        template = f"{start.isoformat()},{end.isoformat()},{threshold_label(threshold)},%s,%d\n"
         yield template * len(counts) % tuple(cells)

@@ -1,11 +1,12 @@
 """Keyword registry: the tracked search terms and their categories, read from
-`keyword,category` rows by `util.csv_records`; the caller names the file."""
+`keyword,category` rows by `util.csv_records`; the caller names the file.
+`check_keyword` holds every rule on a keyword, for registry rows and stitched file names."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TrendnetError
+from .errors import TrendnetError, prefixed
 from .util import csv_records
 
 CATEGORIES = (
@@ -64,40 +65,39 @@ class KeywordRegistry:
         """Parse `keyword,category` rows; a first row of exactly `keyword,category`
         is a header, and blank rows are skipped.
 
-        A short row, an unknown category, a repeated keyword, one that
-        cannot be a file name or one holding `|` is an error naming its
-        line; so is a file without keyword rows.
+        A short row, an unknown category, a repeated keyword or one `check_keyword`
+        rejects is an error naming its line; so is a file without keyword rows.
         """
         entries, seen = [], set()
         for line, (keyword, category, *_) in csv_records(text, ["keyword", "category"]):
             keyword = keyword.lower()
-            _check_entry(keyword, category, seen, f"line {line}: ")
+            with prefixed(f"line {line}"):
+                _check_entry(keyword, category, seen)
             entries.append((keyword, category))
         if not entries:
             raise TrendnetError("no keyword rows")
         return cls(tuple(entries))
 
 
-def _check_entry(keyword: str, category: str, seen: set[str], where: str = "") -> None:
-    """Reject an unknown category, a keyword already in `seen`, one that
-    cannot name its `<keyword>.csv` file or one holding `|`, then add it."""
+def check_keyword(keyword: str) -> None:
+    """Reject a keyword that cannot name its `<keyword>.csv` file, or one holding `|`, which
+    joins a persistence row's keywords: two keyword sets could then be written alike."""
     if keyword in ("", ".", "..") or "/" in keyword or "\\" in keyword:
-        raise TrendnetError(f"{where}keyword {keyword!r} cannot name a file; a keyword"
+        raise TrendnetError(f"keyword {keyword!r} cannot name a file; a keyword"
                             " must not be empty, '.' or '..' or hold '/' or '\\'")
     if "\0" in keyword:
-        raise TrendnetError(f"{where}keyword {keyword!r} cannot name a file: it holds a NUL byte")
-    check_separator(keyword, where)
+        raise TrendnetError(f"keyword {keyword!r} cannot name a file: it holds a NUL byte")
+    if "|" in keyword:
+        raise TrendnetError(f"keyword {keyword!r} holds '|', which joins the keywords"
+                            " of a persistence row")
+
+
+def _check_entry(keyword: str, category: str, seen: set[str]) -> None:
+    """Reject what `check_keyword` does, an unknown category or a keyword in `seen`; add it."""
+    check_keyword(keyword)
     if category not in CATEGORIES:
-        raise TrendnetError(f"{where}unknown keyword category {category!r} for {keyword!r};"
+        raise TrendnetError(f"unknown keyword category {category!r} for {keyword!r};"
                             f" expected one of {', '.join(CATEGORIES)}")
     if keyword in seen:
-        raise TrendnetError(f"{where}duplicate keyword {keyword!r}")
+        raise TrendnetError(f"duplicate keyword {keyword!r}")
     seen.add(keyword)
-
-
-def check_separator(keyword: str, where: str) -> None:
-    """Reject a keyword holding `|`, which joins the keywords of a persistence
-    row: with it, two different keyword sets could be written alike."""
-    if "|" in keyword:
-        raise TrendnetError(f"{where}keyword {keyword!r} holds '|', which joins the keywords"
-                            " of a persistence row")

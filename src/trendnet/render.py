@@ -24,7 +24,7 @@ import json
 from datetime import date
 
 from .errors import TrendnetError
-from .netstat import MetricTable
+from .netstat import MetricTable, threshold_label
 from .timeline import EventRecord, JoinedEvent, join_events
 from .util import distinct_texts, month_starts
 
@@ -160,7 +160,7 @@ def render_metric_chart(
     for idx, (threshold, color) in enumerate(zip(thresholds, SERIES_PALETTE)):
         y = MARGIN_TOP + 10 + idx * 20
         parts.append(_line("legend", legend_x, y, legend_x + 24, y, color, width="1.5"))
-        parts.append(_text(legend_x + 30, y + 4, f"threshold {threshold:g}"))
+        parts.append(_text(legend_x + 30, y + 4, f"threshold {threshold_label(threshold)}"))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -92,6 +92,31 @@ def test_analyze_default_parameters(stitched_dir, tmp_path):
     assert (out / "persistence_triads_w30.csv").is_file()
 
 
+def test_analyze_sorts_stitched_keywords_by_keyword_not_file_name(stitched_dir, tmp_path):
+    """`a b.csv` sorts before `a.csv`, as ' ' < '.', but keyword `a` before `a b`."""
+    two = mkdir(tmp_path / "two")
+    for name, source in (("a.csv", "cough.csv"), ("a b.csv", "fever.csv")):
+        write(two / name, (stitched_dir / source).read_text())
+    assert main(analyze_argv(two, "--windows", "15", "--thresholds", "0.5")) == 0
+    rows = (tmp_path / "out" / "correlations_w15.csv").read_text().splitlines()[1:]
+    assert rows and {tuple(row.split(",")[1:3]) for row in rows} == {("a", "a b")}
+
+
+def test_threshold_label_is_the_same_in_every_output(stitched_dir, tmp_path):
+    """The label of 1e-05 names its metrics file, both `threshold` columns and the legend."""
+    out = tmp_path / "out"
+    assert main(analyze_argv(stitched_dir, "--windows", "15", "--thresholds", "0.4,1e-05")) == 0
+    assert main(report_argv(out, "--out", str(tmp_path / "reports" / "r.svg"))) == 0
+    metrics = (out / "metrics_w15_t1e-05.csv").read_text().splitlines()[1:]
+    assert metrics and {row.split(",")[2] for row in metrics} == {"1e-05"}
+    persistence = (out / "persistence_pairs_w15.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[2] for row in persistence} == {"1e-05", "0.4"}
+    root = ET.fromstring((tmp_path / "reports" / "r_w15.svg").read_text())
+    assert [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")
+            if el.text and el.text.startswith("threshold ")] == ["threshold 1e-05",
+                                                                 "threshold 0.4"]
+
+
 def pair_periods(stitched_dir, *flags):
     """The (start, end) periods of `analyze --thresholds 0.5 <flags>`'s pair persistence rows."""
     out = stitched_dir.parent / "out"
@@ -369,6 +394,33 @@ def stitched_files_named_with_a_pipe(t, f):
     return analyze_argv(stitched), 2, f"{stitched / 'a|b.csv'}: {PIPE_MESSAGE}"
 
 
+def stitched_file_naming_no_keyword(name, keyword):
+    """`analyze` without `--registry` once the stitched directory also holds `name`."""
+    def setup(t, f):
+        stitched = f("stitched_dir")
+        bad = write(stitched / name, (stitched / "cough.csv").read_text())
+        return analyze_argv(stitched), 2, (
+            f"{bad}: keyword {keyword!r} cannot name a file; a keyword"
+            " must not be empty, '.' or '..' or hold '/' or '\\'")
+    return setup
+
+
+def out_naming_no_chart(out, in_config):
+    """`report` given `--out <out>`, or the config line `out = <out>`, in an empty working
+    directory; it exits before reading any metrics file."""
+    def setup(t, f):
+        argv = ["report", "--metrics", str(f("analysis"))]
+        f("monkeypatch").chdir(mkdir(t / "work"))
+        f("monkeypatch").setattr(cli.netstat, "parse_metrics_csv",
+                                 lambda text: pytest.fail("metrics read"))
+        if not in_config:
+            return [*argv, "--out", out], 2, f"--out must name a chart file, got {out!r}"
+        config = write(t / "run.cfg", f"out = {out}\n")
+        return ([*argv, "--config", str(config)], 2,
+                f"{config}: config line 1: out must name a chart file, got {out!r}")
+    return setup
+
+
 def failed_move_restores_earlier_run(t, f):
     stitched, out = f("stitched_dir"), t / "out"
     two = write(t / "two.csv", "keyword,category\ncough,SymptomsEnglish\nfever,SymptomsEnglish\n")
@@ -494,6 +546,14 @@ FAILURES = [
                      f"line 1: {PIPE_MESSAGE}")) for command in ("stitch", "analyze")],
     ("test_analyze_stitched_file_named_with_a_pipe_exits_2_naming_it",
      stitched_files_named_with_a_pipe),
+    *[(f"test_analyze_stitched_file_naming_no_keyword_exits_2_naming_it[{case}]",
+       stitched_file_naming_no_keyword(name, keyword))
+      for case, name, keyword in [("empty", ".csv", ""), ("dot", "..csv", "."),
+                                  ("backslash", "a\\b.csv", "a\\b")]],
+    *[(f"test_report_out_naming_no_chart_file_exits_2[{case}]",
+       out_naming_no_chart(out, case == "config"))
+      for case, out in [("dot", "."), ("root", "/"), ("dot-dot", ".."),
+                        ("dir-dot-dot", "reports/.."), ("config", "..")]],
     ("test_analyze_period_without_frames_exits_2", flags_case(
         "analyze", 2, "--period 2019-01-01:2019-02-01 selects no frame of window 15,"
         " labeled 2020-03-31..2021-03-16", "--windows", "15", "--thresholds", "0.5",

@@ -1,4 +1,4 @@
-from trendnet.registry import KeywordRegistry
+from trendnet.registry import KeywordRegistry, check_keyword
 
 from helpers import by_test_id
 
@@ -11,7 +11,11 @@ def test_from_csv_skips_header_and_blank_rows():
 
 
 def no_file(line, keyword):
-    return (f"line {line}: keyword {keyword!r} cannot name a file; a keyword"
+    return f"line {line}: {cannot_name_a_file(keyword)}"
+
+
+def cannot_name_a_file(keyword):
+    return (f"keyword {keyword!r} cannot name a file; a keyword"
             " must not be empty, '.' or '..' or hold '/' or '\\'")
 
 
@@ -39,6 +43,15 @@ FAILURES = [  # (test id, call, message)
     *[(f"test_from_csv_without_keyword_rows_raises[{name}]",
        lambda text=text: KeywordRegistry.from_csv(text), "no keyword rows")
       for name, text in [("empty", ""), ("header-only", HEADER), ("blank", "\n\n")]],
+    # One row per rule of `check_keyword`, which checks registry rows and stitched file names.
+    *[(f"test_check_keyword_rejects[{rule}]", lambda keyword=keyword: check_keyword(keyword),
+       message) for rule, keyword, message in [
+          *[(rule, keyword, cannot_name_a_file(keyword)) for rule, keyword in [
+              ("empty", ""), ("dot", "."), ("dot-dot", ".."), ("slash", "masks/n95"),
+              ("backslash", "masks\\n95")]],
+          ("nul", "fe\0ver", "keyword 'fe\\x00ver' cannot name a file: it holds a NUL byte"),
+          ("pipe", "b|c", "keyword 'b|c' holds '|', which joins the keywords of a persistence row"),
+      ]],
     ("test_keyword_holding_nul_cannot_name_a_file",
      lambda: KeywordRegistry((("fe\0ver", "SymptomsEnglish"),)),
      "keyword 'fe\\x00ver' cannot name a file: it holds a NUL byte"),
