@@ -20,11 +20,12 @@ and no directory it created, and puts back any file it had replaced.
 Every failure is a `TrendnetError`, whose `code` is the exit status (2 bad
 input or parameters, 3 I/O, 4 too little data for a window), or an
 `OSError` (3). Each rule is owned by one library function, and the CLI adds
-where the input came from, with `errors.prefixed`. `_parse` reads and parses
-one input file and prefixes an error or a warning from it with that file's
-path, so the message names the file and the date, row or line; the parsers
-themselves take only text. So does `registry.check_keyword`, which `analyze`
-without `--registry` runs on each stitched file's name less `.csv`. Outputs
+where the input came from, with `errors.prefixed`. `_parse`, the one reader
+of an input file, decodes it as UTF-8, parses it and prefixes an error or a
+warning from it with that file's path, so the message names the file and the
+date, row or line; the parsers themselves take only text. So does
+`registry.check_keyword`, which `analyze` without `--registry` runs on each
+stitched file's name less `.csv`. Outputs
 name thresholds by `netstat.threshold_label`. Seven rules the CLI checks again,
 to name the flag or config line (CLI check, owner): window >= 2 (`_parse_windows`,
 `kernels.rolling_dcor`); thresholds in (0, 1) and at most 10 of them
@@ -49,7 +50,7 @@ from pathlib import Path
 
 from . import correlate, ingest, netstat, render, stitch, timeline, util
 from .errors import TrendnetError, prefixed
-from .registry import KeywordRegistry, check_keyword
+from .registry import DEFAULT_KEYWORDS, check_keyword, parse_registry
 
 
 def _io_error(path: Path, err: OSError) -> TrendnetError:
@@ -59,12 +60,19 @@ def _io_error(path: Path, err: OSError) -> TrendnetError:
 
 def _parse(path: Path, parse, *args):
     """`parse(text, *args)` of the file at `path`, read as UTF-8 without a leading
-    byte-order mark; its errors and warnings are prefixed with the path, errors
-    keep their exit code, and a failed read exits 3."""
+    byte-order mark, each line end read as `\\n`; its errors and warnings are prefixed
+    with the path, errors keep their exit code, and a failed read exits 3. A byte that
+    is not UTF-8 exits 2 naming its line."""
     try:
         text = path.read_text("utf-8-sig")
     except OSError as err:
         raise _io_error(path, err) from err
+    except UnicodeDecodeError as err:
+        # `err.start` indexes `err.object`, the bytes after any byte-order mark.
+        before = err.object[:err.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = before.count(b"\n") + 1
+        raise TrendnetError(f"{path}: line {line}: byte {err.object[err.start]:#04x}"
+                            " is not UTF-8") from None
     with prefixed(path), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         parsed = parse(text, *args)
@@ -139,8 +147,10 @@ class _Outputs:
                 directory.rmdir()
 
 
-def _load_registry(path: Path | None) -> KeywordRegistry:
-    return KeywordRegistry.default() if path is None else _parse(path, KeywordRegistry.from_csv)
+def _keywords(registry: Path | None) -> tuple[str, ...]:
+    """The keywords of the registry file at `registry`, else of `DEFAULT_KEYWORDS`."""
+    entries = DEFAULT_KEYWORDS if registry is None else _parse(registry, parse_registry)
+    return tuple(keyword for keyword, _ in entries)
 
 
 def _parse_date(value: str) -> date:
@@ -300,7 +310,7 @@ def _settings(args: argparse.Namespace) -> dict:
 # --- stitch ---
 
 def cmd_stitch(settings: dict) -> str:
-    registry = _load_registry(settings["registry"])
+    keywords = _keywords(settings["registry"])
     span = (settings["span_start"], settings["span_end"])
     if span[1] < span[0]:
         start_from, end_from = (settings["sources"][key][0] for key in ("span_start", "span_end"))
@@ -311,10 +321,10 @@ def cmd_stitch(settings: dict) -> str:
             raise TrendnetError(f"{root}: not a directory", 3)
 
     out = settings["out"]
-    outputs = _Outputs(out, [out / f"{kw}.csv" for kw in registry.keywords])
+    outputs = _Outputs(out, [out / f"{kw}.csv" for kw in keywords])
 
-    def stitch_keywords(keywords: tuple[str, ...]) -> None:
-        for keyword in keywords:
+    def stitch_keywords(group: tuple[str, ...]) -> None:
+        for keyword in group:
             seg_dir = daily_root / keyword
             if not seg_dir.is_dir():
                 raise TrendnetError(f"{seg_dir}: missing daily segment directory", 3)
@@ -330,9 +340,9 @@ def cmd_stitch(settings: dict) -> str:
     # The keywords are independent, so contiguous groups of them run on every CPU;
     # a forked group writes its own parts and replies with nothing.
     with outputs:
-        util.forked_map(stitch_keywords, registry.keywords,
+        util.forked_map(stitch_keywords, keywords,
                         lambda group: f"stitch worker for keywords {group[0]}..{group[-1]}")
-    return f"stitched {len(registry.keywords)} keywords -> {out}"
+    return f"stitched {len(keywords)} keywords -> {out}"
 
 
 # --- analyze ---
@@ -341,7 +351,7 @@ def _load_stitched(stitched_dir: Path, registry: Path | None):
     if not stitched_dir.is_dir():
         raise TrendnetError(f"{stitched_dir}: not a directory", 3)
     if registry is not None:
-        keywords = _load_registry(registry).keywords
+        keywords = _keywords(registry)
     else:
         keywords = sorted(p.name.removesuffix(".csv") for p in stitched_dir.glob("*.csv"))
         for kw in keywords:

@@ -22,12 +22,13 @@ from trendnet.correlate import CorrelationFrame
 from trendnet.errors import TrendnetError
 from trendnet.ingest import DailySeries, WeeklySeries
 from trendnet.netstat import GraphFrame
-from trendnet.registry import CATEGORIES, KeywordRegistry
+from trendnet.registry import CATEGORIES, DEFAULT_KEYWORDS
 from trendnet.util import csv_field
 
 SPAN_START = date(2020, 3, 16)
 SPAN_END = date(2021, 3, 15)
 SPAN_DAYS = (SPAN_END - SPAN_START).days + 1  # 365
+DEFAULT_KEYWORD_NAMES = tuple(keyword for keyword, _ in DEFAULT_KEYWORDS)  # the 15 built-in
 
 DAY = timedelta(days=1)
 FIRST_LABEL = date(2020, 3, 31)  # the first 15-day window's label from SPAN_START
@@ -208,7 +209,7 @@ def planted_block_series(
     per-keyword noise; latents of different blocks are independent.
     """
     if keywords is None:
-        keywords = KeywordRegistry.default().keywords
+        keywords = DEFAULT_KEYWORD_NAMES
     assert len(keywords) % block_size == 0
     blocks = [
         list(keywords[i : i + block_size]) for i in range(0, len(keywords), block_size)
@@ -236,7 +237,7 @@ def reference_series(name: str) -> tuple[dict[str, np.ndarray], str | None]:
     """Reference fixture `name`'s latent series and registry CSV text (None: the built-in
     keywords): `planted` blocks of five (seed 42), `flat` independent series (seed 101),
     `quoted` the planted blocks (seed 43) over `QUOTED_KEYWORDS`."""
-    keywords = KeywordRegistry.default().keywords
+    keywords = DEFAULT_KEYWORD_NAMES
     if name == "flat":
         return flat_latent_series(np.random.default_rng(101), keywords), None
     if name == "planted":

@@ -23,9 +23,9 @@ from trendnet.netstat import (
     parse_metrics_csv,
     threshold_adjacency,
 )
-from trendnet.registry import KeywordRegistry
 
 from helpers import (
+    DEFAULT_KEYWORD_NAMES,
     SPAN_END,
     SPAN_START,
     corr_frames,
@@ -72,7 +72,7 @@ def stitch_tree(tree: Path, keywords) -> dict[str, ingest.DailySeries]:
 
 @pytest.fixture(scope="module")
 def keywords():
-    return KeywordRegistry.default().keywords
+    return DEFAULT_KEYWORD_NAMES
 
 
 @pytest.fixture(scope="module")

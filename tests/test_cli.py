@@ -357,6 +357,33 @@ def registry_case(command, text, message):
     return setup
 
 
+def not_utf8(path: Path, lineno: int, bom: bool = False, end: bytes = b"\n") -> str:
+    """Rewrite the file at `path` with line ends `end`, a leading byte-order mark if `bom`,
+    and the byte 0xe9, which is not UTF-8 before an ASCII byte, opening line `lineno`;
+    returns the error that names them."""
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = b"\xe9" + lines[lineno - 1]
+    path.write_bytes("\ufeff".encode() * bom + end.join(lines))
+    return f"{path}: line {lineno}: byte 0xe9 is not UTF-8"
+
+
+def not_utf8_case(command, name, lineno, flag=None, text=None, **layout):
+    """`command` once `not_utf8` rewrote the file `name` under tmp_path; with `flag`, the
+    file holds `text` and `flag` names it."""
+    def setup(t, f):
+        argv = cmd(f, command, *([flag, str(write(t / name, text))] if flag else []))
+        return argv, 2, not_utf8(t / name, lineno, **layout)
+    return setup
+
+
+def stitched_file_name_not_utf8(t, f):
+    """A stitched file named by the bytes `cough\\xff.csv`, read back as 'cough\\udcff.csv'."""
+    stitched = f("stitched_dir")
+    bad = write(stitched / "cough\udcff.csv", (stitched / "cough.csv").read_text())
+    return analyze_argv(stitched), 2, (f"{bad}: keyword 'cough\\udcff' is not UTF-8 text,"
+                                       " in which every output is written")
+
+
 def extra_thresholds(t, f, windows, thresholds, window, labels):
     """`report` of an analysis of `windows` x `thresholds`, plus copies of window
     `window`'s t0.5 metrics relabelled to each of `labels`."""
@@ -546,6 +573,24 @@ FAILURES = [
                      f"line 1: {PIPE_MESSAGE}")) for command in ("stitch", "analyze")],
     ("test_analyze_stitched_file_named_with_a_pipe_exits_2_naming_it",
      stitched_files_named_with_a_pipe),
+    ("test_analyze_stitched_file_name_not_utf8_exits_2_naming_it", stitched_file_name_not_utf8),
+    # One row per kind of input file; the line counts from after a byte-order mark, and
+    # counts \r\n and a bare \r as one line end each, as the parsers do.
+    *[(f"test_input_not_utf8_exits_2_naming_file_and_line[{kind}]", setup)
+      for kind, setup in [
+          ("segment", not_utf8_case("stitch", "daily/cough/2.csv", 5)),
+          ("segment-bom-crlf", not_utf8_case("stitch", "daily/cough/2.csv", 5, bom=True,
+                                             end=b"\r\n")),
+          ("segment-cr", not_utf8_case("stitch", "daily/cough/2.csv", 5, end=b"\r")),
+          ("weekly", not_utf8_case("stitch", "weekly/cough.csv", 6)),
+          ("registry", not_utf8_case("stitch", "registry.csv", 3)),
+          ("stitched", not_utf8_case("analyze", "stitched/fever.csv", 41)),
+          ("metrics", not_utf8_case("report", METRICS, 3)),
+          ("events", not_utf8_case("report", "events.csv", 2, "--events",
+                                   "date,label,category\n2020-04-01,ok,Policy\n")),
+          ("config", not_utf8_case("analyze", "run.cfg", 2, "--config",
+                                   "windows = 15\nthresholds = 0.5\n")),
+      ]],
     *[(f"test_analyze_stitched_file_naming_no_keyword_exits_2_naming_it[{case}]",
        stitched_file_naming_no_keyword(name, keyword))
       for case, name, keyword in [("empty", ".csv", ""), ("dot", "..csv", "."),
@@ -1039,6 +1084,16 @@ def test_stitch_earliest_failing_keyword_decides_on_any_cpus(export_tree, tmp_pa
     fever = plant(tmp_path / "daily" / "fever" / "2.csv", 5, "2020-13-01", 0)
     assert_fails(tmp_path, stitch_argv(export_tree), 2,
                  f"{fever}: line 5: date '2020-13-01' does not parse")
+    assert_reaped()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_stitch_input_not_utf8_exits_2_naming_line_on_any_cpus(export_tree, tmp_path,
+                                                               monkeypatch, cpus):
+    forks = show_cpus(monkeypatch, cpus)
+    message = not_utf8(tmp_path / "daily" / "fever" / "2.csv", 5)
+    assert_fails(tmp_path, stitch_argv(export_tree), 2, message)
+    assert len(forks) == cpus - 1  # on 2 CPUs, fever's group is the forked one
     assert_reaped()
 
 

@@ -13,7 +13,7 @@ import trendnet
 from trendnet.errors import TrendnetError
 from trendnet.ingest import parse_daily_segment, parse_stitched, parse_weekly
 from trendnet.netstat import parse_metrics_csv
-from trendnet.registry import KeywordRegistry
+from trendnet.registry import parse_registry
 from trendnet.timeline import load_events
 from trendnet.util import (
     csv_records,
@@ -89,7 +89,7 @@ READABLE_ROWS = {
     parse_daily_segment: "Day,cough: (Philippines)\n2020-03-16,100\n",
     parse_weekly: "Week,cough\n2020-03-15,100\n",
     parse_stitched: "date,value\n2020-03-16,1.5\n",
-    KeywordRegistry.from_csv: "keyword,category\ncough,SymptomsEnglish\n",
+    parse_registry: "keyword,category\ncough,SymptomsEnglish\n",
     load_events: "date,label,category\n2020-04-01,ok,Policy\n",
     parse_metrics_csv: "label_date,window_days,threshold,edge_count,density,clustering_global,"
                        "clustering_avg_local\n2020-03-30,15,0.5,3,0.2,0.1,0.1\n",
@@ -106,7 +106,7 @@ FAILURES = [  # (test id, call, message[, code, kind])
     *[(f"test_iso_date_reads_only_yyyy_mm_dd[{text}]", lambda text=text: iso_date(text),
        raised_text(lambda text=text: date.fromisoformat(text)), None, ValueError)
       for text in ["2020-13-01", "2020-04-31"]],
-    ("test_short_row_names_its_line_and_the_columns[registry]", lambda: KeywordRegistry.from_csv(
+    ("test_short_row_names_its_line_and_the_columns[registry]", lambda: parse_registry(
         "keyword,category\ncough,SymptomsEnglish\n\nfever\n"),
      "line 4: row needs keyword,category: ['fever']"),
     ("test_short_row_names_its_line_and_the_columns[events]", lambda: load_events(
@@ -130,7 +130,7 @@ PACKAGE_NAMES = {
 MODULE_NAMES = {
     "correlate": ("CorrelationFrame", "distance_correlation"),
     "ingest": ("DailySeries", "WeeklySeries", "parse_stitched"),
-    "registry": ("KeywordRegistry",),
+    "registry": ("DEFAULT_KEYWORDS", "check_keyword", "parse_registry"),
     "render": ("render_metric_chart",),
     "timeline": ("EventRecord", "join_events", "load_bundled_events", "load_events"),
 }
