@@ -18,8 +18,8 @@ import numpy as np
 
 from . import kernels
 from .errors import TrendnetError
-from .ingest import DailySeries
-from .util import csv_field
+from .ingest import Series, check_step
+from .util import DAY, csv_field
 
 
 @dataclass(eq=False)
@@ -57,10 +57,10 @@ def distance_correlation(x, y) -> float:
     return float(kernels.rolling_dcor(np.column_stack((x, y)), len(x))[0, 0, 1])
 
 
-def rolling_correlation(series: dict[str, DailySeries], window_days: int) -> CorrelationFrame:
+def rolling_correlation(series: dict[str, Series], window_days: int) -> CorrelationFrame:
     """The stack of frames over all rolling windows, one per label date.
 
-    All series must cover the identical consecutive date range. Keyword
+    All series must step one day and cover the identical date range. Keyword
     order follows the mapping order. The first label date is series start
     + window_days; the last is the day after the series end, so every
     window of data labels the day it leads into. `kernels.rolling_dcor`
@@ -72,6 +72,7 @@ def rolling_correlation(series: dict[str, DailySeries], window_days: int) -> Cor
     first = series[keywords[0]]
     for kw in keywords:
         s = series[kw]
+        check_step(s, DAY, kw)
         if s.start_date != first.start_date or s.end_date != first.end_date:
             raise TrendnetError(
                 f"{kw}: spans {s.start_date}..{s.end_date},"

@@ -10,10 +10,11 @@ first field is not an ISO date is an error naming its line, and each date
 must follow the previous one by the series' step (1 day or 7). The
 censored export value `<1` maps to 0.5, the midpoint of its interval.
 
-So a series is stored as its first date plus one float64 array of shape
-(days,) or (weeks,); entry i falls on `start_date + i * step`. Parsers
-take only the text: the caller names the file, and so the keyword, in
-errors and warnings.
+So a series is one `Series(start_date, values, step)`: its first date, one
+float64 array of shape (days,) or (weeks,), and its step, `DAY` or `WEEK`;
+entry i falls on `start_date + i * step`. A function that needs one step
+checks it with `check_step`. Parsers take only the text: the caller names
+the file, and so the keyword, in errors and warnings.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import ClassVar
 
 import numpy as np
 
@@ -33,17 +33,18 @@ WEEK = timedelta(days=7)
 
 
 @dataclass(frozen=True, eq=False)
-class DailySeries:
-    """Consecutive daily values of one series.
+class Series:
+    """Values of one series on dates `step` apart.
 
-    `values[i]` is the value on `start_date + i` days. Parsed export
-    segments hold values in [0, 100]; stitched values are nonnegative and
-    may exceed 100 because weekly weights can exceed 1.
+    `values[i]` is the value on `start_date + i * step`: a day for export
+    segments and stitched series, a week for weekly exports. Parsed export
+    values are in [0, 100]; stitched values are nonnegative and may exceed
+    100 because weekly weights can exceed 1.
     """
 
     start_date: date
     values: np.ndarray
-    step: ClassVar[timedelta] = DAY
+    step: timedelta = DAY
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
@@ -56,11 +57,10 @@ class DailySeries:
         return len(self.values)
 
 
-class WeeklySeries(DailySeries):
-    """Weekly values; `values[i]` is the week starting
-    `start_date + 7 * i` days."""
-
-    step = WEEK
+def check_step(series: Series, step: timedelta, name: str) -> None:
+    """Raise unless `series` steps `step`; the message names the series `name`."""
+    if series.step != step:
+        raise TrendnetError(f"{name}: {series.step.days}-day step, expected {step.days}-day")
 
 
 def _parse_value(token: str, when: date, upper: float) -> float:
@@ -76,8 +76,8 @@ def _parse_value(token: str, when: date, upper: float) -> float:
     return value
 
 
-def _read_series(raw_csv: str, step: timedelta, upper: float) -> tuple[date, np.ndarray]:
-    """The first date and the values of `date,value` rows spaced `step` apart.
+def _read_series(raw_csv: str, step: timedelta, upper: float) -> Series:
+    """The series of `date,value` rows spaced `step` apart.
 
     Rows before the first dated row whose first field does not start with a
     digit are preamble; every other row that is not blank must carry the
@@ -105,44 +105,47 @@ def _read_series(raw_csv: str, step: timedelta, upper: float) -> tuple[date, np.
         prev = when
     if prev is None:
         raise TrendnetError("no data rows")
-    return first, np.array(values, dtype=np.float64)
+    return Series(first, np.array(values, dtype=np.float64), step)
 
 
-def parse_daily_segment(raw_csv: str) -> DailySeries:
-    """Parse one segment export into a validated DailySeries in [0, 100].
+def parse_daily_segment(raw_csv: str) -> Series:
+    """Parse one segment export into a validated daily Series in [0, 100].
 
     Dates must be strictly increasing with no gaps. A segment whose values
     neither reach 100 nor are all zero is suspicious (exports normalize the
     segment maximum to 100) and draws a warning, not an error.
     """
-    start, values = _read_series(raw_csv, DAY, 100.0)
-    peak = values.max()
+    segment = _read_series(raw_csv, DAY, 100.0)
+    peak = segment.values.max()
     if peak != 100.0 and peak != 0.0:
         warnings.warn(
-            f"segment starting {start} has max {peak.tolist()};"
+            f"segment starting {segment.start_date} has max {peak.tolist()};"
             " expected a 100 (or an all-zero segment) in a normalized export",
             stacklevel=2,
         )
-    return DailySeries(start, values)
+    return segment
 
 
-def parse_weekly(raw_csv: str) -> WeeklySeries:
+def parse_weekly(raw_csv: str) -> Series:
     """Parse a weekly export; rows must be spaced exactly 7 days apart."""
-    return WeeklySeries(*_read_series(raw_csv, WEEK, 100.0))
+    return _read_series(raw_csv, WEEK, 100.0)
 
 
 def assemble_daily(
-    segments: list[DailySeries],
+    segments: list[Series],
     span: tuple[date, date] | None = None,
-) -> DailySeries:
-    """Merge per-segment series into one continuous DailySeries.
+) -> Series:
+    """Merge daily segments into one continuous daily Series.
 
-    Segments must tile the timeline exactly: each one starts the day after
-    the previous one ends. When `span` is given it must not end before it
-    starts, and the merged series must cover it and is trimmed to it.
+    Segments must step one day and tile the timeline exactly: each one
+    starts the day after the previous one ends. When `span` is given it must
+    not end before it starts, and the merged series must cover it and is
+    trimmed to it.
     """
     if not segments:
         raise TrendnetError("no segments to assemble")
+    for segment in segments:
+        check_step(segment, DAY, f"segment starting {segment.start_date}")
     ordered = sorted(segments, key=lambda s: s.start_date)
     for prev, cur in zip(ordered, ordered[1:]):
         if cur.start_date <= prev.end_date:
@@ -168,15 +171,15 @@ def assemble_daily(
             )
         values = values[(start - first).days : (end - first).days + 1]
         first = start
-    return DailySeries(first, values)
+    return Series(first, values)
 
 
-def parse_stitched(raw_csv: str) -> DailySeries:
+def parse_stitched(raw_csv: str) -> Series:
     """Parse a canonical stitched CSV (`date,value`, full precision); values may exceed 100."""
-    return DailySeries(*_read_series(raw_csv, DAY, math.inf))
+    return _read_series(raw_csv, DAY, math.inf)
 
 
-def emit_daily_csv(series: DailySeries) -> str:
+def emit_daily_csv(series: Series) -> str:
     """Canonical `date,value` emitter; floats keep full round-trip precision."""
     days = np.datetime64(series.start_date) + np.arange(len(series))
     rows = zip(np.datetime_as_string(days).tolist(), series.values.tolist())

@@ -19,19 +19,22 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TrendnetError
-from .ingest import WEEK, DailySeries, WeeklySeries
+from .ingest import WEEK, Series, check_step
+from .util import DAY
 
 
-def stitch_series(daily: DailySeries, weekly: WeeklySeries) -> DailySeries:
+def stitch_series(daily: Series, weekly: Series) -> Series:
     """Rescale an assembled daily export onto the weekly scale.
 
-    Each day belongs to the unique week with week_start <= day <
-    week_start + 7 days, and every day must fall in some week. A week's
-    weight is its weekly value over the mean of its days, or 1 when that
-    mean is 0 (no days, or only zeros), so such weeks pass through
-    unchanged. The result keeps the dates; its values may exceed 100
-    because weights can exceed 1.
+    `daily` must step one day and `weekly` seven. Each day belongs to the
+    unique week with week_start <= day < week_start + 7 days, and every day
+    must fall in some week. A week's weight is its weekly value over the
+    mean of its days, or 1 when that mean is 0 (no days, or only zeros), so
+    such weeks pass through unchanged. The result keeps the dates; its
+    values may exceed 100 because weights can exceed 1.
     """
+    check_step(daily, DAY, "daily")
+    check_step(weekly, WEEK, "weekly")
     n_weeks = len(weekly.values)
     first = (daily.start_date - weekly.start_date).days
     last = first + len(daily) - 1
@@ -48,4 +51,4 @@ def stitch_series(daily: DailySeries, weekly: WeeklySeries) -> DailySeries:
     avg = np.divide(sums, counts, out=np.zeros(n_weeks), where=counts > 0)
     # avg == 0 is exact on purpose: it holds iff the week has no data or only zeros.
     weight = np.divide(weekly.values, avg, out=np.ones(n_weeks), where=avg != 0.0)
-    return DailySeries(daily.start_date, daily.values * weight[week])
+    return Series(daily.start_date, daily.values * weight[week])

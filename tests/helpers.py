@@ -20,7 +20,7 @@ from trendnet import kernels
 from trendnet.cli import main
 from trendnet.correlate import CorrelationFrame
 from trendnet.errors import TrendnetError
-from trendnet.ingest import DailySeries, WeeklySeries
+from trendnet.ingest import WEEK, Series
 from trendnet.netstat import GraphFrame
 from trendnet.registry import CATEGORIES, DEFAULT_KEYWORDS
 from trendnet.util import csv_field
@@ -69,12 +69,12 @@ def random_graph(rng, n: int, density: float) -> np.ndarray:
     return (upper | upper.T).astype(np.uint8)
 
 
-def daily_series(values, start: date = SPAN_START) -> DailySeries:
-    return DailySeries(start, np.asarray(values, dtype=float))
+def daily_series(values, start: date = SPAN_START) -> Series:
+    return Series(start, np.asarray(values, dtype=float))
 
 
-def weekly_series(values, start: date = SPAN_START) -> WeeklySeries:
-    return WeeklySeries(start, np.asarray(values, dtype=float))
+def weekly_series(values, start: date = SPAN_START) -> Series:
+    return Series(start, np.asarray(values, dtype=float), WEEK)
 
 
 def daily_csv(start: date, values, preamble: str = "") -> str:

@@ -4,12 +4,12 @@ Usage: PYTHONPATH=src python tests/pipeline_outputs.py OUT
 
 Runs `helpers.run_reference` on each of `helpers.reference_series`' fixtures
 (planted, flat, quoted), as tier-1's `tests/test_invariants.py` does: 37 files
-each under OUT/<fixture>/out, 111 in all. Run it on two versions of `src` and
-compare the trees with `diff -r OUT_A OUT_B`: an empty diff means the change
-moved no output byte. `sha256sum -c tests/reference_outputs.sha256`, run in OUT,
-checks the 105 files that do not depend on the BLAS kernel (all but the six
-`correlations_w*.csv`) against the digests tier-1 pins. Pytest does not collect
-this file.
+each under OUT/<fixture>/out, 111 in all. Run two checkouts' copies, each with
+its own `src` (its helpers import from it), and compare the trees with
+`diff -r OUT_A OUT_B`: an empty diff means the change moved no output byte.
+`sha256sum -c tests/reference_outputs.sha256`, run in OUT, checks the 105 files
+that do not depend on the BLAS kernel (all but the six `correlations_w*.csv`)
+against the digests tier-1 pins. Pytest does not collect this file.
 """
 
 import sys

@@ -56,7 +56,7 @@ def criterion(name):
     return wrap
 
 
-def read_tree(tree: Path, kw: str) -> tuple[ingest.DailySeries, ingest.WeeklySeries]:
+def read_tree(tree: Path, kw: str) -> tuple[ingest.Series, ingest.Series]:
     """Keyword `kw`'s daily segments, assembled over the span, and weekly series."""
     segments = [
         ingest.parse_daily_segment(path.read_text("utf-8"))
@@ -66,7 +66,7 @@ def read_tree(tree: Path, kw: str) -> tuple[ingest.DailySeries, ingest.WeeklySer
     return daily, ingest.parse_weekly((tree / "weekly" / f"{kw}.csv").read_text("utf-8"))
 
 
-def stitch_tree(tree: Path, keywords) -> dict[str, ingest.DailySeries]:
+def stitch_tree(tree: Path, keywords) -> dict[str, ingest.Series]:
     return {kw: stitch.stitch_series(*read_tree(tree, kw)) for kw in keywords}
 
 
@@ -195,7 +195,7 @@ def test_week_mean_restoration_on_year_fixture(year_tree, year_stitched, keyword
             assert abs(window.mean() - weekly_rsv) <= 1e-9
             checked += 1
         # idempotence: weekly data equal to the daily week averages.
-        matched = ingest.WeeklySeries(weekly.start_date, np.array(averages))
+        matched = ingest.Series(weekly.start_date, np.array(averages), ingest.WEEK)
         identical = stitch.stitch_series(daily, matched)
         assert identical.values.tolist() == daily.values.tolist()
     assert checked >= 15 * 50  # essentially every week of every keyword

@@ -5,7 +5,7 @@ import pytest
 
 from trendnet.correlate import emit_correlations_csv, rolling_correlation
 
-from helpers import DAY, SPAN_START, by_test_id, daily_series
+from helpers import DAY, SPAN_START, by_test_id, daily_series, weekly_series
 from oracles import dcor_oracle
 
 
@@ -103,6 +103,9 @@ FAILURES = [  # (test id, call, message[, code, kind])
     ("test_misaligned_series_rejected", lambda: rolling_correlation(
         {**year_fixture(2, 30), "late": daily_series(np.ones(30), SPAN_START + DAY)}, 15),
      "late: spans 2020-03-17..2020-04-15, expected 2020-03-16..2020-04-14"),
+    ("test_weekly_series_rejected", lambda: rolling_correlation(
+        {kw: weekly_series(s.values) for kw, s in year_fixture(2, 30).items()}, 15),
+     "kw0: 7-day step, expected 1-day"),
     ("test_window_longer_than_series_rejected",
      lambda: rolling_correlation(year_fixture(n_days=30), 31),
      "window of 31 days exceeds 30 days of data", 4),

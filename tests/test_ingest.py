@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trendnet.ingest import (
+    WEEK,
     assemble_daily,
     emit_daily_csv,
     parse_daily_segment,
@@ -12,7 +13,7 @@ from trendnet.ingest import (
     parse_weekly,
 )
 
-from helpers import DAY, by_test_id, daily_csv, daily_series, weekly_csv
+from helpers import DAY, by_test_id, daily_csv, daily_series, weekly_csv, weekly_series
 
 D = date(2020, 3, 16)
 
@@ -24,8 +25,7 @@ def test_parse_daily_segment_well_formed():
     values[-1] = 100
     seg = parse_daily_segment(daily_csv(D, values))
     assert len(seg) == 31
-    assert seg.start_date == D
-    assert seg.end_date == D + 30 * DAY
+    assert (seg.start_date, seg.step, seg.end_date) == (D, DAY, D + 30 * DAY)
     assert seg.values.dtype == np.float64
     assert seg.values.tolist() == [float(v) for v in values]
 
@@ -56,7 +56,8 @@ def test_parse_daily_segment_all_zero_no_warning(recwarn):
 
 def test_parse_weekly_well_formed():
     weekly = parse_weekly(weekly_csv(date(2020, 3, 15), range(0, 53)))
-    assert weekly.start_date == date(2020, 3, 15)
+    assert (weekly.start_date, weekly.step) == (date(2020, 3, 15), WEEK)
+    assert weekly.end_date == date(2020, 3, 15) + 7 * 52 * DAY
     assert weekly.values.tolist() == [float(v) for v in range(0, 53)]
 
 
@@ -121,7 +122,7 @@ def test_raw_csv_round_trip_with_censored_export():
 
 
 def same_series(a, b):
-    return (a.start_date, a.values.tolist()) == (b.start_date, b.values.tolist())
+    return (a.start_date, a.step, a.values.tolist()) == (b.start_date, b.step, b.values.tolist())
 
 
 def outside(when, token, upper="100.0"):
@@ -161,6 +162,9 @@ FAILURES = [  # (test id, call, message)
     ("test_assemble_daily_span_not_covered",
      lambda: assemble_daily([daily_series([100] * 10, D)], span=(D, date(2021, 3, 15))),
      "assembled span 2020-03-16..2020-03-25 does not cover 2020-03-16..2021-03-15"),
+    ("test_assemble_daily_weekly_segment_rejected",
+     lambda: assemble_daily([daily_series([100] * 7, D), weekly_series([100] * 5, D + 7 * DAY)]),
+     "segment starting 2020-03-23: 7-day step, expected 1-day"),
     ("test_assemble_daily_inverted_span",
      lambda: assemble_daily([daily_series([100] * 10, D)], span=(D + 4 * DAY, D + 2 * DAY)),
      "span start 2020-03-20 is after its end 2020-03-18"),

@@ -71,6 +71,11 @@ FAILURES = [  # (test id, call, message)
      f"daily date 2020-03-23 {COVERAGE}"),
     ("test_rescale_uncovered_date",
      lambda: stitch_series(daily_series([1] * 8), weekly_series([10])), f"daily date 2020-03-23 {COVERAGE}"),
+    ("test_swapped_arguments_rejected",
+     lambda: stitch_series(weekly_series(np.full(53, 50.0)), daily_series(np.arange(1, 366.0))),
+     "daily: 7-day step, expected 1-day"),
+    ("test_daily_series_as_weekly_rejected",
+     lambda: stitch_series(daily_series([1] * 7), daily_series([50])), "weekly: 1-day step, expected 7-day"),
 ]
 globals().update(by_test_id(FAILURES))
 

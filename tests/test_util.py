@@ -129,7 +129,7 @@ PACKAGE_NAMES = {
 # Names the package root does not export, each by its module.
 MODULE_NAMES = {
     "correlate": ("CorrelationFrame", "distance_correlation"),
-    "ingest": ("DailySeries", "WeeklySeries", "parse_stitched"),
+    "ingest": ("WEEK", "Series", "check_step", "parse_stitched"),
     "registry": ("DEFAULT_KEYWORDS", "check_keyword", "parse_registry"),
     "render": ("render_metric_chart",),
     "timeline": ("EventRecord", "join_events", "load_bundled_events", "load_events"),
