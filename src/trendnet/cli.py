@@ -34,7 +34,7 @@ to name the flag or config line (CLI check, owner): window >= 2 (`_parse_windows
 `render_metric_chart`); span order (`cmd_stitch`, `ingest.assemble_daily`);
 2 keywords or more (`_load_stitched`, `netstat.network_density`); a period
 that selects a frame (`_analyze_windows`, `netstat._persistence`). All but the
-last run before any work; a period is checked per window, after that window's dCor.
+last run before any work; a period is checked per window, after its dCor, before its files.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import sys
 import warnings
 from collections.abc import Iterable
 from datetime import date, timedelta
-from itertools import takewhile
+from itertools import chain, takewhile
 from pathlib import Path
 
 from . import correlate, ingest, netstat, render, stitch, timeline, util
@@ -365,7 +365,7 @@ def _load_stitched(stitched_dir: Path, registry: Path | None):
 
 
 def _window_outputs(out_root: Path, window: int, thresholds: list[float]) -> list[Path]:
-    """The output files of one window, in the order `_analyze_windows` writes their parts."""
+    """The one list of a window's output files, in the order `_analyze_windows` writes them."""
     return [out_root / f"correlations_w{window}.csv",
             *(out_root / f"metrics_w{window}_t{netstat.threshold_label(theta)}.csv"
               for theta in thresholds),
@@ -374,13 +374,10 @@ def _window_outputs(out_root: Path, window: int, thresholds: list[float]) -> lis
 
 def _analyze_windows(series: dict, windows: list[int], settings: dict, outputs: _Outputs) -> None:
     """Write each window's outputs with `outputs.write` as they are computed, in window order."""
-    thresholds = settings["thresholds"]
+    thresholds, out = settings["thresholds"], settings["out"]
     for window in windows:
-        correlations, *metrics, pairs, triads = _window_outputs(settings["out"], window, thresholds)
         with prefixed(settings["stitched"]):
             frames = correlate.rolling_correlation(series, window)
-        outputs.write(correlations, correlate.emit_correlations_csv(frames))
-
         first, last = frames.label_dates[[0, -1]].tolist()
         for source, (start, end) in zip(settings["sources"]["period"], settings["period"]):
             if not netstat.period_mask(frames.label_dates, (start, end)).any():
@@ -389,12 +386,14 @@ def _analyze_windows(series: dict, windows: list[int], settings: dict, outputs: 
         periods = settings["period"] or util.default_periods(first - timedelta(window), first, last)
         graphs = netstat.threshold_adjacency(frames, thresholds)
         table, n = netstat.frame_metrics(graphs), len(frames.label_dates)
-        for t, path in enumerate(metrics):  # the table's rows run threshold by threshold
-            outputs.write(path, (netstat.emit_metrics_csv(table.take(range(t * n, (t + 1) * n))),))
-        for path, persistence in ((pairs, netstat.pair_persistence),
-                                  (triads, netstat.triad_persistence)):
-            outputs.write(path, netstat.emit_persistence_csv(frames.keywords,
-                                                             persistence(graphs, periods)))
+        # Each file's chunks in `_window_outputs` order, each made only as its file is written.
+        sources = chain((correlate.emit_correlations_csv(frames),),
+                        ((netstat.emit_metrics_csv(table.take(range(t * n, (t + 1) * n))),)
+                         for t in range(len(thresholds))),  # rows run threshold by threshold
+                        (netstat.emit_persistence_csv(frames.keywords, kind(graphs, periods))
+                         for kind in (netstat.pair_persistence, netstat.triad_persistence)))
+        for path, chunks in zip(_window_outputs(out, window, thresholds), sources, strict=True):
+            outputs.write(path, chunks)
 
 
 def cmd_analyze(settings: dict) -> str:

@@ -180,7 +180,8 @@ def parse_stitched(raw_csv: str) -> Series:
 
 
 def emit_daily_csv(series: Series) -> str:
-    """Canonical `date,value` emitter; floats keep full round-trip precision."""
+    """Canonical `date,value` emitter of a daily series; floats keep full round-trip precision."""
+    check_step(series, DAY, "series")
     days = np.datetime64(series.start_date) + np.arange(len(series))
     rows = zip(np.datetime_as_string(days).tolist(), series.values.tolist())
     return "date,value\n" + "".join(f"{d},{v!r}\n" for d, v in rows)

@@ -12,7 +12,8 @@ column is formatted once (`util.distinct_texts`): a date placed on the x
 axis, a value on the y axis, a JSON field. 0.0 and -0.0 keep their own
 texts. The JSON report is byte for byte `json.dumps(body, indent=2)`, but
 its metric rows are filled here from one row template: with `indent` set,
-json uses its pure-Python encoder, which cost most of `report`'s time.
+json uses its pure-Python encoder, which cost most of `report`'s time. The
+template is derived from `netstat.METRIC_COLUMNS`, quoting only `label_date`.
 Ints format by `str` and floats by `repr`, as json writes them; the parser
 rejects NaN and infinities, which json would write as bare `NaN`/`Infinity`.
 The few event rows still go through json, which escapes their labels.
@@ -24,7 +25,7 @@ import json
 from datetime import date
 
 from .errors import TrendnetError
-from .netstat import MetricTable, threshold_label
+from .netstat import METRIC_COLUMNS, MetricTable, threshold_label
 from .timeline import EventRecord, JoinedEvent, join_events
 from .util import distinct_texts, month_starts
 
@@ -171,12 +172,9 @@ def _escape(text: str) -> str:
 
 
 # A metric row as `json.dumps(body, indent=2)` writes it, filled with the texts
-# of its fields: dates by isoformat, ints by str and floats by repr.
-_METRIC_ROW = (
-    '    {\n      "label_date": "%s",\n      "window_days": %s,\n      "threshold": %s,\n'
-    '      "edge_count": %s,\n      "density": %s,\n      "clustering_global": %s,\n'
-    '      "clustering_avg_local": %s\n    }'
-)
+# of its fields: dates by isoformat (a JSON string), ints by str and floats by repr.
+_METRIC_ROW = "    {\n%s\n    }" % ",\n".join(
+    f'      "{name}": ' + ('"%s"' if name == "label_date" else "%s") for name in METRIC_COLUMNS)
 _METRIC_FORMATS = (date.isoformat, str, repr, str, repr, repr, repr)
 
 

@@ -2,6 +2,7 @@ import csv
 import errno
 import os
 import re
+import runpy
 import signal
 import sys
 import xml.etree.ElementTree as ET
@@ -1135,3 +1136,13 @@ def test_stitch_killed_keyword_worker_exits_3_leaving_nothing(export_tree, tmp_p
     assert_fails(tmp_path, stitch_argv(export_tree), 3,
                  "stitch worker for keywords fever..flu died by signal 9")
     assert_reaped()
+
+
+def test_module_run_as_main_runs_the_cli(monkeypatch, capsys):
+    # A module already imported would be run with a RuntimeWarning, an error here.
+    monkeypatch.delitem(sys.modules, "trendnet.cli")
+    monkeypatch.setattr(sys, "argv", ["trendnet", "--help"])
+    assert_raises(lambda: runpy.run_module("trendnet.cli", run_name="__main__"), "0",
+                  kind=SystemExit)
+    out = capsys.readouterr().out
+    assert all(command in out for command in ("stitch", "analyze", "report")), out

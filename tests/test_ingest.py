@@ -165,6 +165,9 @@ FAILURES = [  # (test id, call, message)
     ("test_assemble_daily_weekly_segment_rejected",
      lambda: assemble_daily([daily_series([100] * 7, D), weekly_series([100] * 5, D + 7 * DAY)]),
      "segment starting 2020-03-23: 7-day step, expected 1-day"),
+    ("test_emit_daily_csv_weekly_series_rejected",
+     lambda: emit_daily_csv(parse_weekly("2020-03-15,10\n2020-03-22,20\n2020-03-29,30\n")),
+     "series: 7-day step, expected 1-day"),
     ("test_assemble_daily_inverted_span",
      lambda: assemble_daily([daily_series([100] * 10, D)], span=(D + 4 * DAY, D + 2 * DAY)),
      "span start 2020-03-20 is after its end 2020-03-18"),

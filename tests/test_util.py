@@ -16,6 +16,7 @@ from trendnet.netstat import parse_metrics_csv
 from trendnet.registry import parse_registry
 from trendnet.timeline import load_events
 from trendnet.util import (
+    _max_workers,
     csv_records,
     csv_rows,
     default_periods,
@@ -164,6 +165,13 @@ def test_forked_map_cuts_contiguous_parts_one_per_worker(monkeypatch, items, mos
     assert [part for part, _ in results] == parts
     assert len(forks) == len(parts) - 1
     assert results[0][1] == os.getpid() and len({pid for _, pid in results}) == len(parts)
+
+
+@pytest.mark.parametrize("cpus, workers", [(5, 5), (None, 1)])
+def test_max_workers_counts_cpus_without_affinity_masks(monkeypatch, cpus, workers):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert _max_workers() == workers
 
 
 def test_forked_map_raises_the_earliest_failing_part_with_its_code(monkeypatch):
